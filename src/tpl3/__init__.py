@@ -5,7 +5,7 @@ Everything computes over exact rationals; every check is an equality, so
 there are no tolerances anywhere.
 """
 
-from .linalg import (DimensionMismatch, Infeasible, Matrix, Rat, Singular, Vector,
+from .linalg import (DimensionMismatch, Infeasible, Matrix, Singular, Vector,
                      determinant, fmt_rat, invert, kernel_basis, mat_mul, mat_vec,
                      parse_rat, rank, rational_root, rref, solve_affine, vec_mat)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
@@ -26,6 +26,6 @@ from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
                        Unclassified, Unsupported, classify, draw_family_params,
                        fingerprint, normalize, verify_all_cases, verify_paper_case)
 from .docio import (AlgebraDocument, DocumentError, matrix_payload, parse_document,
-                    parse_matrix, serialize_doc, serialize_document)
+                    parse_matrix, serialize_document)
 
 __version__ = "0.1.0"

@@ -241,8 +241,9 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def check_commutative_associative(p: CommProduct) -> tuple[bool, CheckReport]:
-    """Commutativity (structural, always True) and exhaustive associativity.
+def check_commutative_associative(p: CommProduct) -> CheckReport:
+    """Exhaustive associativity; commutativity is structural (products are
+    stored on non-decreasing pairs), so it needs no check.
 
     Associativity is checked on all basis triples: (e_i·e_j)·e_k = e_i·(e_j·e_k).
     """
@@ -256,7 +257,7 @@ def check_commutative_associative(p: CommProduct) -> tuple[bool, CheckReport]:
                 right = product_eval(p, basis[i - 1], p.basis_product(j, k))
                 if left != right:
                     violations.append(Violation((i, j, k), left, right))
-    return True, CheckReport(tuple(violations))
+    return CheckReport(tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ the reduction may require a root that does not exist in the rationals; that
 outcome is reported as ``NeedsExtension`` with the radicand and the degree
 of the defining equation, never approximated.
 
-Reduction scheme (witnesses have the shape [[u,0,0],[x,c,0],[y,0,1/c]]):
+Reduction scheme: witnesses have the shape
+diag(1, B)·[[u,0,0],[x,c,0],[y,0,1/c]] with B in SL2(ℚ).  ``normalize``
+runs one loop over the candidate e2/e3 blocks B (``_candidate_blocks``)
+and finishes each in the case of the coordinates moved by diag(1, B):
 
 * the block scaling e2 ↦ c·e2, e3 ↦ e3/c rescales the e2/e3 structure
   constants; matching the canonical tables pins c by ``c**4 = radicand``
@@ -17,11 +20,13 @@ Reduction scheme (witnesses have the shape [[u,0,0],[x,c,0],[y,0,1/c]]):
 * which family a case-k product can reach is decided by shift residuals
   that are invariant under all witnesses of this shape (for case 1:
   k - g·s/a; vanishing picks T1, a quartic match picks T3, otherwise the
-  raw zero pattern of (g, h, k) picks T2 against T4, and analogously in
-  the other cases).
+  subcase zero pattern of (g, h, k) picks T2 against T4, and analogously
+  in the other cases).
 
-Every certificate is revalidated by actually transporting the input and
-comparing tables before it is returned.
+The first block that certifies wins; otherwise the identity block's
+diagnostic stands.  Every certificate is revalidated exactly once, by
+actually transporting the input and comparing tables, before it is
+returned.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, kernel_basis, mat_mul, rank,
-                     rational_root, solve_affine)
+from .linalg import (Infeasible, Matrix, Vector, kernel_basis, rank, rational_root,
+                     solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, TriBracket,
                       Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
@@ -42,7 +47,8 @@ from .derivations import DerivationQuery, delta_derivations, left_multiplication
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
-                       CaseId, FamilyInstance, detect_case, instantiate_family)
+                       CaseId, FamilyInstance, case_of_coordinates, detect_case,
+                       instantiate_family)
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,6 @@ class Unsupported:
 
 ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
                        NotTransposedPoisson, Unsupported]
-
-
-def _witness_matrix(u: Fraction, x: Fraction, y: Fraction, c: Fraction) -> AutoMatrix:
-    return AutoMatrix.from_rows([[u, 0, 0], [x, c, 0], [y, 0, 1 / c]])
 
 
 def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
@@ -168,8 +170,13 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
     return u, x, y, z
 
 
-def _certify(p: CommProduct, co: FamilyCoordinates, c: Fraction,
+def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
              family_id: str, primary: Fraction) -> Optional[Certificate]:
+    """The certificate for ``p`` onto ``family_id``, where ``co`` are the
+    coordinates of ``p`` moved by diag(1, block); None when no witness of the
+    implemented shape exists.  The witness is
+    diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
+    """
     solved = _solve_witness(co, c, family_id, primary)
     if solved is None:
         return None
@@ -179,22 +186,15 @@ def _certify(p: CommProduct, co: FamilyCoordinates, c: Fraction,
     if z is not None:
         params[names[1]] = z
     family = FamilyInstance.make(family_id, **params)
-    witness = _witness_matrix(u, x, y, c)
+    (b11, b12), (b21, b22) = block.row_lists()
+    witness = AutoMatrix.from_rows([[u, 0, 0],
+                                    [b11 * x + b12 * y, b11 * c, b12 / c],
+                                    [b21 * x + b22 * y, b21 * c, b22 / c]])
     cert = Certificate(input=p, family=family, witness=witness)
     if not cert.validate():
         raise RuntimeError(
             f"internal error: witness for {family_id} failed revalidation")
     return cert
-
-
-def _raw_pattern(co: FamilyCoordinates) -> str:
-    if co.g == 0:
-        return "a"
-    if co.h == 0:
-        return "b"
-    if co.k == 0:
-        return "c"
-    return "d"
 
 
 def _divisors(n: int) -> list[int]:
@@ -311,39 +311,26 @@ _SPLIT_TARGETS = (
 )
 
 
-def _split_route(p: CommProduct, co: FamilyCoordinates) -> Optional[Certificate]:
-    """Complete reduction for inputs whose quotient cubic splits over ℚ.
+_IDENTITY_BLOCK = Matrix.identity(2)
+
+
+def _candidate_blocks(co: FamilyCoordinates) -> Iterator[Optional[Matrix]]:
+    """The e2/e3 blocks the reduction tries, in order: the identity first.
 
     The e2/e3 block corresponds to the binary cubic
-    q·x³ − 3a·x²y − 3r·xy² − s·y³; a witness landing on a canonical table
-    must map its root triple onto the target family's triple, so it is
-    enough to test the finitely many orderings against the three
-    rational-split target classes and, for each square-determinant Möbius
-    map, finish the e1 components with the standard reduction.
+    q·x³ − 3a·x²y − 3r·xy² − s·y³, and a witness landing on a canonical
+    table maps its root triple onto the table's.  So when the cubic splits
+    into three distinct rational roots, every ordering against each
+    rational-split target class follows: its Möbius block, or None when
+    that map has a non-square determinant.
     """
+    yield _IDENTITY_BLOCK
     roots = _rational_roots_of_cubic(co.q, -3 * co.a, -3 * co.r, -co.s)
     if roots is None:
-        return None
+        return
     for target in _SPLIT_TARGETS:
         for perm in permutations(roots):
-            block = _mobius_block(perm, target)
-            if block is None:
-                continue
-            block_map = AutoMatrix.from_rows([
-                [1, 0, 0],
-                [0, block.entry(0, 0), block.entry(0, 1)],
-                [0, block.entry(1, 0), block.entry(1, 1)],
-            ])
-            moved = transport_product(p, block_map)
-            inner = _normalize_core(moved, use_split=False)
-            if isinstance(inner, Certificate):
-                witness = AutoMatrix(mat_mul(block_map.map, inner.witness.map))
-                cert = Certificate(input=p, family=inner.family, witness=witness)
-                if not cert.validate():
-                    raise RuntimeError(
-                        "internal error: split-route witness failed revalidation")
-                return cert
-    return None
+            yield _mobius_block(perm, target)
 
 
 def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified]:
@@ -352,47 +339,49 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     Returns a ``Certificate`` with an exact witness, ``NeedsExtension``
     when the reduction requires a root that does not exist in ℚ, or
     ``Unclassified`` when no case condition set applies or no reduction
-    route is implemented for the input.  Raises ShapeMismatch for products
+    is implemented for the input.  Raises ShapeMismatch for products
     outside the solved family.
 
-    Two reduction routes are tried: the in-case scaling route (diagonal
-    block pinned by the quartic/quadratic radicand, then shifts), and for
-    inputs whose quotient cubic splits over ℚ, the complete root-matching
-    route, which also discovers isomorphisms that cross between the case
-    condition sets.  For split inputs the classification is therefore
-    complete: a surviving ``NeedsExtension`` means no rational witness to
-    any canonical table exists.  For non-split inputs the diagnostics
-    describe the obstruction of the implemented routes.
+    One loop tries the candidate e2/e3 blocks: the identity, then, when the
+    quotient cubic splits over ℚ, every square-determinant root matching,
+    which also finds isomorphisms that cross between the case condition
+    sets.  For split inputs inside the four condition sets the analysis is
+    therefore complete: a surviving diagnostic means no rational witness to
+    any canonical table exists.  Inputs outside the condition sets are
+    ``Unclassified`` even when a rational witness exists.
     """
-    return _normalize_core(p, use_split=True)
-
-
-def _normalize_core(p: CommProduct,
-                    use_split: bool) -> Union[Certificate, NeedsExtension, Unclassified]:
-    case = detect_case(p)
-    if case is None:
-        return Unclassified("no case condition set matches the structure constants")
     co = family_coordinates(p)
-    result = _reduce_in_case(p, co, case)
-    if isinstance(result, Certificate) or not use_split:
-        return result
-    rescue = _split_route(p, co)
-    if rescue is not None:
-        return rescue
-    if (isinstance(result, Unclassified)
-            and _rational_roots_of_cubic(co.q, -3 * co.a, -3 * co.r, -co.s) is not None):
-        # for split quotients the root-matching analysis is complete
+    if case_of_coordinates(co) is None:
+        return Unclassified("no case condition set matches the structure constants")
+    for index, block in enumerate(_candidate_blocks(co)):
+        if block is None:
+            continue
+        if block is _IDENTITY_BLOCK:
+            moved = co
+        else:
+            block_map = AutoMatrix.from_rows([[1, 0, 0],
+                                              [0, block.entry(0, 0), block.entry(0, 1)],
+                                              [0, block.entry(1, 0), block.entry(1, 1)]])
+            moved = family_coordinates(transport_product(p, block_map))
+        case = case_of_coordinates(moved)
+        if case is None:
+            continue
+        result = _reduce_in_case(p, moved, case, block)
+        if isinstance(result, Certificate):
+            return result
+        if block is _IDENTITY_BLOCK:
+            in_case = result
+    if index > 0 and isinstance(in_case, Unclassified):
+        # blocks past the identity were tried, so the quotient cubic splits
         return Unclassified(
             "the quotient cubic splits over the rationals but every root "
             "matching has a non-square determinant: not isomorphic to any "
             "canonical table over the rationals")
-    return result
+    return in_case
 
 
-def _reduce_in_case(p: CommProduct, co: FamilyCoordinates,
-                    case: CaseId) -> Union[Certificate, NeedsExtension, Unclassified]:
-    pattern = _raw_pattern(co)
-
+def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
+                    block: Matrix) -> Union[Certificate, NeedsExtension, Unclassified]:
     if case.case in (1, 2):
         a, q, s = co.a, co.q, co.s
         if case.case == 1:
@@ -402,19 +391,19 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates,
                 c = rational_root(radicand, 4)
                 if c is None:
                     return NeedsExtension(radicand, 4)
-                cert = _certify(p, co, c, "T1", a / c)
+                cert = _certify(p, co, block, c, "T1", a / c)
             else:
                 rad_t3 = Fraction(-4, 3) * a / s
                 rad_t2 = -3 * a / s
                 c = rational_root(rad_t3, 4)
                 if c is not None:
-                    cert = _certify(p, co, c, "T3", a / c)
+                    cert = _certify(p, co, block, c, "T3", a / c)
                 else:
                     c = rational_root(rad_t2, 4)
                     if c is None:
-                        return NeedsExtension(rad_t3 if pattern == "c" else rad_t2, 4)
-                    target = "T4" if pattern == "d" else "T2"
-                    cert = _certify(p, co, c, target, a / c)
+                        return NeedsExtension(rad_t3 if case.subcase == "c" else rad_t2, 4)
+                    target = "T4" if case.subcase == "d" else "T2"
+                    cert = _certify(p, co, block, c, target, a / c)
         else:
             if q * q * s != -3 * a ** 3:
                 return Unclassified(
@@ -428,8 +417,8 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates,
             if shift_residual == 0:
                 target = "T5" if co.g == 0 else "T6"
             else:
-                target = "T7" if pattern == "c" else "T8"
-            cert = _certify(p, co, c, target, a / c)
+                target = "T7" if case.subcase == "c" else "T8"
+            cert = _certify(p, co, block, c, target, a / c)
     else:
         q, r, s = co.q, co.r, co.s
         if case.case == 3:
@@ -444,7 +433,7 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates,
                 target = "T11" if co.k == 0 else "T12"
             else:
                 target = "T10"
-            cert = _certify(p, co, c, target, -r * c)
+            cert = _certify(p, co, block, c, target, -r * c)
         else:
             if 3 * r ** 3 != q * s * s:
                 return Unclassified(
@@ -458,8 +447,8 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates,
             if shift_residual == 0:
                 target = "T13" if co.g == 0 else "T15"
             else:
-                target = "T14" if pattern == "b" else "T16"
-            cert = _certify(p, co, c, target, -r * c)
+                target = "T14" if case.subcase == "b" else "T16"
+            cert = _certify(p, co, block, c, target, -r * c)
 
     if cert is None:
         return Unclassified("no admissible witness of the implemented shape exists")
@@ -477,10 +466,7 @@ def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
         return NotTransposedPoisson(report)
     # a product passing the coupling identity is automatically in the
     # solved family, so ShapeMismatch cannot occur here
-    result = normalize(p)
-    if isinstance(result, Certificate) and not result.validate():
-        raise RuntimeError("internal error: certificate failed revalidation")
-    return result
+    return normalize(p)
 
 
 def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]:

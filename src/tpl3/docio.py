@@ -147,10 +147,6 @@ def serialize_document(bracket: TriBracket, product: Optional[CommProduct] = Non
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def serialize_doc(doc: AlgebraDocument) -> bytes:
-    return serialize_document(doc.bracket, doc.product, doc.meta)
-
-
 def parse_matrix(data) -> AutoMatrix:
     """Parse an n×n JSON array of rational strings into a witness matrix."""
     if isinstance(data, bytes):

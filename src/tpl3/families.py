@@ -153,7 +153,11 @@ def detect_case(p: CommProduct) -> Optional[CaseId]:
     of the canonical classification).  Raises ShapeMismatch when ``p`` is
     not in the solved compatible family at all.
     """
-    c = family_coordinates(p)
+    return case_of_coordinates(family_coordinates(p))
+
+
+def case_of_coordinates(c: FamilyCoordinates) -> Optional[CaseId]:
+    """``detect_case`` on already extracted solved-family coordinates."""
     case: Optional[int] = None
     if c.r == 0 and c.t == 0 and c.w == -c.a and c.a != 0 and c.s != 0:
         case = 1 if c.q == 0 else 2

@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
@@ -171,9 +169,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return Vector(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def col(self, j: int) -> Vector:
-        return Vector(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])

@@ -69,20 +69,13 @@ def scaled_shift_witness(rng: random.Random) -> AutoMatrix:
 
 def dispatch_key(p: CommProduct):
     """The data the normaliser dispatches on: case number, whether the
-    shift residual vanishes, and the raw zero-pattern tie-breaks.  Two
+    shift residual vanishes, and the subcase zero-pattern tie-breaks.  Two
     products with equal keys normalise onto the same family id."""
     case = detect_case(p)
     if case is None:
         return None
     co = family_coordinates(p)
-    if co.g == 0:
-        pat = "a"
-    elif co.h == 0:
-        pat = "b"
-    elif co.k == 0:
-        pat = "c"
-    else:
-        pat = "d"
+    pat = case.subcase
     if case.case == 1:
         return (1, co.k - co.g * co.s / co.a == 0, pat == "d")
     if case.case == 2:

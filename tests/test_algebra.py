@@ -137,16 +137,16 @@ def test_transposed_leibniz_random_soundness():
 
 
 def test_associativity_examples():
-    _, rep = check_commutative_associative(CommProduct.zero(3))
+    rep = check_commutative_associative(CommProduct.zero(3))
     assert rep.passed
     t1 = instantiate_family(FamilyInstance.make("T1", alpha=1))
-    commutative, rep = check_commutative_associative(t1)
-    assert commutative and not rep.passed
+    rep = check_commutative_associative(t1)
+    assert not rep.passed
     hit = [v for v in rep.violations if v.witness == (2, 2, 3)][0]
     assert hit.left == Vector([0, 0, -1])
     assert hit.right == Vector([0, 0, 1])
     idem = CommProduct(2, {(1, 1): Vector.unit(2, 1)})
-    _, rep = check_commutative_associative(idem)
+    rep = check_commutative_associative(idem)
     assert rep.passed
 
 
@@ -196,7 +196,7 @@ def test_remark_residuals_necessity():
     samples = list(associative_family_samples())
     samples += [rand_family_product(rng) for _ in range(200)]
     for p in samples:
-        _, rep = check_commutative_associative(p)
+        rep = check_commutative_associative(p)
         if rep.passed:
             seen_associative += 1
             assert remark_associativity_residuals(p) == [0] * 8

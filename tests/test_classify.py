@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -193,17 +194,55 @@ def test_normalize_nonstandard_zero_patterns():
     assert isinstance(out, Certificate) and out.family.id == "T15"
 
 
+#: a case-3 input whose in-case quartic radicand 4/9 is not a fourth power,
+#: yet a square-determinant root matching lands it on T3
+SPLIT_RESCUE = {(2, 2): [2, 0, -2], (2, 3): [F(-1, 2), F(-3, 2), 0],
+                (3, 3): [-1, 0, F(3, 2)]}
+#: an image of T4 under an e1 shift: the identity block certifies it
+IN_CASE = {(2, 2): [1, 1, 0], (2, 3): [1, 0, -1], (3, 3): [1, -3, 0]}
+
+
 def test_split_route_rescues_cross_case_isomorphisms():
-    # a case-3 input whose in-case quartic radicand 4/9 is not a fourth
-    # power, yet a square-determinant root matching lands it on T3 (the
-    # condition sets are not isomorphism-invariant)
-    p = product_from({(2, 2): [2, 0, -2], (2, 3): [F(-1, 2), F(-3, 2), 0],
-                      (3, 3): [-1, 0, F(3, 2)]})
+    # the condition sets are not isomorphism-invariant: the identity block
+    # fails on SPLIT_RESCUE, a root-matching block certifies it
+    p = product_from(SPLIT_RESCUE)
     out = classify(A3, p)
     assert isinstance(out, Certificate)
     assert out.family.id == "T3"
     assert out.family.param_map == {"alpha": F(-3, 2)}
     assert out.validate()
+
+
+@pytest.mark.parametrize("table", [IN_CASE, SPLIT_RESCUE], ids=["in-case", "split-rescue"])
+def test_certificate_validated_exactly_once(monkeypatch, table):
+    validated = []
+    original = Certificate.validate
+
+    def counting(cert):
+        validated.append(cert)
+        return original(cert)
+
+    monkeypatch.setattr(Certificate, "validate", counting)
+    out = classify(A3, product_from(table))
+    assert isinstance(out, Certificate)
+    assert validated == [out]
+
+
+@pytest.mark.parametrize("table", [IN_CASE, SPLIT_RESCUE], ids=["in-case", "split-rescue"])
+def test_tampered_witness_fails_revalidation(monkeypatch, table):
+    module = importlib.import_module("tpl3.classify")
+    original = module._solve_witness
+
+    def wrong_shift(*args):
+        solved = original(*args)
+        if solved is None:
+            return None
+        u, x, y, z = solved
+        return u, x + 1, y, z
+
+    monkeypatch.setattr(module, "_solve_witness", wrong_shift)
+    with pytest.raises(RuntimeError, match="failed revalidation"):
+        classify(A3, product_from(table))
 
 
 def test_split_route_complete_diagnostics():

@@ -5,7 +5,7 @@ import pytest
 
 from tpl3 import (AutoMatrix, CommProduct, DocumentError, FamilyInstance,
                   TriBracket, a3_bracket, instantiate_family, parse_document,
-                  parse_matrix, serialize_doc, serialize_document)
+                  parse_matrix, serialize_document)
 from conftest import rand_family_product
 
 A3_BYTES = b'{"dim":3,"bracket":[{"args":[1,2,3],"value":{"1":"1"}}]}'
@@ -21,7 +21,8 @@ def test_parse_a3():
 def test_parse_zero_bracket():
     doc = parse_document(b'{"dim":2,"bracket":[]}')
     assert doc.bracket == TriBracket(2, {})
-    assert serialize_doc(doc) == b'{"dim":2,"bracket":[]}'
+    assert (serialize_document(doc.bracket, doc.product, doc.meta)
+            == b'{"dim":2,"bracket":[]}')
 
 
 def test_parse_non_monotone_args():
@@ -61,7 +62,7 @@ def test_serialize_canonical_bytes():
 def test_unreduced_input_normalises():
     raw = b'{"dim":3,"bracket":[{"args":[1,2,3],"value":{"1":"2/2"}}]}'
     doc = parse_document(raw)
-    assert serialize_doc(doc) == A3_BYTES
+    assert serialize_document(doc.bracket, doc.product, doc.meta) == A3_BYTES
 
 
 def test_roundtrip_random_documents():
@@ -74,7 +75,7 @@ def test_roundtrip_random_documents():
         assert doc.bracket == a3_bracket()
         assert doc.product == product
         assert doc.meta == meta
-        assert serialize_doc(doc) == data
+        assert serialize_document(doc.bracket, doc.product, doc.meta) == data
 
 
 def test_zero_product_distinct_from_absent():
