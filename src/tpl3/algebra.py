@@ -197,25 +197,45 @@ def product_eval(p: CommProduct, x: Vector, y: Vector) -> Vector:
     return total
 
 
+def structure_table(b: TriBracket) -> list[list[list[tuple[tuple[int, Fraction], ...]]]]:
+    """Every basis bracket, signs applied: ``table[i][j][k]`` lists the
+    nonzero (t, c) with [e_i, e_j, e_k] = Σ c e_t, all indices 0-based.
+
+    Built once per call of a routine that reads many basis brackets, so
+    their inner loops index a list instead of sorting indices and
+    allocating a ``Vector`` per term.
+    """
+    n = b.dim
+    return [[[tuple((t, c) for t, c in enumerate(b.basis_bracket(i, j, k)) if c)
+              for k in range(1, n + 1)]
+             for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
 def check_fundamental_identity(b: TriBracket) -> CheckReport:
     """Check [[x,y,z],u,v] = [[x,u,v],y,z] + [[y,u,v],z,x] + [[z,u,v],x,y].
 
     Runs over basis tuples with x < y < z and u < v; multilinearity and
-    skewness of both sides make this exhaustive.
+    skewness of both sides make this exhaustive.  Both sides expand by
+    linearity in the first slot over the structure-constant table.
     """
     n = b.dim
-    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    table = structure_table(b)
     violations = []
-    for (x, y, z) in combinations(range(1, n + 1), 3):
-        inner = b.basis_bracket(x, y, z)
-        for (u, v) in combinations(range(1, n + 1), 2):
-            eu, ev = basis[u - 1], basis[v - 1]
-            left = bracket_eval(b, inner, eu, ev)
-            right = (bracket_eval(b, b.basis_bracket(x, u, v), basis[y - 1], basis[z - 1])
-                     + bracket_eval(b, b.basis_bracket(y, u, v), basis[z - 1], basis[x - 1])
-                     + bracket_eval(b, b.basis_bracket(z, u, v), basis[x - 1], basis[y - 1]))
+    for (x, y, z) in combinations(range(n), 3):
+        for (u, v) in combinations(range(n), 2):
+            left = [0] * n
+            for s, c in table[x][y][z]:
+                for t, d in table[s][u][v]:
+                    left[t] += c * d
+            right = [0] * n
+            for a, p, q in ((x, y, z), (y, z, x), (z, x, y)):
+                for s, c in table[a][u][v]:
+                    for t, d in table[s][p][q]:
+                        right[t] += c * d
             if left != right:
-                violations.append(Violation((x, y, z, u, v), left, right))
+                violations.append(Violation((x + 1, y + 1, z + 1, u + 1, v + 1),
+                                            Vector(left), Vector(right)))
     return CheckReport(tuple(violations))
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass / classification succeeded; 1 a gating check
 failed (including a failed coupling identity); 2 usage or parse error;
-3 NeedsExtension / Unclassified / Unsupported diagnostics.
+3 NeedsExtension / Unclassified / Unsupported diagnostics; 4 internal error
+(any other exception, reported as one ``error:`` line without a traceback).
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def run_command(argv) -> int:
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

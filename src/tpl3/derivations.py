@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .linalg import (DimensionMismatch, Matrix, Vector, kernel_basis, mat_vec,
-                     rat, rref)
-from .algebra import CommProduct, TriBracket
+from .linalg import DimensionMismatch, Matrix, Vector, kernel_basis, mat_vec, rat
+from .algebra import CommProduct, TriBracket, structure_table
 
 ONE_THIRD = Fraction(1, 3)
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,30 @@ class ProductSpace:
         return _vector_to_product(Vector(vec), n, self._pairs)
 
 
-def _derivation_rows(b: TriBracket, inv_delta: Fraction,
-                     col_of: Callable[[int, int], int],
-                     ncols: int) -> Iterator[list[Fraction]]:
+def _derivation_rows(table, inv_delta: Fraction,
+                     base: list[int], ncols: int) -> Iterator[list[Fraction]]:
     """Rows of the δ-derivation system, one per (i<j<k, t).
 
-    The unknown β_uv (component v of the image of e_u) sits at column
-    ``col_of(u, v)``; the factor 3 of the 1/3-derivation case appears as
+    ``table`` is the bracket's ``structure_table``.  The unknown β_uv
+    (component v of the image of e_u, 0-based) sits at column
+    ``base[u] + v``; the factor 3 of the 1/3-derivation case appears as
     ``inv_delta`` = 1/δ.
     """
-    n = b.dim
-    for (i, j, k) in combinations(range(1, n + 1), 3):
-        cijk = b.basis_bracket(i, j, k)
-        for t in range(1, n + 1):
-            row = [Fraction(0)] * ncols
-            for s in range(1, n + 1):
-                row[col_of(i, s)] += b.basis_bracket(s, j, k)[t - 1]
-                row[col_of(j, s)] += b.basis_bracket(i, s, k)[t - 1]
-                row[col_of(k, s)] += b.basis_bracket(i, j, s)[t - 1]
-                row[col_of(s, t)] -= inv_delta * cijk[s - 1]
-            yield row
+    n = len(table)
+    for (i, j, k) in combinations(range(n), 3):
+        rows = [[ZERO] * ncols for _ in range(n)]
+        for s in range(n):
+            for t, c in table[s][j][k]:
+                rows[t][base[i] + s] += c
+            for t, c in table[i][s][k]:
+                rows[t][base[j] + s] += c
+            for t, c in table[i][j][s]:
+                rows[t][base[k] + s] += c
+        for s, c in table[i][j][k]:
+            f = inv_delta * c
+            for t in range(n):
+                rows[t][base[s] + t] -= f
+        yield from rows
 
 
 def build_derivation_system(q: DerivationQuery) -> Matrix:
@@ -111,8 +115,8 @@ def build_derivation_system(q: DerivationQuery) -> Matrix:
     increasing basis triples and output component t.
     """
     n = q.bracket.dim
-    col_of = lambda u, v: (u - 1) * n + (v - 1)
-    rows = list(_derivation_rows(q.bracket, 1 / q.delta, col_of, n * n))
+    rows = list(_derivation_rows(structure_table(q.bracket), 1 / q.delta,
+                                 [u * n for u in range(n)], n * n))
     if not rows:
         return Matrix.zeros(1, n * n)
     return Matrix.from_rows(rows)
@@ -166,10 +170,11 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
     pairs = _sym_pairs(n)
     pair_index = {pair: idx for idx, pair in enumerate(pairs)}
     ncols = len(pairs) * n
+    table = structure_table(b)
     rows: list[list[Fraction]] = []
-    for gen in range(1, n + 1):
-        col_of = lambda u, v, g=gen: pair_index[(min(g, u), max(g, u))] * n + (v - 1)
-        rows.extend(_derivation_rows(b, Fraction(3), col_of, ncols))
+    for g in range(1, n + 1):
+        base = [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
+        rows.extend(_derivation_rows(table, Fraction(3), base, ncols))
     if not rows:
         return Matrix.zeros(1, ncols), pairs
     return Matrix.from_rows(rows), pairs
@@ -183,10 +188,10 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     """
     n = b.dim
     system, pairs = build_product_system(b)
-    _, pivots = rref(system)
-    free = [c for c in range(system.cols) if c not in pivots]
     kernel = kernel_basis(system)
     basis = tuple(_vector_to_product(vec, n, pairs) for vec in kernel)
+    # the free column of a reduced-echelon kernel vector is its last nonzero
+    free = [max(c for c, e in enumerate(vec) if e) for vec in kernel]
     description = tuple((pairs[c // n], c % n + 1) for c in free)
     return ProductSpace(dim=len(basis), basis=basis,
                         description=description, system=system,

@@ -4,6 +4,16 @@ Scalars are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
+All row reduction (``rref``, ``rank``, ``kernel_basis``, ``solve_affine``
+and ``invert``) goes through one routine, ``_reduce``: sparse integer rows,
+fraction-free updates with the integer content removed after each one, the
+sparsest available pivot, then back-substitution and one division by each
+pivot.  Its output equals that of dense Gauss-Jordan over ``Fraction``
+exactly: every step (scaling a row by a nonzero rational, adding a multiple
+of one row to another, dropping a zero row or a row proportional to
+another) keeps the row space, and a row space has exactly one reduced row
+echelon form.  ``determinant`` alone keeps its own Bareiss elimination.
+
 Conventions fixed by this module and relied on elsewhere:
 
 * ``kernel_basis`` returns the reduced-echelon kernel basis: each free
@@ -260,54 +270,134 @@ def determinant(m: Matrix) -> Fraction:
     return scale * sign * a[n - 1][n - 1]
 
 
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of a row, scaled to coprime integers with a
+    positive first entry."""
+    entries = [(j, e) for j, e in enumerate(row) if e]
+    if not entries:
+        return {}
+    den = math.lcm(*(e.denominator for _, e in entries))
+    ints = {j: e.numerator * (den // e.denominator) for j, e in entries}
+    g = math.gcd(*ints.values())
+    if entries[0][1] < 0:
+        g = -g
+    return {j: v // g for j, v in ints.items()} if g != 1 else ints
+
+
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """a·x − b·y with integer content removed (zero entries dropped)."""
+    out = {j: a * v for j, v in x.items()}
+    for j, v in y.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    if out:
+        g = math.gcd(*out.values())
+        if g != 1:
+            out = {j: v // g for j, v in out.items()}
+    return out
+
+
+def _reduce(rows: Iterable[Sequence[Fraction]]
+            ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form, and its pivot columns.
+
+    This is the package's one elimination routine.  Rows become sparse
+    integer rows (denominators cleared, content removed, sign fixed), so
+    zero rows and rows proportional to an earlier one are dropped before any
+    work.  Forward elimination visits columns in ascending order and keeps
+    the rows bucketed by their leading column: the rows leading at column c
+    are exactly those with a nonzero there, the sparsest becomes the pivot,
+    and every other one is combined fraction-free with it and moves to its
+    new leading column.  Back-substitution clears the entries above each
+    pivot, bottom up, and each row is finally divided by its pivot entry.
+    The result is returned sparse, as ``{column: value}`` with value 1 at
+    the pivot, in pivot order.
+    """
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for row in rows:
+        r = _integer_row(row)
+        key = tuple(r.items())
+        if key and key not in seen:
+            seen.add(key)
+            by_lead.setdefault(key[0][0], []).append(r)
+
+    echelon: list[tuple[int, dict[int, int]]] = []
+    while by_lead:
+        c = min(by_lead)
+        bucket = by_lead.pop(c)
+        pivot = min(bucket, key=len)
+        a = pivot[c]
+        for r in bucket:
+            if r is pivot:
+                continue
+            b = r[c]
+            g = math.gcd(a, b)
+            r = _combine(a // g, r, b // g, pivot)
+            if r:
+                by_lead.setdefault(min(r), []).append(r)
+        echelon.append((c, pivot))
+
+    # bottom up: every pivot row below r is already free of the other pivot
+    # columns, so clearing one entry of r introduces no other
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for c, r in reversed(echelon):
+        for j in [j for j in r if j != c and j in pivot_rows]:
+            p = pivot_rows[j]
+            g = math.gcd(p[j], r[j])
+            r = _combine(p[j] // g, r, r[j] // g, p)
+        pivot_rows[c] = r
+    reduced = []
+    for c, _ in echelon:
+        r = pivot_rows[c]
+        a = r[c]
+        reduced.append({j: Fraction(v, a) for j, v in r.items()})
+    return reduced, tuple(c for c, _ in echelon)
+
+
+def _kernel(reduced: list[dict[int, Fraction]], pivots: tuple[int, ...],
+            ncols: int) -> list[Vector]:
+    """The reduced-echelon kernel basis of the first ``ncols`` columns."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            if f in row:
+                v[pc] = -row[f]
+        basis.append(Vector(v))
+    return basis
+
+
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises ``Singular``."""
+    """Exact inverse: the right half of the reduced form of [m | I]; raises
+    ``Singular``."""
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    work = [list(m.entries[i * n:(i + 1) * n]) +
-            [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise Singular("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return Matrix.from_rows([row[n:] for row in work])
+    reduced, pivots = _reduce(row + unit for row, unit in
+                              zip(m.row_lists(), Matrix.identity(n).row_lists()))
+    if pivots != tuple(range(n)):
+        raise Singular("matrix is singular")
+    return Matrix(n, n, [row.get(n + j, 0) for row in reduced for j in range(n)])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
-    work = m.row_lists()
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [e * inv for e in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [e - f * p for e, p in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix.from_rows(work), tuple(pivots)
+    reduced, pivots = _reduce(m.row_lists())
+    entries = [row.get(j, 0) for row in reduced for j in range(m.cols)]
+    entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
+    return Matrix(m.rows, m.cols, entries), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(m.row_lists())[1])
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -315,18 +405,12 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
     One basis vector per free column, ascending: that vector has a 1 in the
     free coordinate, the negated echelon column in the pivot coordinates,
-    and 0 in the other free coordinates.
+    and 0 in the other free coordinates.  Every pivot coordinate it touches
+    lies left of the free one, so each vector's last nonzero coordinate is
+    its free column.
     """
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.entry(r, f)
-        basis.append(Vector(v))
-    return basis
+    reduced, pivots = _reduce(m.row_lists())
+    return _kernel(reduced, pivots, m.cols)
 
 
 def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
@@ -334,32 +418,37 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
 
     Returns ``(particular, kernel_basis)`` where the particular solution has
     all free coordinates equal to 0.  Raises ``Infeasible`` if inconsistent.
+    One reduction of [m | b] gives both: its left block is the reduced form
+    of m.
     """
     if m.rows != b.dim:
         raise DimensionMismatch("right-hand side length differs from row count")
-    aug = Matrix(m.rows, m.cols + 1,
-                 [m.entry(i, j) if j < m.cols else b[i]
-                  for i in range(m.rows) for j in range(m.cols + 1)])
-    reduced, pivots = rref(aug)
+    reduced, pivots = _reduce(row + [e] for row, e in zip(m.row_lists(), b.entries))
     if m.cols in pivots:
         raise Infeasible("inconsistent system")
     x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.entry(r, m.cols)
-    return Vector(x), kernel_basis(m)
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row.get(m.cols, Fraction(0))
+    return Vector(x), _kernel(reduced, pivots, m.cols)
 
 
 def _int_nth_root(k: int, n: int) -> int | None:
-    """Exact n-th root of a non-negative integer, or None."""
+    """Exact n-th root of a non-negative integer, or None.
+
+    Integer Newton iteration from 2**ceil(bits/n), which lies above the
+    root, descends to floor(k ** (1/n)) exactly for integers of any size.
+    """
     if k < 0:
         return None
     if k in (0, 1):
         return k
-    root = round(k ** (1.0 / n))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 0 and cand ** n == k:
-            return cand
-    return None
+    root = 1 << -(-k.bit_length() // n)
+    while True:
+        step = ((n - 1) * root + k // root ** (n - 1)) // n
+        if step >= root:
+            break
+        root = step
+    return root if root ** n == k else None
 
 
 def rational_root(q: Fraction, degree: int) -> Fraction | None:

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpl3 import (CommProduct, FamilyInstance, ShapeMismatch, TriBracket, Vector,
-                  a3_bracket, bracket_eval, check_commutative_associative,
-                  check_fundamental_identity, check_transposed_leibniz,
-                  family_coordinates, instantiate_family, product_eval,
-                  remark_associativity_residuals)
-from conftest import rand_family_product, rand_vector
+from tpl3 import (CheckReport, CommProduct, FamilyInstance, ShapeMismatch, TriBracket,
+                  Vector, Violation, a3_bracket, bracket_eval,
+                  check_commutative_associative, check_fundamental_identity,
+                  check_transposed_leibniz, family_coordinates, instantiate_family,
+                  product_eval, remark_associativity_residuals)
+from conftest import rand_family_product, rand_rat, rand_vector
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 vec3 = st.lists(small_rats, min_size=3, max_size=3).map(Vector)
@@ -107,6 +108,41 @@ def test_fundamental_identity_random_soundness():
                      + bracket_eval(b, bracket_eval(b, y, u, v), z, x)
                      + bracket_eval(b, bracket_eval(b, z, u, v), x, y))
             assert left == right
+
+
+def reference_fundamental_identity(b: TriBracket) -> CheckReport:
+    # the same basis-tuple loop, each side evaluated through bracket_eval
+    n = b.dim
+    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    violations = []
+    for (x, y, z) in combinations(range(1, n + 1), 3):
+        for (u, v) in combinations(range(1, n + 1), 2):
+            eu, ev = basis[u - 1], basis[v - 1]
+            left = bracket_eval(b, b.basis_bracket(x, y, z), eu, ev)
+            right = (bracket_eval(b, b.basis_bracket(x, u, v), basis[y - 1], basis[z - 1])
+                     + bracket_eval(b, b.basis_bracket(y, u, v), basis[z - 1], basis[x - 1])
+                     + bracket_eval(b, b.basis_bracket(z, u, v), basis[x - 1], basis[y - 1]))
+            if left != right:
+                violations.append(Violation((x, y, z, u, v), left, right))
+    return CheckReport(tuple(violations))
+
+
+def test_fundamental_identity_matches_bracket_eval_reference():
+    rng = random.Random(13)
+    simple4 = TriBracket(4, {(1, 2, 3): Vector.unit(4, 4), (1, 2, 4): -Vector.unit(4, 3),
+                             (1, 3, 4): Vector.unit(4, 2), (2, 3, 4): -Vector.unit(4, 1)})
+    brackets = [A3, simple4, counterexample_bracket()]
+    for n in (4, 4, 5, 5):
+        # random brackets on every triple, about 30% of coefficients zero
+        brackets.append(TriBracket(n, {
+            tr: Vector([rand_rat(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
+            for tr in combinations(range(1, n + 1), 3)}))
+    failing = 0
+    for b in brackets:
+        report = check_fundamental_identity(b)
+        assert report == reference_fundamental_identity(b)
+        failing += not report.passed
+    assert failing >= 4
 
 
 def test_transposed_leibniz_examples():

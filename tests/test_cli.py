@@ -1,5 +1,6 @@
 import json
 
+from tpl3 import cli
 from tpl3.cli import run_command
 from conftest import FIXTURES
 
@@ -143,3 +144,32 @@ def test_exit_codes_are_deterministic(capsys):
     first = run(capsys, "classify", str(FIXTURES / "t7.json"), "--format", "json")
     second = run(capsys, "classify", str(FIXTURES / "t7.json"), "--format", "json")
     assert first == second
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def boom(args):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli, "_cmd_classify", boom)
+    code, out, err = run(capsys, "classify", str(FIXTURES / "t1.json"))
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: OverflowError: int too large to convert to float\n"
+
+
+def test_classify_huge_radicand_is_a_diagnostic(capsys, tmp_path):
+    # case 1-a with a = -10**400: the quartic radicand has 401 digits, past
+    # the range of a float
+    a = -10 ** 400
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({
+        "dim": 3, "bracket": [{"args": [1, 2, 3], "value": {"1": "1"}}],
+        "product": [{"args": [2, 2], "value": {"2": str(a)}},
+                    {"args": [2, 3], "value": {"3": str(-a)}},
+                    {"args": [3, 3], "value": {"2": "1"}}]}))
+    code, out, err = run(capsys, "classify", str(doc), "--format", "json")
+    assert code == 3 and err == ""
+    payload = json.loads(out)
+    assert payload["result"] == "needs-extension"
+    assert payload["data"]["degree"] == 4
+    assert len(payload["data"]["radicand"]) > 400

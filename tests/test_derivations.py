@@ -168,3 +168,92 @@ def test_left_multiplications_equivalence():
         all_derivations = all(deriv.contains(left_multiplication(p, i))
                               for i in (1, 2, 3))
         assert holds == all_derivations
+
+
+# --- solved spaces of direct sums ------------------------------------------------
+
+A3_PART = (3, {(1, 2, 3): {1: 1}})
+#: the simple 4-dimensional 3-Lie algebra [e_i,e_j,e_k] = eps_ijkl e_l
+A4_PART = (4, {(1, 2, 3): {4: 1}, (1, 2, 4): {3: -1}, (1, 3, 4): {2: 1},
+               (2, 3, 4): {1: -1}})
+
+
+def direct_sum(*parts) -> TriBracket:
+    n = sum(d for d, _ in parts)
+    table, offset = {}, 0
+    for d, part in parts:
+        for (i, j, k), comps in part.items():
+            vec = [0] * n
+            for c, x in comps.items():
+                vec[offset + c - 1] = x
+            table[(i + offset, j + offset, k + offset)] = Vector(vec)
+        offset += d
+    return TriBracket(n, table)
+
+
+def parse_entries(text: str) -> dict:
+    """``"12.1=1/2 22.2=1"`` -> {(1, 2, 1): 1/2, (2, 2, 2): 1}; two index
+    digits before the dot, or two digits alone for matrix entries."""
+    out = {}
+    for term in text.split():
+        key, value = term.split("=")
+        out[tuple(int(ch) for ch in key if ch != ".")] = F(value)
+    return out
+
+
+#: dim, free coordinates and basis of tp_product_space and delta_derivations,
+#: recorded before the sparse elimination replaced the dense one
+SOLVED_SPACES = {
+    "A3+ab2": ((A3_PART, (2, {})), 29, 14,
+               "22.1 22.2 22.3 22.4 22.5 23.1 23.2 23.3 23.4 23.5 24.4 24.5 25.4 25.5 "
+               "33.1 33.2 33.3 33.4 33.5 34.4 34.5 35.4 35.5 44.4 44.5 45.4 45.5 55.4 55.5",
+               ["22.1=1", "12.1=1/2 22.2=1", "22.3=1", "22.4=1", "22.5=1", "23.1=1",
+                "13.1=1/2 23.2=1", "12.1=1/2 23.3=1", "23.4=1", "23.5=1", "24.4=1",
+                "24.5=1", "25.4=1", "25.5=1", "33.1=1", "33.2=1", "13.1=1/2 33.3=1",
+                "33.4=1", "33.5=1", "34.4=1", "34.5=1", "35.4=1", "35.5=1", "44.4=1",
+                "44.5=1", "45.4=1", "45.5=1", "55.4=1", "55.5=1"],
+               ["21=1", "11=1/2 22=1", "23=1", "24=1", "25=1", "31=1", "32=1",
+                "11=1/2 33=1", "34=1", "35=1", "44=1", "45=1", "54=1", "55=1"]),
+    "A4+ab1": ((A4_PART, (1, {})), 1, 2, "55.5", ["55.5=1"],
+               ["11=1 22=1 33=1 44=1", "55=1"]),
+    "A3+A3": ((A3_PART, A3_PART), 18, 12,
+              "22.1 22.2 22.3 23.1 23.2 23.3 33.1 33.2 33.3 "
+              "55.4 55.5 55.6 56.4 56.5 56.6 66.4 66.5 66.6",
+              ["22.1=1", "12.1=1/2 22.2=1", "22.3=1", "23.1=1", "13.1=1/2 23.2=1",
+               "12.1=1/2 23.3=1", "33.1=1", "33.2=1", "13.1=1/2 33.3=1", "55.4=1",
+               "45.4=1/2 55.5=1", "55.6=1", "56.4=1", "46.4=1/2 56.5=1",
+               "45.4=1/2 56.6=1", "66.4=1", "66.5=1", "46.4=1/2 66.6=1"],
+              ["21=1", "11=1/2 22=1", "23=1", "31=1", "32=1", "11=1/2 33=1", "54=1",
+               "44=1/2 55=1", "56=1", "64=1", "65=1", "44=1/2 66=1"]),
+    "A4+ab2": ((A4_PART, (2, {})), 6, 5, "55.5 55.6 56.5 56.6 66.5 66.6",
+               ["55.5=1", "55.6=1", "56.5=1", "56.6=1", "66.5=1", "66.6=1"],
+               ["11=1 22=1 33=1 44=1", "55=1", "56=1", "65=1", "66=1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_SPACES))
+def test_solved_spaces_of_direct_sums(name):
+    parts, product_dim, derivation_dim, description, products, derivations = \
+        SOLVED_SPACES[name]
+    b = direct_sum(*parts)
+    n = b.dim
+    space = tp_product_space(b)
+    assert space.dim == product_dim
+    assert space.description == tuple(((int(key[0]), int(key[1])), int(key[3]))
+                                      for key in description.split())
+    expected = []
+    for text in products:
+        table = {}
+        for (i, j, t), value in parse_entries(text).items():
+            table.setdefault((i, j), [0] * n)[t - 1] = value
+        expected.append(CommProduct(n, {key: Vector(vec) for key, vec in table.items()}))
+    assert space.basis == tuple(expected)
+    deriv = delta_derivations(DerivationQuery(b))
+    assert deriv.dim == derivation_dim
+    expected = []
+    for text in derivations:
+        entries = [0] * (n * n)
+        for (r, c), value in parse_entries(text).items():
+            entries[(r - 1) * n + c - 1] = value
+        expected.append(Matrix(n, n, entries))
+    assert deriv.basis == tuple(expected)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector,
                   determinant, invert, kernel_basis, mat_mul, mat_vec, parse_rat,
-                  rank, rational_root, solve_affine, vec_mat)
+                  rank, rational_root, rref, solve_affine, vec_mat)
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -151,3 +151,154 @@ def test_reduced_rationals_invariant():
     v = Vector(["2/4", "-10/5"])
     assert v[0].numerator == 1 and v[0].denominator == 2
     assert v[1].numerator == -2 and v[1].denominator == 1
+
+
+def test_rational_root_exact_for_big_radicands():
+    big = 10 ** 20 + 7
+    assert rational_root(F(big ** 2), 2) == big
+    assert rational_root(F(big ** 4, 3 ** 4), 4) == F(big, 3)
+    assert rational_root(F(10 ** 400), 2) == 10 ** 200
+    assert rational_root(F(10 ** 400), 4) == 10 ** 100
+    assert rational_root(F(1, 10 ** 400), 4) == F(1, 10 ** 100)
+    assert rational_root(F(10 ** 309 + 1), 2) is None
+    assert rational_root(F(3 * 10 ** 400), 4) is None
+
+
+def test_rational_root_near_miss_non_squares():
+    for root in (2, 3, 10 ** 8 + 1, 10 ** 20 + 7, 10 ** 160 + 3):
+        for degree in (2, 4):
+            k = root ** degree
+            assert rational_root(F(k), degree) == root
+            assert rational_root(F(k - 1), degree) is None
+            assert rational_root(F(k + 1), degree) is None
+            assert rational_root(F(k, k + 1), degree) is None
+
+
+# --- the seed's dense Gauss-Jordan, kept as the reference oracle -----------------
+
+def oracle_rref(m):
+    work = m.row_lists()
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [e * inv for e in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [e - f * p for e, p in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix.from_rows(work), tuple(pivots)
+
+
+def oracle_kernel(m):
+    reduced, pivots = oracle_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.entry(r, f)
+        basis.append(Vector(v))
+    return basis
+
+
+def oracle_solve_affine(m, b):
+    aug = Matrix.from_rows([row + [e] for row, e in zip(m.row_lists(), b)])
+    reduced, pivots = oracle_rref(aug)
+    if m.cols in pivots:
+        raise Infeasible("inconsistent system")
+    x = [F(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.entry(r, m.cols)
+    return Vector(x), oracle_kernel(m)
+
+
+def oracle_invert(m):
+    n = m.rows
+    work = [row + [F(int(j == i)) for j in range(n)] for i, row in enumerate(m.row_lists())]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise Singular("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [e * inv for e in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+    return Matrix.from_rows([row[n:] for row in work])
+
+
+def random_entry(rng, digits):
+    if rng.random() < 0.4:
+        return F(0)
+    bound = 10 ** digits
+    return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def random_matrices(rng):
+    """Seeded matrices of every shape the elimination must handle."""
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        digits = rng.choice((1, 1, 2, 20))
+        yield Matrix(rows, cols, [random_entry(rng, digits) for _ in range(rows * cols)])
+    for rows, cols in ((9, 3), (3, 9), (1, 1), (6, 6)):  # tall, wide, tiny, square
+        yield Matrix(rows, cols, [random_entry(rng, 1) for _ in range(rows * cols)])
+        yield Matrix.zeros(rows, cols)
+    for _ in range(10):
+        # rank-deficient: a product through a thin middle dimension, with
+        # duplicated and scaled rows appended
+        rows, cols, inner = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 3)
+        a = Matrix(rows, inner, [random_entry(rng, 2) for _ in range(rows * inner)])
+        b = Matrix(inner, cols, [random_entry(rng, 2) for _ in range(inner * cols)])
+        prod = mat_mul(a, b).row_lists()
+        extra = [prod[0], [F(-3, 7) * e for e in prod[-1]]]
+        yield Matrix.from_rows(prod + extra)
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        yield Matrix(n, n, [F(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 20))
+                            for _ in range(n * n)])
+
+
+def test_elimination_matches_dense_oracle():
+    rng = random.Random(31)
+    outcomes = {"infeasible": 0, "singular": 0, "invertible": 0, "deficient": 0}
+    for m in random_matrices(rng):
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == oracle_rref(m)
+        assert rank(m) == len(pivots)
+        outcomes["deficient"] += len(pivots) < min(m.rows, m.cols)
+        assert kernel_basis(m) == oracle_kernel(m)
+        feasible = mat_vec(m, Vector([random_entry(rng, 2) for _ in range(m.cols)]))
+        arbitrary = Vector([random_entry(rng, 2) for _ in range(m.rows)])
+        for b in (feasible, arbitrary):
+            try:
+                expected = oracle_solve_affine(m, b)
+            except Infeasible:
+                outcomes["infeasible"] += 1
+                with pytest.raises(Infeasible):
+                    solve_affine(m, b)
+            else:
+                assert solve_affine(m, b) == expected
+        if m.is_square():
+            try:
+                expected = oracle_invert(m)
+            except Singular:
+                outcomes["singular"] += 1
+                with pytest.raises(Singular):
+                    invert(m)
+            else:
+                outcomes["invertible"] += 1
+                assert invert(m) == expected
+    # the seeded draw reaches every branch compared above
+    assert min(outcomes.values()) > 0, outcomes
