@@ -1,5 +1,9 @@
 """Classification of compatible products on the standard 3-dimensional bracket.
 
+``classify`` gates by shape: on [e1,e2,e3] = e1 the coupling identity holds
+exactly on the solved family, so only a product outside that family runs
+the coupling-identity check, whose report becomes ``NotTransposedPoisson``.
+
 ``normalize`` reduces a product satisfying one of the four case condition
 sets onto a canonical family instance by an explicit bracket automorphism,
 and returns a machine-checkable certificate.  Working over exact rationals,
@@ -16,14 +20,16 @@ and finishes each in the case of the coordinates moved by diag(1, B):
   constants; matching the canonical tables pins c by ``c**4 = radicand``
   in cases 1 and 3 and by ``c**2 = radicand`` in cases 2 and 4,
 * the shifts x, y and the e1 scaling u then move the e1 components onto
-  the canonical table; this is an exact affine solve,
+  the canonical table; this is one exact affine solve,
 * which family a case-k product can reach is decided by shift residuals
   that are invariant under all witnesses of this shape (for case 1:
   k - g·s/a; vanishing picks T1, a quartic match picks T3, otherwise the
   subcase zero pattern of (g, h, k) picks T2 against T4, and analogously
   in the other cases).
 
-The first block that certifies wins; otherwise the identity block's
+So each case yields ordered (family, radicand) candidates, and one
+finisher certifies the first whose radicand has a rational root.  The
+first block that certifies wins; otherwise the identity block's
 diagnostic stands.  Every certificate is revalidated exactly once, by
 actually transporting the input and comparing tables, before it is
 returned.
@@ -40,15 +46,15 @@ from typing import Iterator, Optional, Union
 
 from .linalg import (Infeasible, Matrix, Vector, kernel_basis, rank, rational_root,
                      solve_affine)
-from .algebra import (CheckReport, CommProduct, FamilyCoordinates, TriBracket,
-                      Violation, a3_bracket, check_transposed_leibniz,
+from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
+                      TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
 from .derivations import DerivationQuery, delta_derivations, left_multiplication
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
-                       CaseId, FamilyInstance, case_of_coordinates, detect_case,
-                       instantiate_family)
+                       CaseId, FamilyInstance, canonical_coordinates, case_of_coordinates,
+                       detect_case, instantiate_family)
 
 
 @dataclass(frozen=True)
@@ -111,63 +117,37 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
         h' = h·u + r·x - a·y
         k' = (k·u + s·x - r·y) · c²
 
-    which is affine in (u, x, y, z).  Prefers the solution with u = 1.
+    which is affine in (u, x, y, z).  One exact solve gives a particular
+    solution and the kernel; when a kernel vector moves u, the first such
+    vector lifts the solution to u = 1.  Otherwise u is fixed by the system,
+    and a fixed u = 0 admits no witness.
     """
     names = FAMILY_PARAMS[family_id]
-    two_param = len(names) == 2
 
     def e1_targets(z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        params = {names[0]: primary}
-        if two_param:
-            params[names[1]] = z
-        inst = family_coordinates(instantiate_family(FamilyInstance.make(family_id, **params)))
-        return inst.g, inst.h, inst.k
+        table = canonical_coordinates(family_id, dict(zip(names, (primary, z))))
+        return table.g, table.h, table.k
 
     g0, h0, k0 = e1_targets(Fraction(0))
-    if two_param:
-        g1, h1, k1 = e1_targets(Fraction(1))
-        gz, hz, kz = g1 - g0, h1 - h0, k1 - k0
-    else:
-        gz = hz = kz = Fraction(0)
-
     c2 = c * c
-    rows = [
-        [co.g, co.a, co.q, -gz * c2],
-        [co.h, co.r, -co.a, -hz],
-        [co.k, co.s, -co.r, -kz / c2],
-    ]
-    rhs = [g0 * c2, h0, k0 / c2]
-    ncols = 4 if two_param else 3
-    if not two_param:
-        rows = [row[:3] for row in rows]
-
-    def attempt(extra_pin: bool):
-        sys_rows = list(rows)
-        sys_rhs = list(rhs)
-        if extra_pin:
-            pin = [Fraction(0)] * ncols
-            pin[0] = Fraction(1)
-            sys_rows.append(pin)
-            sys_rhs.append(Fraction(1))
-        return solve_affine(Matrix.from_rows(sys_rows), Vector(sys_rhs))
-
+    rows = [[co.g, co.a, co.q], [co.h, co.r, -co.a], [co.k, co.s, -co.r]]
+    if len(names) == 2:
+        # the canonical e1 components are affine in the secondary parameter
+        g1, h1, k1 = e1_targets(Fraction(1))
+        for row, slope in zip(rows, ((g0 - g1) * c2, h0 - h1, (k0 - k1) / c2)):
+            row.append(slope)
     try:
-        particular, _ = attempt(extra_pin=True)
+        particular, kernel = solve_affine(Matrix.from_rows(rows),
+                                          Vector([g0 * c2, h0, k0 / c2]))
     except Infeasible:
-        try:
-            particular, kernel = attempt(extra_pin=False)
-        except Infeasible:
-            return None
-        if particular[0] == 0:
-            lift = next((v for v in kernel if v[0] != 0), None)
-            if lift is None:
-                return None
-            particular = particular + lift.scale((1 - particular[0]) / lift[0])
+        return None
+    lift = next((v for v in kernel if v[0] != 0), None)
+    if lift is not None:
+        particular = particular + lift.scale((1 - particular[0]) / lift[0])
     u, x, y = particular[0], particular[1], particular[2]
-    z = particular[3] if two_param else None
     if u == 0:
         return None
-    return u, x, y, z
+    return u, x, y, (particular[3] if len(names) == 2 else None)
 
 
 def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
@@ -181,10 +161,7 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
     if solved is None:
         return None
     u, x, y, z = solved
-    names = FAMILY_PARAMS[family_id]
-    params = {names[0]: primary}
-    if z is not None:
-        params[names[1]] = z
+    params = dict(zip(FAMILY_PARAMS[family_id], (primary, z)))
     family = FamilyInstance.make(family_id, **params)
     (b11, b12), (b21, b22) = block.row_lists()
     witness = AutoMatrix.from_rows([[u, 0, 0],
@@ -382,91 +359,70 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
 
 def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
                     block: Matrix) -> Union[Certificate, NeedsExtension, Unclassified]:
-    if case.case in (1, 2):
-        a, q, s = co.a, co.q, co.s
-        if case.case == 1:
-            shift_residual = co.k - co.g * s / a
-            if shift_residual == 0:
-                radicand = -3 * a / s
-                c = rational_root(radicand, 4)
-                if c is None:
-                    return NeedsExtension(radicand, 4)
-                cert = _certify(p, co, block, c, "T1", a / c)
-            else:
-                rad_t3 = Fraction(-4, 3) * a / s
-                rad_t2 = -3 * a / s
-                c = rational_root(rad_t3, 4)
-                if c is not None:
-                    cert = _certify(p, co, block, c, "T3", a / c)
-                else:
-                    c = rational_root(rad_t2, 4)
-                    if c is None:
-                        return NeedsExtension(rad_t3 if case.subcase == "c" else rad_t2, 4)
-                    target = "T4" if case.subcase == "d" else "T2"
-                    cert = _certify(p, co, block, c, target, a / c)
+    """Each case picks its ordered (family, radicand) candidates, the root
+    degree pinning the block scaling c, and the radicand ``NeedsExtension``
+    reports; the first candidate with a rational root is certified."""
+    g, a, q, h, r, k, s = co.g, co.a, co.q, co.h, co.r, co.k, co.s
+    if (case.case == 2 and q * q * s != -3 * a ** 3
+            or case.case == 4 and 3 * r ** 3 != q * s * s):
+        return Unclassified(
+            "the e2/e3 block is not reachable from a canonical table "
+            "by the implemented witnesses")
+    if case.case == 1:
+        rad_t2, rad_t3 = -3 * a / s, Fraction(-4, 3) * a / s
+        if k - g * s / a == 0:
+            candidates = [("T1", rad_t2)]
         else:
-            if q * q * s != -3 * a ** 3:
-                return Unclassified(
-                    "the e2/e3 block is not reachable from a canonical table "
-                    "by the implemented witnesses")
-            radicand = q / a
-            c = rational_root(radicand, 2)
-            if c is None:
-                return NeedsExtension(radicand, 2)
-            shift_residual = co.g - a * co.k / s + q * co.h / a
-            if shift_residual == 0:
-                target = "T5" if co.g == 0 else "T6"
-            else:
-                target = "T7" if case.subcase == "c" else "T8"
-            cert = _certify(p, co, block, c, target, a / c)
+            candidates = [("T3", rad_t3), ("T4" if case.subcase == "d" else "T2", rad_t2)]
+        # subcase c has k = 0, so its shift residual -g·s/a never vanishes
+        degree, reported = 4, rad_t3 if case.subcase == "c" else rad_t2
+    elif case.case == 2:
+        if g - a * k / s + q * h / a == 0:
+            target = "T5" if g == 0 else "T6"
+        else:
+            target = "T7" if case.subcase == "c" else "T8"
+        candidates, degree = [(target, q / a)], 2
+    elif case.case == 3:
+        if g * r + k * q == 0:
+            target = "T9"
+        elif g != 0 and h != 0:
+            target = "T11" if k == 0 else "T12"
+        else:
+            target = "T10"
+        candidates, degree = [(target, q / (3 * r))], 4
     else:
-        q, r, s = co.q, co.r, co.s
-        if case.case == 3:
-            radicand = q / (3 * r)
-            c = rational_root(radicand, 4)
-            if c is None:
-                return NeedsExtension(radicand, 4)
-            shift_residual = co.g * r + co.k * q
-            if shift_residual == 0:
-                target = "T9"
-            elif co.g != 0 and co.h != 0:
-                target = "T11" if co.k == 0 else "T12"
-            else:
-                target = "T10"
-            cert = _certify(p, co, block, c, target, -r * c)
+        if -r * r * g + s * q * h - r * q * k == 0:
+            target = "T13" if g == 0 else "T15"
         else:
-            if 3 * r ** 3 != q * s * s:
-                return Unclassified(
-                    "the e2/e3 block is not reachable from a canonical table "
-                    "by the implemented witnesses")
-            radicand = -r / s
-            c = rational_root(radicand, 2)
-            if c is None:
-                return NeedsExtension(radicand, 2)
-            shift_residual = -r * r * co.g + s * q * co.h - r * q * co.k
-            if shift_residual == 0:
-                target = "T13" if co.g == 0 else "T15"
-            else:
-                target = "T14" if case.subcase == "b" else "T16"
-            cert = _certify(p, co, block, c, target, -r * c)
+            target = "T14" if case.subcase == "b" else "T16"
+        candidates, degree = [(target, -r / s)], 2
+    if case.case != 1:
+        reported = candidates[0][1]
 
-    if cert is None:
-        return Unclassified("no admissible witness of the implemented shape exists")
-    return cert
+    for family_id, radicand in candidates:
+        c = rational_root(radicand, degree)
+        if c is not None:
+            primary = a / c if case.case in (1, 2) else -r * c
+            cert = _certify(p, co, block, c, family_id, primary)
+            if cert is None:
+                return Unclassified("no admissible witness of the implemented shape exists")
+            return cert
+    return NeedsExtension(reported, degree)
 
 
 def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
-    """Full pipeline: bracket check, coupling identity, then normalisation."""
+    """Full pipeline: bracket check, then normalisation.  The coupling
+    identity holds exactly on the solved family, so only a product that
+    ``normalize`` rejects by shape runs the identity check, whose report
+    becomes ``NotTransposedPoisson`` (a wrong dimension raises there)."""
     if b != a3_bracket():
         return Unsupported(
             "classification is implemented for the standard bracket "
             "[e1,e2,e3] = e1 only")
-    report = check_transposed_leibniz(b, p)
-    if not report.passed:
-        return NotTransposedPoisson(report)
-    # a product passing the coupling identity is automatically in the
-    # solved family, so ShapeMismatch cannot occur here
-    return normalize(p)
+    try:
+        return normalize(p)
+    except ShapeMismatch:
+        return NotTransposedPoisson(check_transposed_leibniz(b, p))
 
 
 def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]:

@@ -166,13 +166,9 @@ def _cmd_tp_space(args) -> int:
 def _cmd_transport(args) -> int:
     doc = _load_document(args.file)
     matrix = parse_matrix(Path(args.matrix).read_bytes())
-    try:
-        moved_bracket = transport_bracket(doc.bracket, matrix)
-        moved_product = (transport_product(doc.product, matrix)
-                         if doc.product is not None else None)
-    except Singular:
-        print("error: transport matrix is singular", file=sys.stderr)
-        return 2
+    moved_bracket = transport_bracket(doc.bracket, matrix)
+    moved_product = (transport_product(doc.product, matrix)
+                     if doc.product is not None else None)
     out = serialize_document(moved_bracket, moved_product, doc.meta)
     if args.format == "json":
         sys.stdout.write(out.decode("utf-8") + "\n")

@@ -106,7 +106,8 @@ CASE_FAMILY: dict[str, str] = {
 }
 
 
-def _coords(family_id: str, values: Mapping[str, Fraction]) -> FamilyCoordinates:
+def canonical_coordinates(family_id: str,
+                          values: Mapping[str, Fraction]) -> FamilyCoordinates:
     """Solved-family coordinates (g,a,q,h,r,w,k,s,t) of a canonical table."""
     z = Fraction(0)
     if family_id in ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"):
@@ -143,7 +144,7 @@ def instantiate_family(f: FamilyInstance) -> CommProduct:
     """The exact product table of a canonical family instance."""
     if f.id not in FAMILY_PARAMS:
         raise ValueError(f"unknown family id {f.id!r}")
-    return _coords(f.id, f.param_map).as_product()
+    return canonical_coordinates(f.id, f.param_map).as_product()
 
 
 def detect_case(p: CommProduct) -> Optional[CaseId]:

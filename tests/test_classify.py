@@ -4,14 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS,
-                  AutoMatrix, Certificate, CommProduct, FamilyInstance, Matrix,
+from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
+                  AutoMatrix, Certificate, CommProduct, DimensionMismatch,
+                  FamilyCoordinates, FamilyInstance, Infeasible, Matrix,
                   NeedsExtension, NotTransposedPoisson, ShapeMismatch, TriBracket,
-                  Unclassified, Unsupported, Vector, a3_bracket, classify,
-                  detect_case, draw_family_params, fingerprint, instantiate_family,
-                  normalize, rational_root, transport_bracket, transport_product,
-                  verify_all_cases, verify_paper_case)
-from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product,
+                  Unclassified, Unsupported, Vector, a3_bracket,
+                  check_transposed_leibniz, classify, detect_case, draw_family_params,
+                  family_coordinates, fingerprint, instantiate_family, normalize, rank,
+                  rational_root, solve_affine, tp_product_space, transport_bracket,
+                  transport_product, verify_all_cases, verify_paper_case)
+from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
                       scaled_shift_witness)
 
 A3 = a3_bracket()
@@ -50,6 +52,12 @@ def test_normalize_needs_extension_example():
     assert out == NeedsExtension(radicand=F(1, 2), degree=4)
     # the radicand is genuinely not a rational fourth power
     assert rational_root(out.radicand, out.degree) is None
+    # with a nonvanishing shift residual neither T3 nor T2/T4 is reachable:
+    # subcase c reports the T3 radicand, the other subcases the T2/T4 one
+    p = product_from({(2, 2): [1, 1, 0], (2, 3): [1, 0, -1], (3, 3): [0, -1, 0]})
+    assert normalize(p) == NeedsExtension(radicand=F(4, 3), degree=4)
+    p = product_from({(2, 2): [1, 1, 0], (2, 3): [1, 0, -1], (3, 3): [1, -1, 0]})
+    assert normalize(p) == NeedsExtension(radicand=F(3), degree=4)
 
 
 def test_normalize_unclassified():
@@ -243,6 +251,188 @@ def test_tampered_witness_fails_revalidation(monkeypatch, table):
     monkeypatch.setattr(module, "_solve_witness", wrong_shift)
     with pytest.raises(RuntimeError, match="failed revalidation"):
         classify(A3, product_from(table))
+
+
+# --- the coupling gate ------------------------------------------------------------
+
+PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def test_coupling_gate_is_the_solved_family_shape():
+    # the nine coordinate products satisfy the coupling identity and span a
+    # space as large as the whole compatible-product space, so the solved
+    # family is exactly that space
+    units = [FamilyCoordinates(*(F(int(i == j)) for j in range(9))).as_product()
+             for i in range(9)]
+    for p in units:
+        assert check_transposed_leibniz(A3, p).passed
+    flat = Matrix.from_rows([[c for pair in PAIRS for c in p.basis_product(*pair)]
+                             for p in units])
+    assert rank(flat) == 9 == tp_product_space(A3).dim
+
+    # hence on seeded perturbations the identity holds exactly when the
+    # solved-family shape does
+    rng = random.Random(404)
+    inside = outside = 0
+    for trial in range(200):
+        p = rand_family_product(rng)
+        if trial % 4:
+            table = dict(p.table)
+            pair = PAIRS[rng.randrange(6)]
+            bump = Vector.unit(3, rng.randint(1, 3)).scale(rand_rat(rng, nonzero=True))
+            table[pair] = table.get(pair, Vector.zero(3)) + bump
+            p = CommProduct(3, table)
+        try:
+            family_coordinates(p)
+            in_family = True
+        except ShapeMismatch:
+            in_family = False
+        assert check_transposed_leibniz(A3, p).passed == in_family
+        inside += in_family
+        outside += not in_family
+    assert inside >= 60 and outside >= 60
+
+
+def test_classify_runs_coupling_check_only_outside_family(monkeypatch):
+    module = importlib.import_module("tpl3.classify")
+    original = module.check_transposed_leibniz
+    calls = []
+
+    def recording(b, p):
+        report = original(b, p)
+        calls.append((p, report))
+        return report
+
+    monkeypatch.setattr(module, "check_transposed_leibniz", recording)
+    assert isinstance(classify(A3, product_from(IN_CASE)), Certificate)
+    assert isinstance(classify(A3, CommProduct.zero(3)), Unclassified)
+    assert calls == []
+
+    outside = CommProduct(3, {(2, 3): Vector.unit(3, 2)})
+    out = classify(A3, outside)
+    assert [p for p, _ in calls] == [outside]
+    assert out == NotTransposedPoisson(calls[0][1])
+    assert out.report is calls[0][1]
+
+
+def test_classify_wrong_dimension_raises():
+    with pytest.raises(DimensionMismatch):
+        classify(A3, CommProduct.zero(2))
+    with pytest.raises(DimensionMismatch):
+        classify(A3, CommProduct(2, {(1, 2): Vector.unit(2, 1)}))
+
+
+# --- the witness solve -------------------------------------------------------------
+
+def oracle_witness_system(co, c, family_id, primary):
+    """The affine system of the two-attempt witness solve below."""
+    names = FAMILY_PARAMS[family_id]
+    two_param = len(names) == 2
+
+    def e1_targets(z):
+        params = {names[0]: primary}
+        if two_param:
+            params[names[1]] = z
+        inst = family_coordinates(instantiate_family(FamilyInstance.make(family_id, **params)))
+        return inst.g, inst.h, inst.k
+
+    g0, h0, k0 = e1_targets(F(0))
+    if two_param:
+        g1, h1, k1 = e1_targets(F(1))
+        gz, hz, kz = g1 - g0, h1 - h0, k1 - k0
+    else:
+        gz = hz = kz = F(0)
+    c2 = c * c
+    rows = [
+        [co.g, co.a, co.q, -gz * c2],
+        [co.h, co.r, -co.a, -hz],
+        [co.k, co.s, -co.r, -kz / c2],
+    ]
+    rhs = [g0 * c2, h0, k0 / c2]
+    if not two_param:
+        rows = [row[:3] for row in rows]
+    return rows, rhs
+
+
+def oracle_solve_witness(co, c, family_id, primary):
+    """Reference witness solve: pin u = 1, then fall back to the free
+    system and lift along a kernel vector that moves u."""
+    rows, rhs = oracle_witness_system(co, c, family_id, primary)
+    two_param = len(rows[0]) == 4
+    ncols = len(rows[0])
+
+    def attempt(extra_pin):
+        sys_rows = list(rows)
+        sys_rhs = list(rhs)
+        if extra_pin:
+            pin = [F(0)] * ncols
+            pin[0] = F(1)
+            sys_rows.append(pin)
+            sys_rhs.append(F(1))
+        return solve_affine(Matrix.from_rows(sys_rows), Vector(sys_rhs))
+
+    try:
+        particular, _ = attempt(extra_pin=True)
+    except Infeasible:
+        try:
+            particular, kernel = attempt(extra_pin=False)
+        except Infeasible:
+            return None
+        if particular[0] == 0:
+            lift = next((v for v in kernel if v[0] != 0), None)
+            if lift is None:
+                return None
+            particular = particular + lift.scale((1 - particular[0]) / lift[0])
+    u, x, y = particular[0], particular[1], particular[2]
+    z = particular[3] if two_param else None
+    if u == 0:
+        return None
+    return u, x, y, z
+
+
+def witness_system_kinds(co, c, family_id, primary):
+    """How the witness system decides the e1 scaling u."""
+    rows, rhs = oracle_witness_system(co, c, family_id, primary)
+    kinds = {"two-parameter"} if len(rows[0]) == 4 else set()
+    try:
+        particular, kernel = solve_affine(Matrix.from_rows(rows), Vector(rhs))
+    except Infeasible:
+        return kinds | {"infeasible"}
+    if all(row[0] == 0 for row in rows):
+        return kinds | {"u free"}
+    if any(v[0] != 0 for v in kernel):
+        return kinds | {"u pivot moved by the kernel"}
+    if particular[0] == 0:
+        return kinds | {"u = 0"}
+    return kinds | {"u fixed at 1" if particular[0] == 1 else "u fixed, not 1"}
+
+
+def test_solve_witness_matches_two_attempt_oracle():
+    from tpl3.classify import _solve_witness
+
+    def coords(**nonzero):
+        return FamilyCoordinates(**{name: F(nonzero.get(name, 0)) for name in "gaqhrwkst"})
+
+    systems = [
+        (coords(a=1, w=-1, s=-3), F(1), "T1", F(1)),        # u free
+        (coords(g=1, a=1), F(2), "T1", F(1)),               # u pivot, x moves it
+        (coords(g=1, k=-3), F(1), "T6", F(2)),              # u fixed at 2
+        (coords(g=1, a=1, w=-1, s=-3), F(1), "T1", F(1)),   # u fixed at 0
+        (coords(), F(1), "T3", F(1)),                       # infeasible
+        (coords(g=1, a=1, w=-1, k=3, s=-3), F(1), "T2", F(1)),  # two parameters
+    ]
+    rng = random.Random(2718)
+    for _ in range(400):
+        co = FamilyCoordinates(*(rand_rat(rng) if rng.random() < 0.5 else F(0)
+                                 for _ in range(9)))
+        systems.append((co, rand_rat(rng, nonzero=True), FAMILY_IDS[rng.randrange(16)],
+                        rand_rat(rng, nonzero=True)))
+    seen = set()
+    for args in systems:
+        assert _solve_witness(*args) == oracle_solve_witness(*args), args
+        seen |= witness_system_kinds(*args)
+    assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
+            "infeasible", "two-parameter"} <= seen
 
 
 def test_split_route_complete_diagnostics():

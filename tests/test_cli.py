@@ -117,9 +117,11 @@ def test_transport_command(capsys, tmp_path):
 
     singular = tmp_path / "sing.json"
     singular.write_text(json.dumps([["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]))
-    code, _, err = run(capsys, "transport", str(FIXTURES / "a3.json"),
-                       "--matrix", str(singular))
+    code, out, err = run(capsys, "transport", str(FIXTURES / "a3.json"),
+                         "--matrix", str(singular))
     assert code == 2
+    assert out == ""
+    assert err == "error: automorphism matrices must be invertible\n"
 
 
 def test_verify_paper_single_case(capsys):
