@@ -201,15 +201,33 @@ def structure_table(b: TriBracket) -> list[list[list[tuple[tuple[int, Fraction],
     """Every basis bracket, signs applied: ``table[i][j][k]`` lists the
     nonzero (t, c) with [e_i, e_j, e_k] = Σ c e_t, all indices 0-based.
 
+    Filled straight from the stored increasing triples: each one writes its
+    three even permutations with +c and its three odd ones with −c, and
+    every other cell (a repeated index or an absent triple) stays empty.
     Built once per call of a routine that reads many basis brackets, so
     their inner loops index a list instead of sorting indices and
     allocating a ``Vector`` per term.
     """
     n = b.dim
-    return [[[tuple((t, c) for t, c in enumerate(b.basis_bracket(i, j, k)) if c)
-              for k in range(1, n + 1)]
-             for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
+    table = [[[()] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), coeffs in b.table.items():
+        even = tuple((t, c) for t, c in enumerate(coeffs) if c)
+        odd = tuple((t, -c) for t, c in even)
+        i, j, k = i - 1, j - 1, k - 1
+        table[i][j][k] = table[j][k][i] = table[k][i][j] = even
+        table[j][i][k] = table[i][k][j] = table[k][j][i] = odd
+    return table
+
+
+def _product_table(p: CommProduct) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+    """Every basis product: ``table[i][j]`` lists the nonzero (t, c) with
+    e_i·e_j = Σ c e_t, all indices 0-based."""
+    n = p.dim
+    table = [[()] * n for _ in range(n)]
+    for (i, j), coeffs in p.table.items():
+        table[i - 1][j - 1] = table[j - 1][i - 1] = tuple(
+            (t, c) for t, c in enumerate(coeffs) if c)
+    return table
 
 
 def check_fundamental_identity(b: TriBracket) -> CheckReport:
@@ -243,21 +261,35 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     """Check 3 u·[x,y,z] = [u·x,y,z] + [x,u·y,z] + [x,y,u·z].
 
     Runs over all basis u and basis triples x < y < z (exhaustive by
-    multilinearity and skewness in x, y, z).
+    multilinearity and skewness in x, y, z).  Both sides expand by
+    linearity over the bracket's ``structure_table`` and the product's
+    table of basis products.
     """
     if b.dim != p.dim:
         raise DimensionMismatch("bracket and product dimensions differ")
     n = b.dim
-    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    table = structure_table(b)
+    prod = _product_table(p)
     violations = []
-    for u in range(1, n + 1):
-        for (x, y, z) in combinations(range(1, n + 1), 3):
-            left = product_eval(p, basis[u - 1], b.basis_bracket(x, y, z)).scale(3)
-            right = (bracket_eval(b, p.basis_product(u, x), basis[y - 1], basis[z - 1])
-                     + bracket_eval(b, basis[x - 1], p.basis_product(u, y), basis[z - 1])
-                     + bracket_eval(b, basis[x - 1], basis[y - 1], p.basis_product(u, z)))
+    for u in range(n):
+        for (x, y, z) in combinations(range(n), 3):
+            left = [0] * n
+            for s, c in table[x][y][z]:
+                for t, d in prod[u][s]:
+                    left[t] += 3 * c * d
+            right = [0] * n
+            for s, c in prod[u][x]:
+                for t, d in table[s][y][z]:
+                    right[t] += c * d
+            for s, c in prod[u][y]:
+                for t, d in table[x][s][z]:
+                    right[t] += c * d
+            for s, c in prod[u][z]:
+                for t, d in table[x][y][s]:
+                    right[t] += c * d
             if left != right:
-                violations.append(Violation((u, x, y, z), left, right))
+                violations.append(Violation((u + 1, x + 1, y + 1, z + 1),
+                                            Vector(left), Vector(right)))
     return CheckReport(tuple(violations))
 
 

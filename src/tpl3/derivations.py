@@ -9,16 +9,25 @@ On structure constants this is one homogeneous linear system in the β_ij;
 δ = 1/3 characterises the left multiplications of products that make the
 bracket part of a transposed Poisson structure, so the same row generator
 also solves for all compatible commutative products at once.
+
+The row generator reads the bracket's ``structure_table`` and yields sparse
+rows, ``{column: value}``.  The solvers eliminate those rows directly with
+``linalg._reduce`` and ``linalg._kernel``, and ``contains`` evaluates them,
+so no dense system is built on the solve path.  The ``system`` attribute of
+a solved space is the same rows as a dense ``Matrix``; it is built from the
+bracket by ``build_derivation_system`` or ``build_product_system`` the first
+time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .linalg import DimensionMismatch, Matrix, Vector, kernel_basis, mat_vec, rat
+from .linalg import DimensionMismatch, Matrix, Vector, _kernel, _reduce, rat
 from .algebra import CommProduct, TriBracket, structure_table
 
 ONE_THIRD = Fraction(1, 3)
@@ -39,52 +48,73 @@ class DerivationQuery:
 @dataclass(frozen=True)
 class DerivationSpace:
     """Solved δ-derivation space: basis of coefficient matrices plus the
-    linear system whose kernel they form."""
+    linear system whose kernel they form.
+
+    The solver never builds ``system`` as a dense matrix; it is built from
+    ``query`` by ``build_derivation_system`` when first read and then kept.
+    """
 
     dim: int
     basis: tuple[Matrix, ...]
-    system: Matrix
+    query: DerivationQuery = field(repr=False)
+
+    @cached_property
+    def system(self) -> Matrix:
+        return build_derivation_system(self.query)
 
     def contains(self, m: Matrix) -> bool:
-        """Exact membership: m satisfies the derivation system."""
-        if not m.is_square() or m.rows * m.cols != self.system.cols:
+        """Exact membership: m satisfies every row of the derivation system."""
+        n = self.query.bracket.dim
+        if not m.is_square() or m.rows != n:
             raise DimensionMismatch("matrix shape differs from the solved space")
-        return mat_vec(self.system, Vector(m.entries)).is_zero()
+        return _annihilates(_query_rows(self.query), m.entries)
 
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Solved space of compatible commutative products.
+    """Solved space of compatible commutative products of ``bracket``.
 
     ``description`` lists the free structure-constant coordinates as
-    ((i, j), component) with 1-based indices, in solved order.
+    ((i, j), component) with 1-based indices, in solved order.  The solver
+    never builds ``system`` as a dense matrix; it is built from ``bracket``
+    by ``build_product_system`` when first read and then kept.
     """
 
     dim: int
     basis: tuple[CommProduct, ...]
     description: tuple[tuple[tuple[int, int], int], ...]
-    system: Matrix
-    _pairs: tuple[tuple[int, int], ...] = field(repr=False, default=())
+    bracket: TriBracket = field(repr=False)
+
+    @cached_property
+    def system(self) -> Matrix:
+        return build_product_system(self.bracket)[0]
 
     def contains(self, p: CommProduct) -> bool:
-        return mat_vec(self.system, _product_to_vector(p, self._pairs)).is_zero()
+        """Exact membership: p satisfies every row of the product system."""
+        if p.dim != self.bracket.dim:
+            raise DimensionMismatch("product dimension differs from the solved space")
+        pairs = _sym_pairs(p.dim)
+        return _annihilates(_product_rows(self.bracket, pairs),
+                            _product_to_vector(p, pairs).entries)
 
     def combination(self, coeffs) -> CommProduct:
         """The element of the span with the given free-coordinate values."""
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != len(self.basis):
             raise DimensionMismatch("one coefficient per basis element required")
-        n = self.basis[0].dim if self.basis else 1
-        vec = [Fraction(0)] * (len(self._pairs) * n)
+        n = self.bracket.dim
+        pairs = _sym_pairs(n)
+        vec = [Fraction(0)] * (len(pairs) * n)
         for c, prod in zip(coeffs, self.basis):
-            for idx, val in enumerate(_product_to_vector(prod, self._pairs)):
+            for idx, val in enumerate(_product_to_vector(prod, pairs)):
                 vec[idx] += c * val
-        return _vector_to_product(Vector(vec), n, self._pairs)
+        return _vector_to_product(Vector(vec), n, pairs)
 
 
 def _derivation_rows(table, inv_delta: Fraction,
-                     base: list[int], ncols: int) -> Iterator[list[Fraction]]:
-    """Rows of the δ-derivation system, one per (i<j<k, t).
+                     base: list[int]) -> Iterator[dict[int, Fraction]]:
+    """Sparse rows ``{column: value}`` of the δ-derivation system, one per
+    (i<j<k, t), all-zero rows included.
 
     ``table`` is the bracket's ``structure_table``.  The unknown β_uv
     (component v of the image of e_u, 0-based) sits at column
@@ -93,41 +123,62 @@ def _derivation_rows(table, inv_delta: Fraction,
     """
     n = len(table)
     for (i, j, k) in combinations(range(n), 3):
-        rows = [[ZERO] * ncols for _ in range(n)]
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for s in range(n):
-            for t, c in table[s][j][k]:
-                rows[t][base[i] + s] += c
-            for t, c in table[i][s][k]:
-                rows[t][base[j] + s] += c
-            for t, c in table[i][j][s]:
-                rows[t][base[k] + s] += c
+            for col, cell in ((base[i] + s, table[s][j][k]),
+                              (base[j] + s, table[i][s][k]),
+                              (base[k] + s, table[i][j][s])):
+                for t, c in cell:
+                    row = rows[t]
+                    row[col] = row.get(col, ZERO) + c
         for s, c in table[i][j][k]:
             f = inv_delta * c
             for t in range(n):
-                rows[t][base[s] + t] -= f
+                row, col = rows[t], base[s] + t
+                row[col] = row.get(col, ZERO) - f
         yield from rows
+
+
+def _annihilates(rows: Iterable[dict[int, Fraction]],
+                 x: Sequence[Fraction]) -> bool:
+    """Whether every sparse row has zero dot product with ``x``."""
+    return all(sum(c * x[j] for j, c in row.items()) == 0 for row in rows)
+
+
+def _dense(rows: Iterable[dict[int, Fraction]], ncols: int) -> Matrix:
+    """The sparse rows as a ``Matrix``; one zero row when there are none."""
+    dense = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+    return Matrix.from_rows(dense) if dense else Matrix.zeros(1, ncols)
+
+
+def _query_rows(q: DerivationQuery) -> Iterator[dict[int, Fraction]]:
+    """Sparse rows of the δ-derivation system of ``q``, unknowns row-major."""
+    n = q.bracket.dim
+    return _derivation_rows(structure_table(q.bracket), 1 / q.delta,
+                            [u * n for u in range(n)])
 
 
 def build_derivation_system(q: DerivationQuery) -> Matrix:
     """The homogeneous system M·vec(β) = 0 characterising δ-derivations.
 
     Unknowns are the n² entries β_uv, row-major; rows are indexed by
-    increasing basis triples and output component t.
+    increasing basis triples and output component t.  This is the dense
+    form of the sparse rows that ``delta_derivations`` eliminates.
     """
     n = q.bracket.dim
-    rows = list(_derivation_rows(structure_table(q.bracket), 1 / q.delta,
-                                 [u * n for u in range(n)], n * n))
-    if not rows:
-        return Matrix.zeros(1, n * n)
-    return Matrix.from_rows(rows)
+    return _dense(_query_rows(q), n * n)
 
 
 def delta_derivations(q: DerivationQuery) -> DerivationSpace:
-    """Kernel of the δ-derivation system, reshaped to coefficient matrices."""
+    """Kernel of the δ-derivation system, reshaped to coefficient matrices.
+
+    The system's sparse rows go straight into the elimination; no dense
+    matrix is built.
+    """
     n = q.bracket.dim
-    system = build_derivation_system(q)
-    basis = tuple(Matrix(n, n, vec.entries) for vec in kernel_basis(system))
-    return DerivationSpace(dim=len(basis), basis=basis, system=system)
+    kernel = _kernel(*_reduce(_query_rows(q)), n * n)
+    basis = tuple(Matrix(n, n, vec.entries) for vec in kernel)
+    return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
 def left_multiplication(p: CommProduct, i: int) -> Matrix:
@@ -142,7 +193,6 @@ def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _product_to_vector(p: CommProduct, pairs: tuple[tuple[int, int], ...]) -> Vector:
-    n = p.dim
     out: list[Fraction] = []
     for (i, j) in pairs:
         out.extend(p.basis_product(i, j))
@@ -158,41 +208,47 @@ def _vector_to_product(vec: Vector, n: int, pairs: tuple[tuple[int, int], ...]) 
     return CommProduct(n, table)
 
 
+def _product_rows(b: TriBracket, pairs: tuple[tuple[int, int], ...]
+                  ) -> Iterator[dict[int, Fraction]]:
+    """Sparse rows of the joint product system: the derivation rows of every
+    left multiplication, with e_u·e_g = e_g·e_u sharing one column block."""
+    n = b.dim
+    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
+    table = structure_table(b)
+    for g in range(1, n + 1):
+        base = [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
+        yield from _derivation_rows(table, Fraction(3), base)
+
+
 def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
     """Joint linear system for all products compatible with ``b``.
 
     Unknowns are the coefficients of e_i·e_j for non-decreasing (i, j) in
     lexicographic order, output component innermost.  The rows state that
     every left multiplication is a 1/3-derivation, with the symmetric
-    unknown identification (e_u·e_g = e_g·e_u) substituted.
+    unknown identification (e_u·e_g = e_g·e_u) substituted.  This is the
+    dense form of the sparse rows that ``tp_product_space`` eliminates.
     """
-    n = b.dim
-    pairs = _sym_pairs(n)
-    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
-    ncols = len(pairs) * n
-    table = structure_table(b)
-    rows: list[list[Fraction]] = []
-    for g in range(1, n + 1):
-        base = [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
-        rows.extend(_derivation_rows(table, Fraction(3), base, ncols))
-    if not rows:
-        return Matrix.zeros(1, ncols), pairs
-    return Matrix.from_rows(rows), pairs
+    pairs = _sym_pairs(b.dim)
+    return _dense(_product_rows(b, pairs), len(pairs) * b.dim), pairs
 
 
 def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
-    Solved as one joint kernel; the reduced-echelon normal form makes the
-    free coordinates (and hence the basis) canonical.
+    Solved as one joint kernel of the system's sparse rows, with no dense
+    matrix built; the reduced-echelon normal form makes the free
+    coordinates (the non-pivot columns, ascending) and hence the basis
+    canonical.
     """
     n = b.dim
-    system, pairs = build_product_system(b)
-    kernel = kernel_basis(system)
-    basis = tuple(_vector_to_product(vec, n, pairs) for vec in kernel)
-    # the free column of a reduced-echelon kernel vector is its last nonzero
-    free = [max(c for c, e in enumerate(vec) if e) for vec in kernel]
-    description = tuple((pairs[c // n], c % n + 1) for c in free)
+    pairs = _sym_pairs(n)
+    ncols = len(pairs) * n
+    reduced, pivots = _reduce(_product_rows(b, pairs))
+    basis = tuple(_vector_to_product(vec, n, pairs)
+                  for vec in _kernel(reduced, pivots, ncols))
+    pivot_set = set(pivots)
+    description = tuple((pairs[c // n], c % n + 1)
+                        for c in range(ncols) if c not in pivot_set)
     return ProductSpace(dim=len(basis), basis=basis,
-                        description=description, system=system,
-                        _pairs=pairs)
+                        description=description, bracket=b)

@@ -14,6 +14,12 @@ of one row to another, dropping a zero row or a row proportional to
 another) keeps the row space, and a row space has exactly one reduced row
 echelon form.  ``determinant`` alone keeps its own Bareiss elimination.
 
+``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
+nonzero entries.  The solved spaces in ``derivations`` hand it their rows in
+that form and take their kernel from ``_reduce`` and ``_kernel``, without
+building a dense ``Matrix``; the ``Matrix`` wrappers here pass their dense
+rows through ``_sparse`` into the same routine.
+
 Conventions fixed by this module and relied on elsewhere:
 
 * ``kernel_basis`` returns the reduced-echelon kernel basis: each free
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -270,10 +276,15 @@ def determinant(m: Matrix) -> Fraction:
     return scale * sign * a[n - 1][n - 1]
 
 
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of a row, scaled to coprime integers with a
-    positive first entry."""
-    entries = [(j, e) for j, e in enumerate(row) if e]
+def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
+    """A dense row as ``{column: value}``."""
+    return {j: e for j, e in enumerate(row) if e}
+
+
+def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The nonzero entries of a sparse row, in ascending column order,
+    scaled to coprime integers with a positive first entry."""
+    entries = [(j, e) for j, e in sorted(row.items()) if e]
     if not entries:
         return {}
     den = math.lcm(*(e.denominator for _, e in entries))
@@ -300,18 +311,21 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
-def _reduce(rows: Iterable[Sequence[Fraction]]
+def _reduce(rows: Iterable[Mapping[int, Fraction]]
             ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form, and its pivot columns.
 
-    This is the package's one elimination routine.  Rows become sparse
-    integer rows (denominators cleared, content removed, sign fixed), so
-    zero rows and rows proportional to an earlier one are dropped before any
-    work.  Forward elimination visits columns in ascending order and keeps
-    the rows bucketed by their leading column: the rows leading at column c
-    are exactly those with a nonzero there, the sparsest becomes the pivot,
-    and every other one is combined fraction-free with it and moves to its
-    new leading column.  Back-substitution clears the entries above each
+    This is the package's one elimination routine.  Its input rows are
+    sparse, ``{column: value}`` in any column order, and only their nonzero
+    entries are read: the solved-space builders yield such rows directly,
+    and the dense ``Matrix`` wrappers convert theirs with ``_sparse``.
+    Rows become sparse integer rows (denominators cleared, content removed,
+    sign fixed), so zero rows and rows proportional to an earlier one are
+    dropped before any work.  Forward elimination visits columns in
+    ascending order and keeps the rows bucketed by their leading column: the
+    rows leading at column c are exactly those with a nonzero there, the
+    sparsest becomes the pivot, and every other one is combined
+    fraction-free with it and moves to its new leading column.  Back-substitution clears the entries above each
     pivot, bottom up, and each row is finally divided by its pivot entry.
     The result is returned sparse, as ``{column: value}`` with value 1 at
     the pivot, in pivot order.
@@ -381,8 +395,8 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    reduced, pivots = _reduce(row + unit for row, unit in
-                              zip(m.row_lists(), Matrix.identity(n).row_lists()))
+    reduced, pivots = _reduce({**_sparse(row), n + i: Fraction(1)}
+                              for i, row in enumerate(m.row_lists()))
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
     return Matrix(n, n, [row.get(n + j, 0) for row in reduced for j in range(n)])
@@ -390,14 +404,14 @@ def invert(m: Matrix) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
-    reduced, pivots = _reduce(m.row_lists())
+    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
     entries = [row.get(j, 0) for row in reduced for j in range(m.cols)]
     entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
     return Matrix(m.rows, m.cols, entries), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(m.row_lists())[1])
+    return len(_reduce(map(_sparse, m.row_lists()))[1])
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -409,7 +423,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     lies left of the free one, so each vector's last nonzero coordinate is
     its free column.
     """
-    reduced, pivots = _reduce(m.row_lists())
+    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
     return _kernel(reduced, pivots, m.cols)
 
 
@@ -423,7 +437,8 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     """
     if m.rows != b.dim:
         raise DimensionMismatch("right-hand side length differs from row count")
-    reduced, pivots = _reduce(row + [e] for row, e in zip(m.row_lists(), b.entries))
+    reduced, pivots = _reduce({**_sparse(row), m.cols: e}
+                              for row, e in zip(m.row_lists(), b.entries))
     if m.cols in pivots:
         raise Infeasible("inconsistent system")
     x = [Fraction(0)] * m.cols

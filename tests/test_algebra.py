@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from tpl3 import (CheckReport, CommProduct, FamilyInstance, ShapeMismatch, TriBr
                   Vector, Violation, a3_bracket, bracket_eval,
                   check_commutative_associative, check_fundamental_identity,
                   check_transposed_leibniz, family_coordinates, instantiate_family,
-                  product_eval, remark_associativity_residuals)
+                  product_eval, remark_associativity_residuals, tp_product_space)
+from tpl3.algebra import structure_table
 from conftest import rand_family_product, rand_rat, rand_vector
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -170,6 +173,99 @@ def test_transposed_leibniz_random_soundness():
                      + bracket_eval(A3, x, product_eval(p, u, y), z)
                      + bracket_eval(A3, x, y, product_eval(p, u, z)))
             assert left == right
+
+
+def reference_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
+    # the same basis loop, each side evaluated through bracket_eval and
+    # product_eval on unit vectors
+    n = b.dim
+    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    violations = []
+    for u in range(1, n + 1):
+        for (x, y, z) in combinations(range(1, n + 1), 3):
+            left = product_eval(p, basis[u - 1], b.basis_bracket(x, y, z)).scale(3)
+            right = (bracket_eval(b, p.basis_product(u, x), basis[y - 1], basis[z - 1])
+                     + bracket_eval(b, basis[x - 1], p.basis_product(u, y), basis[z - 1])
+                     + bracket_eval(b, basis[x - 1], basis[y - 1], p.basis_product(u, z)))
+            if left != right:
+                violations.append(Violation((u, x, y, z), left, right))
+    return CheckReport(tuple(violations))
+
+
+def classify_mix_products(seed: int, rounds: int) -> list[CommProduct]:
+    """The first ``rounds`` rounds of the benchmark's classify-mix inputs."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import inputs
+    rng = inputs.make_rng(seed, "classify-mix")
+    return [CommProduct(3, {key: Vector(vec) for key, vec in item.product.items()})
+            for _ in range(rounds) for item in inputs.classify_mix_round(rng)]
+
+
+def random_bracket(rng: random.Random, n: int, density: float = 0.7,
+                   keep: float = 0.8) -> TriBracket:
+    """Each triple is stored with probability ``keep``, each coefficient of
+    a stored triple is nonzero with probability ``density``."""
+    return TriBracket(n, {
+        tr: Vector([rand_rat(rng) if rng.random() < density else 0 for _ in range(n)])
+        for tr in combinations(range(1, n + 1), 3) if rng.random() < keep})
+
+
+def random_product(rng: random.Random, n: int, density: float) -> CommProduct:
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if rng.random() < density:
+                table[(i, j)] = Vector([rand_rat(rng) if rng.random() < 0.6 else 0
+                                        for _ in range(n)])
+    return CommProduct(n, table)
+
+
+def test_transposed_leibniz_matches_eval_reference():
+    cases = [(A3, p) for seed in range(1, 6) for p in classify_mix_products(seed, 20)]
+    rng = random.Random(23)
+    for trial in range(1000):
+        n = (3, 3, 3, 3, 3, 3, 4, 4, 4, 5)[trial % 10]
+        # sparser brackets and products in dimensions 4 and 5 keep the
+        # reference loop affordable
+        b = (A3 if n == 3 and trial % 2
+             else random_bracket(rng, n, keep=(1, 0.6, 0.3)[n - 3]))
+        if trial % 7 == 0:
+            # compatible products, so that passing reports are compared too
+            space = tp_product_space(b)
+            p = space.combination([rand_rat(rng) for _ in range(space.dim)])
+        else:
+            densities = ((0.2, 0.5, 1.0), (0.2, 0.5), (0.2,))[n - 3]
+            p = random_product(rng, n, rng.choice(densities))
+        cases.append((b, p))
+    passed = 0
+    for b, p in cases:
+        report = check_transposed_leibniz(b, p)
+        assert report == reference_transposed_leibniz(b, p)
+        passed += report.passed
+    assert 100 <= passed <= len(cases) - 500
+
+
+def reference_structure_table(b: TriBracket) -> list:
+    # every basis bracket through basis_bracket, as before the direct fill
+    n = b.dim
+    return [[[tuple((t, c) for t, c in enumerate(b.basis_bracket(i, j, k)) if c)
+              for k in range(1, n + 1)]
+             for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
+def test_structure_table_matches_basis_bracket_reference():
+    rng = random.Random(31)
+    brackets = [TriBracket(n, {}) for n in (1, 2, 3, 5)]
+    brackets += [A3, counterexample_bracket(),
+                 TriBracket(4, {(2, 3, 4): Vector([0, 0, F(-3, 2), 0])}),
+                 TriBracket(6, {(1, 4, 6): Vector([F(1, 3), 0, 0, 0, 0, -2])})]
+    for n in (1, 2, 3, 4, 5, 6) * 6:
+        brackets.append(random_bracket(rng, n, rng.choice((0.2, 0.7, 1.0))))
+    for b in brackets:
+        assert structure_table(b) == reference_structure_table(b)
 
 
 def test_associativity_examples():

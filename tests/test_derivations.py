@@ -6,7 +6,8 @@ import pytest
 
 from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch, FamilyInstance,
                   Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
-                  build_derivation_system, check_transposed_leibniz,
+                  build_derivation_system, build_product_system,
+                  check_transposed_leibniz,
                   delta_derivations, instantiate_family, kernel_basis,
                   left_multiplication, tp_product_space, vec_mat)
 from conftest import A3_PRODUCT_SPACE, rand_rat
@@ -257,3 +258,76 @@ def test_solved_spaces_of_direct_sums(name):
             entries[(r - 1) * n + c - 1] = value
         expected.append(Matrix(n, n, entries))
     assert deriv.basis == tuple(expected)
+
+
+def test_combination_of_zero_dimensional_space():
+    # integer entries in [-2, 2] on all four triples: no nonzero compatible
+    # product, so the only combination is the zero product of dimension 4
+    rng = random.Random(3)
+    b = TriBracket(4, {tr: Vector([rng.randint(-2, 2) for _ in range(4)])
+                       for tr in combinations(range(1, 5), 3)})
+    space = tp_product_space(b)
+    assert space.dim == 0 and space.basis == () and space.description == ()
+    zero = space.combination([])
+    assert zero == CommProduct.zero(4)
+    assert space.contains(zero)
+    with pytest.raises(DimensionMismatch):
+        space.combination([1])
+
+
+def perturbed(p: CommProduct, key: tuple[int, int], t: int) -> CommProduct:
+    table = dict(p.table)
+    old = table.get(key, Vector.zero(p.dim))
+    table[key] = old + Vector.unit(p.dim, t)
+    return CommProduct(p.dim, table)
+
+
+def satisfies_derivation_identity(b: TriBracket, m: Matrix, delta) -> bool:
+    n = b.dim
+    rows = [m.row(i) for i in range(n)]
+    e = [Vector.unit(n, t) for t in range(1, n + 1)]
+    for (i, j, k) in combinations(range(n), 3):
+        left = vec_mat(b.basis_bracket(i + 1, j + 1, k + 1), m)
+        right = (bracket_eval(b, rows[i], e[j], e[k])
+                 + bracket_eval(b, e[i], rows[j], e[k])
+                 + bracket_eval(b, e[i], e[j], rows[k])).scale(delta)
+        if left != right:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A3", "A4+ab2"])
+def test_solvers_build_no_dense_system(name, monkeypatch):
+    import tpl3.derivations as derivations
+
+    def forbidden(*args):
+        raise AssertionError("a solver built the dense system")
+
+    b = A3 if name == "A3" else direct_sum(*SOLVED_SPACES[name][0])
+    query = DerivationQuery(b)
+    monkeypatch.setattr(derivations, "build_product_system", forbidden)
+    monkeypatch.setattr(derivations, "build_derivation_system", forbidden)
+    space = tp_product_space(b)
+    deriv = delta_derivations(query)
+    # membership reads the sparse rows too
+    n = b.dim
+    rng = random.Random(41)
+    rejected = 0
+    for p in space.basis:
+        assert space.contains(p)
+        i = rng.randint(1, n)
+        q = perturbed(p, (i, rng.randint(i, n)), rng.randint(1, n))
+        # membership is exactly the coupling identity
+        assert space.contains(q) == check_transposed_leibniz(b, q).passed
+        rejected += not space.contains(q)
+    for m in deriv.basis:
+        assert deriv.contains(m)
+        entries = list(m.entries)
+        entries[rng.randrange(n * n)] += 1
+        q = Matrix(n, n, entries)
+        assert deriv.contains(q) == satisfies_derivation_identity(b, q, query.delta)
+        rejected += not deriv.contains(q)
+    assert rejected >= len(space.basis) // 2
+    monkeypatch.undo()
+    assert space.system == build_product_system(b)[0]
+    assert deriv.system == build_derivation_system(query)
