@@ -298,17 +298,26 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
     stored on non-decreasing pairs), so it needs no check.
 
     Associativity is checked on all basis triples: (e_i·e_j)·e_k = e_i·(e_j·e_k).
+    Both sides expand by linearity over the product's table of basis
+    products.
     """
     n = p.dim
-    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    prod = _product_table(p)
     violations = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                left = product_eval(p, p.basis_product(i, j), basis[k - 1])
-                right = product_eval(p, basis[i - 1], p.basis_product(j, k))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = [0] * n
+                for s, c in prod[i][j]:
+                    for t, d in prod[s][k]:
+                        left[t] += c * d
+                right = [0] * n
+                for s, c in prod[j][k]:
+                    for t, d in prod[i][s]:
+                        right[t] += c * d
                 if left != right:
-                    violations.append(Violation((i, j, k), left, right))
+                    violations.append(Violation((i + 1, j + 1, k + 1),
+                                                Vector(left), Vector(right)))
     return CheckReport(tuple(violations))
 
 

@@ -12,11 +12,21 @@ also solves for all compatible commutative products at once.
 
 The row generator reads the bracket's ``structure_table`` and yields sparse
 rows, ``{column: value}``.  The solvers eliminate those rows directly with
-``linalg._reduce`` and ``linalg._kernel``, and ``contains`` evaluates them,
-so no dense system is built on the solve path.  The ``system`` attribute of
-a solved space is the same rows as a dense ``Matrix``; it is built from the
-bracket by ``build_derivation_system`` or ``build_product_system`` the first
-time it is read.
+``linalg._reduce`` and read their bases from the sparse kernel rows of
+``linalg._kernel``, and ``contains`` evaluates them, so no dense system is
+built on the solve path.  The ``system`` attribute of a solved space is the
+same rows as a dense ``Matrix``; it is built from the bracket by
+``build_derivation_system`` or ``build_product_system`` the first time it
+is read.
+
+The product space is solved in two stages.  The 1/3-derivation rows of the
+bracket (C(n,3)·n rows over n² columns) are reduced once; then each left
+multiplication L_g takes a copy of the reduced rows, moved into the column
+blocks of the products e_g·e_u, and those n·rank rows are reduced again.
+Reduction keeps a row space and moving columns is linear, so the stacked
+copies span the same row space as ``build_product_system``, which stacks n
+copies of the raw rows.  A row space has one reduced row echelon form, so
+both give the same pivots, free coordinates and basis.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import DimensionMismatch, Matrix, Vector, _kernel, _reduce, rat
+from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _kernel, _reduce,
+                     rat)
 from .algebra import CommProduct, TriBracket, structure_table
 
 ONE_THIRD = Fraction(1, 3)
@@ -102,13 +113,12 @@ class ProductSpace:
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != len(self.basis):
             raise DimensionMismatch("one coefficient per basis element required")
-        n = self.bracket.dim
-        pairs = _sym_pairs(n)
-        vec = [Fraction(0)] * (len(pairs) * n)
+        table: dict[tuple[int, int], Vector] = {}
         for c, prod in zip(coeffs, self.basis):
-            for idx, val in enumerate(_product_to_vector(prod, pairs)):
-                vec[idx] += c * val
-        return _vector_to_product(Vector(vec), n, pairs)
+            for pair, vec in prod.table.items():
+                term = vec.scale(c)
+                table[pair] = table[pair] + term if pair in table else term
+        return CommProduct(self.bracket.dim, table)
 
 
 def _derivation_rows(table, inv_delta: Fraction,
@@ -176,8 +186,8 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     matrix is built.
     """
     n = q.bracket.dim
-    kernel = _kernel(*_reduce(_query_rows(q)), n * n)
-    basis = tuple(Matrix(n, n, vec.entries) for vec in kernel)
+    basis = tuple(Matrix(n, n, _densify(vec, n * n))
+                  for vec in _kernel(*_reduce(_query_rows(q)), n * n))
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
@@ -199,24 +209,21 @@ def _product_to_vector(p: CommProduct, pairs: tuple[tuple[int, int], ...]) -> Ve
     return Vector(out)
 
 
-def _vector_to_product(vec: Vector, n: int, pairs: tuple[tuple[int, int], ...]) -> CommProduct:
-    table = {}
-    for idx, (i, j) in enumerate(pairs):
-        coeffs = Vector(vec.entries[idx * n:(idx + 1) * n])
-        if not coeffs.is_zero():
-            table[(i, j)] = coeffs
-    return CommProduct(n, table)
+def _left_bases(n: int, pairs: tuple[tuple[int, int], ...]) -> Iterator[list[int]]:
+    """For each g = 1..n, the column base of each unknown row of the left
+    multiplication L_g: row u of L_g is e_g·e_u, the block of the pair
+    (min(g, u), max(g, u)), so e_u·e_g = e_g·e_u share one column block."""
+    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
+    for g in range(1, n + 1):
+        yield [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
 
 
 def _product_rows(b: TriBracket, pairs: tuple[tuple[int, int], ...]
                   ) -> Iterator[dict[int, Fraction]]:
     """Sparse rows of the joint product system: the derivation rows of every
     left multiplication, with e_u·e_g = e_g·e_u sharing one column block."""
-    n = b.dim
-    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
     table = structure_table(b)
-    for g in range(1, n + 1):
-        base = [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
+    for base in _left_bases(b.dim, pairs):
         yield from _derivation_rows(table, Fraction(3), base)
 
 
@@ -227,7 +234,8 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
     lexicographic order, output component innermost.  The rows state that
     every left multiplication is a 1/3-derivation, with the symmetric
     unknown identification (e_u·e_g = e_g·e_u) substituted.  This is the
-    dense form of the sparse rows that ``tp_product_space`` eliminates.
+    public definition of the space; ``tp_product_space`` solves an
+    equivalent, smaller system.
     """
     pairs = _sym_pairs(b.dim)
     return _dense(_product_rows(b, pairs), len(pairs) * b.dim), pairs
@@ -236,19 +244,35 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
 def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
-    Solved as one joint kernel of the system's sparse rows, with no dense
-    matrix built; the reduced-echelon normal form makes the free
-    coordinates (the non-pivot columns, ascending) and hence the basis
-    canonical.
+    Solved in two eliminations, with no dense matrix built.  The first
+    reduces the 1/3-derivation rows of ``b`` once (C(n,3)·n rows over the
+    n² unknowns β_uv).  Each left multiplication L_g then takes a copy of
+    the reduced rows, with β_uv moved to the column of component v of
+    e_g·e_u; the second elimination reduces those n·rank rows.  The reduced
+    rows span the same row space as the raw derivation rows, and moving
+    columns is linear, so the stacked copies span the row space of
+    ``build_product_system``.  A row space has one reduced row echelon
+    form, so the pivots, and with them the free coordinates (the non-pivot
+    columns, ascending) and the basis, are those of the joint system.  Each
+    basis product is read from its sparse kernel row, grouped by pair.
     """
     n = b.dim
     pairs = _sym_pairs(n)
     ncols = len(pairs) * n
-    reduced, pivots = _reduce(_product_rows(b, pairs))
-    basis = tuple(_vector_to_product(vec, n, pairs)
-                  for vec in _kernel(reduced, pivots, ncols))
+    derivation_rows = _reduce(_query_rows(DerivationQuery(b)))[0]
+    moved = ([base[u] + v for u in range(n) for v in range(n)]
+             for base in _left_bases(n, pairs))
+    reduced, pivots = _reduce({col[c]: e for c, e in row.items()}
+                              for col in moved for row in derivation_rows)
+    basis = []
+    for vec in _kernel(reduced, pivots, ncols):
+        table: dict[tuple[int, int], list[Fraction]] = {}
+        for c, e in vec.items():
+            table.setdefault(pairs[c // n], [ZERO] * n)[c % n] = e
+        basis.append(CommProduct(n, {pair: Vector(coeffs)
+                                     for pair, coeffs in table.items()}))
     pivot_set = set(pivots)
     description = tuple((pairs[c // n], c % n + 1)
                         for c in range(ncols) if c not in pivot_set)
-    return ProductSpace(dim=len(basis), basis=basis,
+    return ProductSpace(dim=len(basis), basis=tuple(basis),
                         description=description, bracket=b)

@@ -15,10 +15,12 @@ another) keeps the row space, and a row space has exactly one reduced row
 echelon form.  ``determinant`` alone keeps its own Bareiss elimination.
 
 ``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
-nonzero entries.  The solved spaces in ``derivations`` hand it their rows in
-that form and take their kernel from ``_reduce`` and ``_kernel``, without
+nonzero entries, and ``_kernel`` returns the kernel basis as sparse rows
+too.  The solved spaces in ``derivations`` hand ``_reduce`` their rows in
+that form and read their bases from the sparse kernel rows, without
 building a dense ``Matrix``; the ``Matrix`` wrappers here pass their dense
-rows through ``_sparse`` into the same routine.
+rows through ``_sparse`` into the same routine and densify the kernel rows
+with ``_densify``.
 
 Conventions fixed by this module and relied on elsewhere:
 
@@ -32,6 +34,7 @@ Conventions fixed by this module and relied on elsewhere:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -59,13 +62,26 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+#: the accepted rational syntax, after surrounding whitespace is stripped:
+#: an optional sign, ASCII digits, and an optional ``/`` with ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"``; unreduced input is normalised."""
+    """Parse ``"p"`` or ``"p/q"``; unreduced input is normalised.
+
+    Exactly the syntax of ``_RATIONAL`` is accepted, on every Python
+    version: no decimal point, exponent, underscore, inner space or
+    non-ASCII digit.  Anything else raises ``ValueError``.
+    """
+    stripped = text.strip()
+    if not _RATIONAL.fullmatch(stripped):
+        raise ValueError(f"bad rational {text!r}: expected p or p/q in ASCII digits")
     try:
-        value = Fraction(text.strip())
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
-    return value
+
 
 def fmt_rat(q: Fraction) -> str:
     """Canonical string form: ``"p"`` or ``"p/q"`` with q > 0, reduced."""
@@ -373,20 +389,37 @@ def _reduce(rows: Iterable[Mapping[int, Fraction]]
 
 
 def _kernel(reduced: list[dict[int, Fraction]], pivots: tuple[int, ...],
-            ncols: int) -> list[Vector]:
-    """The reduced-echelon kernel basis of the first ``ncols`` columns."""
+            ncols: int) -> list[dict[int, Fraction]]:
+    """The reduced-echelon kernel basis of the first ``ncols`` columns, as
+    sparse rows ``{column: value}``.
+
+    One row per free column f, ascending: 1 at f and, for each reduced row
+    with an entry at f, that entry negated at the row's pivot column.  Every
+    stored entry is nonzero.  One pass over the reduced rows groups their
+    entries by column, so no dense ``ncols`` vector is built; callers that
+    need one densify with ``_densify``.
+    """
     pivot_set = set(pivots)
+    by_column: dict[int, dict[int, Fraction]] = {}
+    for row, pc in zip(reduced, pivots):
+        for j, e in row.items():
+            if j != pc:
+                by_column.setdefault(j, {})[pc] = -e
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            if f in row:
-                v[pc] = -row[f]
-        basis.append(Vector(v))
+        if f not in pivot_set:
+            v = {f: Fraction(1)}
+            v.update(by_column.get(f, {}))
+            basis.append(v)
     return basis
+
+
+def _densify(row: Mapping[int, Fraction], ncols: int) -> list[Fraction]:
+    """A sparse row as a dense list of length ``ncols``."""
+    v = [Fraction(0)] * ncols
+    for j, e in row.items():
+        v[j] = e
+    return v
 
 
 def invert(m: Matrix) -> Matrix:
@@ -424,7 +457,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     its free column.
     """
     reduced, pivots = _reduce(map(_sparse, m.row_lists()))
-    return _kernel(reduced, pivots, m.cols)
+    return [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
 
 
 def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
@@ -444,7 +477,8 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     x = [Fraction(0)] * m.cols
     for row, pc in zip(reduced, pivots):
         x[pc] = row.get(m.cols, Fraction(0))
-    return Vector(x), _kernel(reduced, pivots, m.cols)
+    return Vector(x), [Vector(_densify(v, m.cols))
+                       for v in _kernel(reduced, pivots, m.cols)]
 
 
 def _int_nth_root(k: int, n: int) -> int | None:

@@ -282,6 +282,59 @@ def test_associativity_examples():
     assert rep.passed
 
 
+def reference_commutative_associative(p: CommProduct) -> CheckReport:
+    # the check before the table-driven one: product_eval on unit vectors
+    n = p.dim
+    basis = [Vector.unit(n, i) for i in range(1, n + 1)]
+    violations = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                left = product_eval(p, p.basis_product(i, j), basis[k - 1])
+                right = product_eval(p, basis[i - 1], p.basis_product(j, k))
+                if left != right:
+                    violations.append(Violation((i, j, k), left, right))
+    return CheckReport(tuple(violations))
+
+
+def associative_product(rng: random.Random, n: int) -> CommProduct:
+    """A random commutative associative product: the multiplication of a
+    direct sum of copies of the ground field and of the dual numbers
+    Q[x]/(x^2), possibly with some factors zero."""
+    table, i = {}, 1
+    while i <= n:
+        kind = rng.choice(("field", "dual", "zero") if i < n else ("field", "zero"))
+        if kind == "field":
+            table[(i, i)] = Vector.unit(n, i)
+        elif kind == "dual":
+            # unit e_i, nilpotent e_{i+1}
+            table[(i, i)] = Vector.unit(n, i)
+            table[(i, i + 1)] = Vector.unit(n, i + 1)
+            i += 1
+        i += 1
+    return CommProduct(n, table)
+
+
+def test_commutative_associative_matches_eval_reference():
+    products = [p for seed in range(1, 6) for p in classify_mix_products(seed, 20)]
+    rng = random.Random(29)
+    for trial in range(1000):
+        n = 1 + trial % 5
+        if trial % 5 == 0:
+            products.append(associative_product(rng, n))
+        else:
+            # sparser products in dimensions 4 and 5 keep the reference
+            # loop affordable
+            densities = (0.2, 0.5, 1.0)[:6 - n] if n > 3 else (0.2, 0.5, 1.0)
+            products.append(random_product(rng, n, rng.choice(densities)))
+    passed = 0
+    for p in products:
+        report = check_commutative_associative(p)
+        assert report == reference_commutative_associative(p)
+        passed += report.passed
+    assert 200 <= passed <= len(products) - 300
+
+
 def test_family_coordinates_shape():
     t16 = instantiate_family(FamilyInstance.make("T16", gamma=1, xi=F(3, 2)))
     co = family_coordinates(t16)

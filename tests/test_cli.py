@@ -175,3 +175,15 @@ def test_classify_huge_radicand_is_a_diagnostic(capsys, tmp_path):
     assert payload["result"] == "needs-extension"
     assert payload["data"]["degree"] == 4
     assert len(payload["data"]["radicand"]) > 400
+
+
+def test_exponent_rational_is_a_document_error(capsys, tmp_path):
+    # nine bytes that Fraction would expand to a 2,000,001-digit integer
+    doc = tmp_path / "exponent.json"
+    doc.write_text(json.dumps({
+        "dim": 3, "bracket": [{"args": [1, 2, 3], "value": {"1": "1e2000000"}}]}))
+    for command in ("check", "classify", "fingerprint"):
+        code, out, err = run(capsys, command, str(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad rational '1e2000000'" in err

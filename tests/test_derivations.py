@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,7 +10,7 @@ from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch, FamilyInstanc
                   build_derivation_system, build_product_system,
                   check_transposed_leibniz,
                   delta_derivations, instantiate_family, kernel_basis,
-                  left_multiplication, tp_product_space, vec_mat)
+                  left_multiplication, rref, tp_product_space, vec_mat)
 from conftest import A3_PRODUCT_SPACE, rand_rat
 
 A3 = a3_bracket()
@@ -260,13 +261,17 @@ def test_solved_spaces_of_direct_sums(name):
     assert deriv.basis == tuple(expected)
 
 
-def test_combination_of_zero_dimensional_space():
+def seed3_dense_bracket() -> TriBracket:
     # integer entries in [-2, 2] on all four triples: no nonzero compatible
-    # product, so the only combination is the zero product of dimension 4
+    # product
     rng = random.Random(3)
-    b = TriBracket(4, {tr: Vector([rng.randint(-2, 2) for _ in range(4)])
-                       for tr in combinations(range(1, 5), 3)})
-    space = tp_product_space(b)
+    return TriBracket(4, {tr: Vector([rng.randint(-2, 2) for _ in range(4)])
+                          for tr in combinations(range(1, 5), 3)})
+
+
+def test_combination_of_zero_dimensional_space():
+    # the only combination is the zero product of dimension 4
+    space = tp_product_space(seed3_dense_bracket())
     assert space.dim == 0 and space.basis == () and space.description == ()
     zero = space.combination([])
     assert zero == CommProduct.zero(4)
@@ -331,3 +336,80 @@ def test_solvers_build_no_dense_system(name, monkeypatch):
     monkeypatch.undo()
     assert space.system == build_product_system(b)[0]
     assert deriv.system == build_derivation_system(query)
+
+
+def dense_product_space(b: TriBracket):
+    """dim, basis and description of the compatible-product space from one
+    elimination of the raw joint system: the kernel of the dense
+    ``build_product_system`` reshaped pair by pair, free columns read from
+    the pivots of its ``rref``."""
+    system, pairs = build_product_system(b)
+    n = b.dim
+    pivots = rref(system)[1]
+    free = [c for c in range(system.cols) if c not in pivots]
+    basis = []
+    for vec in kernel_basis(system):
+        basis.append(CommProduct(n, {
+            pair: Vector(vec.entries[idx * n:(idx + 1) * n])
+            for idx, pair in enumerate(pairs)}))
+    return len(basis), tuple(basis), tuple((pairs[c // n], c % n + 1) for c in free)
+
+
+def rational_bracket(rng: random.Random, n: int, keep: float,
+                     density: float) -> TriBracket:
+    """Each triple stored with probability ``keep``, each coefficient of a
+    stored triple drawn by ``rand_rat`` with probability ``density`` and
+    zero otherwise."""
+    return TriBracket(n, {
+        tr: Vector([rand_rat(rng) if rng.random() < density else 0 for _ in range(n)])
+        for tr in combinations(range(1, n + 1), 3) if rng.random() < keep})
+
+
+def test_product_space_matches_dense_system_kernel():
+    brackets = [TriBracket(n, {}) for n in range(1, 7)]
+    brackets += [TriBracket(n, {tr: Vector.unit(n, t)})
+                 for n in (3, 4, 5) for tr in combinations(range(1, n + 1), 3)
+                 for t in (1, n)]
+    brackets += [A3, seed3_dense_bracket()]
+    brackets += [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    rng = random.Random(43)
+    for trial in range(200):
+        # the dense oracle is slow past dimension 4: fewer and sparser
+        # brackets there, and a fully dense one only now and then
+        n = 6 if trial % 20 == 19 else (1, 2, 3, 3, 3, 4, 4, 4, 5, 5)[trial % 10]
+        keep, density = rng.choice(((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5)))
+        if n > 4 and trial % 100 not in (19, 38):
+            keep = min(keep, 0.25)
+        brackets.append(rational_bracket(rng, n, keep, density))
+    dims = set()
+    for b in brackets:
+        space = tp_product_space(b)
+        assert (space.dim, space.basis, space.description) == dense_product_space(b)
+        dims.add(space.dim)
+    # both the empty solution and large spaces occur
+    assert 0 in dims and max(dims) >= 20
+
+
+@pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
+def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
+    import tpl3.derivations as derivations
+
+    b = (A3 if name == "A3" else seed3_dense_bracket() if name == "dense4"
+         else direct_sum(*SOLVED_SPACES[name][0]))
+    n = b.dim
+    rank = n * n - delta_derivations(DerivationQuery(b)).dim
+    counts = []
+    original = derivations._reduce
+
+    def counting(rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(derivations, "_reduce", counting)
+    space = tp_product_space(b)
+    monkeypatch.undo()
+    # the 1/3-derivation rows once, then one reduced copy per left
+    # multiplication, instead of n raw copies
+    assert counts == [comb(n, 3) * n, n * rank]
+    assert (space.dim, space.basis, space.description) == dense_product_space(b)

@@ -82,6 +82,18 @@ def test_parse_rat():
         parse_rat("x")
 
 
+def test_parse_rat_grammar():
+    # optional surrounding whitespace, optional sign, ASCII digits and an
+    # optional /digits; the same on every Python version
+    accepted = {"6/8": F(3, 4), "-3": F(-3), " 3 ": F(3), "+2": F(2), "-0": F(0)}
+    for text, value in accepted.items():
+        assert parse_rat(text) == value
+    for text in ("0.5", ".5", "5.", "1e3", "1E3", "1e2000000", "1_000", "1/2_0",
+                 "1 /2", "\u0661\u0662", "", "/2", "1/", "--1"):
+        with pytest.raises(ValueError, match="bad rational"):
+            parse_rat(text)
+
+
 def test_rational_root():
     assert rational_root(F(1, 16), 4) == F(1, 2)
     assert rational_root(F(9, 4), 2) == F(3, 2)
