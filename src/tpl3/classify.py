@@ -44,12 +44,12 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, kernel_basis, rank, rational_root,
+from .linalg import (Infeasible, Matrix, Vector, invert, mat_mul, rank, rational_root,
                      solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
-from .derivations import DerivationQuery, delta_derivations, left_multiplication
+from .derivations import DerivationQuery, delta_derivations
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
@@ -191,91 +191,59 @@ def _divisors(n: int) -> list[int]:
 def _rational_roots_of_cubic(c0: Fraction, c1: Fraction, c2: Fraction,
                              c3: Fraction) -> Optional[list[tuple[Fraction, Fraction]]]:
     """All roots in P¹(ℚ) of c0·x³ + c1·x²y + c2·xy² + c3·y³ when the form
-    splits into three distinct rational roots; None otherwise.
+    splits into three distinct rational roots, sorted, as (1, 0) for the
+    point at infinity and (slope, 1) otherwise; None when it does not.
 
-    Roots are returned as canonical (x, y) representatives: (1, 0) for the
-    point at infinity, (slope, 1) otherwise, sorted deterministically.
+    Three distinct rational roots force a nonzero square discriminant.  Past
+    that gate one rational root suffices: the quadratic cofactor has
+    discriminant disc / resultant², a nonzero square, so its two roots are
+    rational, distinct, and distinct from the first.
     """
-    def quad_roots(a: Fraction, b: Fraction, c: Fraction):
-        # distinct rational roots of a x² + b xy + c y², a ≠ 0
-        disc = b * b - 4 * a * c
-        s = rational_root(disc, 2)
-        if s is None or s == 0:
-            return None
-        return [((-b + s) / (2 * a), Fraction(1)), ((-b - s) / (2 * a), Fraction(1))]
-
-    roots: list[tuple[Fraction, Fraction]] = []
-    if c0 == 0:
-        if c1 == 0:
-            return None  # (1:0) would be a repeated root
-        roots.append((Fraction(1), Fraction(0)))
-        rest = quad_roots(c1, c2, c3)
-        if rest is None:
-            return None
-        roots.extend(rest)
+    if not rational_root(c1 * c1 * c2 * c2 - 4 * c0 * c2 ** 3 - 4 * c1 ** 3 * c3
+                         - 27 * c0 * c0 * c3 * c3 + 18 * c0 * c1 * c2 * c3, 2):
+        return None  # the discriminant is zero or not a square
+    den = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
+    a0, a1, a2, a3 = (int(c * den) for c in (c0, c1, c2, c3))
+    g = math.gcd(a0, a1, a2, a3)
+    a0, a1, a2, a3 = a0 // g, a1 // g, a2 // g, a3 // g
+    if a0 == 0:  # the root (1:0), with cofactor a1·x² + a2·xy + a3·y²
+        roots, (b0, b1, b2) = [_INF], (a1, a2, a3)
     else:
-        den = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
-        a0, a1, a2, a3 = (int(c * den) for c in (c0, c1, c2, c3))
-        g = math.gcd(math.gcd(a0, a1), math.gcd(a2, a3))
-        a0, a1, a2, a3 = a0 // g, a1 // g, a2 // g, a3 // g
-        first = None
-        if a3 == 0:
-            first = Fraction(0)
-        else:
-            for num in _divisors(a3):
-                for dd in _divisors(a0):
-                    for cand in (Fraction(num, dd), Fraction(-num, dd)):
-                        if ((a0 * cand + a1) * cand + a2) * cand + a3 == 0:
-                            first = cand
-                            break
-                    if first is not None:
-                        break
-                if first is not None:
-                    break
+        # a root p/q in lowest terms has p | a3 and q | a0; p = 0 when a3 = 0
+        pairs = ((sign * p, q) for p in _divisors(a3) or [0] for q in _divisors(a0)
+                 for sign in (1, -1))
+        first = next((Fraction(p, q) for p, q in pairs
+                      if ((a0 * p + a1 * q) * p + a2 * q * q) * p + a3 * q ** 3 == 0), None)
         if first is None:
             return None
-        # deflate: a0 z³ + a1 z² + a2 z + a3 = (z - first)(a0 z² + b1 z + b2)
-        b1 = a1 + a0 * first
-        b2 = a2 + b1 * first
-        rest = quad_roots(Fraction(a0), b1, b2)
-        if rest is None or first in (r[0] for r in rest):
-            return None
-        roots.append((first, Fraction(1)))
-        roots.extend(rest)
-    if len({r for r in roots}) != 3:
-        return None
+        # deflate: a0 z³ + a1 z² + a2 z + a3 = (z - first)(b0 z² + b1 z + b2)
+        b0, b1 = a0, a1 + a0 * first
+        roots, b2 = [(first, Fraction(1))], a2 + b1 * first
+    s = rational_root(b1 * b1 - 4 * b0 * b2, 2)
+    roots += [((-b1 + s) / (2 * b0), Fraction(1)), ((-b1 - s) / (2 * b0), Fraction(1))]
     return sorted(roots, key=lambda r: (r[1] == 0, r[0]))
+
+
+def _frame(triple) -> Matrix:
+    """Rows p1 and μ·p2 for distinct projective points p1, p2, p3, where
+    λ1·p1 + λ2·p2 = p3 by Cramer's rule and μ = λ2/λ1."""
+    (x1, y1), (x2, y2), (x3, y3) = triple
+    mu = (x1 * y3 - x3 * y1) / (x3 * y2 - x2 * y3)
+    return Matrix.from_rows([[x1, y1], [mu * x2, mu * y2]])
 
 
 def _mobius_block(src, dst) -> Optional[Matrix]:
     """An SL2(ℚ) block (row convention: root p ↦ p·B) mapping the ordered
-    projective triple src onto dst, or None when the unique projective map
-    has a non-square determinant."""
-    (p1, p2, p3) = src
-    (d1, d2, d3) = dst
-    # unknowns: m11, m12, m21, m22, b, c with p1·M = d1, p2·M = b·d2, p3·M = c·d3
-    rows = [
-        [p1[0], 0, p1[1], 0, 0, 0],
-        [0, p1[0], 0, p1[1], 0, 0],
-        [p2[0], 0, p2[1], 0, -d2[0], 0],
-        [0, p2[0], 0, p2[1], -d2[1], 0],
-        [p3[0], 0, p3[1], 0, 0, -d3[0]],
-        [0, p3[0], 0, p3[1], 0, -d3[1]],
-    ]
-    rhs = Vector([d1[0], d1[1], 0, 0, 0, 0])
-    try:
-        sol, _ = solve_affine(Matrix.from_rows(rows), rhs)
-    except Infeasible:
-        return None
-    m = Matrix.from_rows([[sol[0], sol[1]], [sol[2], sol[3]]])
-    det = m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
-    if det == 0:
-        return None
-    scale = rational_root(det, 2)
+    triple src of distinct projective points onto dst, or None when the
+    unique projective map has a non-square determinant.  F_src⁻¹·F_dst of
+    the ``_frame``s maps src onto dst, with src[0] ↦ dst[0] exactly; for the
+    frames with rows λ1·p1, λ2·p2 it reads (λ_src/λ_dst)·F_src⁻¹·F_dst.
+    """
+    (m11, m12), (m21, m22) = mat_mul(invert(_frame(src)), _frame(dst)).row_lists()
+    scale = rational_root(m11 * m22 - m12 * m21, 2)
     if scale is None:
         return None
-    return Matrix.from_rows([[e / scale for e in (m.entry(i, 0), m.entry(i, 1))]
-                             for i in range(2)])
+    return Matrix.from_rows([[m11 / scale, m12 / scale], [m21 / scale, m22 / scale]])
 
 
 #: root triples of the three rational-split quotient classes among the
@@ -433,28 +401,20 @@ def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]
     {x : x·A = 0}, dimension of span(A·A), and the dimension of the span of
     all left-multiplication operators.  Each is a rank, hence independent
     of the basis; equal fingerprints do not imply isomorphism.
+
+    Two ranks give the last four: span(A·A) is the image of Sym²A → A, and
+    the annihilator is the left kernel of the stacked left multiplications
+    (row i lists e_i·e_j for all j), of dimension n minus their rank.
     """
     if b.dim != p.dim:
         raise ValueError("bracket and product dimensions differ")
-    n = p.dim
     deriv_dim = delta_derivations(DerivationQuery(b)).dim
-
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    idx = range(1, p.dim + 1)
     sym_rank = rank(Matrix.from_rows(
-        [[p.basis_product(i, j)[t] for (i, j) in pairs] for t in range(n)]))
-
-    stacked = Matrix.from_rows(
-        [[p.basis_product(i, j)[t] for j in range(1, n + 1) for t in range(n)]
-         for i in range(1, n + 1)])
-    ann_dim = len(kernel_basis(stacked.transpose()))
-
-    aa_dim = rank(Matrix.from_rows(
-        [list(p.basis_product(i, j)) for (i, j) in pairs]))
-
+        [list(p.basis_product(i, j)) for i in idx for j in idx if i <= j]))
     lmul_rank = rank(Matrix.from_rows(
-        [list(left_multiplication(p, i).entries) for i in range(1, n + 1)]))
-
-    return (deriv_dim, sym_rank, ann_dim, aa_dim, lmul_rank)
+        [[c for j in idx for c in p.basis_product(i, j)] for i in idx]))
+    return (deriv_dim, sym_rank, p.dim - lmul_rank, sym_rank, lmul_rank)
 
 
 def _draw_rat(rng: random.Random, nonzero: bool = False) -> Fraction:

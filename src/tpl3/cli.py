@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass / classification succeeded; 1 a gating check
-failed (including a failed coupling identity); 2 usage or parse error;
-3 NeedsExtension / Unclassified / Unsupported diagnostics; 4 internal error
-(any other exception, reported as one ``error:`` line without a traceback).
+failed (including a failed coupling identity); 2 usage or parse error,
+including an input file that cannot be read; 3 NeedsExtension /
+Unclassified / Unsupported diagnostics; 4 internal error (any other
+exception, reported as one ``error:`` line without a traceback).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import sys
 from pathlib import Path
 
 from .linalg import Singular, Vector, fmt_rat, parse_rat
-from .algebra import (CheckReport, CommProduct, ShapeMismatch,
-                      check_commutative_associative, check_fundamental_identity,
-                      check_transposed_leibniz)
+from .algebra import (CheckReport, CommProduct, check_commutative_associative,
+                      check_fundamental_identity, check_transposed_leibniz)
 from .derivations import DerivationQuery, delta_derivations, tp_product_space
 from .morphisms import transport_bracket, transport_product
 from .families import ALL_CASES, CaseId
@@ -69,8 +69,17 @@ def _print_report_text(title: str, identity: str, report: CheckReport) -> None:
             print(f"  witness {v.witness}: left = {left}, right = {right}")
 
 
+def _read_input(path: str) -> bytes:
+    """The bytes of an input file; a path that cannot be read (missing, a
+    directory, no permission) is a usage error, not an internal one."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DocumentError(str(exc)) from None
+
+
 def _load_document(path: str) -> AlgebraDocument:
-    return parse_document(Path(path).read_bytes())
+    return parse_document(_read_input(path))
 
 
 def _cmd_check(args) -> int:
@@ -107,13 +116,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_derivations(args) -> int:
     doc = _load_document(args.file)
-    try:
-        delta = parse_rat(args.delta)
-        query = DerivationQuery(doc.bracket, delta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    space = delta_derivations(query)
+    delta = parse_rat(args.delta)
+    space = delta_derivations(DerivationQuery(doc.bracket, delta))
     if args.format == "json":
         payload = {"op": "derivations", "result": {"delta": fmt_rat(delta),
                                                    "dim": space.dim},
@@ -165,7 +169,7 @@ def _cmd_tp_space(args) -> int:
 
 def _cmd_transport(args) -> int:
     doc = _load_document(args.file)
-    matrix = parse_matrix(Path(args.matrix).read_bytes())
+    matrix = parse_matrix(_read_input(args.matrix))
     moved_bracket = transport_bracket(doc.bracket, matrix)
     moved_product = (transport_product(doc.product, matrix)
                      if doc.product is not None else None)
@@ -325,8 +329,7 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (DocumentError, ShapeMismatch, ValueError, Singular,
-            FileNotFoundError) as exc:
+    except (ValueError, Singular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -13,11 +13,12 @@ also solves for all compatible commutative products at once.
 The row generator reads the bracket's ``structure_table`` and yields sparse
 rows, ``{column: value}``.  The solvers eliminate those rows directly with
 ``linalg._reduce`` and read their bases from the sparse kernel rows of
-``linalg._kernel``, and ``contains`` evaluates them, so no dense system is
-built on the solve path.  The ``system`` attribute of a solved space is the
-same rows as a dense ``Matrix``; it is built from the bracket by
-``build_derivation_system`` or ``build_product_system`` the first time it
-is read.
+``linalg._kernel``, so no dense system is built on the solve path.
+``DerivationSpace.contains`` evaluates the rows; ``ProductSpace.contains``
+checks the coupling identity, which is what the product rows state.  The
+``system`` attribute of a solved space is the same rows as a dense
+``Matrix``; it is built from the bracket by ``build_derivation_system`` or
+``build_product_system`` the first time it is read.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
 bracket (C(n,3)·n rows over n² columns) are reduced once; then each left
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _kernel, _reduce,
                      rat)
-from .algebra import CommProduct, TriBracket, structure_table
+from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)
@@ -101,12 +102,10 @@ class ProductSpace:
         return build_product_system(self.bracket)[0]
 
     def contains(self, p: CommProduct) -> bool:
-        """Exact membership: p satisfies every row of the product system."""
-        if p.dim != self.bracket.dim:
-            raise DimensionMismatch("product dimension differs from the solved space")
-        pairs = _sym_pairs(p.dim)
-        return _annihilates(_product_rows(self.bracket, pairs),
-                            _product_to_vector(p, pairs).entries)
+        """Exact membership: the rows of the product system state that every
+        left multiplication of p is a 1/3-derivation, which is the coupling
+        identity.  A product of another dimension raises DimensionMismatch."""
+        return check_transposed_leibniz(self.bracket, p).passed
 
     def combination(self, coeffs) -> CommProduct:
         """The element of the span with the given free-coordinate values."""
@@ -202,13 +201,6 @@ def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
-def _product_to_vector(p: CommProduct, pairs: tuple[tuple[int, int], ...]) -> Vector:
-    out: list[Fraction] = []
-    for (i, j) in pairs:
-        out.extend(p.basis_product(i, j))
-    return Vector(out)
-
-
 def _left_bases(n: int, pairs: tuple[tuple[int, int], ...]) -> Iterator[list[int]]:
     """For each g = 1..n, the column base of each unknown row of the left
     multiplication L_g: row u of L_g is e_g·e_u, the block of the pair
@@ -216,15 +208,6 @@ def _left_bases(n: int, pairs: tuple[tuple[int, int], ...]) -> Iterator[list[int
     pair_index = {pair: idx for idx, pair in enumerate(pairs)}
     for g in range(1, n + 1):
         yield [pair_index[(min(g, u), max(g, u))] * n for u in range(1, n + 1)]
-
-
-def _product_rows(b: TriBracket, pairs: tuple[tuple[int, int], ...]
-                  ) -> Iterator[dict[int, Fraction]]:
-    """Sparse rows of the joint product system: the derivation rows of every
-    left multiplication, with e_u·e_g = e_g·e_u sharing one column block."""
-    table = structure_table(b)
-    for base in _left_bases(b.dim, pairs):
-        yield from _derivation_rows(table, Fraction(3), base)
 
 
 def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
@@ -238,7 +221,10 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
     equivalent, smaller system.
     """
     pairs = _sym_pairs(b.dim)
-    return _dense(_product_rows(b, pairs), len(pairs) * b.dim), pairs
+    table = structure_table(b)
+    rows = (row for base in _left_bases(b.dim, pairs)
+            for row in _derivation_rows(table, Fraction(3), base))
+    return _dense(rows, len(pairs) * b.dim), pairs
 
 
 def tp_product_space(b: TriBracket) -> ProductSpace:

@@ -21,6 +21,7 @@ canonical bytes unchanged.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,16 +41,36 @@ class AlgebraDocument:
     meta: dict[str, str] = field(default_factory=dict)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` rejecting a key repeated within one object,
+    whose earlier values plain ``json.loads`` would drop silently."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"duplicate key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def _parse_value_map(raw, dim: int, where: str) -> Vector:
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: value must be an object")
     entries = [0] * dim
     for key, text in raw.items():
-        try:
-            component = int(key)
-        except ValueError:
-            raise DocumentError(f"{where}: component key {key!r} is not an integer") from None
-        if not 1 <= component <= dim:
+        if not re.fullmatch(r"[1-9][0-9]*", key):
+            raise DocumentError(
+                f"{where}: component key {key!r} is not a positive decimal integer")
+        component = int(key)
+        if component > dim:
             raise DocumentError(f"{where}: component {component} out of range 1..{dim}")
         if not isinstance(text, str):
             raise DocumentError(f"{where}.{key}: rational values must be strings")
@@ -92,12 +113,7 @@ def parse_document(data) -> AlgebraDocument:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DocumentError(f"document is not UTF-8: {exc}") from None
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    obj = _load_json(data)
     if not isinstance(obj, dict):
         raise DocumentError("top level: expected an object")
     unknown = set(obj) - {"dim", "bracket", "product", "meta"}
@@ -151,12 +167,7 @@ def parse_matrix(data) -> AutoMatrix:
     """Parse an n×n JSON array of rational strings into a witness matrix."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    obj = _load_json(data)
     if (not isinstance(obj, list) or not obj
             or not all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
         raise DocumentError("matrix: expected a square array of rows")

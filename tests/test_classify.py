@@ -1,16 +1,19 @@
 import importlib
+import math
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
 from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
-                  AutoMatrix, Certificate, CommProduct, DimensionMismatch,
-                  FamilyCoordinates, FamilyInstance, Infeasible, Matrix,
-                  NeedsExtension, NotTransposedPoisson, ShapeMismatch, TriBracket,
-                  Unclassified, Unsupported, Vector, a3_bracket,
-                  check_transposed_leibniz, classify, detect_case, draw_family_params,
-                  family_coordinates, fingerprint, instantiate_family, normalize, rank,
+                  AutoMatrix, Certificate, CommProduct, DerivationQuery,
+                  DimensionMismatch, FamilyCoordinates, FamilyInstance, Infeasible,
+                  Matrix, NeedsExtension, NotTransposedPoisson, ShapeMismatch,
+                  TriBracket, Unclassified, Unsupported, Vector, a3_bracket,
+                  check_transposed_leibniz, classify, delta_derivations, detect_case,
+                  draw_family_params, family_coordinates, fingerprint,
+                  instantiate_family, kernel_basis, left_multiplication, normalize, rank,
                   rational_root, solve_affine, tp_product_space, transport_bracket,
                   transport_product, verify_all_cases, verify_paper_case)
 from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
@@ -547,6 +550,212 @@ def test_mobius_block_construction():
     assert det == 1
     # (inf,1,-1) -> (0,1,-1) needs determinant class -1: no rational block
     assert _mobius_block(triple, ((F(0), F(1)), one, mone)) is None
+
+
+def reference_rational_roots_of_cubic(c0, c1, c2, c3):
+    # the root search before the discriminant gate: a divisor-by-divisor
+    # search in Fraction arithmetic, then every distinctness check
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small) | {n // d for d in small})
+
+    def quad_roots(a, b, c):
+        s = rational_root(b * b - 4 * a * c, 2)
+        if s is None or s == 0:
+            return None
+        return [((-b + s) / (2 * a), F(1)), ((-b - s) / (2 * a), F(1))]
+
+    roots = []
+    if c0 == 0:
+        if c1 == 0:
+            return None
+        roots.append((F(1), F(0)))
+        rest = quad_roots(c1, c2, c3)
+        if rest is None:
+            return None
+        roots.extend(rest)
+    else:
+        den = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
+        a0, a1, a2, a3 = (int(c * den) for c in (c0, c1, c2, c3))
+        g = math.gcd(math.gcd(a0, a1), math.gcd(a2, a3))
+        a0, a1, a2, a3 = a0 // g, a1 // g, a2 // g, a3 // g
+        first = F(0) if a3 == 0 else next(
+            (cand for num in divisors(a3) for dd in divisors(a0)
+             for cand in (F(num, dd), F(-num, dd))
+             if ((a0 * cand + a1) * cand + a2) * cand + a3 == 0), None)
+        if first is None:
+            return None
+        b1 = a1 + a0 * first
+        rest = quad_roots(F(a0), b1, a2 + b1 * first)
+        if rest is None or first in (r[0] for r in rest):
+            return None
+        roots.append((first, F(1)))
+        roots.extend(rest)
+    if len(set(roots)) != 3:
+        return None
+    return sorted(roots, key=lambda r: (r[1] == 0, r[0]))
+
+
+def form_product(f, g):
+    # binary forms as coefficient lists, highest power of x first
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def substitute(f, m):
+    # f(a·x + b·y, c·x + d·y) for the cubic f and m = ((a, b), (c, d))
+    (a, b), (c, d) = m
+    out = [F(0)] * 4
+    for k, coeff in enumerate(f):
+        term = [coeff]
+        for _ in range(3 - k):
+            term = form_product(term, [a, b])
+        for _ in range(k):
+            term = form_product(term, [c, d])
+        out = [x + y for x, y in zip(out, term)]
+    return out
+
+
+def cubic_discriminant(c0, c1, c2, c3):
+    return (c1 * c1 * c2 * c2 - 4 * c0 * c2 ** 3 - 4 * c1 ** 3 * c3
+            - 27 * c0 * c0 * c3 * c3 + 18 * c0 * c1 * c2 * c3)
+
+
+def random_cubic(rng: random.Random, kind: int) -> list:
+    def point():
+        # a root (p:q) as the linear form q·x − p·y, (1:0) now and then
+        if rng.random() < 0.15:
+            return [F(0), F(-1)]
+        p, q = rng.randint(-9, 9), rng.randint(1, 6)
+        return [F(q), F(-p)]
+
+    if kind == 0:   # random coefficients: mostly a non-square discriminant
+        return [rand_rat(rng, lo=-30, hi=30, max_den=3) if rng.random() < 0.85 else F(0)
+                for _ in range(4)]
+    if kind == 1:   # three rational roots, repeated now and then
+        f = form_product(form_product(point(), point()), point())
+    elif kind == 2:  # a repeated root: zero discriminant
+        line = point()
+        f = form_product(form_product(line, line), point())
+    elif kind == 3:  # x³ − 3xy² + y³ moved by GL2: square discriminant, irreducible
+        while True:
+            m = ((rand_rat(rng), rand_rat(rng)), (rand_rat(rng), rand_rat(rng)))
+            if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+                break
+        f = substitute([F(1), F(0), F(-3), F(1)], m)
+    else:           # one rational root times an irreducible quadratic
+        f = form_product(point(), [F(1), F(rng.randint(-3, 3)),
+                                   F(rng.choice((-2, -3, 2, 3, 5, 7)))])
+    scale = rand_rat(rng, nonzero=True)
+    return [c * scale for c in f]
+
+
+def test_cubic_root_finder_matches_reference():
+    from tpl3.classify import _rational_roots_of_cubic
+    rng = random.Random(59)
+    seen = {"split c0 = 0": 0, "split c0 != 0": 0, "zero discriminant": 0,
+            "non-square discriminant": 0, "square, irreducible": 0}
+    for trial in range(5000):
+        cubic = random_cubic(rng, trial % 5)
+        got = _rational_roots_of_cubic(*cubic)
+        assert got == reference_rational_roots_of_cubic(*cubic), cubic
+        disc = cubic_discriminant(*cubic)
+        if got is not None:
+            seen["split c0 = 0" if cubic[0] == 0 else "split c0 != 0"] += 1
+        elif disc == 0:
+            seen["zero discriminant"] += 1
+        elif rational_root(disc, 2) is None:
+            seen["non-square discriminant"] += 1
+        elif trial % 5 == 3:
+            seen["square, irreducible"] += 1
+    assert min(seen.values()) >= 100, seen
+    assert _rational_roots_of_cubic(F(1), F(0), F(-3), F(1)) is None
+    assert cubic_discriminant(F(1), F(0), F(-3), F(1)) == 81
+
+
+def reference_mobius_block(src, dst):
+    # the block before the closed form: one 6×6 affine solve for M and the
+    # scalings b, c in p1·M = d1, p2·M = b·d2, p3·M = c·d3
+    (p1, p2, p3), (d1, d2, d3) = src, dst
+    rows = [[p1[0], 0, p1[1], 0, 0, 0], [0, p1[0], 0, p1[1], 0, 0],
+            [p2[0], 0, p2[1], 0, -d2[0], 0], [0, p2[0], 0, p2[1], -d2[1], 0],
+            [p3[0], 0, p3[1], 0, 0, -d3[0]], [0, p3[0], 0, p3[1], 0, -d3[1]]]
+    try:
+        sol, _ = solve_affine(Matrix.from_rows(rows), Vector([d1[0], d1[1], 0, 0, 0, 0]))
+    except Infeasible:
+        return None
+    det = sol[0] * sol[3] - sol[1] * sol[2]
+    scale = rational_root(det, 2) if det != 0 else None
+    if scale is None:
+        return None
+    return Matrix.from_rows([[sol[0] / scale, sol[1] / scale],
+                             [sol[2] / scale, sol[3] / scale]])
+
+
+def test_mobius_block_matches_reference():
+    from tpl3.classify import _SPLIT_TARGETS, _mobius_block
+    rng = random.Random(61)
+    found = 0
+    for trial in range(500):
+        slopes = set()
+        while len(slopes) < 3:
+            slopes.add(None if rng.random() < 0.1 else rand_rat(rng, lo=-9, hi=9))
+        # canonical representatives, and every fourth triple rescaled
+        triple = [(F(1), F(0)) if s is None else (s, F(1)) for s in slopes]
+        if trial % 4 == 0:
+            triple = [(x * k, y * k) for (x, y), k in
+                      zip(triple, (rand_rat(rng, nonzero=True) for _ in range(3)))]
+        for target in _SPLIT_TARGETS:
+            for perm in permutations(triple):
+                block = _mobius_block(perm, target)
+                assert block == reference_mobius_block(perm, target), (perm, target)
+                found += block is not None
+    assert 100 <= found <= 9000 - 100
+
+
+def reference_fingerprint(b: TriBracket, p: CommProduct):
+    # the fingerprint before the two-rank form: four dense matrices
+    n = p.dim
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    sym_rank = rank(Matrix.from_rows(
+        [[p.basis_product(i, j)[t] for (i, j) in pairs] for t in range(n)]))
+    stacked = Matrix.from_rows(
+        [[p.basis_product(i, j)[t] for j in range(1, n + 1) for t in range(n)]
+         for i in range(1, n + 1)])
+    ann_dim = len(kernel_basis(stacked.transpose()))
+    aa_dim = rank(Matrix.from_rows([list(p.basis_product(i, j)) for (i, j) in pairs]))
+    lmul_rank = rank(Matrix.from_rows(
+        [list(left_multiplication(p, i).entries) for i in range(1, n + 1)]))
+    return (delta_derivations(DerivationQuery(b)).dim, sym_rank, ann_dim, aa_dim,
+            lmul_rank)
+
+
+def test_fingerprint_matches_reference():
+    rng = random.Random(67)
+    tuples = set()
+    for trial in range(1000):
+        n = 1 + trial % 5
+        bracket = TriBracket(n, {
+            tr: Vector([rand_rat(rng) if rng.random() < 0.5 else 0 for _ in range(n)])
+            for tr in combinations(range(1, n + 1), 3) if rng.random() < 0.4})
+        # products valued in a random subspace of dimension ≤ n, on a random
+        # subset of pairs, so every rank and annihilator dimension occurs
+        span = [Vector([rand_rat(rng) for _ in range(n)]) for _ in range(rng.randint(0, n))]
+        table = {}
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                if span and rng.random() < 0.5:
+                    table[(i, j)] = sum((v.scale(rand_rat(rng)) for v in span[1:]),
+                                        span[0].scale(rand_rat(rng)))
+        p = CommProduct(n, table)
+        got = fingerprint(bracket, p)
+        assert got == reference_fingerprint(bracket, p), (bracket, p)
+        tuples.add(got)
+    assert len(tuples) >= 50
 
 
 def test_verify_paper_case_all():

@@ -187,3 +187,17 @@ def test_exponent_rational_is_a_document_error(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad rational '1e2000000'" in err
+
+
+def test_unreadable_input_is_a_usage_error(capsys, tmp_path):
+    # a directory as the document or as the --matrix file, and a missing file
+    a3, folder = str(FIXTURES / "a3.json"), str(tmp_path)
+    for argv in (("check", folder), ("classify", folder, "--format", "json"),
+                 ("derivations", folder), ("tp-space", folder), ("fingerprint", folder),
+                 ("transport", folder, "--matrix", a3),
+                 ("transport", a3, "--matrix", folder),
+                 ("transport", a3, "--matrix", str(tmp_path / "missing.json"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "internal error" not in err

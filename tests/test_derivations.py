@@ -10,7 +10,7 @@ from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch, FamilyInstanc
                   build_derivation_system, build_product_system,
                   check_transposed_leibniz,
                   delta_derivations, instantiate_family, kernel_basis,
-                  left_multiplication, rref, tp_product_space, vec_mat)
+                  left_multiplication, mat_vec, rref, tp_product_space, vec_mat)
 from conftest import A3_PRODUCT_SPACE, rand_rat
 
 A3 = a3_bracket()
@@ -314,7 +314,7 @@ def test_solvers_build_no_dense_system(name, monkeypatch):
     monkeypatch.setattr(derivations, "build_derivation_system", forbidden)
     space = tp_product_space(b)
     deriv = delta_derivations(query)
-    # membership reads the sparse rows too
+    # membership needs no dense system either
     n = b.dim
     rng = random.Random(41)
     rejected = 0
@@ -413,3 +413,30 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # multiplication, instead of n raw copies
     assert counts == [comb(n, 3) * n, n * rank]
     assert (space.dim, space.basis, space.description) == dense_product_space(b)
+
+
+def test_product_space_contains_matches_dense_system():
+    # contains checks the coupling identity; the rows of the product system
+    # state the same identity
+    rng = random.Random(47)
+    brackets = [A3, seed3_dense_bracket(), direct_sum(*SOLVED_SPACES["A4+ab1"][0])]
+    brackets += [rational_bracket(rng, 1 + trial % 4, 0.5, 0.5) for trial in range(60)]
+    accepted = rejected = 0
+    for b in brackets:
+        n = b.dim
+        space = tp_product_space(b)
+        system, pairs = build_product_system(b)
+        candidates = [space.combination([rand_rat(rng) for _ in space.basis])]
+        candidates += [perturbed(p, (i, rng.randint(i, n)), rng.randint(1, n))
+                       for p in space.basis[:3] for i in (rng.randint(1, n),)]
+        candidates.append(CommProduct(n, {pair: Vector([rand_rat(rng) for _ in range(n)])
+                                          for pair in pairs if rng.random() < 0.3}))
+        for q in candidates:
+            coords = Vector([c for pair in pairs for c in q.basis_product(*pair)])
+            expected = mat_vec(system, coords).is_zero()
+            assert space.contains(q) == expected
+            accepted += expected
+            rejected += not expected
+        with pytest.raises(DimensionMismatch):
+            space.contains(CommProduct.zero(n + 1))
+    assert accepted >= 40 and rejected >= 40

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from tpl3 import (AutoMatrix, CommProduct, DocumentError, FamilyInstance,
-                  TriBracket, a3_bracket, instantiate_family, parse_document,
+                  TriBracket, Vector, a3_bracket, instantiate_family, parse_document,
                   parse_matrix, serialize_document)
 from conftest import rand_family_product
 
@@ -100,3 +101,26 @@ def test_parse_matrix():
         parse_matrix(b'[["1","0"],["0"]]')
     with pytest.raises(DocumentError):
         parse_matrix(b'[[1]]')
+
+
+def test_component_keys_are_plain_decimal():
+    # int() would read each of these as component 2
+    for key in (" 2", "2 ", "02", "+2", "0_2", "٢", "0", "-1", ""):
+        raw = json.dumps({"dim": 3, "bracket": [{"args": [1, 2, 3],
+                                                 "value": {key: "1"}}]})
+        with pytest.raises(DocumentError, match="not a positive decimal integer"):
+            parse_document(raw.encode())
+    doc = parse_document(b'{"dim":12,"bracket":[{"args":[1,2,3],"value":{"12":"1"}}]}')
+    assert doc.bracket.basis_bracket(1, 2, 3) == Vector.unit(12, 12)
+
+
+def test_repeated_keys_rejected():
+    # json.loads alone keeps the last value of a repeated key
+    for raw in (b'{"dim":3,"bracket":[{"args":[1,2,3],"value":{"1":"1","1":"5"}}]}',
+                b'{"dim":3,"dim":3,"bracket":[]}',
+                b'{"dim":3,"bracket":[{"args":[1,2,3],"args":[1,2,3],"value":{}}]}',
+                b'{"dim":3,"bracket":[],"meta":{"a":"1","a":"2"}}'):
+        with pytest.raises(DocumentError, match="duplicate key"):
+            parse_document(raw)
+    with pytest.raises(DocumentError, match="duplicate key"):
+        parse_matrix(b'[[{"a":1,"a":2}]]')
