@@ -45,9 +45,17 @@ class TriBracket:
 
     ``table`` maps a strictly increasing 1-based triple (i, j, k) to the
     coefficient vector of [e_i, e_j, e_k]; absent triples are zero.
+
+    ``_reduced`` is a per-object memo for ``tpl3.derivations``: it maps δ
+    to the reduced rows and pivots of the bracket's δ-derivation system,
+    ``{δ: (reduced rows, pivots)}``, and is empty until the first solve.
+    It relies on ``table`` never being mutated after construction.  The
+    stored rows are read-only: the solvers only read them, and build new
+    rows from them.  The memo is not part of ``==``, ``hash``, ``repr`` or
+    the pickled state, so a copy or an equal bracket solves again.
     """
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "_reduced")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int, int], Vector]):
         if dim < 1:
@@ -63,6 +71,10 @@ class TriBracket:
                 clean[(i, j, k)] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
+        object.__setattr__(self, "_reduced", {})
+
+    def __reduce__(self):
+        return TriBracket, (self.dim, self.table)
 
     def basis_bracket(self, i: int, j: int, k: int) -> Vector:
         """[e_i, e_j, e_k] for arbitrary index order (sign applied)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -320,10 +321,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a negative fraction: argparse passes a token starting with ``-`` as an
+#: option's value only when it is a plain negative number such as ``-2``
+_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
+
+
+def _join_negative_delta(argv: list[str]) -> list[str]:
+    """``derivations`` arguments with ``--delta -2/5`` rewritten as
+    ``--delta=-2/5``, the form argparse accepts (also for an abbreviation
+    such as ``--del``).  Every other token, and everything after ``--``, is
+    left for argparse and ``parse_rat`` to judge."""
+    if argv[:1] != ["derivations"]:
+        return argv
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_FRACTION.fullmatch(tok) and len(prev) > 2
+                and "--delta".startswith(prev) and "--" not in out):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run_command(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_delta(list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return 0 if exc.code in (0, None) else 2

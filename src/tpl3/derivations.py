@@ -14,6 +14,10 @@ The row generator reads the bracket's ``structure_table`` and yields sparse
 rows, ``{column: value}``.  The solvers eliminate those rows directly with
 ``linalg._reduce`` and read their bases from the sparse kernel rows of
 ``linalg._kernel``, so no dense system is built on the solve path.
+``_reduced_rows`` is the one place that eliminates a bracket's δ-derivation
+rows: it keeps the reduced rows on the bracket object, keyed by δ, so
+``delta_derivations`` and ``tp_product_space`` called on one bracket share
+one elimination.
 ``DerivationSpace.contains`` evaluates the rows; ``ProductSpace.contains``
 checks the coupling identity, which is what the product rows state.  The
 ``system`` attribute of a solved space is the same rows as a dense
@@ -21,7 +25,8 @@ checks the coupling identity, which is what the product rows state.  The
 ``build_product_system`` the first time it is read.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
-bracket (C(n,3)·n rows over n² columns) are reduced once; then each left
+bracket (C(n,3)·n rows over n² columns) are reduced once, by the same
+``_reduced_rows`` that ``delta_derivations`` reads at δ = 1/3; then each left
 multiplication L_g takes a copy of the reduced rows, moved into the column
 blocks of the products e_g·e_u, and those n·rank rows are reduced again.
 Reduction keeps a row space and moving columns is linear, so the stacked
@@ -178,15 +183,30 @@ def build_derivation_system(q: DerivationQuery) -> Matrix:
     return _dense(_query_rows(q), n * n)
 
 
+def _reduced_rows(q: DerivationQuery
+                  ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """The reduced rows and pivots of the δ-derivation system of ``q``.
+
+    Eliminated once per bracket object and δ, then read from the bracket's
+    ``_reduced`` memo; callers must not mutate the returned rows.
+    """
+    memo = q.bracket._reduced
+    if q.delta not in memo:
+        memo[q.delta] = _reduce(_query_rows(q))
+    return memo[q.delta]
+
+
 def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     """Kernel of the δ-derivation system, reshaped to coefficient matrices.
 
     The system's sparse rows go straight into the elimination; no dense
-    matrix is built.
+    matrix is built.  The reduced rows come from ``_reduced_rows``, so the
+    elimination is shared with any earlier solve of the same bracket object
+    at the same δ, ``tp_product_space`` included at δ = 1/3.
     """
     n = q.bracket.dim
     basis = tuple(Matrix(n, n, _densify(vec, n * n))
-                  for vec in _kernel(*_reduce(_query_rows(q)), n * n))
+                  for vec in _kernel(*_reduced_rows(q), n * n))
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
@@ -231,21 +251,24 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
     Solved in two eliminations, with no dense matrix built.  The first
-    reduces the 1/3-derivation rows of ``b`` once (C(n,3)·n rows over the
-    n² unknowns β_uv).  Each left multiplication L_g then takes a copy of
-    the reduced rows, with β_uv moved to the column of component v of
-    e_g·e_u; the second elimination reduces those n·rank rows.  The reduced
-    rows span the same row space as the raw derivation rows, and moving
-    columns is linear, so the stacked copies span the row space of
-    ``build_product_system``.  A row space has one reduced row echelon
-    form, so the pivots, and with them the free coordinates (the non-pivot
-    columns, ascending) and the basis, are those of the joint system.  Each
-    basis product is read from its sparse kernel row, grouped by pair.
+    reduces the 1/3-derivation rows of ``b`` (C(n,3)·n rows over the n²
+    unknowns β_uv); it is ``_reduced_rows`` at δ = 1/3, so it runs once per
+    bracket object and is shared with ``delta_derivations``.  Each left
+    multiplication L_g then takes a copy of the reduced rows, with β_uv
+    moved to the column of component v of e_g·e_u; the second elimination
+    reduces those n·rank rows, in new dicts, so the shared rows stay as
+    they are.  The reduced rows span the same row space as the raw
+    derivation rows, and moving columns is linear, so the stacked copies
+    span the row space of ``build_product_system``.  A row space has one
+    reduced row echelon form, so the pivots, and with them the free
+    coordinates (the non-pivot columns, ascending) and the basis, are those
+    of the joint system.  Each basis product is read from its sparse kernel
+    row, grouped by pair.
     """
     n = b.dim
     pairs = _sym_pairs(n)
     ncols = len(pairs) * n
-    derivation_rows = _reduce(_query_rows(DerivationQuery(b)))[0]
+    derivation_rows = _reduced_rows(DerivationQuery(b))[0]
     moved = ([base[u] + v for u in range(n) for v in range(n)]
              for base in _left_bases(n, pairs))
     reduced, pivots = _reduce({col[c]: e for c, e in row.items()}

@@ -79,7 +79,9 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: expected p or p/q in ASCII digits")
     try:
         return Fraction(stripped)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 

@@ -88,6 +88,22 @@ def test_parse_and_usage_errors(capsys):
     assert code == 2 and "delta" in err
 
 
+def test_negative_fractional_delta(capsys):
+    # a space-separated negative fraction is read as the --delta=... form
+    a3 = str(FIXTURES / "a3.json")
+    for fmt in ("text", "json"):
+        expected = run(capsys, "derivations", a3, "--delta=-2/5", "--format", fmt)
+        assert expected[0] == 0 and "-2/5" in expected[1] and expected[2] == ""
+        for argv in (("--delta", "-2/5"), ("--del", "-2/5")):
+            assert run(capsys, "derivations", a3, *argv, "--format", fmt) == expected
+            assert run(capsys, "derivations", "--format", fmt, *argv, a3) == expected
+    # a token that is not a rational is still a usage error with one error line
+    for token in ("-2/x", "-x", "1/0", "-2/0"):
+        code, out, err = run(capsys, "derivations", a3, "--delta", token)
+        assert code == 2 and out == "" and err.count("error:") == 1
+        assert "zero denominator" in err if token.endswith("/0") else "--delta" in err
+
+
 def test_derivations_command(capsys):
     code, out, _ = run(capsys, "derivations", str(FIXTURES / "a3.json"),
                        "--delta", "1/3", "--format", "json")

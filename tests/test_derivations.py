@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -390,14 +392,18 @@ def test_product_space_matches_dense_system_kernel():
     assert 0 in dims and max(dims) >= 20
 
 
+def fresh_bracket(name: str) -> TriBracket:
+    """A new bracket object, with an empty reduction memo, for ``name``."""
+    return (a3_bracket() if name == "A3" else seed3_dense_bracket() if name == "dense4"
+            else direct_sum(*SOLVED_SPACES[name][0]))
+
+
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
 def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.derivations as derivations
 
-    b = (A3 if name == "A3" else seed3_dense_bracket() if name == "dense4"
-         else direct_sum(*SOLVED_SPACES[name][0]))
-    n = b.dim
-    rank = n * n - delta_derivations(DerivationQuery(b)).dim
+    n = fresh_bracket(name).dim
+    rank = n * n - delta_derivations(DerivationQuery(fresh_bracket(name))).dim
     counts = []
     original = derivations._reduce
 
@@ -406,13 +412,67 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
         counts.append(len(rows))
         return original(rows)
 
+    def reduce_counts(solve, b):
+        counts.clear()
+        result = solve(b)
+        return counts[:], result
+
+    derivation = lambda b: delta_derivations(DerivationQuery(b))
     monkeypatch.setattr(derivations, "_reduce", counting)
-    space = tp_product_space(b)
+    # a fresh bracket: the 1/3-derivation rows once, then one reduced copy
+    # per left multiplication, instead of n raw copies
+    b = fresh_bracket(name)
+    full = [comb(n, 3) * n, n * rank]
+    assert reduce_counts(tp_product_space, b)[0] == full
+    # the same object keeps its reduced rows: no elimination at all
+    assert reduce_counts(derivation, b)[0] == []
+    # the other order: the derivation rows once, then only the moved copies
+    b2 = fresh_bracket(name)
+    assert reduce_counts(derivation, b2)[0] == full[:1]
+    counts2, space2 = reduce_counts(tp_product_space, b2)
+    assert counts2 == full[1:]
+    # an equal but distinct bracket, a copy and an unpickled bracket solve again
+    for other in (fresh_bracket(name), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert other == b and other is not b
+        assert reduce_counts(tp_product_space, other)[0] == full
     monkeypatch.undo()
-    # the 1/3-derivation rows once, then one reduced copy per left
-    # multiplication, instead of n raw copies
-    assert counts == [comb(n, 3) * n, n * rank]
+    space = tp_product_space(b)
     assert (space.dim, space.basis, space.description) == dense_product_space(b)
+    assert (space2.dim, space2.basis, space2.description) == dense_product_space(b)
+
+
+def solved(b: TriBracket, step: str):
+    """The product space ("p"), the 1/3-derivation space ("d") or the
+    δ = 2 space ("2") of ``b`` as a comparable tuple."""
+    if step == "p":
+        space = tp_product_space(b)
+        return space.dim, space.basis, space.description
+    space = delta_derivations(DerivationQuery(b, F(2) if step == "2" else F(1, 3)))
+    return space.dim, space.basis
+
+
+def test_reduction_memo_leaves_solved_spaces_unchanged():
+    rng = random.Random(59)
+    brackets = [A3, a3_bracket(), seed3_dense_bracket()]
+    brackets += [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    for trial in range(120):
+        n = 1 + trial % 6
+        keep, density = rng.choice(((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5)))
+        brackets.append(rational_bracket(rng, n, keep if n < 6 else 0.25, density))
+    for b in brackets:
+        # each space from its own equal bracket object with an empty memo
+        expected = {step: solved(TriBracket(b.dim, b.table), step) for step in "d2p"}
+        # both call orders, with the δ = 2 solve in between
+        for order in ("d2p", "p2d"):
+            x = b if order == "d2p" else TriBracket(b.dim, b.table)
+            shown = (hash(x), repr(x))
+            assert {step: solved(x, step) for step in order} == expected
+            snapshot = copy.deepcopy(x._reduced)
+            assert {step: solved(x, step) for step in order[::-1]} == expected
+            # the stored rows and pivots are never mutated by later solves
+            assert {delta: x._reduced[delta] for delta in snapshot} == snapshot
+            assert {F(1, 3), F(2)} <= set(x._reduced)
+            assert x == TriBracket(b.dim, b.table) and (hash(x), repr(x)) == shown
 
 
 def test_product_space_contains_matches_dense_system():

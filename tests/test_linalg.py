@@ -92,6 +92,10 @@ def test_parse_rat_grammar():
                  "1 /2", "\u0661\u0662", "", "/2", "1/", "--1"):
         with pytest.raises(ValueError, match="bad rational"):
             parse_rat(text)
+    # a zero denominator is named as such
+    for text in ("1/0", " -3/00 "):
+        with pytest.raises(ValueError, match=r"^bad rational '.*': zero denominator$"):
+            parse_rat(text)
 
 
 def test_rational_root():
