@@ -46,13 +46,12 @@ class TriBracket:
     ``table`` maps a strictly increasing 1-based triple (i, j, k) to the
     coefficient vector of [e_i, e_j, e_k]; absent triples are zero.
 
-    ``_reduced`` is a per-object memo for ``tpl3.derivations``: it maps δ
-    to the reduced rows and pivots of the bracket's δ-derivation system,
-    ``{δ: (reduced rows, pivots)}``, and is empty until the first solve.
-    It relies on ``table`` never being mutated after construction.  The
-    stored rows are read-only: the solvers only read them, and build new
-    rows from them.  The memo is not part of ``==``, ``hash``, ``repr`` or
-    the pickled state, so a copy or an equal bracket solves again.
+    ``_reduced`` is the reduction memo of ``tpl3.derivations._reduced_rows``,
+    which documents its format; it is empty until the first solve.  It
+    relies on ``table`` never being mutated after construction, and its
+    stored rows are read-only.  The memo is not part of ``==``, ``hash``,
+    ``repr`` or the pickled state, so a copy or an equal bracket solves
+    again.
     """
 
     __slots__ = ("dim", "table", "_reduced")

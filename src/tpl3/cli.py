@@ -5,6 +5,11 @@ failed (including a failed coupling identity); 2 usage or parse error,
 including an input file that cannot be read; 3 NeedsExtension /
 Unclassified / Unsupported diagnostics; 4 internal error (any other
 exception, reported as one ``error:`` line without a traceback).
+
+``main`` restores the default SIGPIPE action where the platform has one, so
+a reader that closes stdout early (``tpl3 tp-space FILE | head -1``) ends
+the process by that signal, as it ends any Unix filter, with nothing on
+stderr; it is not an internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -362,6 +368,8 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

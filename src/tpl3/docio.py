@@ -52,9 +52,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _load_json(text: str):
+def _load_json(data, what: str):
+    """``data`` (bytes or str) parsed as JSON; ``what`` names the input in
+    the error for bytes that are not UTF-8."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"{what} is not UTF-8: {exc}") from None
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -108,12 +115,7 @@ def _parse_entries(raw, dim: int, arity: int, monotone: str, where: str):
 
 def parse_document(data) -> AlgebraDocument:
     """Parse document bytes (or str); raises DocumentError with diagnostics."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError(f"document is not UTF-8: {exc}") from None
-    obj = _load_json(data)
+    obj = _load_json(data, "document")
     if not isinstance(obj, dict):
         raise DocumentError("top level: expected an object")
     unknown = set(obj) - {"dim", "bracket", "product", "meta"}
@@ -165,9 +167,7 @@ def serialize_document(bracket: TriBracket, product: Optional[CommProduct] = Non
 
 def parse_matrix(data) -> AutoMatrix:
     """Parse an n×n JSON array of rational strings into a witness matrix."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    obj = _load_json(data)
+    obj = _load_json(data, "matrix")
     if (not isinstance(obj, list) or not obj
             or not all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
         raise DocumentError("matrix: expected a square array of rows")

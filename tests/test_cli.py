@@ -1,5 +1,13 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import tpl3
 from tpl3 import cli
 from tpl3.cli import run_command
 from conftest import FIXTURES
@@ -217,3 +225,19 @@ def test_unreadable_input_is_a_usage_error(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "internal error" not in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_by_sigpipe():
+    # the read end is closed before the child starts, so its first write
+    # always finds no reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(tpl3.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tpl3.cli", "tp-space", str(FIXTURES / "a3.json")],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""

@@ -103,6 +103,14 @@ def test_parse_matrix():
         parse_matrix(b'[[1]]')
 
 
+def test_non_utf8_bytes_rejected():
+    # both parsers share one decode and one error
+    with pytest.raises(DocumentError, match="^document is not UTF-8: "):
+        parse_document(b"\xff")
+    with pytest.raises(DocumentError, match="^matrix is not UTF-8: "):
+        parse_matrix(b"\xff")
+
+
 def test_component_keys_are_plain_decimal():
     # int() would read each of these as component 2
     for key in (" 2", "2 ", "02", "+2", "0_2", "٢", "0", "-1", ""):
