@@ -371,25 +371,33 @@ class FamilyCoordinates:
         return CommProduct(3, table)
 
 
+_ZERO3 = (Fraction(0),) * 3
+
+
 def family_coordinates(p: CommProduct) -> FamilyCoordinates:
     """Extract the solved-family coordinates of ``p``; raise ShapeMismatch
-    when ``p`` is not of the solved compatible-product shape."""
+    when ``p`` is not of the solved compatible-product shape.
+
+    Reads the stored entry tuples: the coordinates come from e2·e2, e2·e3
+    and e3·e3, and ``p`` equals ``FamilyCoordinates.as_product()`` exactly
+    when it has no e1·e1 entry and its e1·e2 and e1·e3 entries (zero when
+    absent) are ((a+w)/2, 0, 0) and ((r+t)/2, 0, 0).
+    """
     if p.dim != 3:
         raise ShapeMismatch(f"expected dimension 3, got {p.dim}")
-    s22 = p.basis_product(2, 2)
-    s23 = p.basis_product(2, 3)
-    s33 = p.basis_product(3, 3)
-    coords = FamilyCoordinates(
-        g=s22[0], a=s22[1], q=s22[2],
-        h=s23[0], r=s23[1], w=s23[2],
-        k=s33[0], s=s33[1], t=s33[2],
-    )
-    if p != coords.as_product():
+    table = p.table
+    g, a, q = table[(2, 2)].entries if (2, 2) in table else _ZERO3
+    h, r, w = table[(2, 3)].entries if (2, 3) in table else _ZERO3
+    k, s, t = table[(3, 3)].entries if (3, 3) in table else _ZERO3
+    e12 = table[(1, 2)].entries if (1, 2) in table else _ZERO3
+    e13 = table[(1, 3)].entries if (1, 3) in table else _ZERO3
+    if ((1, 1) in table or e12 != ((a + w) / 2, 0, 0)
+            or e13 != ((r + t) / 2, 0, 0)):
         raise ShapeMismatch(
             "product is outside the compatible family: e1·e1 must vanish, "
             "e1·e2 = ((a+w)/2) e1 and e1·e3 = ((r+t)/2) e1 must hold"
         )
-    return coords
+    return FamilyCoordinates(g, a, q, h, r, w, k, s, t)
 
 
 def remark_associativity_residuals(p: CommProduct) -> list[Fraction]:

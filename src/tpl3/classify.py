@@ -378,12 +378,15 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
     return NeedsExtension(reported, degree)
 
 
+_STANDARD_BRACKET = a3_bracket()
+
+
 def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
     """Full pipeline: bracket check, then normalisation.  The coupling
     identity holds exactly on the solved family, so only a product that
     ``normalize`` rejects by shape runs the identity check, whose report
     becomes ``NotTransposedPoisson`` (a wrong dimension raises there)."""
-    if b != a3_bracket():
+    if b != _STANDARD_BRACKET:
         return Unsupported(
             "classification is implemented for the standard bracket "
             "[e1,e2,e3] = e1 only")

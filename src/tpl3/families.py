@@ -106,38 +106,38 @@ CASE_FAMILY: dict[str, str] = {
 }
 
 
+_Z = Fraction(0)
+
+#: each canonical table as solved-family coordinates (g,a,q,h,r,w,k,s,t) of
+#: its primary and secondary parameter (alpha, theta), (gamma, eta) or
+#: (gamma, xi); a one-parameter table ignores the secondary one
+_CANONICAL_ROWS = {
+    "T1": lambda al, th: (_Z, al, _Z, _Z, _Z, -al, _Z, -3 * al, _Z),
+    "T2": lambda al, th: (th, al, _Z, _Z, _Z, -al, 3 * th, -3 * al, _Z),
+    "T3": lambda al, th: (-2 * al, al, _Z, 2 * al, _Z, -al, _Z, Fraction(-4, 3) * al, _Z),
+    "T4": lambda al, th: (th, al, _Z, al, _Z, -al, 3 * th + 2 * al, -3 * al, _Z),
+    "T5": lambda al, th: (_Z, al, al, _Z, _Z, -al, _Z, -3 * al, _Z),
+    "T6": lambda al, th: (al, al, al, _Z, _Z, -al, -3 * al, -3 * al, _Z),
+    "T7": lambda al, th: (al, al, al, Fraction(-1, 2) * al, _Z, -al, _Z, -3 * al, _Z),
+    "T8": lambda al, th: (th, al, al, Fraction(-3, 2) * th, _Z, -al, 3 * th, -3 * al, _Z),
+    "T9": lambda ga, et: (_Z, _Z, -3 * ga, _Z, -ga, _Z, _Z, _Z, ga),
+    "T10": lambda ga, et: (3 * et, _Z, -3 * ga, _Z, -ga, _Z, et, _Z, ga),
+    "T11": lambda ga, et: (4 * ga, _Z, -3 * ga, 2 * ga, -ga, _Z, _Z, _Z, ga),
+    "T12": lambda ga, et: (3 * et, _Z, -3 * ga, 2 * ga, -ga, _Z, et, _Z, ga),
+    "T13": lambda ga, xi: (_Z, _Z, -3 * ga, _Z, -ga, _Z, _Z, ga, ga),
+    "T14": lambda ga, xi: (2 * ga, _Z, -3 * ga, _Z, -ga, _Z, -ga, ga, ga),
+    "T15": lambda ga, xi: (-3 * ga, _Z, -3 * ga, ga, -ga, _Z, _Z, ga, ga),
+    "T16": lambda ga, xi: (-2 * xi, _Z, -3 * ga, xi, -ga, _Z, Fraction(-2, 3) * xi, ga, ga),
+}
+
+
 def canonical_coordinates(family_id: str,
                           values: Mapping[str, Fraction]) -> FamilyCoordinates:
-    """Solved-family coordinates (g,a,q,h,r,w,k,s,t) of a canonical table."""
-    z = Fraction(0)
-    if family_id in ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"):
-        al = values["alpha"]
-        th = values.get("theta", z)
-        table = {
-            "T1": (z, al, z, z, z, -al, z, -3 * al, z),
-            "T2": (th, al, z, z, z, -al, 3 * th, -3 * al, z),
-            "T3": (-2 * al, al, z, 2 * al, z, -al, z, Fraction(-4, 3) * al, z),
-            "T4": (th, al, z, al, z, -al, 3 * th + 2 * al, -3 * al, z),
-            "T5": (z, al, al, z, z, -al, z, -3 * al, z),
-            "T6": (al, al, al, z, z, -al, -3 * al, -3 * al, z),
-            "T7": (al, al, al, Fraction(-1, 2) * al, z, -al, z, -3 * al, z),
-            "T8": (th, al, al, Fraction(-3, 2) * th, z, -al, 3 * th, -3 * al, z),
-        }[family_id]
-    else:
-        ga = values["gamma"]
-        et = values.get("eta", z)
-        xi = values.get("xi", z)
-        table = {
-            "T9": (z, z, -3 * ga, z, -ga, z, z, z, ga),
-            "T10": (3 * et, z, -3 * ga, z, -ga, z, et, z, ga),
-            "T11": (4 * ga, z, -3 * ga, 2 * ga, -ga, z, z, z, ga),
-            "T12": (3 * et, z, -3 * ga, 2 * ga, -ga, z, et, z, ga),
-            "T13": (z, z, -3 * ga, z, -ga, z, z, ga, ga),
-            "T14": (2 * ga, z, -3 * ga, z, -ga, z, -ga, ga, ga),
-            "T15": (-3 * ga, z, -3 * ga, ga, -ga, z, z, ga, ga),
-            "T16": (-2 * xi, z, -3 * ga, xi, -ga, z, Fraction(-2, 3) * xi, ga, ga),
-        }[family_id]
-    return FamilyCoordinates(*table)
+    """Solved-family coordinates (g,a,q,h,r,w,k,s,t) of a canonical table;
+    a missing secondary parameter reads as 0."""
+    primary, *secondary = FAMILY_PARAMS[family_id]
+    second = values.get(secondary[0], _Z) if secondary else _Z
+    return FamilyCoordinates(*_CANONICAL_ROWS[family_id](values[primary], second))
 
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:

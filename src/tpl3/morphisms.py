@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
-from .linalg import (DimensionMismatch, Matrix, Singular, determinant,
+from .linalg import (DimensionMismatch, Matrix, Singular, Vector, determinant,
                      invert, vec_mat)
-from .algebra import (CheckReport, CommProduct, TriBracket, Violation,
-                      bracket_eval, family_coordinates, product_eval)
+from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
+                      bracket_eval, family_coordinates, structure_table)
 
 
 class NotAutomorphism(ValueError):
@@ -88,33 +88,76 @@ def a3_automorphism_check(m: AutoMatrix) -> bool:
             and e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1) == 1)
 
 
+def _supports(m: Matrix) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero (column, value) pairs of each row of ``m``, 0-based."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in m.row_lists()]
+
+
+def _push(pre: list, image: list[list[tuple[int, Fraction]]]) -> list:
+    """The coordinate list ``pre`` moved by the map: pre·Λ."""
+    out = [0] * len(pre)
+    for t, c in enumerate(pre):
+        if c:
+            for k, e in image[t]:
+                out[k] += c * e
+    return out
+
+
 def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
-    """Push-forward of a commutative product along an invertible map."""
+    """Push-forward of a commutative product along an invertible map.
+
+    x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
+    through the product's table of basis products into a coordinate list,
+    which Λ then moves.  One ``Vector`` is built per nonzero output pair.
+    """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
-    inv = invert(m.map)
-    pre = [inv.row(i) for i in range(p.dim)]
+    n = p.dim
+    prod = _product_table(p)
+    pre = _supports(invert(m.map))
+    image = _supports(m.map)
     table = {}
-    for i in range(1, p.dim + 1):
-        for j in range(i, p.dim + 1):
-            value = vec_mat(product_eval(p, pre[i - 1], pre[j - 1]), m.map)
-            if not value.is_zero():
-                table[(i, j)] = value
-    return CommProduct(p.dim, table)
+    for (i, j) in combinations_with_replacement(range(n), 2):
+        value = [0] * n
+        for s, x in pre[i]:
+            row = prod[s]
+            for u, y in pre[j]:
+                xy = x * y
+                for t, d in row[u]:
+                    value[t] += xy * d
+        moved = _push(value, image)
+        if any(moved):
+            table[(i + 1, j + 1)] = Vector(moved)
+    return CommProduct(n, table)
 
 
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
-    """Push-forward of a skew ternary bracket along an invertible map."""
+    """Push-forward of a skew ternary bracket along an invertible map.
+
+    The same expansion as ``transport_product``, through the bracket's
+    ``structure_table`` on increasing basis triples.
+    """
     if b.dim != m.dim:
         raise DimensionMismatch("bracket and map dimensions differ")
-    inv = invert(m.map)
-    pre = [inv.row(i) for i in range(b.dim)]
+    n = b.dim
+    brk = structure_table(b)
+    pre = _supports(invert(m.map))
+    image = _supports(m.map)
     table = {}
-    for (i, j, k) in combinations(range(1, b.dim + 1), 3):
-        value = vec_mat(bracket_eval(b, pre[i - 1], pre[j - 1], pre[k - 1]), m.map)
-        if not value.is_zero():
-            table[(i, j, k)] = value
-    return TriBracket(b.dim, table)
+    for (i, j, k) in combinations(range(n), 3):
+        value = [0] * n
+        for s, x in pre[i]:
+            for u, y in pre[j]:
+                row = brk[s][u]
+                xy = x * y
+                for v, z in pre[k]:
+                    xyz = xy * z
+                    for t, d in row[v]:
+                        value[t] += xyz * d
+        moved = _push(value, image)
+        if any(moved):
+            table[(i + 1, j + 1, k + 1)] = Vector(moved)
+    return TriBracket(n, table)
 
 
 def eleven_equation_residuals(p: CommProduct, m: AutoMatrix) -> list[Fraction]:

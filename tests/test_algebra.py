@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpl3 import (CheckReport, CommProduct, FamilyInstance, ShapeMismatch, TriBracket,
-                  Vector, Violation, a3_bracket, bracket_eval,
+from tpl3 import (CheckReport, CommProduct, FamilyCoordinates, FamilyInstance,
+                  ShapeMismatch, TriBracket, Vector, Violation, a3_bracket, bracket_eval,
                   check_commutative_associative, check_fundamental_identity,
                   check_transposed_leibniz, family_coordinates, instantiate_family,
                   product_eval, remark_associativity_residuals, tp_product_space)
@@ -347,6 +347,57 @@ def test_family_coordinates_shape():
     bad = CommProduct(3, {(1, 2): Vector.unit(3, 1), (2, 2): Vector.unit(3, 2)})
     with pytest.raises(ShapeMismatch):
         family_coordinates(bad)
+
+
+def shifted(p: CommProduct, key: tuple[int, int], index: int, delta) -> CommProduct:
+    """``p`` with ``delta`` added to coordinate ``index`` of the entry ``key``."""
+    table = dict(p.table)
+    old = list(p.basis_product(*key))
+    old[index] += delta
+    table[key] = Vector(old)
+    return CommProduct(p.dim, table)
+
+
+# in family: a + w = 3 and r + t = 0, so e1·e2 = (3/2) e1 and e1·e3 is absent
+SHAPED = CommProduct(3, {(1, 2): Vector([F(3, 2), 0, 0]),
+                         (2, 2): Vector([1, 2, 3]), (2, 3): Vector([4, 5, 1]),
+                         (3, 3): Vector([6, 7, -5])})
+
+
+def test_family_coordinates_rejects_e1_square():
+    assert family_coordinates(SHAPED) == FamilyCoordinates(1, 2, 3, 4, 5, 1, 6, 7, -5)
+    for index in range(3):
+        with pytest.raises(ShapeMismatch):
+            family_coordinates(shifted(SHAPED, (1, 1), index, 1))
+
+
+def test_family_coordinates_rejects_e2_e3_components_of_e1_products():
+    for key in ((1, 2), (1, 3)):
+        for index in (1, 2):
+            with pytest.raises(ShapeMismatch):
+                family_coordinates(shifted(SHAPED, key, index, F(-1, 3)))
+
+
+def test_family_coordinates_rejects_wrong_e1_coefficient():
+    # a present entry that should be (a+w)/2, and an entry that should be
+    # absent since (r+t)/2 = 0
+    for key in ((1, 2), (1, 3)):
+        with pytest.raises(ShapeMismatch):
+            family_coordinates(shifted(SHAPED, key, 0, 1))
+    # the entry is missing although (a+w)/2 = 3/2
+    table = dict(SHAPED.table)
+    del table[(1, 2)]
+    with pytest.raises(ShapeMismatch):
+        family_coordinates(CommProduct(3, table))
+
+
+def test_family_coordinates_of_absent_entries_are_fractions():
+    for p in (CommProduct.zero(3), CommProduct(3, {(1, 3): Vector([1, 0, 0]),
+                                                   (2, 3): Vector([0, 2, 0])})):
+        co = family_coordinates(p)
+        assert co.as_product() == p
+        values = [co.g, co.a, co.q, co.h, co.r, co.w, co.k, co.s, co.t]
+        assert all(type(x) is F for x in values)
 
 
 def test_remark_residuals_zero_product():

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, AutoMatrix,
                   CommProduct, FamilyInstance, Matrix, NotAutomorphism,
-                  ShapeMismatch, Singular, Vector, a3_bracket,
-                  a3_automorphism_check, check_transposed_leibniz,
+                  ShapeMismatch, Singular, TriBracket, Vector, a3_bracket,
+                  a3_automorphism_check, bracket_eval, check_transposed_leibniz,
                   draw_family_params, eleven_equation_residuals, instantiate_family,
-                  is_bracket_automorphism, kernel_basis, mat_mul,
-                  transport_bracket, transport_product)
+                  invert, is_bracket_automorphism, kernel_basis, mat_mul, product_eval,
+                  transport_bracket, transport_product, vec_mat)
 from conftest import (A3_PRODUCT_SPACE, rand_a3_automorphism, rand_family_product,
                       rand_invertible, rand_rat)
 
@@ -84,6 +85,48 @@ def test_transport_bracket_examples():
     assert transport_bracket(A3, AutoMatrix.identity(3)) == A3
     scale = AutoMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert transport_bracket(A3, scale) == A3
+
+
+def reference_transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
+    # φ(φ⁻¹(e_i) · φ⁻¹(e_j)) by the public evaluators
+    pre = [invert(m.map).row(i) for i in range(p.dim)]
+    return CommProduct(p.dim, {
+        (i + 1, j + 1): vec_mat(product_eval(p, pre[i], pre[j]), m.map)
+        for i, j in combinations_with_replacement(range(p.dim), 2)})
+
+
+def reference_transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
+    pre = [invert(m.map).row(i) for i in range(b.dim)]
+    return TriBracket(b.dim, {
+        (i + 1, j + 1, k + 1): vec_mat(bracket_eval(b, pre[i], pre[j], pre[k]), m.map)
+        for i, j, k in combinations(range(b.dim), 3)})
+
+
+def rand_entries(rng: random.Random, n: int, density: float) -> Vector:
+    return Vector([rand_rat(rng) if rng.random() < density else 0 for _ in range(n)])
+
+
+def test_transport_matches_evaluator_reference():
+    # seeded products and brackets of dimension 1..5, zero, sparse and
+    # dense, under random invertible maps
+    rng = random.Random(41)
+    moved = moved_brackets = 0
+    for n in range(1, 6):
+        for density in (0, 0.25, 1):
+            for _ in range(6):
+                p = CommProduct(n, {
+                    (i, j): rand_entries(rng, n, density)
+                    for i, j in combinations_with_replacement(range(1, n + 1), 2)})
+                b = TriBracket(n, {
+                    key: rand_entries(rng, n, density)
+                    for key in combinations(range(1, n + 1), 3)})
+                m = rand_invertible(rng, n)
+                moved_p, moved_b = transport_product(p, m), transport_bracket(b, m)
+                assert moved_p == reference_transport_product(p, m)
+                assert moved_b == reference_transport_bracket(b, m)
+                moved += moved_p != p
+                moved_brackets += moved_b != b
+    assert moved >= 50 and moved_brackets >= 20
 
 
 def test_transport_inverse_roundtrip():
