@@ -49,7 +49,6 @@ from .linalg import (Infeasible, Matrix, Vector, invert, mat_mul, rank, rational
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
-from .derivations import DerivationQuery, delta_derivations
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
@@ -409,6 +408,8 @@ def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]
     the annihilator is the left kernel of the stacked left multiplications
     (row i lists e_i·e_j for all j), of dimension n minus their rank.
     """
+    from .derivations import DerivationQuery, delta_derivations
+
     if b.dim != p.dim:
         raise ValueError("bracket and product dimensions differ")
     deriv_dim = delta_derivations(DerivationQuery(b)).dim

@@ -10,6 +10,10 @@ exception, reported as one ``error:`` line without a traceback).
 a reader that closes stdout early (``tpl3 tp-space FILE | head -1``) ends
 the process by that signal, as it ends any Unix filter, with nothing on
 stderr; it is not an internal error.
+
+Every subcommand runs ``linalg``, which is imported here; each other tpl3
+module is imported inside the subcommands that run it, so ``check`` loads
+neither ``classify`` nor ``derivations``.
 """
 
 from __future__ import annotations
@@ -20,18 +24,13 @@ import re
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .linalg import Singular, Vector, fmt_rat, parse_rat
-from .algebra import (CheckReport, CommProduct, check_commutative_associative,
-                      check_fundamental_identity, check_transposed_leibniz)
-from .derivations import DerivationQuery, delta_derivations, tp_product_space
-from .morphisms import transport_bracket, transport_product
-from .families import ALL_CASES, CaseId
-from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
-                       Unclassified, Unsupported, classify, fingerprint,
-                       verify_paper_case)
-from .docio import (AlgebraDocument, DocumentError, matrix_payload, parse_document,
-                    parse_matrix, serialize_document)
+
+if TYPE_CHECKING:
+    from .algebra import CheckReport, CommProduct
+    from .docio import AlgebraDocument
 
 FUNDAMENTAL_IDENTITY = "[[x,y,z],u,v] = [[x,u,v],y,z] + [[y,u,v],z,x] + [[z,u,v],x,y]"
 COUPLING_IDENTITY = "3 u·[x,y,z] = [u·x,y,z] + [x,u·y,z] + [x,y,u·z]"
@@ -79,6 +78,8 @@ def _print_report_text(title: str, identity: str, report: CheckReport) -> None:
 def _read_input(path: str) -> bytes:
     """The bytes of an input file; a path that cannot be read (missing, a
     directory, no permission) is a usage error, not an internal one."""
+    from .docio import DocumentError
+
     try:
         return Path(path).read_bytes()
     except OSError as exc:
@@ -86,10 +87,15 @@ def _read_input(path: str) -> bytes:
 
 
 def _load_document(path: str) -> AlgebraDocument:
+    from .docio import parse_document
+
     return parse_document(_read_input(path))
 
 
 def _cmd_check(args) -> int:
+    from .algebra import (CheckReport, check_commutative_associative,
+                          check_fundamental_identity, check_transposed_leibniz)
+
     doc = _load_document(args.file)
     fi = check_fundamental_identity(doc.bracket)
     sections = [
@@ -122,6 +128,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_derivations(args) -> int:
+    from .derivations import DerivationQuery, delta_derivations
+    from .docio import matrix_payload
+
     doc = _load_document(args.file)
     delta = parse_rat(args.delta)
     space = delta_derivations(DerivationQuery(doc.bracket, delta))
@@ -148,6 +157,8 @@ def _fmt_product_lines(p: CommProduct) -> list[str]:
 
 
 def _cmd_tp_space(args) -> int:
+    from .derivations import tp_product_space
+
     doc = _load_document(args.file)
     space = tp_product_space(doc.bracket)
     if args.format == "json":
@@ -175,6 +186,9 @@ def _cmd_tp_space(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .morphisms import transport_bracket, transport_product
+    from .docio import parse_matrix, serialize_document
+
     doc = _load_document(args.file)
     matrix = parse_matrix(_read_input(args.matrix))
     moved_bracket = transport_bracket(doc.bracket, matrix)
@@ -190,6 +204,10 @@ def _cmd_transport(args) -> int:
 
 
 def _classify_payload(result) -> tuple[int, dict]:
+    from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
+                           Unclassified, Unsupported)
+    from .docio import matrix_payload
+
     if isinstance(result, Certificate):
         return 0, {"result": "certificate",
                    "data": {"family": result.family.id,
@@ -210,6 +228,9 @@ def _classify_payload(result) -> tuple[int, dict]:
 
 
 def _cmd_classify(args) -> int:
+    from .algebra import CommProduct
+    from .classify import classify
+
     doc = _load_document(args.file)
     product = doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
     result = classify(doc.bracket, product)
@@ -238,6 +259,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .families import ALL_CASES, CaseId
+    from .classify import verify_paper_case
+
     cases = [CaseId.parse(args.case)] if args.case else list(ALL_CASES)
     all_passed = True
     results = []
@@ -260,6 +284,9 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    from .algebra import CommProduct
+    from .classify import fingerprint
+
     doc = _load_document(args.file)
     product = doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
     tup = fingerprint(doc.bracket, product)

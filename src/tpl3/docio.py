@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .linalg import Matrix, Vector, fmt_rat, parse_rat
 from .algebra import CommProduct, TriBracket
-from .morphisms import AutoMatrix
+
+if TYPE_CHECKING:
+    from .morphisms import AutoMatrix
 
 
 class DocumentError(ValueError):
@@ -167,6 +169,8 @@ def serialize_document(bracket: TriBracket, product: Optional[CommProduct] = Non
 
 def parse_matrix(data) -> AutoMatrix:
     """Parse an n×n JSON array of rational strings into a witness matrix."""
+    from .morphisms import AutoMatrix
+
     obj = _load_json(data, "matrix")
     if (not isinstance(obj, list) or not obj
             or not all(isinstance(row, list) and len(row) == len(obj) for row in obj)):

@@ -17,13 +17,16 @@ a when g = 0; b when g ≠ 0, h = 0; c when g, h ≠ 0, k = 0; d otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .linalg import rat
 from .algebra import CommProduct, FamilyCoordinates, family_coordinates
-from .morphisms import AutoMatrix
+
+if TYPE_CHECKING:
+    from .morphisms import AutoMatrix
 
 FAMILY_IDS = tuple(f"T{i}" for i in range(1, 17))
 
@@ -177,8 +180,27 @@ def case_of_coordinates(c: FamilyCoordinates) -> Optional[CaseId]:
     return CaseId(case, sub)
 
 
-def _auto(rows) -> AutoMatrix:
-    return AutoMatrix.from_rows(rows)
+class _Witnesses(Mapping):
+    """Subcase -> automorphism witness, each built from its rows when first
+    read, so importing this module inverts no matrix."""
+
+    def __init__(self, rows: dict[str, list]):
+        self._rows = rows
+        self._built: dict[str, AutoMatrix] = {}
+
+    def __getitem__(self, case: str) -> AutoMatrix:
+        witness = self._built.get(case)
+        if witness is None:
+            from .morphisms import AutoMatrix
+
+            witness = self._built[case] = AutoMatrix.from_rows(self._rows[case])
+        return witness
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 _H = Fraction(1, 2)
@@ -187,21 +209,21 @@ _T = Fraction(3, 2)
 
 #: the canonical automorphism witness of each subcase; each one fixes every
 #: instance of the subcase's family (a tested property)
-CANONICAL_AUTOMORPHISM: dict[str, AutoMatrix] = {
-    "1-a": _auto([[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]]),
-    "1-b": _auto([[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]]),
-    "1-c": _auto([[1, 0, 0], [3, -_H, -_Q3], [2, 1, -_H]]),
-    "1-d": _auto([[1, 0, 0], [0, -_H, _H], [2, -_T, -_H]]),
-    "2-a": _auto([[1, 0, 0], [0, -2, -1], [0, 3, 1]]),
-    "2-b": _auto([[1, 0, 0], [-3, -2, -1], [3, 3, 1]]),
-    "2-c": _auto([[1, 0, 0], [-2, -2, -1], [3, 3, 1]]),
-    "2-d": _auto([[1, 0, 0], [0, -2, -1], [0, 3, 1]]),
-    "3-a": _auto([[1, 0, 0], [0, -_H, _T], [0, -_H, -_H]]),
-    "3-b": _auto([[1, 0, 0], [0, -_H, -_T], [0, _H, -_H]]),
-    "3-c": _auto([[1, 0, 0], [2, -_H, _T], [2, -_H, -_H]]),
-    "3-d": _auto([[1, 0, 0], [3, -_H, -_T], [-1, _H, -_H]]),
-    "4-a": _auto([[1, 0, 0], [0, -2, -3], [0, 1, 1]]),
-    "4-b": _auto([[1, 0, 0], [1, -2, -3], [1, 1, 1]]),
-    "4-c": _auto([[1, 0, 0], [0, -2, -3], [-1, 1, 1]]),
-    "4-d": _auto([[1, 0, 0], [0, -2, -3], [0, 1, 1]]),
-}
+CANONICAL_AUTOMORPHISM: Mapping[str, AutoMatrix] = _Witnesses({
+    "1-a": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
+    "1-b": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
+    "1-c": [[1, 0, 0], [3, -_H, -_Q3], [2, 1, -_H]],
+    "1-d": [[1, 0, 0], [0, -_H, _H], [2, -_T, -_H]],
+    "2-a": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
+    "2-b": [[1, 0, 0], [-3, -2, -1], [3, 3, 1]],
+    "2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]],
+    "2-d": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
+    "3-a": [[1, 0, 0], [0, -_H, _T], [0, -_H, -_H]],
+    "3-b": [[1, 0, 0], [0, -_H, -_T], [0, _H, -_H]],
+    "3-c": [[1, 0, 0], [2, -_H, _T], [2, -_H, -_H]],
+    "3-d": [[1, 0, 0], [3, -_H, -_T], [-1, _H, -_H]],
+    "4-a": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
+    "4-b": [[1, 0, 0], [1, -2, -3], [1, 1, 1]],
+    "4-c": [[1, 0, 0], [0, -2, -3], [-1, 1, 1]],
+    "4-d": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
+})

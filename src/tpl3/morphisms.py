@@ -17,12 +17,11 @@ In this row convention the push-forward satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import (DimensionMismatch, Matrix, Singular, Vector, determinant,
-                     invert, vec_mat)
+from .linalg import DimensionMismatch, Matrix, Singular, Vector, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
                       bracket_eval, family_coordinates, structure_table)
 
@@ -33,15 +32,23 @@ class NotAutomorphism(ValueError):
 
 @dataclass(frozen=True)
 class AutoMatrix:
-    """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j."""
+    """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j.
+
+    The inverse matrix is computed once, on construction, where it also
+    proves the map invertible; transport reads it from ``_inverse``.
+    """
 
     map: Matrix
+    _inverse: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.map.is_square():
             raise DimensionMismatch("automorphism matrices must be square")
-        if determinant(self.map) == 0:
-            raise Singular("automorphism matrices must be invertible")
+        try:
+            inverse = invert(self.map)
+        except Singular:
+            raise Singular("automorphism matrices must be invertible") from None
+        object.__setattr__(self, "_inverse", inverse)
 
     @property
     def dim(self) -> int:
@@ -56,7 +63,7 @@ class AutoMatrix:
         return cls(Matrix.identity(n))
 
     def inverse(self) -> "AutoMatrix":
-        return AutoMatrix(invert(self.map))
+        return AutoMatrix(self._inverse)
 
 
 def is_bracket_automorphism(b: TriBracket, m: AutoMatrix) -> CheckReport:
@@ -114,7 +121,7 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
         raise DimensionMismatch("product and map dimensions differ")
     n = p.dim
     prod = _product_table(p)
-    pre = _supports(invert(m.map))
+    pre = _supports(m._inverse)
     image = _supports(m.map)
     table = {}
     for (i, j) in combinations_with_replacement(range(n), 2):
@@ -141,7 +148,7 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
         raise DimensionMismatch("bracket and map dimensions differ")
     n = b.dim
     brk = structure_table(b)
-    pre = _supports(invert(m.map))
+    pre = _supports(m._inverse)
     image = _supports(m.map)
     table = {}
     for (i, j, k) in combinations(range(n), 3):

@@ -20,8 +20,32 @@ PHI_13 = CANONICAL_AUTOMORPHISM["4-a"]
 
 
 def test_automatrix_requires_invertible():
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="automorphism matrices must be invertible"):
         AutoMatrix.from_rows([[1, 1], [1, 1]])
+
+
+def test_automatrix_eliminates_its_witness_once(monkeypatch):
+    import tpl3.linalg as linalg
+
+    counts = []
+    original = linalg._reduce
+
+    def counting(rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    m = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 1]])
+    p = instantiate_family(FamilyInstance.make("T2", alpha=1, theta=2))
+    # construction inverts the map once; transport reads that inverse
+    moved = transport_product(p, m)
+    assert counts == [3]
+    transport_bracket(A3, m)
+    transport_product(moved, m)
+    assert counts == [3]
+    monkeypatch.undo()
+    assert transport_product(moved, m.inverse()) == p
 
 
 def test_is_bracket_automorphism_examples():
