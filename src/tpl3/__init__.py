@@ -19,16 +19,15 @@ from types import ModuleType as _ModuleType
 #: each submodule and the public names the package takes from it
 _EXPORTS = {
     "linalg": ("DimensionMismatch", "Infeasible", "Matrix", "Singular", "Vector",
-               "determinant", "fmt_rat", "invert", "kernel_basis", "mat_mul", "mat_vec",
-               "parse_rat", "rank", "rational_root", "rref", "solve_affine", "vec_mat"),
+               "fmt_rat", "invert", "mat_mul", "parse_rat", "rank", "rational_root",
+               "solve_affine", "vec_mat"),
     "algebra": ("CheckReport", "CommProduct", "FamilyCoordinates", "ShapeMismatch",
                 "TriBracket", "Violation", "a3_bracket", "bracket_eval",
                 "check_commutative_associative", "check_fundamental_identity",
-                "check_transposed_leibniz", "family_coordinates", "product_eval",
+                "check_transposed_leibniz", "family_coordinates",
                 "remark_associativity_residuals"),
     "derivations": ("DerivationQuery", "DerivationSpace", "ProductSpace",
-                    "build_derivation_system", "build_product_system",
-                    "delta_derivations", "left_multiplication", "tp_product_space"),
+                    "delta_derivations", "tp_product_space"),
     "morphisms": ("AutoMatrix", "NotAutomorphism", "a3_automorphism_check",
                   "eleven_equation_residuals", "is_bracket_automorphism",
                   "transport_bracket", "transport_product"),

@@ -192,22 +192,6 @@ def bracket_eval(b: TriBracket, x: Vector, y: Vector, z: Vector) -> Vector:
     return total
 
 
-def product_eval(p: CommProduct, x: Vector, y: Vector) -> Vector:
-    """Bilinear symmetric evaluation of the product on arbitrary vectors."""
-    for v in (x, y):
-        if v.dim != p.dim:
-            raise DimensionMismatch("argument dimension differs from product dimension")
-    total = Vector.zero(p.dim)
-    for (i, j), coeffs in p.table.items():
-        if i == j:
-            c = x[i - 1] * y[i - 1]
-        else:
-            c = x[i - 1] * y[j - 1] + x[j - 1] * y[i - 1]
-        if c != 0:
-            total = total + coeffs.scale(c)
-    return total
-
-
 def structure_table(b: TriBracket) -> list[list[list[tuple[tuple[int, Fraction], ...]]]]:
     """Every basis bracket, signs applied: ``table[i][j][k]`` lists the
     nonzero (t, c) with [e_i, e_j, e_k] = Σ c e_t, all indices 0-based.

@@ -19,18 +19,19 @@ bracket's δ-derivation rows, once per bracket object and δ, so
 ``delta_derivations``, ``DerivationSpace.contains`` and
 ``tp_product_space`` on one bracket share one elimination.
 ``ProductSpace.contains`` checks the coupling identity, which is what the
-product rows state.  ``build_derivation_system`` and
-``build_product_system`` are the public dense definitions of both systems.
+product rows state.  The dense definitions of both systems, and of a left
+multiplication, are test oracles in ``tests/oracles.py``.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
 bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows``;
 then ``_moved_rows`` gives each left multiplication L_g a copy of the
 reduced rows, moved into the column blocks of the products e_g·e_u, and
-those n·rank rows are reduced again.  ``build_product_system`` moves the
-raw rows the same way, so the two differ only in raw against reduced rows.
-Reduction keeps a row space and moving columns is linear, so both stacks
-span one row space.  A row space has one reduced row echelon form, so both
-give the same pivots, free coordinates and basis.
+those n·rank rows are reduced again.  The dense product system of the
+tests moves the raw rows the same way, so the two differ only in raw
+against reduced rows.  Reduction keeps a row space and moving columns is
+linear, so both stacks span one row space.  A row space has one reduced
+row echelon form, so both give the same pivots, free coordinates and
+basis.
 """
 
 from __future__ import annotations
@@ -141,23 +142,6 @@ def _annihilates(rows: Iterable[dict[int, Fraction]],
     return all(sum(c * x[j] for j, c in row.items()) == 0 for row in rows)
 
 
-def _dense(rows: Iterable[dict[int, Fraction]], ncols: int) -> Matrix:
-    """The sparse rows as a ``Matrix``; one zero row when there are none."""
-    dense = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
-    return Matrix.from_rows(dense) if dense else Matrix.zeros(1, ncols)
-
-
-def build_derivation_system(q: DerivationQuery) -> Matrix:
-    """The homogeneous system M·vec(β) = 0 characterising δ-derivations.
-
-    Unknowns are the n² entries β_uv, row-major; rows are indexed by
-    increasing basis triples and output component t.  This is the dense
-    form of the rows that ``delta_derivations`` eliminates.
-    """
-    n = q.bracket.dim
-    return _dense(_derivation_rows(q), n * n)
-
-
 def _reduced_rows(q: DerivationQuery
                   ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """The reduced rows and pivots of the δ-derivation system of ``q``.
@@ -188,13 +172,6 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
-def left_multiplication(p: CommProduct, i: int) -> Matrix:
-    """Matrix of y ↦ e_i·y in the row convention (row j = image of e_j)."""
-    if not 1 <= i <= p.dim:
-        raise DimensionMismatch(f"basis index {i} out of range 1..{p.dim}")
-    return Matrix.from_rows([list(p.basis_product(i, j)) for j in range(1, p.dim + 1)])
-
-
 def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
@@ -210,20 +187,6 @@ def _moved_rows(rows: Sequence[dict[int, Fraction]], n: int,
                for u in range(1, n + 1) for v in range(n)]
         for row in rows:
             yield {col[c]: e for c, e in row.items()}
-
-
-def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
-    """Joint linear system for all products compatible with ``b``.
-
-    Unknowns are the coefficients of e_i·e_j for non-decreasing (i, j) in
-    lexicographic order, output component innermost.  The rows state that
-    every left multiplication is a 1/3-derivation: the raw 1/3-derivation
-    rows, moved by ``_moved_rows``.  This is the public definition of the
-    space; ``tp_product_space`` solves an equivalent, smaller system.
-    """
-    pairs = _sym_pairs(b.dim)
-    rows = list(_derivation_rows(DerivationQuery(b)))
-    return _dense(_moved_rows(rows, b.dim, pairs), len(pairs) * b.dim), pairs
 
 
 def tp_product_space(b: TriBracket) -> ProductSpace:

@@ -56,7 +56,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_json(data, what: str):
     """``data`` (bytes or str) parsed as JSON; ``what`` names the input in
-    the error for bytes that are not UTF-8."""
+    the error for bytes that are not UTF-8 and for nesting deeper than the
+    parser's recursion limit."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -68,6 +69,8 @@ def _load_json(data, what: str):
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError(f"{what} is nested too deeply") from None
 
 
 def _parse_value_map(raw, dim: int, where: str) -> Vector:

@@ -85,7 +85,7 @@ class CaseId:
     subcase: str
 
     def __post_init__(self):
-        if self.case not in (1, 2, 3, 4) or self.subcase not in "abcd":
+        if self.case not in (1, 2, 3, 4) or self.subcase not in ("a", "b", "c", "d"):
             raise ValueError(f"bad case id {self.case}-{self.subcase}")
 
     def __str__(self) -> str:

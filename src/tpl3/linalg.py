@@ -4,31 +4,30 @@ Scalars are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
-All row reduction (``rref``, ``rank``, ``kernel_basis``, ``solve_affine``
-and ``invert``) goes through one routine, ``_reduce``: sparse integer rows,
-fraction-free updates with the integer content removed after each one, the
-sparsest available pivot, then back-substitution and one division by each
-pivot.  Its output equals that of dense Gauss-Jordan over ``Fraction``
-exactly: every step (scaling a row by a nonzero rational, adding a multiple
-of one row to another, dropping a zero row or a row proportional to
-another) keeps the row space, and a row space has exactly one reduced row
-echelon form.  ``determinant`` alone keeps its own Bareiss elimination.
+All row reduction (``rank``, ``solve_affine`` and ``invert``) goes through
+one routine, ``_reduce``: sparse integer rows, fraction-free updates with
+the integer content removed after each one, the sparsest available pivot,
+then back-substitution and one division by each pivot.  Its output equals
+that of dense Gauss-Jordan over ``Fraction`` exactly: every step (scaling a
+row by a nonzero rational, adding a multiple of one row to another,
+dropping a zero row or a row proportional to another) keeps the row space,
+and a row space has exactly one reduced row echelon form.
 
 ``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
 nonzero entries, and ``_kernel`` returns the kernel basis as sparse rows
 too.  The solved spaces in ``derivations`` hand ``_reduce`` their rows in
 that form and read their bases from the sparse kernel rows, without
-building a dense ``Matrix``; the ``Matrix`` wrappers here pass their dense
+building a dense ``Matrix``; the ``Matrix`` solvers here pass their dense
 rows through ``_sparse`` into the same routine and densify the kernel rows
 with ``_densify``.
 
 Conventions fixed by this module and relied on elsewhere:
 
-* ``kernel_basis`` returns the reduced-echelon kernel basis: each free
-  column, in ascending order, contributes one vector with a 1 in that
-  coordinate.  This makes every downstream solved space byte-stable.
+* ``_kernel`` returns the reduced-echelon kernel basis: each free column,
+  in ascending order, contributes one vector with a 1 in that coordinate.
+  This makes every downstream solved space byte-stable.
 * ``solve_affine`` returns the particular solution with all free
-  coordinates set to 0, plus the kernel basis.
+  coordinates set to 0, plus that kernel basis.
 """
 
 from __future__ import annotations
@@ -240,58 +239,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    """Column action m·v."""
-    if m.cols != v.dim:
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    return Vector(sum((m.entry(i, j) * v[j] for j in range(m.cols)), Fraction(0))
-                  for i in range(m.rows))
-
-
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     """Row action v·m (the convention for coordinate images of linear maps)."""
     if m.rows != v.dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
     return Vector(sum((v[i] * m.entry(i, j) for i in range(m.rows)), Fraction(0))
                   for j in range(m.cols))
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; the Bareiss recurrence then only ever
-    performs exact integer divisions.
-    """
-    if not m.is_square():
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
-    scale = Fraction(1)
-    a: list[list[int]] = []
-    for i in range(n):
-        row = [m.entry(i, j) for j in range(n)]
-        den = 1
-        for e in row:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-        scale /= den
-        a.append([int(e * den) for e in row])
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return scale * sign * a[n - 1][n - 1]
 
 
 def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -336,7 +289,7 @@ def _reduce(rows: Iterable[Mapping[int, Fraction]]
     This is the package's one elimination routine.  Its input rows are
     sparse, ``{column: value}`` in any column order, and only their nonzero
     entries are read: the solved-space builders yield such rows directly,
-    and the dense ``Matrix`` wrappers convert theirs with ``_sparse``.
+    and the dense ``Matrix`` solvers convert theirs with ``_sparse``.
     Rows become sparse integer rows (denominators cleared, content removed,
     sign fixed), so zero rows and rows proportional to an earlier one are
     dropped before any work.  Forward elimination visits columns in
@@ -399,7 +352,9 @@ def _kernel(reduced: list[dict[int, Fraction]], pivots: tuple[int, ...],
     with an entry at f, that entry negated at the row's pivot column.  Every
     stored entry is nonzero.  One pass over the reduced rows groups their
     entries by column, so no dense ``ncols`` vector is built; callers that
-    need one densify with ``_densify``.
+    need one densify with ``_densify``.  Every pivot coordinate a row
+    touches lies left of its free column, so that column is the row's last
+    nonzero coordinate.
     """
     pivot_set = set(pivots)
     by_column: dict[int, dict[int, Fraction]] = {}
@@ -437,36 +392,15 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(n, n, [row.get(n + j, 0) for row in reduced for j in range(n)])
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
-    entries = [row.get(j, 0) for row in reduced for j in range(m.cols)]
-    entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
-    return Matrix(m.rows, m.cols, entries), pivots
-
-
 def rank(m: Matrix) -> int:
     return len(_reduce(map(_sparse, m.row_lists()))[1])
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right null space, in reduced echelon normal form.
-
-    One basis vector per free column, ascending: that vector has a 1 in the
-    free coordinate, the negated echelon column in the pivot coordinates,
-    and 0 in the other free coordinates.  Every pivot coordinate it touches
-    lies left of the free one, so each vector's last nonzero coordinate is
-    its free column.
-    """
-    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
-    return [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
 
 
 def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     """Exact general solution of m·x = b.
 
-    Returns ``(particular, kernel_basis)`` where the particular solution has
-    all free coordinates equal to 0.  Raises ``Infeasible`` if inconsistent.
+    Returns ``(particular, kernel)``: the particular solution has all free
+    coordinates equal to 0, and the kernel basis is that of ``_kernel``.  Raises ``Infeasible`` if inconsistent.
     One reduction of [m | b] gives both: its left block is the reduced form
     of m.
     """

@@ -1,0 +1,154 @@
+"""Dense reference definitions that only the tests use.
+
+The package solves and multiplies one way each: every elimination is
+``linalg._reduce``, each δ-derivation system is stated once by
+``derivations._derivation_rows``, and products are multiplied through their
+coefficient tables.  The functions here are the dense forms of the same
+objects, kept so the tests can state them independently of the fast path:
+
+* ``rref`` and ``kernel_basis`` are thin dense wrappers over ``_reduce`` and
+  ``_kernel``; the independent dense Gauss-Jordan that checks ``_reduce``
+  itself is ``oracle_rref`` in ``test_linalg``;
+* ``determinant`` is a separate Bareiss elimination, the reference for
+  invertibility;
+* ``mat_vec`` and ``product_eval`` evaluate a matrix and a product on
+  arbitrary vectors;
+* ``build_derivation_system`` and ``build_product_system`` are the dense
+  systems whose kernels the solved spaces are, and ``left_multiplication``
+  is the matrix those systems constrain.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable
+
+from tpl3.algebra import CommProduct, TriBracket
+from tpl3.derivations import (DerivationQuery, _derivation_rows, _moved_rows,
+                              _sym_pairs)
+from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _densify, _kernel, _reduce,
+                         _sparse)
+
+ZERO = Fraction(0)
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns."""
+    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+    entries = [row.get(j, 0) for row in reduced for j in range(m.cols)]
+    entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
+    return Matrix(m.rows, m.cols, entries), pivots
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Basis of the right null space, in reduced echelon normal form.
+
+    One basis vector per free column, ascending: that vector has a 1 in the
+    free coordinate, the negated echelon column in the pivot coordinates,
+    and 0 in the other free coordinates.  Every pivot coordinate it touches
+    lies left of the free one, so each vector's last nonzero coordinate is
+    its free column.
+    """
+    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+    return [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    """Column action m·v."""
+    if m.cols != v.dim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    return Vector(sum((m.entry(i, j) * v[j] for j in range(m.cols)), Fraction(0))
+                  for i in range(m.rows))
+
+
+def determinant(m: Matrix) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Rows are first scaled to integers; the Bareiss recurrence then only ever
+    performs exact integer divisions.
+    """
+    if not m.is_square():
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = m.rows
+    scale = Fraction(1)
+    a: list[list[int]] = []
+    for i in range(n):
+        row = [m.entry(i, j) for j in range(n)]
+        den = 1
+        for e in row:
+            den = den * e.denominator // math.gcd(den, e.denominator)
+        scale /= den
+        a.append([int(e * den) for e in row])
+
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return scale * sign * a[n - 1][n - 1]
+
+
+def product_eval(p: CommProduct, x: Vector, y: Vector) -> Vector:
+    """Bilinear symmetric evaluation of the product on arbitrary vectors."""
+    for v in (x, y):
+        if v.dim != p.dim:
+            raise DimensionMismatch("argument dimension differs from product dimension")
+    total = Vector.zero(p.dim)
+    for (i, j), coeffs in p.table.items():
+        if i == j:
+            c = x[i - 1] * y[i - 1]
+        else:
+            c = x[i - 1] * y[j - 1] + x[j - 1] * y[i - 1]
+        if c != 0:
+            total = total + coeffs.scale(c)
+    return total
+
+
+def _dense(rows: Iterable[dict[int, Fraction]], ncols: int) -> Matrix:
+    """The sparse rows as a ``Matrix``; one zero row when there are none."""
+    dense = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+    return Matrix.from_rows(dense) if dense else Matrix.zeros(1, ncols)
+
+
+def build_derivation_system(q: DerivationQuery) -> Matrix:
+    """The homogeneous system M·vec(β) = 0 characterising δ-derivations.
+
+    Unknowns are the n² entries β_uv, row-major; rows are indexed by
+    increasing basis triples and output component t.  This is the dense
+    form of the rows that ``delta_derivations`` eliminates.
+    """
+    n = q.bracket.dim
+    return _dense(_derivation_rows(q), n * n)
+
+
+def left_multiplication(p: CommProduct, i: int) -> Matrix:
+    """Matrix of y ↦ e_i·y in the row convention (row j = image of e_j)."""
+    if not 1 <= i <= p.dim:
+        raise DimensionMismatch(f"basis index {i} out of range 1..{p.dim}")
+    return Matrix.from_rows([list(p.basis_product(i, j)) for j in range(1, p.dim + 1)])
+
+
+def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
+    """Joint linear system for all products compatible with ``b``.
+
+    Unknowns are the coefficients of e_i·e_j for non-decreasing (i, j) in
+    lexicographic order, output component innermost.  The rows state that
+    every left multiplication is a 1/3-derivation: the raw 1/3-derivation
+    rows, moved by ``_moved_rows``.  This is the dense definition of the
+    space; ``tp_product_space`` solves an equivalent, smaller system.
+    """
+    pairs = _sym_pairs(b.dim)
+    rows = list(_derivation_rows(DerivationQuery(b)))
+    return _dense(_moved_rows(rows, b.dim, pairs), len(pairs) * b.dim), pairs

@@ -12,12 +12,13 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_IDS,
                   check_fundamental_identity, check_transposed_leibniz,
                   classify, delta_derivations, draw_family_params,
                   eleven_equation_residuals, instantiate_family,
-                  is_bracket_automorphism, left_multiplication, normalize,
+                  is_bracket_automorphism, normalize,
                   parse_document, rational_root, remark_associativity_residuals,
                   serialize_document, transport_product)
 from tpl3.cli import run_command
 from conftest import (FIXTURES, A3_PRODUCT_SPACE, dispatch_key, rand_rat,
                       scaled_shift_witness)
+from oracles import left_multiplication
 
 A3 = a3_bracket()
 

@@ -12,9 +12,10 @@ from tpl3 import (CheckReport, CommProduct, FamilyCoordinates, FamilyInstance,
                   ShapeMismatch, TriBracket, Vector, Violation, a3_bracket, bracket_eval,
                   check_commutative_associative, check_fundamental_identity,
                   check_transposed_leibniz, family_coordinates, instantiate_family,
-                  product_eval, remark_associativity_residuals, tp_product_space)
+                  remark_associativity_residuals, tp_product_space)
 from tpl3.algebra import structure_table
 from conftest import rand_family_product, rand_rat, rand_vector
+from oracles import product_eval
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 vec3 = st.lists(small_rats, min_size=3, max_size=3).map(Vector)

@@ -13,11 +13,12 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
                   TriBracket, Unclassified, Unsupported, Vector, a3_bracket,
                   check_transposed_leibniz, classify, delta_derivations, detect_case,
                   draw_family_params, family_coordinates, fingerprint,
-                  instantiate_family, kernel_basis, left_multiplication, normalize, rank,
+                  instantiate_family, normalize, rank,
                   rational_root, solve_affine, tp_product_space, transport_bracket,
                   transport_product, verify_all_cases, verify_paper_case)
 from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
                       scaled_shift_witness)
+from oracles import kernel_basis, left_multiplication
 
 A3 = a3_bracket()
 

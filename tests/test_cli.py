@@ -155,8 +155,23 @@ def test_verify_paper_single_case(capsys):
 
 
 def test_verify_paper_bad_case(capsys):
-    code, _, err = run(capsys, "verify-paper", "--case", "9-z")
-    assert code == 2
+    for case in ("9-z", "1-ab", "1-", "2-bc"):
+        code, out, err = run(capsys, "verify-paper", "--case", case)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad case id") and err.count("\n") == 1
+
+
+def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path):
+    # as the document and as the --matrix file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    a3 = str(FIXTURES / "a3.json")
+    for argv, what in ((("check", str(deep)), "document"),
+                       (("classify", str(deep)), "document"),
+                       (("transport", a3, "--matrix", str(deep)), "matrix")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} is nested too deeply\n"
 
 
 def test_fingerprint_command(capsys):

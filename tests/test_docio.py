@@ -132,3 +132,17 @@ def test_repeated_keys_rejected():
             parse_document(raw)
     with pytest.raises(DocumentError, match="duplicate key"):
         parse_matrix(b'[[{"a":1,"a":2}]]')
+
+
+def test_deep_nesting_rejected():
+    # the JSON scanner recurses once per level; past the recursion limit it
+    # raises RecursionError, which both parsers report as a document error
+    for opener, closer in (b"[", b"]"), (b'{"a":', b"}"):
+        deep = opener * 100_000 + b"1" + closer * 100_000
+        with pytest.raises(DocumentError, match="^document is nested too deeply$"):
+            parse_document(deep)
+        with pytest.raises(DocumentError, match="^matrix is nested too deeply$"):
+            parse_matrix(deep)
+    # nesting below the limit still parses, and fails on the document shape
+    with pytest.raises(DocumentError, match="top level"):
+        parse_document(b"[" * 100 + b"]" * 100)

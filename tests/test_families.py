@@ -46,6 +46,13 @@ def test_case_id_parse():
         CaseId.parse("5-a")
     with pytest.raises(ValueError):
         CaseId.parse("1a")
+    # the subcase is one letter a..d, not a substring of "abcd"
+    for text in ("1-ab", "1-", "2-bc", "4-abcd", "3-e"):
+        with pytest.raises(ValueError, match="bad case id"):
+            CaseId.parse(text)
+    for subcase in ("", "ab", "bcd"):
+        with pytest.raises(ValueError, match="bad case id"):
+            CaseId(1, subcase)
 
 
 def test_case_family_map():

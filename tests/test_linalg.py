@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector,
-                  determinant, invert, kernel_basis, mat_mul, mat_vec, parse_rat,
-                  rank, rational_root, rref, solve_affine, vec_mat)
+from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector, invert,
+                  mat_mul, parse_rat, rank, rational_root, solve_affine, vec_mat)
+from tpl3.linalg import _densify, _kernel, _reduce, _sparse
+from oracles import determinant, kernel_basis, mat_vec
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -290,11 +291,14 @@ def test_elimination_matches_dense_oracle():
     rng = random.Random(31)
     outcomes = {"infeasible": 0, "singular": 0, "invertible": 0, "deficient": 0}
     for m in random_matrices(rng):
-        reduced, pivots = rref(m)
-        assert (reduced, pivots) == oracle_rref(m)
+        reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+        dense = [_densify(row, m.cols) for row in reduced]
+        dense += [[0] * m.cols] * (m.rows - len(reduced))
+        assert (Matrix.from_rows(dense), pivots) == oracle_rref(m)
         assert rank(m) == len(pivots)
         outcomes["deficient"] += len(pivots) < min(m.rows, m.cols)
-        assert kernel_basis(m) == oracle_kernel(m)
+        kernel = [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
+        assert kernel == oracle_kernel(m)
         feasible = mat_vec(m, Vector([random_entry(rng, 2) for _ in range(m.cols)]))
         arbitrary = Vector([random_entry(rng, 2) for _ in range(m.rows)])
         for b in (feasible, arbitrary):

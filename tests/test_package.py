@@ -1,6 +1,6 @@
 """The lazy package: what ``import tpl3`` and each subcommand load, and the
 public names, which are those the package re-exported when it imported
-every submodule eagerly."""
+every submodule eagerly less the dense references now in ``oracles``."""
 
 import json
 import os
@@ -15,17 +15,15 @@ SRC = Path(tpl3.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     # linalg
-    "DimensionMismatch", "Infeasible", "Matrix", "Singular", "Vector", "determinant",
-    "fmt_rat", "invert", "kernel_basis", "mat_mul", "mat_vec", "parse_rat", "rank",
-    "rational_root", "rref", "solve_affine", "vec_mat",
+    "DimensionMismatch", "Infeasible", "Matrix", "Singular", "Vector", "fmt_rat",
+    "invert", "mat_mul", "parse_rat", "rank", "rational_root", "solve_affine", "vec_mat",
     # algebra
     "CheckReport", "CommProduct", "FamilyCoordinates", "ShapeMismatch", "TriBracket",
     "Violation", "a3_bracket", "bracket_eval", "check_commutative_associative",
     "check_fundamental_identity", "check_transposed_leibniz", "family_coordinates",
-    "product_eval", "remark_associativity_residuals",
+    "remark_associativity_residuals",
     # derivations
-    "DerivationQuery", "DerivationSpace", "ProductSpace", "build_derivation_system",
-    "build_product_system", "delta_derivations", "left_multiplication",
+    "DerivationQuery", "DerivationSpace", "ProductSpace", "delta_derivations",
     "tp_product_space",
     # morphisms
     "AutoMatrix", "NotAutomorphism", "a3_automorphism_check",
