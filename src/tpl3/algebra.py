@@ -14,6 +14,7 @@ test suite cross-checks this reduction on random rational tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -192,26 +193,41 @@ def bracket_eval(b: TriBracket, x: Vector, y: Vector, z: Vector) -> Vector:
     return total
 
 
-def structure_table(b: TriBracket) -> list[list[list[tuple[tuple[int, Fraction], ...]]]]:
-    """Every basis bracket, signs applied: ``table[i][j][k]`` lists the
-    nonzero (t, c) with [e_i, e_j, e_k] = Σ c e_t, all indices 0-based.
+def structure_table(b: TriBracket) -> tuple[int, list[list[list[tuple[tuple[int, int], ...]]]]]:
+    """Every basis bracket over one common denominator: ``(D, table)``, where
+    ``table[i][j][k]`` lists the nonzero (t, c) with [e_i, e_j, e_k] =
+    Σ (c/D) e_t, each c an ``int``, all indices 0-based, and D is the least
+    common denominator of the stored coefficients (1 for an integer bracket).
 
     Filled straight from the stored increasing triples: each one writes its
     three even permutations with +c and its three odd ones with −c, and
     every other cell (a repeated index or an absent triple) stays empty.
     Built once per call of a routine that reads many basis brackets, so
     their inner loops index a list instead of sorting indices and
-    allocating a ``Vector`` per term.
+    allocating a ``Vector`` per term, and multiply Python ``int``s instead
+    of ``Fraction``s.  Each reader works on the scaled constants and
+    divides by its power of D only when it builds a reported ``Vector``:
+    both sides of the fundamental identity are products of two constants
+    (D²), the coupling identity and ``morphisms.transport_bracket`` are
+    linear in them (D), and ``derivations._derivation_rows`` scales each
+    row by D, which keeps its row space.
     """
     n = b.dim
+    den = math.lcm(*(e.denominator for coeffs in b.table.values() for e in coeffs))
     table = [[[()] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), coeffs in b.table.items():
-        even = tuple((t, c) for t, c in enumerate(coeffs) if c)
+        even = tuple((t, c.numerator * (den // c.denominator))
+                     for t, c in enumerate(coeffs) if c)
         odd = tuple((t, -c) for t, c in even)
         i, j, k = i - 1, j - 1, k - 1
         table[i][j][k] = table[j][k][i] = table[k][i][j] = even
         table[j][i][k] = table[i][k][j] = table[k][j][i] = odd
-    return table
+    return den, table
+
+
+def _unscaled(values: list, den: int) -> Vector:
+    """The ``Vector`` of a coordinate list that is ``den`` times the value."""
+    return Vector(values if den == 1 else [Fraction(v, den) for v in values])
 
 
 def _product_table(p: CommProduct) -> list[list[tuple[tuple[int, Fraction], ...]]]:
@@ -230,10 +246,12 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
 
     Runs over basis tuples with x < y < z and u < v; multilinearity and
     skewness of both sides make this exhaustive.  Both sides expand by
-    linearity in the first slot over the structure-constant table.
+    linearity in the first slot over the structure-constant table, in
+    integers scaled by D² (see ``structure_table``).
     """
     n = b.dim
-    table = structure_table(b)
+    den, table = structure_table(b)
+    den2 = den * den
     violations = []
     for (x, y, z) in combinations(range(n), 3):
         for (u, v) in combinations(range(n), 2):
@@ -248,7 +266,7 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
                         right[t] += c * d
             if left != right:
                 violations.append(Violation((x + 1, y + 1, z + 1, u + 1, v + 1),
-                                            Vector(left), Vector(right)))
+                                            _unscaled(left, den2), _unscaled(right, den2)))
     return CheckReport(tuple(violations))
 
 
@@ -258,12 +276,12 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     Runs over all basis u and basis triples x < y < z (exhaustive by
     multilinearity and skewness in x, y, z).  Both sides expand by
     linearity over the bracket's ``structure_table`` and the product's
-    table of basis products.
+    table of basis products; both sides are scaled by the table's D.
     """
     if b.dim != p.dim:
         raise DimensionMismatch("bracket and product dimensions differ")
     n = b.dim
-    table = structure_table(b)
+    den, table = structure_table(b)
     prod = _product_table(p)
     violations = []
     for u in range(n):
@@ -271,7 +289,7 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
             left = [0] * n
             for s, c in table[x][y][z]:
                 for t, d in prod[u][s]:
-                    left[t] += 3 * c * d
+                    left[t] += d * (3 * c)
             right = [0] * n
             for s, c in prod[u][x]:
                 for t, d in table[s][y][z]:
@@ -284,7 +302,7 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
                     right[t] += c * d
             if left != right:
                 violations.append(Violation((u + 1, x + 1, y + 1, z + 1),
-                                            Vector(left), Vector(right)))
+                                            _unscaled(left, den), _unscaled(right, den)))
     return CheckReport(tuple(violations))
 
 

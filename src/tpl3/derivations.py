@@ -11,7 +11,8 @@ bracket part of a transposed Poisson structure, so the same rows also
 solve for all compatible commutative products at once.
 
 ``_derivation_rows`` is the one row generator: it reads the bracket's
-``structure_table`` and yields sparse rows, ``{column: value}``.  The
+``structure_table`` and yields sparse integer rows, ``{column: value}``,
+each a nonzero multiple of the rational row (see its docstring).  The
 solvers eliminate them with ``linalg._reduce`` and read their bases from
 the sparse kernel rows of ``linalg._kernel``; no dense system is built on
 the solve path.  ``_reduced_rows`` is the one place that eliminates a
@@ -23,15 +24,15 @@ product rows state.  The dense definitions of both systems, and of a left
 multiplication, are test oracles in ``tests/oracles.py``.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
-bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows``;
-then ``_moved_rows`` gives each left multiplication L_g a copy of the
-reduced rows, moved into the column blocks of the products e_g·e_u, and
-those n·rank rows are reduced again.  The dense product system of the
-tests moves the raw rows the same way, so the two differ only in raw
-against reduced rows.  Reduction keeps a row space and moving columns is
-linear, so both stacks span one row space.  A row space has one reduced
-row echelon form, so both give the same pivots, free coordinates and
-basis.
+bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows``
+and cleared to integer rows once; then ``_moved_rows`` gives each left
+multiplication L_g a copy of those rows, moved into the column blocks of
+the products e_g·e_u, and those n·rank rows are reduced again.  The dense
+product system of the tests moves the raw rows the same way, so the two
+differ only in raw against reduced rows.  Reduction keeps a row space and
+moving columns is linear, so both stacks span one row space.  A row space
+has one reduced row echelon form, so both give the same pivots, free
+coordinates and basis.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _kernel, _reduce,
-                     rat)
+from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _integer_row, _kernel,
+                     _reduce, rat)
 from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
@@ -110,29 +111,35 @@ class ProductSpace:
         return CommProduct(self.bracket.dim, table)
 
 
-def _derivation_rows(q: DerivationQuery) -> Iterator[dict[int, Fraction]]:
-    """Sparse rows ``{column: value}`` of the δ-derivation system of ``q``,
-    one per (i<j<k, t), all-zero rows included.
+def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
+    """Sparse integer rows ``{column: value}`` of the δ-derivation system of
+    ``query``, one per (i<j<k, t), all-zero rows included.
 
     The unknown β_uv (component v of the image of e_u, 0-based) sits at
-    column u·n + v; the factor 3 of the 1/3-derivation case appears as 1/δ.
+    column u·n + v.  With δ = p/q in lowest terms and the bracket's
+    ``structure_table`` scaled by D, each row is D·p times the row of
+    [φx,y,z] + [x,φy,z] + [x,y,φz] − (1/δ)·φ[x,y,z]: p times the bracket
+    terms minus q times the coefficient c of φ[x,y,z].  D·p ≠ 0, so the row
+    space, and with it the reduced rows, pivots and kernel, are those of
+    the rational system.
     """
-    table = structure_table(q.bracket)
+    _, table = structure_table(query.bracket)
+    p, q = query.delta.numerator, query.delta.denominator
     n = len(table)
     for (i, j, k) in combinations(range(n), 3):
-        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
         for s in range(n):
             for col, cell in ((i * n + s, table[s][j][k]),
                               (j * n + s, table[i][s][k]),
                               (k * n + s, table[i][j][s])):
                 for t, c in cell:
                     row = rows[t]
-                    row[col] = row.get(col, ZERO) + c
+                    row[col] = row.get(col, 0) + p * c
         for s, c in table[i][j][k]:
-            f = c / q.delta
+            f = q * c
             for t in range(n):
                 row, col = rows[t], s * n + t
-                row[col] = row.get(col, ZERO) - f
+                row[col] = row.get(col, 0) - f
         yield from rows
 
 
@@ -176,11 +183,12 @@ def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
-def _moved_rows(rows: Sequence[dict[int, Fraction]], n: int,
-                pairs: tuple[tuple[int, int], ...]) -> Iterator[dict[int, Fraction]]:
+def _moved_rows(rows: Sequence[dict[int, int]], n: int,
+                pairs: tuple[tuple[int, int], ...]) -> Iterator[dict[int, int]]:
     """Each derivation row once per left multiplication L_g, g = 1..n, as a
     new dict: β_uv moves to component v of e_g·e_u, in the block of the
-    pair (min(g, u), max(g, u)), so e_u·e_g = e_g·e_u share one block."""
+    pair (min(g, u), max(g, u)), so e_u·e_g = e_g·e_u share one block.
+    The values are not touched, so integer rows stay integer rows."""
     pair_index = {pair: idx for idx, pair in enumerate(pairs)}
     for g in range(1, n + 1):
         col = [pair_index[(min(g, u), max(g, u))] * n + v
@@ -193,14 +201,16 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
     The two-stage solve of the module docstring: the reduced 1/3-derivation
-    rows of ``b``, moved by ``_moved_rows``, are reduced again.  The free
-    coordinates are the non-pivot columns, ascending, and each basis
-    product is read from its sparse kernel row, grouped by pair.
+    rows of ``b``, cleared to integer rows once and moved by
+    ``_moved_rows``, are reduced again.  The free coordinates are the
+    non-pivot columns, ascending, and each basis product is read from its
+    sparse kernel row, grouped by pair.
     """
     n = b.dim
     pairs = _sym_pairs(n)
     ncols = len(pairs) * n
-    reduced, pivots = _reduce(_moved_rows(_reduced_rows(DerivationQuery(b))[0], n, pairs))
+    rows = [_integer_row(row) for row in _reduced_rows(DerivationQuery(b))[0]]
+    reduced, pivots = _reduce(_moved_rows(rows, n, pairs))
     basis = []
     for vec in _kernel(reduced, pivots, ncols):
         table: dict[tuple[int, int], list[Fraction]] = {}

@@ -252,18 +252,23 @@ def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
     return {j: e for j, e in enumerate(row) if e}
 
 
-def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
     """The nonzero entries of a sparse row, in ascending column order,
-    scaled to coprime integers with a positive first entry."""
-    entries = [(j, e) for j, e in sorted(row.items()) if e]
-    if not entries:
-        return {}
-    den = math.lcm(*(e.denominator for _, e in entries))
-    ints = {j: e.numerator * (den // e.denominator) for j, e in entries}
-    g = math.gcd(*ints.values())
-    if entries[0][1] < 0:
+    scaled to coprime integers with a positive first entry.  A row of
+    Python ``int``s, as the solved-space builders yield, skips the
+    denominator scan."""
+    r = {j: e for j, e in sorted(row.items()) if e}
+    if not r:
+        return r
+    values = r.values()
+    if not all(type(e) is int for e in values):
+        den = math.lcm(*(e.denominator for e in values))
+        r = {j: e.numerator * (den // e.denominator) for j, e in r.items()}
+        values = r.values()
+    g = math.gcd(*values)
+    if next(iter(values)) < 0:
         g = -g
-    return {j: v // g for j, v in ints.items()} if g != 1 else ints
+    return {j: v // g for j, v in r.items()} if g != 1 else r
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
@@ -291,29 +296,34 @@ def _reduce(rows: Iterable[Mapping[int, Fraction]]
     entries are read: the solved-space builders yield such rows directly,
     and the dense ``Matrix`` solvers convert theirs with ``_sparse``.
     Rows become sparse integer rows (denominators cleared, content removed,
-    sign fixed), so zero rows and rows proportional to an earlier one are
-    dropped before any work.  Forward elimination visits columns in
-    ascending order and keeps the rows bucketed by their leading column: the
-    rows leading at column c are exactly those with a nonzero there, the
+    sign fixed; rows of ``int``s need no clearing), so zero rows and rows
+    proportional to an earlier one are dropped before any work.  Forward
+    elimination visits the columns up to the last nonzero one in ascending
+    order and keeps the rows bucketed by their leading column: the rows
+    leading at column c are exactly those with a nonzero there, the
     sparsest becomes the pivot, and every other one is combined
-    fraction-free with it and moves to its new leading column.  Back-substitution clears the entries above each
-    pivot, bottom up, and each row is finally divided by its pivot entry.
+    fraction-free with it and moves to its new leading column.
+    Back-substitution clears the entries above each pivot, bottom up, and
+    each row is finally divided by its pivot entry.
     The result is returned sparse, as ``{column: value}`` with value 1 at
     the pivot, in pivot order.
     """
     by_lead: dict[int, list[dict[int, int]]] = {}
     seen: set[tuple[tuple[int, int], ...]] = set()
+    last = -1
     for row in rows:
         r = _integer_row(row)
         key = tuple(r.items())
         if key and key not in seen:
             seen.add(key)
             by_lead.setdefault(key[0][0], []).append(r)
+            last = max(last, key[-1][0])
 
     echelon: list[tuple[int, dict[int, int]]] = []
-    while by_lead:
-        c = min(by_lead)
-        bucket = by_lead.pop(c)
+    for c in range(last + 1):
+        bucket = by_lead.pop(c, None)
+        if bucket is None:
+            continue
         pivot = min(bucket, key=len)
         a = pivot[c]
         for r in bucket:

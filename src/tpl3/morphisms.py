@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .linalg import DimensionMismatch, Matrix, Singular, Vector, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
-                      bracket_eval, family_coordinates, structure_table)
+                      _unscaled, bracket_eval, family_coordinates, structure_table)
 
 
 class NotAutomorphism(ValueError):
@@ -142,12 +142,13 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     """Push-forward of a skew ternary bracket along an invertible map.
 
     The same expansion as ``transport_product``, through the bracket's
-    ``structure_table`` on increasing basis triples.
+    ``structure_table`` on increasing basis triples; each image is scaled
+    by the table's D until its ``Vector`` is built.
     """
     if b.dim != m.dim:
         raise DimensionMismatch("bracket and map dimensions differ")
     n = b.dim
-    brk = structure_table(b)
+    den, brk = structure_table(b)
     pre = _supports(m._inverse)
     image = _supports(m.map)
     table = {}
@@ -163,7 +164,7 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
                         value[t] += xyz * d
         moved = _push(value, image)
         if any(moved):
-            table[(i + 1, j + 1, k + 1)] = Vector(moved)
+            table[(i + 1, j + 1, k + 1)] = _unscaled(moved, den)
     return TriBracket(n, table)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -258,15 +259,28 @@ def reference_structure_table(b: TriBracket) -> list:
 
 
 def test_structure_table_matches_basis_bracket_reference():
+    # the integer table divided by its common denominator D is the table of
+    # basis brackets, and D is the least common denominator of the bracket
     rng = random.Random(31)
     brackets = [TriBracket(n, {}) for n in (1, 2, 3, 5)]
     brackets += [A3, counterexample_bracket(),
                  TriBracket(4, {(2, 3, 4): Vector([0, 0, F(-3, 2), 0])}),
                  TriBracket(6, {(1, 4, 6): Vector([F(1, 3), 0, 0, 0, 0, -2])})]
+    mixed = TriBracket(4, {(1, 2, 3): Vector([F(1, 2), 0, F(-2, 3), 0]),
+                           (1, 3, 4): Vector([0, F(3, 4), 0, 5]),
+                           (2, 3, 4): Vector([F(-5, 6), 0, 0, F(7, 4)])})
+    brackets.append(mixed)
     for n in (1, 2, 3, 4, 5, 6) * 6:
         brackets.append(random_bracket(rng, n, rng.choice((0.2, 0.7, 1.0))))
     for b in brackets:
-        assert structure_table(b) == reference_structure_table(b)
+        den, table = structure_table(b)
+        assert den == math.lcm(*(e.denominator for v in b.table.values() for e in v))
+        assert all(type(c) is int for row in table for line in row for cell in line
+                   for _, c in cell)
+        unscaled = [[[tuple((t, F(c, den)) for t, c in cell) for cell in line]
+                     for line in row] for row in table]
+        assert unscaled == reference_structure_table(b)
+    assert structure_table(mixed)[0] == 12
 
 
 def test_associativity_examples():

@@ -256,3 +256,18 @@ def test_closed_stdout_ends_by_sigpipe():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == -signal.SIGPIPE
     assert err == b""
+
+
+def test_dimension_above_the_cap_is_a_document_error(capsys, tmp_path):
+    # a document of a few bytes may not ask for an N³ table and N⁵ tuples
+    from tpl3.docio import MAX_DIM, parse_document
+
+    assert parse_document(json.dumps({"dim": MAX_DIM, "bracket": []})).bracket.dim == MAX_DIM
+    for dim in (MAX_DIM + 1, 1000, 100000):
+        doc = tmp_path / f"dim{dim}.json"
+        doc.write_text(json.dumps({"dim": dim, "bracket": []}))
+        for command in ("check", "derivations", "tp-space", "classify", "fingerprint"):
+            code, out, err = run(capsys, command, str(doc))
+            assert code == 2 and out == ""
+            assert err == (f"error: dim: {dim} exceeds the largest supported "
+                           f"dimension {MAX_DIM}\n")

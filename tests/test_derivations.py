@@ -500,3 +500,53 @@ def test_product_space_contains_matches_dense_system():
         with pytest.raises(DimensionMismatch):
             space.contains(CommProduct.zero(n + 1))
     assert accepted >= 40 and rejected >= 40
+
+
+def bracket_eval_systems(b: TriBracket) -> tuple[list[list], list[list]]:
+    """The two halves of the δ-derivation system, from ``bracket_eval`` and
+    ``vec_mat`` alone, as columns: column u·n + v of the first holds
+    φ[e_i,e_j,e_k] and of the second [φe_i,e_j,e_k] + [e_i,φe_j,e_k] +
+    [e_i,e_j,φe_k], over the basis triples i < j < k, for the map φ = E_uv
+    with the single entry β_uv = 1.  The system at δ is first − δ·second."""
+    n = b.dim
+    e = [Vector.unit(n, t) for t in range(1, n + 1)]
+    first, second = [], []
+    for u in range(n):
+        for v in range(n):
+            phi = Matrix(n, n, [int((r, c) == (u, v)) for r in range(n) for c in range(n)])
+            image = [vec_mat(x, phi) for x in e]
+            left, right = [], []
+            for (i, j, k) in combinations(range(n), 3):
+                left.extend(vec_mat(bracket_eval(b, e[i], e[j], e[k]), phi))
+                right.extend(bracket_eval(b, image[i], e[j], e[k])
+                             + bracket_eval(b, e[i], image[j], e[k])
+                             + bracket_eval(b, e[i], e[j], image[k]))
+            first.append(left or [0])
+            second.append(right or [0])
+    return first, second
+
+
+def test_delta_derivations_match_bracket_eval_system_on_rational_brackets():
+    # the solver's rows are integer multiples of the rational rows (the
+    # bracket over its common denominator D, δ = p/q); this system is built
+    # from bracket_eval alone, so a wrong D, p or q changes a dimension or
+    # a basis matrix
+    from test_linalg import oracle_rref
+
+    rng = random.Random(83)
+    brackets = [rational_bracket(rng, n, keep, density) for n in (1, 2, 3, 4, 5)
+                for keep, density in ((1, 1), (0.7, 0.6), (0.5, 0.4))]
+    denominators = {x.denominator for b in brackets for v in b.table.values() for x in v}
+    assert {2, 3, 4} <= denominators
+    for b in brackets:
+        n = b.dim
+        first, second = bracket_eval_systems(b)
+        for delta in (F(1, 3), F(1), F(2), F(-2, 5), F(-2, 7)):
+            space = delta_derivations(DerivationQuery(b, delta))
+            assert all(satisfies_derivation_identity(b, m, delta) for m in space.basis)
+            system = Matrix.from_rows([[x - delta * y for x, y in zip(*cells)]
+                                       for cells in zip(zip(*first), zip(*second))])
+            assert space.dim == n * n - len(oracle_rref(system)[1])
+            if space.basis:
+                flat = Matrix.from_rows([list(m.entries) for m in space.basis])
+                assert len(oracle_rref(flat)[1]) == space.dim
