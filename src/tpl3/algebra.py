@@ -48,7 +48,8 @@ class TriBracket:
     coefficient vector of [e_i, e_j, e_k]; absent triples are zero.
 
     ``_reduced`` is the reduction memo of ``tpl3.derivations._reduced_rows``,
-    which documents its format; it is empty until the first solve.  It
+    which documents its format: the normal integer rows and pivots that
+    ``linalg._reduce`` returns.  It is empty until the first solve.  It
     relies on ``table`` never being mutated after construction, and its
     stored rows are read-only.  The memo is not part of ``==``, ``hash``,
     ``repr`` or the pickled state, so a copy or an equal bracket solves

@@ -13,26 +13,27 @@ solve for all compatible commutative products at once.
 ``_derivation_rows`` is the one row generator: it reads the bracket's
 ``structure_table`` and yields sparse integer rows, ``{column: value}``,
 each a nonzero multiple of the rational row (see its docstring).  The
-solvers eliminate them with ``linalg._reduce`` and read their bases from
-the sparse kernel rows of ``linalg._kernel``; no dense system is built on
-the solve path.  ``_reduced_rows`` is the one place that eliminates a
-bracket's δ-derivation rows, once per bracket object and δ, so
-``delta_derivations``, ``DerivationSpace.contains`` and
+solvers eliminate them with ``linalg._reduce``, which returns normal
+integer rows, and read their bases from the sparse kernel rows of
+``linalg._kernel``, the one place a rational is formed; no dense system is
+built on the solve path.  ``_reduced_rows`` is the one place that
+eliminates a bracket's δ-derivation rows, once per bracket object and δ,
+so ``delta_derivations``, ``DerivationSpace.contains`` and
 ``tp_product_space`` on one bracket share one elimination.
 ``ProductSpace.contains`` checks the coupling identity, which is what the
 product rows state.  The dense definitions of both systems, and of a left
 multiplication, are test oracles in ``tests/oracles.py``.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
-bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows``
-and cleared to integer rows once; then ``_moved_rows`` gives each left
-multiplication L_g a copy of those rows, moved into the column blocks of
-the products e_g·e_u, and those n·rank rows are reduced again.  The dense
-product system of the tests moves the raw rows the same way, so the two
-differ only in raw against reduced rows.  Reduction keeps a row space and
-moving columns is linear, so both stacks span one row space.  A row space
-has one reduced row echelon form, so both give the same pivots, free
-coordinates and basis.
+bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows`` to
+normal integer rows; then ``_moved_rows`` gives each left multiplication
+L_g a copy of those rows, moved into the column blocks of the products
+e_g·e_u, and those n·rank rows, still normal, go straight into
+``linalg._eliminate``.  The dense product system of the tests moves the
+raw rows the same way, so the two differ only in raw against reduced rows.
+Reduction keeps a row space and moving columns is linear, so both stacks
+span one row space.  A row space has one reduced row echelon form, so both
+give the same pivots, free coordinates and basis.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _integer_row, _kernel,
+from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _eliminate, _kernel,
                      _reduce, rat)
 from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
@@ -143,22 +144,23 @@ def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
         yield from rows
 
 
-def _annihilates(rows: Iterable[dict[int, Fraction]],
+def _annihilates(rows: Iterable[dict[int, int]],
                  x: Sequence[Fraction]) -> bool:
     """Whether every sparse row has zero dot product with ``x``."""
     return all(sum(c * x[j] for j, c in row.items()) == 0 for row in rows)
 
 
 def _reduced_rows(q: DerivationQuery
-                  ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+                  ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     """The reduced rows and pivots of the δ-derivation system of ``q``.
 
     The bracket's ``_reduced`` memo maps δ to ``(rows, pivots)``, the
-    output of ``_reduce`` on ``_derivation_rows``: sparse rows
-    ``{column: value}`` with value 1 at the pivot, in pivot order.  The
-    rows are eliminated once per bracket object and δ and then read from
-    the memo, which only gains entries; any two writers store equal values.
-    Callers must not mutate the returned rows.
+    output of ``_reduce`` on ``_derivation_rows``: sparse normal integer
+    rows ``{column: value}`` in ascending columns, with content 1, a
+    positive pivot entry first and zero at every other pivot column, in
+    pivot order.  The rows are eliminated once per bracket object and δ and
+    then read from the memo, which only gains entries; any two writers
+    store equal values.  Callers must not mutate the returned rows.
     """
     memo = q.bracket._reduced
     if q.delta not in memo:
@@ -188,7 +190,9 @@ def _moved_rows(rows: Sequence[dict[int, int]], n: int,
     """Each derivation row once per left multiplication L_g, g = 1..n, as a
     new dict: β_uv moves to component v of e_g·e_u, in the block of the
     pair (min(g, u), max(g, u)), so e_u·e_g = e_g·e_u share one block.
-    The values are not touched, so integer rows stay integer rows."""
+    For a fixed g the column map is strictly increasing and the values are
+    not touched, so a copy of a normal integer row is a normal integer
+    row."""
     pair_index = {pair: idx for idx, pair in enumerate(pairs)}
     for g in range(1, n + 1):
         col = [pair_index[(min(g, u), max(g, u))] * n + v
@@ -201,16 +205,16 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
     The two-stage solve of the module docstring: the reduced 1/3-derivation
-    rows of ``b``, cleared to integer rows once and moved by
-    ``_moved_rows``, are reduced again.  The free coordinates are the
+    rows of ``b``, moved by ``_moved_rows``, are eliminated again as they
+    are, with no further normalisation.  The free coordinates are the
     non-pivot columns, ascending, and each basis product is read from its
     sparse kernel row, grouped by pair.
     """
     n = b.dim
     pairs = _sym_pairs(n)
     ncols = len(pairs) * n
-    rows = [_integer_row(row) for row in _reduced_rows(DerivationQuery(b))[0]]
-    reduced, pivots = _reduce(_moved_rows(rows, n, pairs))
+    rows = _reduced_rows(DerivationQuery(b))[0]
+    reduced, pivots = _eliminate(_moved_rows(rows, n, pairs))
     basis = []
     for vec in _kernel(reduced, pivots, ncols):
         table: dict[tuple[int, int], list[Fraction]] = {}

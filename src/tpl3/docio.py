@@ -42,7 +42,10 @@ class DocumentError(ValueError):
 #: ``tpl3 check`` on the zero bracket of dimension 32 takes about 3.3 s
 #: (Python 3.11.7, 2 vCPU) and at 33 already 4.3 s, while dimension 1,000
 #: would need about 10⁹ table cells.  Every document of the paper has
-#: dimension 3.
+#: dimension 3.  The cap bounds sparse documents only: on a dense bracket,
+#: with every triple stored, ``check`` costs about n⁷ (n⁵ tuples of n² terms
+#: each), about 4.5 s at n = 14, so a dense document within the cap can
+#: still take minutes.
 MAX_DIM = 32
 
 

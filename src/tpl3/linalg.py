@@ -5,13 +5,19 @@ denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
 All row reduction (``rank``, ``solve_affine`` and ``invert``) goes through
-one routine, ``_reduce``: sparse integer rows, fraction-free updates with
-the integer content removed after each one, the sparsest available pivot,
-then back-substitution and one division by each pivot.  Its output equals
-that of dense Gauss-Jordan over ``Fraction`` exactly: every step (scaling a
-row by a nonzero rational, adding a multiple of one row to another,
-dropping a zero row or a row proportional to another) keeps the row space,
-and a row space has exactly one reduced row echelon form.
+one routine, ``_reduce``: ``_integer_row`` makes each raw row a normal
+integer row, and one elimination loop, ``_eliminate``, takes normal rows
+through fraction-free updates with the integer content removed after each
+one, the sparsest available pivot, and back-substitution.  Each reduced row
+comes back as a normal integer row that is zero at every other pivot
+column: the reduced row echelon form row times a positive integer, so
+dividing it by its pivot entry gives dense Gauss-Jordan over ``Fraction``
+exactly.  Every step (scaling a row by a nonzero rational, adding a
+multiple of one row to another, dropping a zero row or a row proportional
+to another) keeps the row space, and a row space has exactly one reduced
+row echelon form.  Division happens only where a rational is reported: in
+``_kernel``, and in the right-hand sides that ``solve_affine`` and
+``invert`` read.
 
 ``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
 nonzero entries, and ``_kernel`` returns the kernel basis as sparse rows
@@ -253,10 +259,10 @@ def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries of a sparse row, in ascending column order,
-    scaled to coprime integers with a positive first entry.  A row of
-    Python ``int``s, as the solved-space builders yield, skips the
-    denominator scan."""
+    """The normal integer row of a sparse row: its nonzero entries, in
+    ascending column order, scaled to coprime integers with a positive
+    first entry.  A row of Python ``int``s, as the solved-space builders
+    yield, skips the denominator scan."""
     r = {j: e for j, e in sorted(row.items()) if e}
     if not r:
         return r
@@ -272,7 +278,9 @@ def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
-    """a·x − b·y with integer content removed (zero entries dropped)."""
+    """a·x − b·y with integer content removed (zero entries dropped).  New
+    columns of y are appended after those of x, so the result need not be
+    in column order."""
     out = {j: a * v for j, v in x.items()}
     for j, v in y.items():
         w = out.get(j, 0) - b * v
@@ -287,32 +295,45 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
-def _reduce(rows: Iterable[Mapping[int, Fraction]]
-            ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
-    """The nonzero rows of the reduced row echelon form, and its pivot columns.
+def _reduce(rows: Iterable[Mapping[int, Fraction | int]]
+            ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form, as normal integer
+    rows, and its pivot columns.
 
-    This is the package's one elimination routine.  Its input rows are
-    sparse, ``{column: value}`` in any column order, and only their nonzero
-    entries are read: the solved-space builders yield such rows directly,
-    and the dense ``Matrix`` solvers convert theirs with ``_sparse``.
-    Rows become sparse integer rows (denominators cleared, content removed,
-    sign fixed; rows of ``int``s need no clearing), so zero rows and rows
-    proportional to an earlier one are dropped before any work.  Forward
+    This is the package's one elimination routine for raw rows.  Its input
+    rows are sparse, ``{column: value}`` in any column order, and only their
+    nonzero entries are read: the solved-space builders yield such rows
+    directly, and the dense ``Matrix`` solvers convert theirs with
+    ``_sparse``.  Each row is made a normal integer row by ``_integer_row``
+    (denominators cleared, content removed, sign fixed; rows of ``int``s
+    need no clearing) and the rows are eliminated by ``_eliminate``, whose
+    docstring gives the output format.
+    """
+    return _eliminate(map(_integer_row, rows))
+
+
+def _eliminate(rows: Iterable[dict[int, int]]
+               ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """``_reduce`` on rows that are already normal integer rows, as
+    ``_integer_row`` returns them: ascending columns, coprime entries, a
+    positive first entry.
+
+    Zero rows and repeated rows are dropped before any work.  Forward
     elimination visits the columns up to the last nonzero one in ascending
     order and keeps the rows bucketed by their leading column: the rows
     leading at column c are exactly those with a nonzero there, the
     sparsest becomes the pivot, and every other one is combined
     fraction-free with it and moves to its new leading column.
-    Back-substitution clears the entries above each pivot, bottom up, and
-    each row is finally divided by its pivot entry.
-    The result is returned sparse, as ``{column: value}`` with value 1 at
-    the pivot, in pivot order.
+    Back-substitution clears the entries above each pivot, bottom up.
+    The result is one row per pivot, in pivot order, each a normal integer
+    row that is zero at every other pivot column, with its pivot as its
+    first column: the unique reduced row echelon form row times a positive
+    integer.  Dividing a row by its pivot entry gives the rational row.
     """
     by_lead: dict[int, list[dict[int, int]]] = {}
     seen: set[tuple[tuple[int, int], ...]] = set()
     last = -1
-    for row in rows:
-        r = _integer_row(row)
+    for r in rows:
         key = tuple(r.items())
         if key and key not in seen:
             seen.add(key)
@@ -345,33 +366,36 @@ def _reduce(rows: Iterable[Mapping[int, Fraction]]
             g = math.gcd(p[j], r[j])
             r = _combine(p[j] // g, r, r[j] // g, p)
         pivot_rows[c] = r
+    # ``_combine`` leaves the content at 1 but not the column order or the
+    # sign of the pivot entry
     reduced = []
     for c, _ in echelon:
         r = pivot_rows[c]
-        a = r[c]
-        reduced.append({j: Fraction(v, a) for j, v in r.items()})
+        s = 1 if r[c] > 0 else -1
+        reduced.append({j: s * r[j] for j in sorted(r)})
     return reduced, tuple(c for c, _ in echelon)
 
 
-def _kernel(reduced: list[dict[int, Fraction]], pivots: tuple[int, ...],
+def _kernel(reduced: list[dict[int, int]], pivots: tuple[int, ...],
             ncols: int) -> list[dict[int, Fraction]]:
     """The reduced-echelon kernel basis of the first ``ncols`` columns, as
-    sparse rows ``{column: value}``.
+    sparse rows ``{column: value}``, from the integer rows of ``_reduce``.
 
     One row per free column f, ascending: 1 at f and, for each reduced row
-    with an entry at f, that entry negated at the row's pivot column.  Every
-    stored entry is nonzero.  One pass over the reduced rows groups their
-    entries by column, so no dense ``ncols`` vector is built; callers that
-    need one densify with ``_densify``.  Every pivot coordinate a row
-    touches lies left of its free column, so that column is the row's last
-    nonzero coordinate.
+    with an entry v at f and pivot entry a, the rational −v/a at the row's
+    pivot column.  Every stored entry is nonzero.  One pass over the reduced
+    rows groups their entries by column, so no dense ``ncols`` vector is
+    built; callers that need one densify with ``_densify``.  Every pivot
+    coordinate a row touches lies left of its free column, so that column is
+    the row's last nonzero coordinate.
     """
     pivot_set = set(pivots)
     by_column: dict[int, dict[int, Fraction]] = {}
     for row, pc in zip(reduced, pivots):
-        for j, e in row.items():
+        a = row[pc]
+        for j, v in row.items():
             if j != pc:
-                by_column.setdefault(j, {})[pc] = -e
+                by_column.setdefault(j, {})[pc] = Fraction(-v, a)
     basis = []
     for f in range(ncols):
         if f not in pivot_set:
@@ -390,8 +414,8 @@ def _densify(row: Mapping[int, Fraction], ncols: int) -> list[Fraction]:
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse: the right half of the reduced form of [m | I]; raises
-    ``Singular``."""
+    """Exact inverse: the right half of the reduced form of [m | I], each
+    row divided by its pivot entry; raises ``Singular``."""
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
@@ -399,7 +423,8 @@ def invert(m: Matrix) -> Matrix:
                               for i, row in enumerate(m.row_lists()))
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
-    return Matrix(n, n, [row.get(n + j, 0) for row in reduced for j in range(n)])
+    return Matrix(n, n, [Fraction(row.get(n + j, 0), row[i])
+                         for i, row in enumerate(reduced) for j in range(n)])
 
 
 def rank(m: Matrix) -> int:
@@ -412,7 +437,8 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     Returns ``(particular, kernel)``: the particular solution has all free
     coordinates equal to 0, and the kernel basis is that of ``_kernel``.  Raises ``Infeasible`` if inconsistent.
     One reduction of [m | b] gives both: its left block is the reduced form
-    of m.
+    of m, and each pivot coordinate of the particular solution is the last
+    entry of its row divided by the pivot entry.
     """
     if m.rows != b.dim:
         raise DimensionMismatch("right-hand side length differs from row count")
@@ -422,7 +448,7 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
         raise Infeasible("inconsistent system")
     x = [Fraction(0)] * m.cols
     for row, pc in zip(reduced, pivots):
-        x[pc] = row.get(m.cols, Fraction(0))
+        x[pc] = Fraction(row.get(m.cols, 0), row[pc])
     return Vector(x), [Vector(_densify(v, m.cols))
                        for v in _kernel(reduced, pivots, m.cols)]
 

@@ -1,13 +1,15 @@
 """Dense reference definitions that only the tests use.
 
-The package solves and multiplies one way each: every elimination is
-``linalg._reduce``, each δ-derivation system is stated once by
+The package solves and multiplies one way each: every elimination is the
+one loop ``linalg._eliminate``, reached through ``linalg._reduce`` from raw
+rows, each δ-derivation system is stated once by
 ``derivations._derivation_rows``, and products are multiplied through their
 coefficient tables.  The functions here are the dense forms of the same
 objects, kept so the tests can state them independently of the fast path:
 
 * ``rref`` and ``kernel_basis`` are thin dense wrappers over ``_reduce`` and
-  ``_kernel``; the independent dense Gauss-Jordan that checks ``_reduce``
+  ``_kernel``, and ``rref`` divides each integer row of ``_reduce`` by its
+  pivot entry; the independent dense Gauss-Jordan that checks ``_reduce``
   itself is ``oracle_rref`` in ``test_linalg``;
 * ``determinant`` is a separate Bareiss elimination, the reference for
   invertibility;
@@ -36,7 +38,8 @@ ZERO = Fraction(0)
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
     reduced, pivots = _reduce(map(_sparse, m.row_lists()))
-    entries = [row.get(j, 0) for row in reduced for j in range(m.cols)]
+    entries = [Fraction(row.get(j, 0), row[pc])
+               for row, pc in zip(reduced, pivots) for j in range(m.cols)]
     entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
     return Matrix(m.rows, m.cols, entries), pivots
 

@@ -398,16 +398,18 @@ def fresh_bracket(name: str) -> TriBracket:
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
 def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.derivations as derivations
+    import tpl3.linalg as linalg
 
     n = fresh_bracket(name).dim
     rank = n * n - delta_derivations(DerivationQuery(fresh_bracket(name))).dim
     counts = []
-    original = derivations._reduce
 
-    def counting(rows):
-        rows = list(rows)
-        counts.append(len(rows))
-        return original(rows)
+    def counting(original):
+        def eliminate(rows):
+            rows = list(rows)
+            counts.append(len(rows))
+            return original(rows)
+        return eliminate
 
     def reduce_counts(solve, b):
         counts.clear()
@@ -415,7 +417,10 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
         return counts[:], result
 
     derivation = lambda b: delta_derivations(DerivationQuery(b))
-    monkeypatch.setattr(derivations, "_reduce", counting)
+    # both eliminations tp_product_space calls: _reduce on the raw rows,
+    # _eliminate on the moved copies of the reduced rows
+    for fn in ("_reduce", "_eliminate"):
+        monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
     # a fresh bracket: the 1/3-derivation rows once, then one reduced copy
     # per left multiplication, instead of n raw copies
     b = fresh_bracket(name)
@@ -429,8 +434,14 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # the other order: the derivation rows once, then only the moved copies
     b2 = fresh_bracket(name)
     assert reduce_counts(derivation, b2)[0] == full[:1]
+    # the moved copies are already normal integer rows: none is normalised again
+    normalised = []
+    integer_row = linalg._integer_row
+    monkeypatch.setattr(linalg, "_integer_row",
+                        lambda row: normalised.append(row) or integer_row(row))
     counts2, space2 = reduce_counts(tp_product_space, b2)
-    assert counts2 == full[1:]
+    assert counts2 == full[1:] and normalised == []
+    monkeypatch.setattr(linalg, "_integer_row", integer_row)
     # an equal but distinct bracket, a copy and an unpickled bracket solve again
     for other in (fresh_bracket(name), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and other is not b
@@ -439,6 +450,45 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     space = tp_product_space(b)
     assert (space.dim, space.basis, space.description) == dense_product_space(b)
     assert (space2.dim, space2.basis, space2.description) == dense_product_space(b)
+
+
+def test_reduced_rows_are_normal_integer_rows():
+    # every row _reduce returns is its reduced-echelon row times a positive
+    # integer, in _integer_row's normal form (ascending columns, content 1,
+    # positive first entry), so a _moved_rows copy of a memo row goes into
+    # the second elimination without being normalised again
+    from test_linalg import oracle_rref, random_matrices
+    from tpl3.derivations import _moved_rows, _reduced_rows, _sym_pairs
+    from tpl3.linalg import _integer_row, _reduce, _sparse
+
+    def is_normal(row):
+        return (all(type(v) is int for v in row.values())
+                and list(row.items()) == list(_integer_row(row).items()))
+
+    def check(reduced, pivots, m):
+        for row, pc in zip(reduced, pivots):
+            assert is_normal(row) and next(iter(row)) == pc
+            assert not row.keys() & set(pivots) - {pc}
+        dense = [[F(row.get(j, 0), row[pc]) for j in range(m.cols)]
+                 for row, pc in zip(reduced, pivots)]
+        dense += [[0] * m.cols] * (m.rows - len(reduced))
+        assert (Matrix.from_rows(dense), pivots) == oracle_rref(m)
+
+    rng = random.Random(97)
+    for m in random_matrices(rng):
+        check(*_reduce(map(_sparse, m.row_lists())), m)
+    brackets = [A3, seed3_dense_bracket()]
+    brackets += [rational_bracket(rng, n, keep, density) for n in (1, 2, 3, 4, 5)
+                 for keep, density in ((1, 1), (0.7, 0.6), (0.5, 0.4))]
+    moved = 0
+    for b in brackets:
+        for delta in (F(2), F(-2, 5), F(1, 3)):
+            q = DerivationQuery(b, delta)
+            check(*_reduced_rows(q), build_derivation_system(q))
+        for row in _moved_rows(_reduced_rows(q)[0], b.dim, _sym_pairs(b.dim)):
+            assert is_normal(row)
+            moved += 1
+    assert moved > 500
 
 
 def solved(b: TriBracket, step: str):

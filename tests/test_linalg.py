@@ -292,7 +292,8 @@ def test_elimination_matches_dense_oracle():
     outcomes = {"infeasible": 0, "singular": 0, "invertible": 0, "deficient": 0}
     for m in random_matrices(rng):
         reduced, pivots = _reduce(map(_sparse, m.row_lists()))
-        dense = [_densify(row, m.cols) for row in reduced]
+        dense = [[F(e, row[pc]) for e in _densify(row, m.cols)]
+                 for row, pc in zip(reduced, pivots)]
         dense += [[0] * m.cols] * (m.rows - len(reduced))
         assert (Matrix.from_rows(dense), pivots) == oracle_rref(m)
         assert rank(m) == len(pivots)
