@@ -44,8 +44,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, invert, mat_mul, rank, rational_root,
-                     solve_affine)
+from .linalg import (Infeasible, Matrix, Vector, _integer_root, invert, mat_mul, rank,
+                     rational_root, solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
@@ -173,53 +173,45 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
     return cert
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _rational_roots_of_cubic(c0: Fraction, c1: Fraction, c2: Fraction,
                              c3: Fraction) -> Optional[list[tuple[Fraction, Fraction]]]:
     """All roots in P¹(ℚ) of c0·x³ + c1·x²y + c2·xy² + c3·y³ when the form
     splits into three distinct rational roots, sorted, as (1, 0) for the
     point at infinity and (slope, 1) otherwise; None when it does not.
 
-    Three distinct rational roots force a nonzero square discriminant.  Past
-    that gate one rational root suffices: the quadratic cofactor has
-    discriminant disc / resultant², a nonzero square, so its two roots are
-    rational, distinct, and distinct from the first.
+    The form is cleared to integers a0..a3 first: scaling a binary cubic
+    scales its discriminant by a fourth power, so the gate runs on
+    integers.  Three distinct rational roots force a nonzero square
+    discriminant.  Past that gate one rational root makes all three
+    rational, since the quadratic cofactor has discriminant
+    disc / resultant², a nonzero square.  When a0 ≠ 0, z = a0·x gives the
+    monic h(z) = z³ + a1·z² + a0·a2·z + a0²·a3, whose rational roots are
+    integers, so its three real roots are all integers or none is.  They
+    lie in the Cauchy interval (−B, B), B = 1 + max(|a1|, |a0·a2|, |a0²·a3|),
+    where h(−B) < 0 < h(B), and ``_integer_root`` there finds one or
+    proves there is none.  The cofactor, made monic as w² + b1·w + b2 with
+    x = w / scale, has its roots from ``rational_root``.
     """
-    if not rational_root(c1 * c1 * c2 * c2 - 4 * c0 * c2 ** 3 - 4 * c1 ** 3 * c3
-                         - 27 * c0 * c0 * c3 * c3 + 18 * c0 * c1 * c2 * c3, 2):
-        return None  # the discriminant is zero or not a square
     den = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
-    a0, a1, a2, a3 = (int(c * den) for c in (c0, c1, c2, c3))
+    a0, a1, a2, a3 = (c.numerator * (den // c.denominator) for c in (c0, c1, c2, c3))
+    if not rational_root(a1 * a1 * a2 * a2 - 4 * a0 * a2 ** 3 - 4 * a1 ** 3 * a3
+                         - 27 * a0 * a0 * a3 * a3 + 18 * a0 * a1 * a2 * a3, 2):
+        return None  # the discriminant is zero or not a square
     g = math.gcd(a0, a1, a2, a3)
     a0, a1, a2, a3 = a0 // g, a1 // g, a2 // g, a3 // g
-    if a0 == 0:  # the root (1:0), with cofactor a1·x² + a2·xy + a3·y²
-        roots, (b0, b1, b2) = [_INF], (a1, a2, a3)
+    if a0 == 0:  # the root (1:0); w = a1·x makes the cofactor monic
+        roots, b1, b2, scale = [_INF], a2, a1 * a3, a1
     else:
-        # a root p/q in lowest terms has p | a3 and q | a0; p = 0 when a3 = 0
-        pairs = ((sign * p, q) for p in _divisors(a3) or [0] for q in _divisors(a0)
-                 for sign in (1, -1))
-        first = next((Fraction(p, q) for p, q in pairs
-                      if ((a0 * p + a1 * q) * p + a2 * q * q) * p + a3 * q ** 3 == 0), None)
-        if first is None:
+        bound = 1 + max(abs(a1), abs(a0 * a2), abs(a0 * a0 * a3))
+        z = _integer_root(lambda t: ((t + a1) * t + a0 * a2) * t + a0 * a0 * a3,
+                          -bound, bound)
+        if z is None:
             return None
-        # deflate: a0 z³ + a1 z² + a2 z + a3 = (z - first)(b0 z² + b1 z + b2)
-        b0, b1 = a0, a1 + a0 * first
-        roots, b2 = [(first, Fraction(1))], a2 + b1 * first
-    s = rational_root(b1 * b1 - 4 * b0 * b2, 2)
-    roots += [((-b1 + s) / (2 * b0), Fraction(1)), ((-b1 - s) / (2 * b0), Fraction(1))]
+        # deflate: h(w) = (w - z)(w² + b1·w + b2)
+        b1 = a1 + z
+        roots, b2, scale = [(Fraction(z, a0), Fraction(1))], a0 * a2 + b1 * z, a0
+    s = rational_root(b1 * b1 - 4 * b2, 2)
+    roots += [((-b1 + s) / (2 * scale), Fraction(1)), ((-b1 - s) / (2 * scale), Fraction(1))]
     return sorted(roots, key=lambda r: (r[1] == 0, r[0]))
 
 

@@ -70,9 +70,8 @@ def _print_report_text(title: str, identity: str, report: CheckReport) -> None:
     if not report.passed:
         print(f"  identity: {identity}")
         for v in report.violations:
-            left = fmt_vec(v.left) if isinstance(v.left, Vector) else str(v.left)
-            right = fmt_vec(v.right) if isinstance(v.right, Vector) else str(v.right)
-            print(f"  witness {v.witness}: left = {left}, right = {right}")
+            print(f"  witness {v.witness}: "
+                  f"left = {fmt_vec(v.left)}, right = {fmt_vec(v.right)}")
 
 
 def _read_input(path: str) -> bytes:

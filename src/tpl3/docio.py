@@ -146,14 +146,10 @@ def parse_document(data) -> AlgebraDocument:
         raise DocumentError(f"dim: {dim} exceeds the largest supported dimension {MAX_DIM}")
     if "bracket" not in obj:
         raise DocumentError("bracket: missing (use [] for the zero bracket)")
-    bracket = TriBracket(dim, {
-        key: vec for key, vec in
-        _parse_entries(obj["bracket"], dim, 3, "strict", "bracket").items()})
+    bracket = TriBracket(dim, _parse_entries(obj["bracket"], dim, 3, "strict", "bracket"))
     product = None
     if "product" in obj:
-        product = CommProduct(dim, {
-            key: vec for key, vec in
-            _parse_entries(obj["product"], dim, 2, "weak", "product").items()})
+        product = CommProduct(dim, _parse_entries(obj["product"], dim, 2, "weak", "product"))
     meta: dict[str, str] = {}
     if "meta" in obj:
         raw_meta = obj["meta"]

@@ -146,10 +146,6 @@ class Vector:
 
     __rmul__ = scale
 
-    def dot(self, other: "Vector") -> Fraction:
-        self._check(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
@@ -453,35 +449,40 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
                        for v in _kernel(reduced, pivots, m.cols)]
 
 
-def _int_nth_root(k: int, n: int) -> int | None:
-    """Exact n-th root of a non-negative integer, or None.
+def _integer_root(f, lo: int, hi: int) -> int | None:
+    """The integer z in (lo, hi] where bisection on f ends, if f(z) == 0.
 
-    Integer Newton iteration from 2**ceil(bits/n), which lies above the
-    root, descends to floor(k ** (1/n)) exactly for integers of any size.
+    Precondition: lo < hi and f(lo) < 0 <= f(hi).  Each step halves the
+    bracket and keeps that sign pattern, so after ceil(log2(hi - lo))
+    evaluations it is (z - 1, z] with f(z - 1) < 0 <= f(z), and one more
+    decides whether z is a root.  For a polynomial f that bracket holds a
+    real root, so when every real root of f in (lo, hi] is an integer, or
+    f has only one root there, None proves f has no integer root there.
     """
-    if k < 0:
-        return None
-    if k in (0, 1):
-        return k
-    root = 1 << -(-k.bit_length() // n)
-    while True:
-        step = ((n - 1) * root + k // root ** (n - 1)) // n
-        if step >= root:
-            break
-        root = step
-    return root if root ** n == k else None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi if f(hi) == 0 else None
 
 
-def rational_root(q: Fraction, degree: int) -> Fraction | None:
+def rational_root(q: Fraction | int, degree: int) -> Fraction | None:
     """The positive rational solution of x**degree = q, or None.
 
     ``degree`` must be even here (2 or 4 in this package), so a negative
-    radicand never has a root.
+    radicand never has a root.  The root's numerator and denominator are
+    the integer roots of z**degree - k for k the numerator and denominator
+    of q.  For k >= 1 that polynomial has one positive root, and it is -k
+    at 0 and at least 2**bits(k) - k > 0 at 2**ceil(bits(k)/degree), so
+    ``_integer_root`` decides it in about bits(k)/degree evaluations.
     """
     if q <= 0:
         return Fraction(0) if q == 0 else None
-    num = _int_nth_root(q.numerator, degree)
-    den = _int_nth_root(q.denominator, degree)
+    num, den = (_integer_root(lambda z: z ** degree - k, 0,
+                              1 << -(-k.bit_length() // degree))
+                for k in (q.numerator, q.denominator))
     if num is None or den is None:
         return None
     return Fraction(num, den)

@@ -678,6 +678,56 @@ def test_cubic_root_finder_matches_reference():
     assert cubic_discriminant(F(1), F(0), F(-3), F(1)) == 81
 
 
+def test_cubic_root_finder_big_split_roots():
+    from tpl3.classify import _rational_roots_of_cubic
+    rng = random.Random(60)
+
+    def big(digits):
+        return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10 ** digits - 1)
+
+    inf = (F(1), F(0))
+    for trial in range(40):
+        roots = set()
+        if trial % 4 == 0:
+            roots.add(inf)
+        while len(roots) < 3:
+            roots.add((F(big(rng.randint(20, 40)), abs(big(rng.randint(20, 40)))), F(1)))
+        # the root (p:q) as the linear form q·x − p·y
+        f = [F(rng.choice((-1, 1)) * abs(big(rng.randint(1, 30))), rng.randint(1, 10 ** 6))]
+        for p, q in roots:
+            f = form_product(f, [q, -p])
+        assert _rational_roots_of_cubic(*f) == sorted(roots, key=lambda r: (r[1] == 0, r[0]))
+
+
+def test_cubic_root_finder_rejects_big_cyclic_cubics():
+    from tpl3.classify import _rational_roots_of_cubic
+    rng = random.Random(61)
+    for _ in range(40):
+        # an SL2(ℤ) matrix with 10-digit a, b: b·c ≡ −1 (mod a) makes a·d − b·c = 1
+        while True:
+            a, b = rng.randint(10 ** 9, 10 ** 10 - 1), rng.randint(10 ** 9, 10 ** 10 - 1)
+            if math.gcd(a, b) == 1:
+                break
+        c = a - pow(b, -1, a)
+        d = (1 + b * c) // a
+        assert a * d - b * c == 1 and max(c, d) < 10 ** 10
+        f = substitute([F(1), F(0), F(-3), F(1)], ((F(a), F(b)), (F(c), F(d))))
+        assert cubic_discriminant(*f) == 81
+        assert _rational_roots_of_cubic(*f) is None
+
+
+def test_classify_big_split_quotient_cubic():
+    # the quotient cubic x³ − 3r·xy² − s·y³ splits as
+    # (x − 1000003y)(x − 1000033y)(x + 2000036y): its roots have 7 digits, so
+    # a divisor search on the constant term takes minutes
+    r, s = F(1000036000399), F(-2000108001494003564)
+    co = FamilyCoordinates(F(1), F(0), F(1), F(1), r, F(0), F(1), s, -r)
+    assert classify(A3, co.as_product()) == Unclassified(
+        "the quotient cubic splits over the rationals but every root "
+        "matching has a non-square determinant: not isomorphic to any "
+        "canonical table over the rationals")
+
+
 def reference_mobius_block(src, dst):
     # the block before the closed form: one 6×6 affine solve for M and the
     # scalings b, c in p1·M = d1, p2·M = b·d2, p3·M = c·d3

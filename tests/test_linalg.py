@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector, invert,
                   mat_mul, parse_rat, rank, rational_root, solve_affine, vec_mat)
-from tpl3.linalg import _densify, _kernel, _reduce, _sparse
+from tpl3.linalg import _densify, _integer_root, _kernel, _reduce, _sparse
 from oracles import determinant, kernel_basis, mat_vec
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -189,6 +190,59 @@ def test_rational_root_near_miss_non_squares():
             assert rational_root(F(k - 1), degree) is None
             assert rational_root(F(k + 1), degree) is None
             assert rational_root(F(k, k + 1), degree) is None
+
+
+def counted(f):
+    # f with a count of its evaluations in ``calls[0]``
+    calls = [0]
+
+    def wrapped(z):
+        calls[0] += 1
+        return f(z)
+    return wrapped, calls
+
+
+def checked_integer_root(f, lo, hi):
+    # ``_integer_root`` on a bracket with f(lo) < 0 <= f(hi), against a
+    # brute-force scan of (lo, hi], within its evaluation bound
+    g, calls = counted(f)
+    got = _integer_root(g, lo, hi)
+    assert calls[0] <= math.ceil(math.log2(hi - lo)) + 1
+    roots = [z for z in range(lo + 1, hi + 1) if f(z) == 0]
+    assert (got is None) == (not roots)
+    assert got is None or got in roots
+    return got
+
+
+def test_integer_root_matches_brute_force_on_powers():
+    for n in (1, 2, 3, 4, 5):
+        for k in range(1, 700):
+            hi = 1 << -(-k.bit_length() // n)
+            got = checked_integer_root(lambda z: z ** n - k, 0, hi)
+            assert got == next((z for z in range(1, hi + 1) if z ** n == k), None)
+
+
+def test_integer_root_matches_brute_force_on_monic_cubics():
+    rng = random.Random(15)
+    found = 0
+    for trial in range(400):
+        if trial % 2:   # split: three distinct integer roots
+            r1, r2, r3 = rng.sample(range(-25, 26), 3)
+            coeffs = (-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3)
+        else:           # Shanks' cubic z³ − a·z² − (a+3)·z − 1 moved by z ↦ z + t
+            a, t = rng.randint(-8, 8), rng.randint(-20, 20)
+            coeffs = (3 * t - a, 3 * t * t - 2 * a * t - a - 3,
+                      t ** 3 - a * t * t - (a + 3) * t - 1)
+
+        def f(z, c=coeffs):
+            return ((z + c[0]) * z + c[1]) * z + c[2]
+
+        # every bracket (lo, hi] over a small range with f(lo) < 0 <= f(hi)
+        for lo in range(-40, 40, 3):
+            for hi in range(lo + 1, 41, 5):
+                if f(lo) < 0 <= f(hi):
+                    found += checked_integer_root(f, lo, hi) is not None
+    assert found > 1000
 
 
 # --- the seed's dense Gauss-Jordan, kept as the reference oracle -----------------
