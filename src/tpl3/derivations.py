@@ -26,25 +26,38 @@ multiplication, are test oracles in ``tests/oracles.py``.
 
 The product space is solved in two stages.  The 1/3-derivation rows of the
 bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows`` to
-normal integer rows; then ``_moved_rows`` gives each left multiplication
-L_g a copy of those rows, moved into the column blocks of the products
-e_g·e_u, and those n·rank rows, still normal, go straight into
-``linalg._eliminate``.  The dense product system of the tests moves the
-raw rows the same way, so the two differ only in raw against reduced rows.
-Reduction keeps a row space and moving columns is linear, so both stacks
-span one row space.  A row space has one reduced row echelon form, so both
-give the same pivots, free coordinates and basis.
+normal integer rows.  Every left multiplication L_g of a compatible product
+is a 1/3-derivation with β_uv = (e_g·e_u)_v, so each reduced row, moved
+into the column blocks of the products e_g·e_u, is a row of the product
+system, once per g.  Lemma: a singleton reduced row β_uv = 0 holds for
+every 1/3-derivation, so (e_g·e_u)_v = 0 for every g in every compatible
+product; its n moved copies are the unit rows e_c of the killed columns
+c = pair(min(g, u), max(g, u))·n + v.  So the second stage collects the
+killed columns as a set, and ``_moved_rows`` moves only the other rows,
+drops the killed columns from each copy and renumbers the surviving
+columns in order; ``linalg._eliminate`` reduces those copies.  The dense
+product system of the tests moves every raw row and presolves nothing.
+Both give one space: reduction keeps a row space and moving columns is
+linear, so the moved reduced rows span the dense system's rows, and
+dropping a killed entry subtracts a multiple of a unit row that is itself
+a moved row.  Hence that row space is spanned by the unit rows of the
+killed columns and the shortened copies, whose reduced rows are zero at
+every killed column, and its reduced row echelon form is those unit rows
+together with the reduced copies, mapped back.  A row space has one
+reduced row echelon form, so both give the same pivots, free coordinates
+and basis; a killed column is a pivot, zero in every basis product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _eliminate, _kernel,
-                     _reduce, rat)
+from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _eliminate,
+                     _integer_row, _kernel, _reduce, rat)
 from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
@@ -185,45 +198,84 @@ def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _column_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each left multiplication L_g, g = 1..n, the product column that
+    each derivation column u·n + v moves to: β_uv of L_g is component v of
+    e_g·e_u, in the block of the pair (min(g, u), max(g, u)) of
+    ``_sym_pairs``, so e_u·e_g = e_g·e_u share one block.  For a fixed g
+    the map is strictly increasing.  It depends on n alone, so it is built
+    once per n."""
+    pair_index = {pair: idx for idx, pair in enumerate(_sym_pairs(n))}
+    return tuple(tuple(pair_index[(min(g, u), max(g, u))] * n + v
+                       for u in range(1, n + 1) for v in range(n))
+                 for g in range(1, n + 1))
+
+
 def _moved_rows(rows: Sequence[dict[int, int]], n: int,
-                pairs: tuple[tuple[int, int], ...]) -> Iterator[dict[int, int]]:
+                keep: Sequence[int]) -> Iterator[dict[int, int]]:
     """Each derivation row once per left multiplication L_g, g = 1..n, as a
-    new dict: β_uv moves to component v of e_g·e_u, in the block of the
-    pair (min(g, u), max(g, u)), so e_u·e_g = e_g·e_u share one block.
-    For a fixed g the column map is strictly increasing and the values are
-    not touched, so a copy of a normal integer row is a normal integer
-    row."""
-    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
-    for g in range(1, n + 1):
-        col = [pair_index[(min(g, u), max(g, u))] * n + v
-               for u in range(1, n + 1) for v in range(n)]
+    new dict, its columns moved by ``_column_moves`` and then restricted
+    to the product columns in ``keep`` (ascending), which are renumbered
+    0, 1, ... in order.  A copy that loses all its columns is dropped.
+
+    ``tp_product_space`` keeps every column but those that the singleton
+    rows β_uv = 0 kill.  Such a row holds for every 1/3-derivation, hence
+    for every left multiplication, so (e_g·e_u)_v = 0 for every g in every
+    compatible product, and its moved copies are the unit rows of the
+    killed columns.  Dropping a killed entry from a copy subtracts a
+    multiple of one of those unit rows, so the unit rows and the shortened
+    copies span the row space of the whole copies, whose one reduced row
+    echelon form is thus unchanged.  Moving and renumbering are strictly
+    increasing and leave the values alone, so a copy of a normal integer
+    row that keeps all its columns is a normal integer row; only a copy
+    that lost a column is normalised again, by ``_integer_row``.  With
+    every column kept, each row is moved whole, all-zero rows included,
+    as the dense reference in the tests moves the raw rows.
+    """
+    label = dict(zip(keep, range(len(keep))))
+    for move in _column_moves(n):
         for row in rows:
-            yield {col[c]: e for c, e in row.items()}
+            copy = {label[move[c]]: e for c, e in row.items() if move[c] in label}
+            if len(copy) == len(row):
+                yield copy
+            elif copy:
+                yield _integer_row(copy)
 
 
 def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
-    The two-stage solve of the module docstring: the reduced 1/3-derivation
-    rows of ``b``, moved by ``_moved_rows``, are eliminated again as they
-    are, with no further normalisation.  The free coordinates are the
-    non-pivot columns, ascending, and each basis product is read from its
-    sparse kernel row, grouped by pair.
+    The two-stage solve of the module docstring.  Lemma: a singleton row
+    β_uv = 0 among the reduced 1/3-derivation rows of ``b`` holds for every
+    left multiplication, so it kills the columns (e_g·e_u)_v, g = 1..n,
+    which are zero in every compatible product.  The other rows, moved by
+    ``_moved_rows`` onto the surviving columns, are eliminated again by
+    ``_eliminate``, and ``_kernel`` reads the kernel on those columns.  The
+    unit rows of the killed columns and the eliminated rows, which are
+    zero there, form the reduced row echelon form of the whole product
+    system; it is unique, so the pivots, free coordinates and basis are
+    those of the joint elimination.  The free coordinates are the
+    surviving non-pivot columns, ascending, and each basis product is read
+    from its sparse kernel row, mapped back and grouped by pair.
     """
     n = b.dim
     pairs = _sym_pairs(n)
-    ncols = len(pairs) * n
     rows = _reduced_rows(DerivationQuery(b))[0]
-    reduced, pivots = _eliminate(_moved_rows(rows, n, pairs))
+    singletons = [c for row in rows if len(row) == 1 for c in row]
+    killed = {move[c] for move in _column_moves(n) for c in singletons}
+    keep = [c for c in range(len(pairs) * n) if c not in killed]
+    reduced, pivots = _eliminate(_moved_rows([r for r in rows if len(r) > 1], n, keep))
     basis = []
-    for vec in _kernel(reduced, pivots, ncols):
+    for vec in _kernel(reduced, pivots, len(keep)):
         table: dict[tuple[int, int], list[Fraction]] = {}
-        for c, e in vec.items():
+        for j, e in vec.items():
+            c = keep[j]
             table.setdefault(pairs[c // n], [ZERO] * n)[c % n] = e
         basis.append(CommProduct(n, {pair: Vector(coeffs)
                                      for pair, coeffs in table.items()}))
     pivot_set = set(pivots)
     description = tuple((pairs[c // n], c % n + 1)
-                        for c in range(ncols) if c not in pivot_set)
+                        for i, c in enumerate(keep) if i not in pivot_set)
     return ProductSpace(dim=len(basis), basis=tuple(basis),
                         description=description, bracket=b)

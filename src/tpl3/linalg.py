@@ -4,28 +4,28 @@ Scalars are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
-All row reduction (``rank``, ``solve_affine`` and ``invert``) goes through
-one routine, ``_reduce``: ``_integer_row`` makes each raw row a normal
-integer row, and one elimination loop, ``_eliminate``, takes normal rows
-through fraction-free updates with the integer content removed after each
-one, the sparsest available pivot, and back-substitution.  Each reduced row
-comes back as a normal integer row that is zero at every other pivot
-column: the reduced row echelon form row times a positive integer, so
-dividing it by its pivot entry gives dense Gauss-Jordan over ``Fraction``
-exactly.  Every step (scaling a row by a nonzero rational, adding a
-multiple of one row to another, dropping a zero row or a row proportional
-to another) keeps the row space, and a row space has exactly one reduced
-row echelon form.  Division happens only where a rational is reported: in
-``_kernel``, and in the right-hand sides that ``solve_affine`` and
-``invert`` read.
+All row reduction goes through one elimination loop, ``_eliminate``.  Raw
+rows (``rank``, ``solve_affine``, ``invert``, the δ-derivation rows) reach
+it through ``_reduce``, whose ``_integer_row`` makes each a normal integer
+row; the product stage of ``derivations`` hands it already normal rows
+directly.  ``_eliminate`` uses fraction-free updates with the integer
+content removed after each one, the sparsest available pivot, and
+back-substitution.  Each reduced row comes back as a normal integer row
+that is zero at every other pivot column: the reduced row echelon form row
+times a positive integer, so dividing it by its pivot entry gives dense
+Gauss-Jordan over ``Fraction`` exactly.  Every step (scaling a row by a
+nonzero rational, adding a multiple of one row to another, dropping a zero
+row or a row proportional to another) keeps the row space, and a row space
+has exactly one reduced row echelon form.  Division happens only where a
+rational is reported: in ``_kernel``, and in the right-hand sides that
+``solve_affine`` and ``invert`` read.
 
 ``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
 nonzero entries, and ``_kernel`` returns the kernel basis as sparse rows
-too.  The solved spaces in ``derivations`` hand ``_reduce`` their rows in
-that form and read their bases from the sparse kernel rows, without
-building a dense ``Matrix``; the ``Matrix`` solvers here pass their dense
-rows through ``_sparse`` into the same routine and densify the kernel rows
-with ``_densify``.
+too.  The solved spaces in ``derivations`` pass their rows in that form and
+read their bases from the sparse kernel rows, with no dense ``Matrix``; the
+``Matrix`` solvers here pass dense rows through ``_sparse`` into
+``_reduce`` and densify the kernel rows with ``_densify``.
 
 Conventions fixed by this module and relied on elsewhere:
 

@@ -154,4 +154,5 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
     """
     pairs = _sym_pairs(b.dim)
     rows = list(_derivation_rows(DerivationQuery(b)))
-    return _dense(_moved_rows(rows, b.dim, pairs), len(pairs) * b.dim), pairs
+    ncols = len(pairs) * b.dim
+    return _dense(_moved_rows(rows, b.dim, range(ncols)), ncols), pairs

@@ -7,10 +7,10 @@ from math import comb
 
 import pytest
 
-from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch, FamilyInstance,
-                  Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
+from tpl3 import (AutoMatrix, CommProduct, DerivationQuery, DimensionMismatch,
+                  FamilyInstance, Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
                   check_transposed_leibniz, delta_derivations, instantiate_family,
-                  tp_product_space, vec_mat)
+                  tp_product_space, transport_bracket, transport_product, vec_mat)
 from conftest import A3_PRODUCT_SPACE, rand_rat
 from oracles import (build_derivation_system, build_product_system, kernel_basis,
                      left_multiplication, mat_vec, rref)
@@ -395,13 +395,40 @@ def fresh_bracket(name: str) -> TriBracket:
             else direct_sum(*SOLVED_SPACES[name][0]))
 
 
+def moved_copies(b: TriBracket) -> tuple[set[int], list[list[int]]]:
+    """The killed product columns of ``b`` and the columns of each moved copy
+    of a non-singleton reduced 1/3-derivation row, one list per (g, row).
+
+    β_uv sits at column u·n + v of a reduced row and moves, for L_g, to
+    component v of the pair (min(g, u), max(g, u)); the killed columns are
+    the moved columns of the singleton rows β_uv = 0, for every g."""
+    from tpl3.derivations import _reduced_rows
+
+    n = b.dim
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+    def move(g, c):
+        u, v = divmod(c, n)
+        return pairs.index((min(g, u + 1), max(g, u + 1))) * n + v
+
+    rows = _reduced_rows(DerivationQuery(b))[0]
+    gs = range(1, n + 1)
+    killed = {move(g, c) for row in rows if len(row) == 1 for c in row for g in gs}
+    copies = [[move(g, c) for c in row] for g in gs for row in rows if len(row) > 1]
+    return killed, copies
+
+
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
 def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.derivations as derivations
     import tpl3.linalg as linalg
 
     n = fresh_bracket(name).dim
-    rank = n * n - delta_derivations(DerivationQuery(fresh_bracket(name))).dim
+    # the second elimination gets the moved copies of the non-singleton
+    # reduced rows that keep a column off the killed ones
+    killed, copies = moved_copies(fresh_bracket(name))
+    kept = [cols for cols in copies if not killed.issuperset(cols)]
+    shrunk = [cols for cols in kept if not killed.isdisjoint(cols)]
     counts = []
 
     def counting(original):
@@ -421,10 +448,10 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # _eliminate on the moved copies of the reduced rows
     for fn in ("_reduce", "_eliminate"):
         monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
-    # a fresh bracket: the 1/3-derivation rows once, then one reduced copy
-    # per left multiplication, instead of n raw copies
+    # a fresh bracket: the 1/3-derivation rows once, then the surviving
+    # reduced copies, instead of n raw copies of every row
     b = fresh_bracket(name)
-    full = [comb(n, 3) * n, n * rank]
+    full = [comb(n, 3) * n, len(kept)]
     assert reduce_counts(tp_product_space, b)[0] == full
     # the same object keeps its reduced rows: no elimination at all
     assert reduce_counts(derivation, b)[0] == []
@@ -434,14 +461,17 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # the other order: the derivation rows once, then only the moved copies
     b2 = fresh_bracket(name)
     assert reduce_counts(derivation, b2)[0] == full[:1]
-    # the moved copies are already normal integer rows: none is normalised again
+    # a moved copy that keeps all its columns is already a normal integer
+    # row: only the copies that lost a column are normalised again
     normalised = []
     integer_row = linalg._integer_row
-    monkeypatch.setattr(linalg, "_integer_row",
-                        lambda row: normalised.append(row) or integer_row(row))
+    recording = lambda row: normalised.append(row) or integer_row(row)
+    monkeypatch.setattr(linalg, "_integer_row", recording)
+    monkeypatch.setattr(derivations, "_integer_row", recording)
     counts2, space2 = reduce_counts(tp_product_space, b2)
-    assert counts2 == full[1:] and normalised == []
+    assert counts2 == full[1:] and len(normalised) == len(shrunk)
     monkeypatch.setattr(linalg, "_integer_row", integer_row)
+    monkeypatch.setattr(derivations, "_integer_row", integer_row)
     # an equal but distinct bracket, a copy and an unpickled bracket solve again
     for other in (fresh_bracket(name), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and other is not b
@@ -452,11 +482,62 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     assert (space2.dim, space2.basis, space2.description) == dense_product_space(b)
 
 
+def oracle_brackets() -> list[TriBracket]:
+    """The brackets of ``test_product_space_matches_dense_system_kernel``."""
+    brackets = [TriBracket(n, {}) for n in range(1, 7)]
+    brackets += [TriBracket(n, {tr: Vector.unit(n, t)})
+                 for n in (3, 4, 5) for tr in combinations(range(1, n + 1), 3)
+                 for t in (1, n)]
+    brackets += [A3, seed3_dense_bracket()]
+    brackets += [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    rng = random.Random(43)
+    for trial in range(200):
+        n = 6 if trial % 20 == 19 else (1, 2, 3, 3, 3, 4, 4, 4, 5, 5)[trial % 10]
+        keep, density = rng.choice(((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5)))
+        if n > 4 and trial % 100 not in (19, 38):
+            keep = min(keep, 0.25)
+        brackets.append(rational_bracket(rng, n, keep, density))
+    return brackets
+
+
+def test_killed_product_columns_are_zero():
+    # a singleton reduced row β_uv = 0 holds for every 1/3-derivation, so
+    # for every left multiplication: (e_g·e_u)_v = 0 for every g, in every
+    # compatible product.  Each killed column is zero in every basis
+    # product and never a free coordinate.
+    named = {seed3_dense_bracket(), direct_sum(*SOLVED_SPACES["A4+ab1"][0]),
+             direct_sum(*SOLVED_SPACES["A4+ab2"][0])}
+    hits = lost_later = without_singletons = 0
+    lost_lead = []
+    for b in oracle_brackets():
+        n = b.dim
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        killed, copies = moved_copies(b)
+        space = tp_product_space(b)
+        for c in killed:
+            pair, t = pairs[c // n], c % n
+            assert all(p.basis_product(*pair)[t] == 0 for p in space.basis)
+            assert (pair, t + 1) not in space.description
+            hits += 1
+        # the copies that reach the second elimination with fewer columns;
+        # one that lost its leading column can start with a negative entry
+        shrunk = [cols for cols in copies
+                  if not killed.isdisjoint(cols) and not killed.issuperset(cols)]
+        lead = sum(cols[0] in killed for cols in shrunk)
+        if b in named:
+            lost_lead.append(lead)
+        lost_later += len(shrunk) - lead
+        without_singletons += bool(copies) and not killed
+    assert lost_lead == [3, 3, 3]
+    assert hits > 5000 and lost_later > 400 and without_singletons > 20
+
+
 def test_reduced_rows_are_normal_integer_rows():
     # every row _reduce returns is its reduced-echelon row times a positive
     # integer, in _integer_row's normal form (ascending columns, content 1,
-    # positive first entry), so a _moved_rows copy of a memo row goes into
-    # the second elimination without being normalised again
+    # positive first entry), so a _moved_rows copy of a memo row that keeps
+    # all its columns goes into the second elimination without being
+    # normalised again, and one that lost a column is normalised again
     from test_linalg import oracle_rref, random_matrices
     from tpl3.derivations import _moved_rows, _reduced_rows, _sym_pairs
     from tpl3.linalg import _integer_row, _reduce, _sparse
@@ -485,10 +566,47 @@ def test_reduced_rows_are_normal_integer_rows():
         for delta in (F(2), F(-2, 5), F(1, 3)):
             q = DerivationQuery(b, delta)
             check(*_reduced_rows(q), build_derivation_system(q))
-        for row in _moved_rows(_reduced_rows(q)[0], b.dim, _sym_pairs(b.dim)):
-            assert is_normal(row)
-            moved += 1
+        ncols = len(_sym_pairs(b.dim)) * b.dim
+        killed = moved_copies(b)[0]
+        for keep in (range(ncols), [c for c in range(ncols) if c not in killed]):
+            for row in _moved_rows(_reduced_rows(q)[0], b.dim, keep):
+                assert is_normal(row)
+                moved += 1
     assert moved > 500
+
+
+def unimodular(rng: random.Random, n: int) -> AutoMatrix:
+    """A seeded product of 8 to 16 elementary row operations, each adding
+    ±1 or ±2 times one row to another: an integer map of determinant 1."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(8, 16)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return AutoMatrix.from_rows(rows)
+
+
+def test_solved_spaces_are_basis_covariant():
+    # a basis change is an isomorphism: it moves every δ-derivation and
+    # every compatible product, so the dimensions agree and each product
+    # of b moves into the product space of the image
+    rng = random.Random(67)
+    brackets = [A3] + [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    brackets += [rational_bracket(rng, n, keep, density) for n in (3, 4, 5)
+                 for keep, density in ((1, 1), (1, 0.4), (0.5, 0.7))]
+    products = 0
+    for b in brackets:
+        phi = unimodular(rng, b.dim)
+        image = transport_bracket(b, phi)
+        for delta in (F(1, 3), F(1), F(-2, 5)):
+            assert (delta_derivations(DerivationQuery(image, delta)).dim
+                    == delta_derivations(DerivationQuery(b, delta)).dim)
+        space, moved = tp_product_space(b), tp_product_space(image)
+        assert moved.dim == space.dim
+        for p in space.basis:
+            assert moved.contains(transport_product(p, phi))
+            products += 1
+    assert products > 50
 
 
 def solved(b: TriBracket, step: str):
