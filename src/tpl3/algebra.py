@@ -47,16 +47,17 @@ class TriBracket:
     ``table`` maps a strictly increasing 1-based triple (i, j, k) to the
     coefficient vector of [e_i, e_j, e_k]; absent triples are zero.
 
-    ``_reduced`` is the reduction memo of ``tpl3.derivations._reduced_rows``,
-    which documents its format: the normal integer rows and pivots that
-    ``linalg._reduce`` returns.  It is empty until the first solve.  It
-    relies on ``table`` never being mutated after construction, and its
-    stored rows are read-only.  The memo is not part of ``==``, ``hash``,
-    ``repr`` or the pickled state, so a copy or an equal bracket solves
-    again.
+    Two memos sit beside ``table``.  ``_reduced`` is the reduction memo of
+    ``tpl3.derivations._reduced_rows``, which documents its format: the
+    normal integer rows and pivots that ``linalg._reduce`` returns.  It is
+    empty until the first solve.  ``_structure`` is the result of
+    ``structure_table``, None until its first call.  Both rely on ``table``
+    never being mutated after construction, and what they store is
+    read-only.  Neither is part of ``==``, ``hash``, ``repr`` or the
+    pickled state, so a copy or an equal bracket builds and solves again.
     """
 
-    __slots__ = ("dim", "table", "_reduced")
+    __slots__ = ("dim", "table", "_reduced", "_structure")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int, int], Vector]):
         if dim < 1:
@@ -73,6 +74,7 @@ class TriBracket:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
         object.__setattr__(self, "_reduced", {})
+        object.__setattr__(self, "_structure", None)
 
     def __reduce__(self):
         return TriBracket, (self.dim, self.table)
@@ -203,16 +205,20 @@ def structure_table(b: TriBracket) -> tuple[int, list[list[list[tuple[tuple[int,
     Filled straight from the stored increasing triples: each one writes its
     three even permutations with +c and its three odd ones with −c, and
     every other cell (a repeated index or an absent triple) stays empty.
-    Built once per call of a routine that reads many basis brackets, so
-    their inner loops index a list instead of sorting indices and
-    allocating a ``Vector`` per term, and multiply Python ``int``s instead
-    of ``Fraction``s.  Each reader works on the scaled constants and
-    divides by its power of D only when it builds a reported ``Vector``:
-    both sides of the fundamental identity are products of two constants
-    (D²), the coupling identity and ``morphisms.transport_bracket`` are
-    linear in them (D), and ``derivations._derivation_rows`` scales each
-    row by D, which keeps its row space.
+    Built once per bracket object and kept in its ``_structure`` memo, so
+    the routines that read many basis brackets share one build; callers
+    must not mutate it.  Their inner loops index a list instead of sorting
+    indices and allocating a ``Vector`` per term, and multiply Python
+    ``int``s instead of ``Fraction``s.  Each reader works on the scaled
+    constants and divides by its power of D only when it builds a reported
+    ``Vector``: both sides of the fundamental identity are products of two
+    constants (D²), the coupling identity and
+    ``morphisms.transport_bracket`` are linear in them (D), and
+    ``derivations._derivation_rows`` scales each row by D, which keeps its
+    row space.
     """
+    if b._structure is not None:
+        return b._structure
     n = b.dim
     den = math.lcm(*(e.denominator for coeffs in b.table.values() for e in coeffs))
     table = [[[()] * n for _ in range(n)] for _ in range(n)]
@@ -223,6 +229,7 @@ def structure_table(b: TriBracket) -> tuple[int, list[list[list[tuple[tuple[int,
         i, j, k = i - 1, j - 1, k - 1
         table[i][j][k] = table[j][k][i] = table[k][i][j] = even
         table[j][i][k] = table[i][k][j] = table[k][j][i] = odd
+    object.__setattr__(b, "_structure", (den, table))
     return den, table
 
 
@@ -249,15 +256,35 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
     skewness of both sides make this exhaustive.  Both sides expand by
     linearity in the first slot over the structure-constant table, in
     integers scaled by D² (see ``structure_table``).
+
+    Only tuples where a side can be nonzero are visited.  The left side
+    vanishes when [e_x,e_y,e_z] = 0, and the right side when [e_a,e_u,e_v]
+    = 0 for each a ∈ {x, y, z}.  So when [e_x,e_y,e_z] = 0, only the pairs
+    (u, v) with {a, u, v} a stored triple for some a ∈ {x, y, z} are
+    visited, in ascending order; a triple none of whose indices occurs in
+    a stored triple is skipped whole.  The skipped tuples hold trivially,
+    so the report is that of the full loop.
     """
     n = b.dim
     den, table = structure_table(b)
     den2 = den * den
+    all_pairs = list(combinations(range(n), 2))
+    partners: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for (i, j, k) in b.table:
+        i, j, k = i - 1, j - 1, k - 1
+        partners[i].add((j, k))
+        partners[j].add((i, k))
+        partners[k].add((i, j))
     violations = []
     for (x, y, z) in combinations(range(n), 3):
-        for (u, v) in combinations(range(n), 2):
+        xyz = table[x][y][z]
+        if xyz:
+            pairs = all_pairs
+        else:
+            pairs = sorted(partners[x] | partners[y] | partners[z])
+        for (u, v) in pairs:
             left = [0] * n
-            for s, c in table[x][y][z]:
+            for s, c in xyz:
                 for t, d in table[s][u][v]:
                     left[t] += c * d
             right = [0] * n

@@ -11,10 +11,11 @@ bracket part of a transposed Poisson structure, so the same rows also
 solve for all compatible commutative products at once.
 
 ``_derivation_rows`` is the one row generator: it reads the bracket's
-``structure_table`` and yields sparse integer rows, ``{column: value}``,
-each a nonzero multiple of the rational row (see its docstring).  The
-solvers eliminate them with ``linalg._reduce``, which returns normal
-integer rows, and read their bases from the sparse kernel rows of
+``structure_table`` and yields the nonzero sparse integer rows,
+``{column: value}``, each a nonzero multiple of the rational row (see its
+docstring).  The solvers eliminate them with the forward pass and
+back-substitution of ``linalg._eliminate``, which return normal integer
+rows, and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
 built on the solve path.  ``_reduced_rows`` is the one place that
 eliminates a bracket's δ-derivation rows, once per bracket object and δ,
@@ -24,12 +25,12 @@ so ``delta_derivations``, ``DerivationSpace.contains`` and
 product rows state.  The dense definitions of both systems, and of a left
 multiplication, are test oracles in ``tests/oracles.py``.
 
-The product space is solved in two stages.  The 1/3-derivation rows of the
-bracket (C(n,3)·n rows over n² columns) are reduced by ``_reduced_rows`` to
-normal integer rows.  Every left multiplication L_g of a compatible product
-is a 1/3-derivation with β_uv = (e_g·e_u)_v, so each reduced row, moved
-into the column blocks of the products e_g·e_u, is a row of the product
-system, once per g.  Lemma: a singleton reduced row β_uv = 0 holds for
+The product space is solved in two stages.  The nonzero 1/3-derivation
+rows of the bracket (at most C(n,3)·n rows over n² columns) are reduced by
+``_reduced_rows`` to normal integer rows.  Every left multiplication L_g
+of a compatible product is a 1/3-derivation with β_uv = (e_g·e_u)_v, so
+each reduced row, moved into the column blocks of the products e_g·e_u,
+is a row of the product system, once per g.  Lemma: a singleton reduced row β_uv = 0 holds for
 every 1/3-derivation, so (e_g·e_u)_v = 0 for every g in every compatible
 product; its n moved copies are the unit rows e_c of the killed columns
 c = pair(min(g, u), max(g, u))·n + v.  So the second stage collects the
@@ -56,8 +57,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _densify, _eliminate,
-                     _integer_row, _kernel, _reduce, rat)
+from .linalg import (DimensionMismatch, Matrix, Vector, _back_substitute, _densify,
+                     _echelon, _eliminate, _integer_row, _kernel, rat)
 from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
@@ -127,7 +128,7 @@ class ProductSpace:
 
 def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
     """Sparse integer rows ``{column: value}`` of the δ-derivation system of
-    ``query``, one per (i<j<k, t), all-zero rows included.
+    ``query``, one per (i<j<k, t), all-zero rows left out.
 
     The unknown β_uv (component v of the image of e_u, 0-based) sits at
     column u·n + v.  With δ = p/q in lowest terms and the bracket's
@@ -136,11 +137,23 @@ def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
     terms minus q times the coefficient c of φ[x,y,z].  D·p ≠ 0, so the row
     space, and with it the reduced rows, pivots and kernel, are those of
     the rational system.
+
+    The rows of (i, j, k) read [e_s,e_j,e_k], [e_i,e_s,e_k], [e_i,e_j,e_s]
+    and [e_i,e_j,e_k], so they all vanish unless a stored triple holds two
+    of i, j, k (the triple itself among them).  Those live pairs are read
+    off the stored triples, and the other triples are skipped.  A row whose
+    entries all cancel is dropped too.  Zero rows add nothing to the row
+    space.
     """
     _, table = structure_table(query.bracket)
     p, q = query.delta.numerator, query.delta.denominator
     n = len(table)
+    live = set()
+    for (i, j, k) in query.bracket.table:
+        live.update(((i - 1, j - 1), (i - 1, k - 1), (j - 1, k - 1)))
     for (i, j, k) in combinations(range(n), 3):
+        if (j, k) not in live and (i, k) not in live and (i, j) not in live:
+            continue
         rows: list[dict[int, int]] = [{} for _ in range(n)]
         for s in range(n):
             for col, cell in ((i * n + s, table[s][j][k]),
@@ -154,7 +167,9 @@ def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
             for t in range(n):
                 row, col = rows[t], s * n + t
                 row[col] = row.get(col, 0) - f
-        yield from rows
+        for row in rows:
+            if any(row.values()):
+                yield row
 
 
 def _annihilates(rows: Iterable[dict[int, int]],
@@ -174,10 +189,30 @@ def _reduced_rows(q: DerivationQuery
     pivot order.  The rows are eliminated once per bracket object and δ and
     then read from the memo, which only gains entries; any two writers
     store equal values.  Callers must not mutate the returned rows.
+
+    The forward pass ``_echelon`` always runs; back-substitution is skipped
+    when its answer is known.  At δ = 1/3 the identity map is a
+    1/3-derivation (φ[x,y,z] = [x,y,z] = (1/3)·3[x,y,z]), so vec(I), with
+    a 1 at each u·n + u, is in the kernel and the rank is at most n² − 1.
+    When the forward pass finds n² − 1 pivots, the kernel is the line
+    through vec(I).  A free column is the last nonzero coordinate of its
+    kernel vector, so the one free column is n² − 1, the pivots are
+    0..n² − 2, and the reduced row of pivot c is e_c − I_c·e_{n²−1}, since
+    it annihilates vec(I): {c: 1} for each off-diagonal c and
+    {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
+    rows, and a row space has one reduced row echelon form, so they are
+    what back-substitution would return.
     """
     memo = q.bracket._reduced
     if q.delta not in memo:
-        memo[q.delta] = _reduce(_derivation_rows(q))
+        echelon = _echelon(map(_integer_row, _derivation_rows(q)))
+        n = q.bracket.dim
+        last = n * n - 1
+        if q.delta == ONE_THIRD and len(echelon) == last:
+            memo[q.delta] = ([{c: 1, last: -1} if c % (n + 1) == 0 else {c: 1}
+                              for c in range(last)], tuple(range(last)))
+        else:
+            memo[q.delta] = _back_substitute(echelon)
     return memo[q.delta]
 
 

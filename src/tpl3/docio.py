@@ -38,10 +38,14 @@ class DocumentError(ValueError):
 
 #: the largest ``dim`` a document may declare.  A document of a few bytes,
 #: ``{"dim": N, "bracket": []}``, makes ``check`` fill an N×N×N structure
-#: table and visit C(N,3)·C(N,2) basis tuples, so its time grows as N⁵:
-#: ``tpl3 check`` on the zero bracket of dimension 32 takes about 3.3 s
-#: (Python 3.11.7, 2 vCPU) and at 33 already 4.3 s, while dimension 1,000
-#: would need about 10⁹ table cells.  Every document of the paper has
+#: table (dimension 1,000 would need about 10⁹ cells), and its δ-derivation
+#: and product spaces have N² and N²(N+1)/2 basis elements.  The
+#: fundamental-identity check visits only the basis tuples where a side can
+#: be nonzero, so on the zero bracket of dimension 32 it takes about 2 ms in
+#: process (3.3 s for the whole ``tpl3 check`` while it visited all
+#: C(N,3)·C(N,2) tuples); ``tpl3 check``, ``derivations`` and ``tp-space``
+#: take about 0.2, 1.0 and 0.7 s there, mostly start-up and printing the
+#: bases (Python 3.11.7, 2 vCPU).  Every document of the paper has
 #: dimension 3.  The cap bounds sparse documents only: on a dense bracket,
 #: with every triple stored, ``check`` costs about n⁷ (n⁵ tuples of n² terms
 #: each), about 4.5 s at n = 14, so a dense document within the cap can

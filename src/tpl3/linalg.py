@@ -4,13 +4,16 @@ Scalars are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
-All row reduction goes through one elimination loop, ``_eliminate``.  Raw
-rows (``rank``, ``solve_affine``, ``invert``, the δ-derivation rows) reach
-it through ``_reduce``, whose ``_integer_row`` makes each a normal integer
-row; the product stage of ``derivations`` hands it already normal rows
-directly.  ``_eliminate`` uses fraction-free updates with the integer
-content removed after each one, the sparsest available pivot, and
-back-substitution.  Each reduced row comes back as a normal integer row
+All row reduction goes through one elimination loop, ``_eliminate``: the
+forward pass ``_echelon`` followed by ``_back_substitute``.  Raw rows
+(``rank``, ``solve_affine``, ``invert``) reach it through ``_reduce``,
+whose ``_integer_row`` makes each a normal integer row; the product stage
+of ``derivations`` hands it already normal rows directly, and the
+δ-derivation stage runs the two halves itself, so that it can skip
+back-substitution when the forward pass already fixes the answer (see
+``derivations._reduced_rows``).  The forward pass uses fraction-free
+updates with the integer content removed after each one and the sparsest
+available pivot.  Each reduced row comes back as a normal integer row
 that is zero at every other pivot column: the reduced row echelon form row
 times a positive integer, so dividing it by its pivot entry gives dense
 Gauss-Jordan over ``Fraction`` exactly.  Every step (scaling a row by a
@@ -57,7 +60,16 @@ class Infeasible(ArithmeticError):
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact rational."""
+    """Coerce an int, string, or Fraction to an exact rational.
+
+    The exact types are tested first: ``isinstance(x, Fraction)`` on an
+    ``int`` goes through the ``numbers.Rational`` ABC check, which costs
+    more than the coercion itself.  Subclasses take the ``isinstance`` path.
+    """
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -101,7 +113,7 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(rat(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(rat, entries)))
         if not self.entries:
             raise DimensionMismatch("vectors must have positive dimension")
 
@@ -147,7 +159,7 @@ class Vector:
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
     def _check(self, other: "Vector") -> None:
         if not isinstance(other, Vector) or other.dim != self.dim:
@@ -173,7 +185,7 @@ class Matrix:
             raise DimensionMismatch("matrices must have positive shape")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(rat(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(rat, entries)))
         if len(self.entries) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(self.entries)}"
@@ -314,17 +326,27 @@ def _eliminate(rows: Iterable[dict[int, int]]
     ``_integer_row`` returns them: ascending columns, coprime entries, a
     positive first entry.
 
-    Zero rows and repeated rows are dropped before any work.  Forward
-    elimination visits the columns up to the last nonzero one in ascending
-    order and keeps the rows bucketed by their leading column: the rows
-    leading at column c are exactly those with a nonzero there, the
-    sparsest becomes the pivot, and every other one is combined
-    fraction-free with it and moves to its new leading column.
-    Back-substitution clears the entries above each pivot, bottom up.
-    The result is one row per pivot, in pivot order, each a normal integer
-    row that is zero at every other pivot column, with its pivot as its
-    first column: the unique reduced row echelon form row times a positive
-    integer.  Dividing a row by its pivot entry gives the rational row.
+    The forward pass ``_echelon`` followed by ``_back_substitute``, whose
+    docstrings give the two halves.  The result is one row per pivot, in
+    pivot order, each a normal integer row that is zero at every other
+    pivot column, with its pivot as its first column: the unique reduced
+    row echelon form row times a positive integer.  Dividing a row by its
+    pivot entry gives the rational row.
+    """
+    return _back_substitute(_echelon(rows))
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """The forward pass of ``_eliminate``: an echelon form of the normal
+    integer ``rows`` as ``(pivot column, row)`` pairs, in pivot order.
+
+    Zero rows and repeated rows are dropped before any work.  The pass
+    visits the columns up to the last nonzero one in ascending order and
+    keeps the rows bucketed by their leading column: the rows leading at
+    column c are exactly those with a nonzero there, the sparsest becomes
+    the pivot, and every other one is combined fraction-free with it and
+    moves to its new leading column.  Its length is the rank, and its pivot
+    columns are those of the reduced row echelon form.
     """
     by_lead: dict[int, list[dict[int, int]]] = {}
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -352,7 +374,13 @@ def _eliminate(rows: Iterable[dict[int, int]]
             if r:
                 by_lead.setdefault(min(r), []).append(r)
         echelon.append((c, pivot))
+    return echelon
 
+
+def _back_substitute(echelon: list[tuple[int, dict[int, int]]]
+                     ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """The reduced rows and pivots of ``_eliminate`` from the echelon form
+    of ``_echelon``: clears the entries above each pivot, bottom up."""
     # bottom up: every pivot row below r is already free of the other pivot
     # columns, so clearing one entry of r introduces no other
     pivot_rows: dict[int, dict[int, int]] = {}

@@ -1,8 +1,8 @@
 """Dense reference definitions that only the tests use.
 
 The package solves and multiplies one way each: every elimination is the
-one loop ``linalg._eliminate``, reached through ``linalg._reduce`` from raw
-rows, each δ-derivation system is stated once by
+one loop ``linalg._eliminate`` (its forward pass and back-substitution),
+reached through ``linalg._reduce`` from raw rows, each δ-derivation system is stated once by
 ``derivations._derivation_rows``, and products are multiplied through their
 coefficient tables.  The functions here are the dense forms of the same
 objects, kept so the tests can state them independently of the fast path:
@@ -129,8 +129,10 @@ def build_derivation_system(q: DerivationQuery) -> Matrix:
     """The homogeneous system M·vec(β) = 0 characterising δ-derivations.
 
     Unknowns are the n² entries β_uv, row-major; rows are indexed by
-    increasing basis triples and output component t.  This is the dense
-    form of the rows that ``delta_derivations`` eliminates.
+    increasing basis triples and output component t, and only the nonzero
+    ones are kept, so the matrix has at most C(n,3)·n rows (one zero row
+    when none is left).  This is the dense form of the rows that
+    ``delta_derivations`` eliminates.
     """
     n = q.bracket.dim
     return _dense(_derivation_rows(q), n * n)

@@ -142,12 +142,33 @@ def test_fundamental_identity_matches_bracket_eval_reference():
         brackets.append(TriBracket(n, {
             tr: Vector([rand_rat(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
             for tr in combinations(range(1, n + 1), 3)}))
-    failing = 0
+    # sparse brackets, where the check skips tuples whose two sides are
+    # both zero: direct sums with abelian parts, the zero bracket and
+    # brackets that store about a quarter of the triples
+    shifted = lambda b, n, offset: {tuple(i + offset for i in key): Vector(
+        [0] * offset + list(v) + [0] * (n - offset - b.dim)) for key, v in b.table.items()}
+    brackets += [TriBracket(6, {**shifted(A3, 6, 0), **shifted(A3, 6, 3)}),
+                 TriBracket(7, shifted(simple4, 7, 3)),
+                 TriBracket(7, shifted(counterexample_bracket(), 7, 1)),
+                 TriBracket(6, {})]
+    for n in (5, 5, 6, 6, 6, 7):
+        brackets.append(TriBracket(n, {
+            tr: Vector([rand_rat(rng) if rng.random() < 0.5 else 0 for _ in range(n)])
+            for tr in combinations(range(1, n + 1), 3) if rng.random() < 0.25}))
+    failing = skipped_tuples = skipped_triples = 0
     for b in brackets:
         report = check_fundamental_identity(b)
         assert report == reference_fundamental_identity(b)
         failing += not report.passed
-    assert failing >= 4
+        n = b.dim
+        used = {i for key in b.table for i in key}
+        for xyz in combinations(range(1, n + 1), 3):
+            if b.basis_bracket(*xyz).is_zero():
+                skipped_triples += used.isdisjoint(xyz)
+                skipped_tuples += sum(all(b.basis_bracket(a, *uv).is_zero() for a in xyz)
+                                      for uv in combinations(range(1, n + 1), 2))
+    # the zero bracket skips its 20 triples, simple4 + ab3 the triple (1, 2, 3)
+    assert failing >= 7 and skipped_triples > 20 and skipped_tuples > 1000
 
 
 def test_transposed_leibniz_examples():

@@ -3,14 +3,15 @@ import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb
 
 import pytest
 
 from tpl3 import (AutoMatrix, CommProduct, DerivationQuery, DimensionMismatch,
                   FamilyInstance, Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
-                  check_transposed_leibniz, delta_derivations, instantiate_family,
-                  tp_product_space, transport_bracket, transport_product, vec_mat)
+                  check_fundamental_identity, check_transposed_leibniz, delta_derivations,
+                  instantiate_family, mat_mul, tp_product_space, transport_bracket,
+                  transport_product, vec_mat)
+from tpl3.algebra import structure_table
 from conftest import A3_PRODUCT_SPACE, rand_rat
 from oracles import (build_derivation_system, build_product_system, kernel_basis,
                      left_multiplication, mat_vec, rref)
@@ -418,14 +419,34 @@ def moved_copies(b: TriBracket) -> tuple[set[int], list[list[int]]]:
     return killed, copies
 
 
+def nonzero_derivation_rows(b: TriBracket) -> int:
+    """The number of nonzero rows (i<j<k, t) of the 1/3-derivation system of
+    ``b``, from the ``bracket_eval`` system; each lies in a triple of which
+    a stored triple holds two indices."""
+    n = b.dim
+    first, second = bracket_eval_systems(b)
+    triples = list(combinations(range(1, n + 1), 3))
+    live = {pair for key in b.table for pair in combinations(key, 2)}
+    count = 0
+    for r in range(len(triples) * n):
+        if any(x != y / 3 for x, y in zip((col[r] for col in first),
+                                            (col[r] for col in second))):
+            assert live & set(combinations(triples[r // n], 2))
+            count += 1
+    return count
+
+
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
 def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.derivations as derivations
     import tpl3.linalg as linalg
 
     n = fresh_bracket(name).dim
-    # the second elimination gets the moved copies of the non-singleton
-    # reduced rows that keep a column off the killed ones
+    # the first elimination gets the nonzero 1/3-derivation rows, all of
+    # them in triples that share two indices with a stored triple; the
+    # second gets the moved copies of the non-singleton reduced rows that
+    # keep a column off the killed ones
+    first = nonzero_derivation_rows(fresh_bracket(name))
     killed, copies = moved_copies(fresh_bracket(name))
     kept = [cols for cols in copies if not killed.issuperset(cols)]
     shrunk = [cols for cols in kept if not killed.isdisjoint(cols)]
@@ -444,14 +465,14 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
         return counts[:], result
 
     derivation = lambda b: delta_derivations(DerivationQuery(b))
-    # both eliminations tp_product_space calls: _reduce on the raw rows,
-    # _eliminate on the moved copies of the reduced rows
-    for fn in ("_reduce", "_eliminate"):
+    # both eliminations tp_product_space calls: the forward pass _echelon
+    # on the raw rows, _eliminate on the moved copies of the reduced rows
+    for fn in ("_echelon", "_eliminate"):
         monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
-    # a fresh bracket: the 1/3-derivation rows once, then the surviving
-    # reduced copies, instead of n raw copies of every row
+    # a fresh bracket: the nonzero 1/3-derivation rows once, then the
+    # surviving reduced copies, instead of n raw copies of every row
     b = fresh_bracket(name)
-    full = [comb(n, 3) * n, len(kept)]
+    full = [first, len(kept)]
     assert reduce_counts(tp_product_space, b)[0] == full
     # the same object keeps its reduced rows: no elimination at all
     assert reduce_counts(derivation, b)[0] == []
@@ -575,6 +596,41 @@ def test_reduced_rows_are_normal_integer_rows():
     assert moved > 500
 
 
+def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
+    # at δ = 1/3 the identity is a 1/3-derivation, so n² − 1 pivots after
+    # the forward pass fix the reduced rows and back-substitution is
+    # skipped; the memo rows must equal those of the full elimination
+    import tpl3.derivations as derivations
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+
+    back = []
+    original = derivations._back_substitute
+    monkeypatch.setattr(derivations, "_back_substitute",
+                        lambda echelon: back.append(1) or original(echelon))
+    rng = random.Random(71)
+    dense = [TriBracket(n, {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
+                            for tr in combinations(range(1, n + 1), 3)})
+             for n in (2, 3, 4, 5) for _ in range(4)]
+    sums = [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    full_rank = 0
+    for b in dense + sums + [seed3_dense_bracket()]:
+        q = DerivationQuery(b)
+        expected = _reduce(list(_derivation_rows(q)))
+        back.clear()
+        assert _reduced_rows(q) == expected
+        shortcut = len(expected[1]) == b.dim ** 2 - 1
+        assert back == ([] if shortcut else [1])
+        full_rank += shortcut
+        # the shortcut is taken at δ = 1/3 only
+        back.clear()
+        _reduced_rows(DerivationQuery(b, F(1)))
+        assert back == [1]
+    # every dense bracket with n = 4 or 5 (dense4 included), no direct sum
+    assert full_rank == 9
+    monkeypatch.undo()
+
+
 def unimodular(rng: random.Random, n: int) -> AutoMatrix:
     """A seeded product of 8 to 16 elementary row operations, each adding
     ±1 or ±2 times one row to another: an integer map of determinant 1."""
@@ -588,30 +644,38 @@ def unimodular(rng: random.Random, n: int) -> AutoMatrix:
 
 def test_solved_spaces_are_basis_covariant():
     # a basis change is an isomorphism: it moves every δ-derivation and
-    # every compatible product, so the dimensions agree and each product
-    # of b moves into the product space of the image
+    # every compatible product, so the dimensions agree, each δ-derivation
+    # β of b moves to Λ⁻¹·β·Λ in the row convention, a δ-derivation of the
+    # image, and each product of b moves into the product space of the image
     rng = random.Random(67)
     brackets = [A3] + [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
     brackets += [rational_bracket(rng, n, keep, density) for n in (3, 4, 5)
                  for keep, density in ((1, 1), (1, 0.4), (0.5, 0.7))]
-    products = 0
+    products = derivations = 0
     for b in brackets:
         phi = unimodular(rng, b.dim)
         image = transport_bracket(b, phi)
         for delta in (F(1, 3), F(1), F(-2, 5)):
-            assert (delta_derivations(DerivationQuery(image, delta)).dim
-                    == delta_derivations(DerivationQuery(b, delta)).dim)
+            space = delta_derivations(DerivationQuery(b, delta))
+            moved = delta_derivations(DerivationQuery(image, delta))
+            assert moved.dim == space.dim
+            for beta in space.basis:
+                assert moved.contains(mat_mul(mat_mul(phi._inverse, beta), phi.map))
+                derivations += 1
         space, moved = tp_product_space(b), tp_product_space(image)
         assert moved.dim == space.dim
         for p in space.basis:
             assert moved.contains(transport_product(p, phi))
             products += 1
-    assert products > 50
+    assert products > 50 and derivations > 150
 
 
 def solved(b: TriBracket, step: str):
-    """The product space ("p"), the 1/3-derivation space ("d") or the
-    δ = 2 space ("2") of ``b`` as a comparable tuple."""
+    """The product space ("p"), the 1/3-derivation space ("d"), the δ = 2
+    space ("2") or the fundamental-identity report ("f") of ``b`` as a
+    comparable value."""
+    if step == "f":
+        return check_fundamental_identity(b)
     if step == "p":
         space = tp_product_space(b)
         return space.dim, space.basis, space.description
@@ -628,19 +692,26 @@ def test_reduction_memo_leaves_solved_spaces_unchanged():
         keep, density = rng.choice(((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5)))
         brackets.append(rational_bracket(rng, n, keep if n < 6 else 0.25, density))
     for b in brackets:
-        # each space from its own equal bracket object with an empty memo
-        expected = {step: solved(TriBracket(b.dim, b.table), step) for step in "d2p"}
+        # each space from its own equal bracket object with empty memos
+        expected = {step: solved(TriBracket(b.dim, b.table), step) for step in "d2pf"}
+        table = structure_table(TriBracket(b.dim, b.table))
         # both call orders, with the δ = 2 solve in between
-        for order in ("d2p", "p2d"):
-            x = b if order == "d2p" else TriBracket(b.dim, b.table)
+        for order in ("fd2p", "p2df"):
+            x = b if order == "fd2p" else TriBracket(b.dim, b.table)
             shown = (hash(x), repr(x))
             assert {step: solved(x, step) for step in order} == expected
-            snapshot = copy.deepcopy(x._reduced)
+            snapshot = copy.deepcopy((x._reduced, x._structure))
             assert {step: solved(x, step) for step in order[::-1]} == expected
-            # the stored rows and pivots are never mutated by later solves
-            assert {delta: x._reduced[delta] for delta in snapshot} == snapshot
+            # the stored rows, pivots and structure table are never mutated
+            # by later solves, and the table is built once
+            assert {delta: x._reduced[delta] for delta in snapshot[0]} == snapshot[0]
+            assert x._structure == snapshot[1] == table
+            assert structure_table(x) is x._structure
             assert {F(1, 3), F(2)} <= set(x._reduced)
             assert x == TriBracket(b.dim, b.table) and (hash(x), repr(x)) == shown
+        # neither memo is copied or pickled
+        for other in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert other == b and other._structure is None and not other._reduced
 
 
 def test_product_space_contains_matches_dense_system():
