@@ -238,15 +238,28 @@ def _unscaled(values: list, den: int) -> Vector:
     return Vector(values if den == 1 else [Fraction(v, den) for v in values])
 
 
-def _product_table(p: CommProduct) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-    """Every basis product: ``table[i][j]`` lists the nonzero (t, c) with
-    e_i·e_j = Σ c e_t, all indices 0-based."""
+def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
+    """Every basis product over one common denominator: ``(D, table)``,
+    where ``table[i][j]`` lists the nonzero (t, c) with e_i·e_j =
+    Σ (c/D) e_t, each c an ``int``, all indices 0-based, and D is the least
+    common denominator of the stored coefficients (1 for an integer
+    product).
+
+    The product's counterpart of ``structure_table``, with the same
+    convention: each reader runs its inner loops on the scaled ``int``s
+    and divides by its power of D once per reported entry, through
+    ``_unscaled``.  ``check_transposed_leibniz`` multiplies one bracket and
+    one product constant per term, so it divides by D_bracket·D;
+    ``check_commutative_associative`` multiplies two product constants
+    (D²); ``morphisms.transport_product`` documents its own scale.
+    """
     n = p.dim
+    den = math.lcm(*(e.denominator for coeffs in p.table.values() for e in coeffs))
     table = [[()] * n for _ in range(n)]
     for (i, j), coeffs in p.table.items():
         table[i - 1][j - 1] = table[j - 1][i - 1] = tuple(
-            (t, c) for t, c in enumerate(coeffs) if c)
-    return table
+            (t, c.numerator * (den // c.denominator)) for t, c in enumerate(coeffs) if c)
+    return den, table
 
 
 def check_fundamental_identity(b: TriBracket) -> CheckReport:
@@ -304,13 +317,16 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     Runs over all basis u and basis triples x < y < z (exhaustive by
     multilinearity and skewness in x, y, z).  Both sides expand by
     linearity over the bracket's ``structure_table`` and the product's
-    table of basis products; both sides are scaled by the table's D.
+    ``_product_table``, in integers: every term multiplies one bracket and
+    one product constant, so both sides are scaled by D_bracket·D_product,
+    and a violation divides each side by that once.
     """
     if b.dim != p.dim:
         raise DimensionMismatch("bracket and product dimensions differ")
     n = b.dim
-    den, table = structure_table(b)
-    prod = _product_table(p)
+    den_b, table = structure_table(b)
+    den_p, prod = _product_table(p)
+    den = den_b * den_p
     violations = []
     for u in range(n):
         for (x, y, z) in combinations(range(n), 3):
@@ -339,11 +355,12 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
     stored on non-decreasing pairs), so it needs no check.
 
     Associativity is checked on all basis triples: (e_i·e_j)·e_k = e_i·(e_j·e_k).
-    Both sides expand by linearity over the product's table of basis
-    products.
+    Both sides expand by linearity over the product's ``_product_table``,
+    in integers scaled by D².
     """
     n = p.dim
-    prod = _product_table(p)
+    den, prod = _product_table(p)
+    den2 = den * den
     violations = []
     for i in range(n):
         for j in range(n):
@@ -358,7 +375,8 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
                         right[t] += c * d
                 if left != right:
                     violations.append(Violation((i + 1, j + 1, k + 1),
-                                                Vector(left), Vector(right)))
+                                                _unscaled(left, den2),
+                                                _unscaled(right, den2)))
     return CheckReport(tuple(violations))
 
 

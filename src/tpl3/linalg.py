@@ -5,30 +5,39 @@ denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
 All row reduction goes through one elimination loop, ``_eliminate``: the
-forward pass ``_echelon`` followed by ``_back_substitute``.  Raw rows
-(``rank``, ``solve_affine``, ``invert``) reach it through ``_reduce``,
-whose ``_integer_row`` makes each a normal integer row; the product stage
-of ``derivations`` hands it already normal rows directly, and the
-δ-derivation stage runs the two halves itself, so that it can skip
+forward pass ``_echelon`` followed by ``_back_substitute``.  The dense
+``Matrix`` solvers (``rank``, ``solve_affine``, ``invert``) clear each
+rational row to integers in one pass, ``_cleared``, and reach it through
+``_reduce``, whose ``_integer_row`` makes each a normal integer row; the
+product stage of ``derivations`` hands it already normal rows directly,
+and the δ-derivation stage runs the two halves itself, so that it can skip
 back-substitution when the forward pass already fixes the answer (see
-``derivations._reduced_rows``).  The forward pass uses fraction-free
-updates with the integer content removed after each one and the sparsest
-available pivot.  Each reduced row comes back as a normal integer row
-that is zero at every other pivot column: the reduced row echelon form row
-times a positive integer, so dividing it by its pivot entry gives dense
-Gauss-Jordan over ``Fraction`` exactly.  Every step (scaling a row by a
-nonzero rational, adding a multiple of one row to another, dropping a zero
-row or a row proportional to another) keeps the row space, and a row space
-has exactly one reduced row echelon form.  Division happens only where a
-rational is reported: in ``_kernel``, and in the right-hand sides that
-``solve_affine`` and ``invert`` read.
+``derivations._reduced_rows``).  So every elimination runs on Python
+``int``s.  The forward pass uses fraction-free updates with the integer
+content removed after each one and the sparsest available pivot.  Each
+reduced row comes back as a normal integer row that is zero at every other
+pivot column: the reduced row echelon form row times a positive integer,
+so dividing it by its pivot entry gives dense Gauss-Jordan over
+``Fraction`` exactly.  Every step (scaling a row by a nonzero rational,
+adding a multiple of one row to another, dropping a zero row or a row
+proportional to another) keeps the row space, and a row space has exactly
+one reduced row echelon form.
 
-``_reduce`` reads sparse rows, ``{column: value}``, and touches only their
-nonzero entries, and ``_kernel`` returns the kernel basis as sparse rows
-too.  The solved spaces in ``derivations`` pass their rows in that form and
-read their bases from the sparse kernel rows, with no dense ``Matrix``; the
-``Matrix`` solvers here pass dense rows through ``_sparse`` into
-``_reduce`` and densify the kernel rows with ``_densify``.
+Rationals are formed only where they are reported: in ``_kernel`` (each
+kernel entry −v/a), in the particular solution that ``solve_affine``
+reads off [m | b] and in the entries of the inverse that ``invert`` reads
+off [m | I], each an integer divided by its row's pivot entry.  The other
+integer readers of the package follow the same convention: the structure
+constants and product tables of ``algebra`` and the maps that
+``morphisms`` transports by are cleared to integers over one denominator,
+and each reported entry is divided once.
+
+``_reduce`` reads sparse integer rows, ``{column: value}``, and touches
+only their nonzero entries, and ``_kernel`` returns the kernel basis as
+sparse rows too.  The solved spaces in ``derivations`` pass their rows in
+that form and read their bases from the sparse kernel rows, with no dense
+``Matrix``; the ``Matrix`` solvers here clear their dense rows with
+``_cleared`` and densify the kernel rows with ``_densify``.
 
 Conventions fixed by this module and relied on elsewhere:
 
@@ -261,24 +270,22 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
                   for j in range(m.cols))
 
 
-def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    """A dense row as ``{column: value}``."""
-    return {j: e for j, e in enumerate(row) if e}
+def _cleared(row: Sequence[Fraction | int]) -> dict[int, int]:
+    """A dense rational row as a sparse integer row ``{column: value}``:
+    its nonzero entries, in ascending column order, times the least common
+    denominator of the row, so it spans the same line."""
+    den = math.lcm(*(e.denominator for e in row))
+    return {j: e.numerator * (den // e.denominator) for j, e in enumerate(row) if e}
 
 
-def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The normal integer row of a sparse row: its nonzero entries, in
-    ascending column order, scaled to coprime integers with a positive
-    first entry.  A row of Python ``int``s, as the solved-space builders
-    yield, skips the denominator scan."""
+def _integer_row(row: Mapping[int, int]) -> dict[int, int]:
+    """The normal integer row of a sparse integer row: its nonzero
+    entries, in ascending column order, divided by their content and
+    signed so that the first is positive."""
     r = {j: e for j, e in sorted(row.items()) if e}
     if not r:
         return r
     values = r.values()
-    if not all(type(e) is int for e in values):
-        den = math.lcm(*(e.denominator for e in values))
-        r = {j: e.numerator * (den // e.denominator) for j, e in r.items()}
-        values = r.values()
     g = math.gcd(*values)
     if next(iter(values)) < 0:
         g = -g
@@ -303,19 +310,18 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
-def _reduce(rows: Iterable[Mapping[int, Fraction | int]]
+def _reduce(rows: Iterable[Mapping[int, int]]
             ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form, as normal integer
     rows, and its pivot columns.
 
     This is the package's one elimination routine for raw rows.  Its input
-    rows are sparse, ``{column: value}`` in any column order, and only their
-    nonzero entries are read: the solved-space builders yield such rows
-    directly, and the dense ``Matrix`` solvers convert theirs with
-    ``_sparse``.  Each row is made a normal integer row by ``_integer_row``
-    (denominators cleared, content removed, sign fixed; rows of ``int``s
-    need no clearing) and the rows are eliminated by ``_eliminate``, whose
-    docstring gives the output format.
+    rows are sparse integer rows, ``{column: value}`` in any column order,
+    and only their nonzero entries are read: the dense ``Matrix`` solvers
+    clear each of their rational rows with ``_cleared`` first.  Each row is
+    made a normal integer row by ``_integer_row`` (content removed, sign
+    fixed) and the rows are eliminated by ``_eliminate``, whose docstring
+    gives the output format.
     """
     return _eliminate(map(_integer_row, rows))
 
@@ -439,11 +445,12 @@ def _densify(row: Mapping[int, Fraction], ncols: int) -> list[Fraction]:
 
 def invert(m: Matrix) -> Matrix:
     """Exact inverse: the right half of the reduced form of [m | I], each
-    row divided by its pivot entry; raises ``Singular``."""
+    row divided by its pivot entry; raises ``Singular``.  Each row of
+    [m | I] is cleared to integers by ``_cleared``."""
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    reduced, pivots = _reduce({**_sparse(row), n + i: Fraction(1)}
+    reduced, pivots = _reduce(_cleared(row + [int(j == i) for j in range(n)])
                               for i, row in enumerate(m.row_lists()))
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
@@ -452,21 +459,24 @@ def invert(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(map(_sparse, m.row_lists()))[1])
+    """The number of pivots of m, its rows cleared to integers by
+    ``_cleared``."""
+    return len(_reduce(map(_cleared, m.row_lists()))[1])
 
 
 def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
     """Exact general solution of m·x = b.
 
     Returns ``(particular, kernel)``: the particular solution has all free
-    coordinates equal to 0, and the kernel basis is that of ``_kernel``.  Raises ``Infeasible`` if inconsistent.
-    One reduction of [m | b] gives both: its left block is the reduced form
-    of m, and each pivot coordinate of the particular solution is the last
-    entry of its row divided by the pivot entry.
+    coordinates equal to 0, and the kernel basis is that of ``_kernel``.
+    Raises ``Infeasible`` if inconsistent.  One reduction of [m | b], each
+    row cleared to integers by ``_cleared``, gives both: its left block is
+    the reduced form of m, and each pivot coordinate of the particular
+    solution is the last entry of its row divided by the pivot entry.
     """
     if m.rows != b.dim:
         raise DimensionMismatch("right-hand side length differs from row count")
-    reduced, pivots = _reduce({**_sparse(row), m.cols: e}
+    reduced, pivots = _reduce(_cleared(row + [e])
                               for row, e in zip(m.row_lists(), b.entries))
     if m.cols in pivots:
         raise Infeasible("inconsistent system")

@@ -17,11 +17,12 @@ In this row convention the push-forward satisfies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import DimensionMismatch, Matrix, Singular, Vector, invert, vec_mat
+from .linalg import DimensionMismatch, Matrix, Singular, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
                       _unscaled, bracket_eval, family_coordinates, structure_table)
 
@@ -95,13 +96,17 @@ def a3_automorphism_check(m: AutoMatrix) -> bool:
             and e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1) == 1)
 
 
-def _supports(m: Matrix) -> list[list[tuple[int, Fraction]]]:
-    """The nonzero (column, value) pairs of each row of ``m``, 0-based."""
-    return [[(j, e) for j, e in enumerate(row) if e] for row in m.row_lists()]
+def _supports(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The map over one common denominator: ``(D, rows)``, where ``rows[i]``
+    lists the nonzero (j, c) with Λ_ij = c/D, each c an ``int``, all
+    indices 0-based, and D is the least common denominator of the entries."""
+    den = math.lcm(*(e.denominator for e in m.entries))
+    return den, [[(j, e.numerator * (den // e.denominator)) for j, e in enumerate(row) if e]
+                 for row in m.row_lists()]
 
 
-def _push(pre: list, image: list[list[tuple[int, Fraction]]]) -> list:
-    """The coordinate list ``pre`` moved by the map: pre·Λ."""
+def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
+    """The coordinate list ``pre`` moved by the integer rows of a map."""
     out = [0] * len(pre)
     for t, c in enumerate(pre):
         if c:
@@ -114,15 +119,20 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     """Push-forward of a commutative product along an invertible map.
 
     x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
-    through the product's table of basis products into a coordinate list,
-    which Λ then moves.  One ``Vector`` is built per nonzero output pair.
+    through the product's ``_product_table`` into a coordinate list, which
+    Λ then moves.  Everything runs on ``int``s: with Λ⁻¹ over E, the
+    product over D_p and Λ over D (``_supports``), each term multiplies two
+    entries of Λ⁻¹, one product constant and one entry of Λ, so an output
+    entry is divided by E²·D_p·D once, when its ``Vector`` is built; one
+    is built per nonzero output pair.
     """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
     n = p.dim
-    prod = _product_table(p)
-    pre = _supports(m._inverse)
-    image = _supports(m.map)
+    den_p, prod = _product_table(p)
+    den_pre, pre = _supports(m._inverse)
+    den_map, image = _supports(m.map)
+    den = den_pre * den_pre * den_p * den_map
     table = {}
     for (i, j) in combinations_with_replacement(range(n), 2):
         value = [0] * n
@@ -134,23 +144,26 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
                     value[t] += xy * d
         moved = _push(value, image)
         if any(moved):
-            table[(i + 1, j + 1)] = Vector(moved)
+            table[(i + 1, j + 1)] = _unscaled(moved, den)
     return CommProduct(n, table)
 
 
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     """Push-forward of a skew ternary bracket along an invertible map.
 
-    The same expansion as ``transport_product``, through the bracket's
-    ``structure_table`` on increasing basis triples; each image is scaled
-    by the table's D until its ``Vector`` is built.
+    The same integer expansion as ``transport_product``, through the
+    bracket's ``structure_table`` on increasing basis triples: each term
+    multiplies three entries of Λ⁻¹, one structure constant and one entry
+    of Λ, so an output entry is divided by E³·D_b·D once, when its
+    ``Vector`` is built.
     """
     if b.dim != m.dim:
         raise DimensionMismatch("bracket and map dimensions differ")
     n = b.dim
-    den, brk = structure_table(b)
-    pre = _supports(m._inverse)
-    image = _supports(m.map)
+    den_b, brk = structure_table(b)
+    den_pre, pre = _supports(m._inverse)
+    den_map, image = _supports(m.map)
+    den = den_pre ** 3 * den_b * den_map
     table = {}
     for (i, j, k) in combinations(range(n), 3):
         value = [0] * n

@@ -29,15 +29,15 @@ from typing import Iterable
 from tpl3.algebra import CommProduct, TriBracket
 from tpl3.derivations import (DerivationQuery, _derivation_rows, _moved_rows,
                               _sym_pairs)
-from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _densify, _kernel, _reduce,
-                         _sparse)
+from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _cleared, _densify, _kernel,
+                         _reduce)
 
 ZERO = Fraction(0)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
-    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+    reduced, pivots = _reduce(map(_cleared, m.row_lists()))
     entries = [Fraction(row.get(j, 0), row[pc])
                for row, pc in zip(reduced, pivots) for j in range(m.cols)]
     entries.extend([0] * ((m.rows - len(reduced)) * m.cols))
@@ -53,7 +53,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     lies left of the free one, so each vector's last nonzero coordinate is
     its free column.
     """
-    reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+    reduced, pivots = _reduce(map(_cleared, m.row_lists()))
     return [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +15,7 @@ from tpl3 import (CheckReport, CommProduct, FamilyCoordinates, FamilyInstance,
                   check_commutative_associative, check_fundamental_identity,
                   check_transposed_leibniz, family_coordinates, instantiate_family,
                   remark_associativity_residuals, tp_product_space)
-from tpl3.algebra import structure_table
+from tpl3.algebra import _product_table, structure_table
 from conftest import rand_family_product, rand_rat, rand_vector
 from oracles import product_eval
 
@@ -198,6 +199,12 @@ def test_transposed_leibniz_random_soundness():
             assert left == right
 
 
+def has_fractional_side(report: CheckReport) -> bool:
+    """Whether a violation has a side with a non-integer entry."""
+    return any(x.denominator > 1 for v in report.violations
+               for x in v.left.entries + v.right.entries)
+
+
 def reference_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     # the same basis loop, each side evaluated through bracket_eval and
     # product_eval on unit vectors
@@ -263,11 +270,18 @@ def test_transposed_leibniz_matches_eval_reference():
             p = random_product(rng, n, rng.choice(densities))
         cases.append((b, p))
     passed = 0
+    # the check scales both sides by D_bracket·D_product; cases with D > 1
+    # on both sides, passing and failing, pin that scale
+    rational = Counter()
     for b, p in cases:
         report = check_transposed_leibniz(b, p)
         assert report == reference_transposed_leibniz(b, p)
         passed += report.passed
+        if structure_table(b)[0] > 1 and _product_table(p)[0] > 1:
+            rational[report.passed] += 1
+            rational["fractional"] += has_fractional_side(report)
     assert 100 <= passed <= len(cases) - 500
+    assert rational[True] >= 30 and rational[False] >= 300 and rational["fractional"] >= 100
 
 
 def reference_structure_table(b: TriBracket) -> list:
@@ -364,11 +378,18 @@ def test_commutative_associative_matches_eval_reference():
             densities = (0.2, 0.5, 1.0)[:6 - n] if n > 3 else (0.2, 0.5, 1.0)
             products.append(random_product(rng, n, rng.choice(densities)))
     passed = 0
+    # the check scales both sides by D²; products with D > 1, passing and
+    # failing, pin that scale
+    rational = Counter()
     for p in products:
         report = check_commutative_associative(p)
         assert report == reference_commutative_associative(p)
         passed += report.passed
+        if _product_table(p)[0] > 1:
+            rational[report.passed] += 1
+            rational["fractional"] += has_fractional_side(report)
     assert 200 <= passed <= len(products) - 300
+    assert rational[True] >= 40 and rational[False] >= 800 and rational["fractional"] >= 200
 
 
 def test_family_coordinates_shape():

@@ -561,7 +561,7 @@ def test_reduced_rows_are_normal_integer_rows():
     # normalised again, and one that lost a column is normalised again
     from test_linalg import oracle_rref, random_matrices
     from tpl3.derivations import _moved_rows, _reduced_rows, _sym_pairs
-    from tpl3.linalg import _integer_row, _reduce, _sparse
+    from tpl3.linalg import _cleared, _integer_row, _reduce
 
     def is_normal(row):
         return (all(type(v) is int for v in row.values())
@@ -578,7 +578,7 @@ def test_reduced_rows_are_normal_integer_rows():
 
     rng = random.Random(97)
     for m in random_matrices(rng):
-        check(*_reduce(map(_sparse, m.row_lists())), m)
+        check(*_reduce(map(_cleared, m.row_lists())), m)
     brackets = [A3, seed3_dense_bracket()]
     brackets += [rational_bracket(rng, n, keep, density) for n in (1, 2, 3, 4, 5)
                  for keep, density in ((1, 1), (0.7, 0.6), (0.5, 0.4))]
@@ -775,6 +775,16 @@ def test_delta_derivations_match_bracket_eval_system_on_rational_brackets():
     rng = random.Random(83)
     brackets = [rational_bracket(rng, n, keep, density) for n in (1, 2, 3, 4, 5)
                 for keep, density in ((1, 1), (0.7, 0.6), (0.5, 0.4))]
+    # sparse brackets, where _derivation_rows skips the triples without a
+    # live pair; this system reads every triple, so a skip that drops a
+    # triple with a live pair changes a dimension.  A lone stored triple
+    # with a gap, such as (1, 2, 4), makes (1, 3, 4) such a triple: only
+    # its pair (1, 4) is live, and its rows alone force β_32 = 0
+    brackets += [TriBracket(4, {tr: Vector([F(1, 2), 0, 0, F(-2, 3)])})
+                 for tr in combinations(range(1, 5), 3)]
+    brackets += [rational_bracket(rng, n, keep, 0.3)
+                 for n, keep in ((4, 0.25), (4, 0.3), (4, 0.35), (5, 0.25), (5, 0.3),
+                                 (5, 0.35), (6, 0.3))]
     denominators = {x.denominator for b in brackets for v in b.table.values() for x in v}
     assert {2, 3, 4} <= denominators
     for b in brackets:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector, invert,
                   mat_mul, parse_rat, rank, rational_root, solve_affine, vec_mat)
-from tpl3.linalg import _densify, _integer_root, _kernel, _reduce, _sparse
+from tpl3.linalg import _cleared, _densify, _integer_root, _kernel, _reduce
 from oracles import determinant, kernel_basis, mat_vec
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -345,7 +345,7 @@ def test_elimination_matches_dense_oracle():
     rng = random.Random(31)
     outcomes = {"infeasible": 0, "singular": 0, "invertible": 0, "deficient": 0}
     for m in random_matrices(rng):
-        reduced, pivots = _reduce(map(_sparse, m.row_lists()))
+        reduced, pivots = _reduce(map(_cleared, m.row_lists()))
         dense = [[F(e, row[pc]) for e in _densify(row, m.cols)]
                  for row, pc in zip(reduced, pivots)]
         dense += [[0] * m.cols] * (m.rows - len(reduced))

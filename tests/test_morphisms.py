@@ -9,11 +9,12 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, AutoMatrix,
                   ShapeMismatch, Singular, TriBracket, Vector, a3_bracket,
                   a3_automorphism_check, bracket_eval, check_transposed_leibniz,
                   draw_family_params, eleven_equation_residuals, instantiate_family,
-                  invert, is_bracket_automorphism, mat_mul,
-                  transport_bracket, transport_product, vec_mat)
+                  is_bracket_automorphism, mat_mul, transport_bracket,
+                  transport_product, vec_mat)
 from conftest import (A3_PRODUCT_SPACE, rand_a3_automorphism, rand_family_product,
                       rand_invertible, rand_rat)
 from oracles import kernel_basis, product_eval
+from test_linalg import oracle_rref
 
 A3 = a3_bracket()
 PHI_1A = CANONICAL_AUTOMORPHISM["1-a"]
@@ -112,16 +113,28 @@ def test_transport_bracket_examples():
     assert transport_bracket(A3, scale) == A3
 
 
+def reference_inverse(m: Matrix) -> Matrix:
+    # the right half of the dense Gauss-Jordan form of [m | I], so the
+    # references share no code with invert
+    n = m.rows
+    reduced, pivots = oracle_rref(Matrix.from_rows(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.row_lists())]))
+    assert pivots == tuple(range(n))
+    return Matrix.from_rows([row[n:] for row in reduced.row_lists()])
+
+
 def reference_transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     # φ(φ⁻¹(e_i) · φ⁻¹(e_j)) by the public evaluators
-    pre = [invert(m.map).row(i) for i in range(p.dim)]
+    inverse = reference_inverse(m.map)
+    pre = [inverse.row(i) for i in range(p.dim)]
     return CommProduct(p.dim, {
         (i + 1, j + 1): vec_mat(product_eval(p, pre[i], pre[j]), m.map)
         for i, j in combinations_with_replacement(range(p.dim), 2)})
 
 
 def reference_transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
-    pre = [invert(m.map).row(i) for i in range(b.dim)]
+    inverse = reference_inverse(m.map)
+    pre = [inverse.row(i) for i in range(b.dim)]
     return TriBracket(b.dim, {
         (i + 1, j + 1, k + 1): vec_mat(bracket_eval(b, pre[i], pre[j], pre[k]), m.map)
         for i, j, k in combinations(range(b.dim), 3)})
