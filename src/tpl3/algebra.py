@@ -15,16 +15,59 @@ test suite cross-checks this reduction on random rational tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .linalg import DimensionMismatch, Vector
+from .linalg import DimensionMismatch, Vector, _frozen_delattr, _frozen_setattr
 
 
 class ShapeMismatch(ValueError):
     """A product is outside the solved compatible-product family."""
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``__slots__``, in the order of its
+    ``__init__``, which stores them with ``object.__setattr__``; a slot
+    whose name starts with ``_`` holds a value derived from the fields and
+    is not one of them.  The class keyword ``hidden`` names fields left out
+    of the ``repr``.  After construction, assignment and deletion raise
+    ``AttributeError``.  Two records are equal when they are of the same
+    class with equal fields, the hash is that of the field tuple, the
+    ``repr`` reads ``Name(field=value, ...)`` with each value's ``repr``,
+    and ``pickle`` and ``copy`` rebuild a record by calling its class on
+    its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -76,6 +119,9 @@ class TriBracket:
         object.__setattr__(self, "_reduced", {})
         object.__setattr__(self, "_structure", None)
 
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
     def __reduce__(self):
         return TriBracket, (self.dim, self.table)
 
@@ -124,6 +170,12 @@ class CommProduct:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
 
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __reduce__(self):
+        return CommProduct, (self.dim, self.table)
+
     @classmethod
     def zero(cls, dim: int) -> "CommProduct":
         return cls(dim, {})
@@ -156,18 +208,22 @@ def a3_bracket() -> TriBracket:
     return TriBracket(3, {(1, 2, 3): Vector.unit(3, 1)})
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A failed identity instance: witness index tuple plus both sides."""
 
-    witness: tuple
-    left: Vector
-    right: Vector
+    __slots__ = ("witness", "left", "right")
+
+    def __init__(self, witness: tuple, left: Vector, right: Vector):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    violations: tuple[Violation, ...]
+class CheckReport(_Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -380,8 +436,7 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class FamilyCoordinates:
+class FamilyCoordinates(_Record):
     """The nine free structure constants of a compatible product on the
     standard 3-dimensional bracket.
 
@@ -397,15 +452,19 @@ class FamilyCoordinates:
     so a product in the family is determined by (g, a, q, h, r, w, k, s, t).
     """
 
-    g: Fraction
-    a: Fraction
-    q: Fraction
-    h: Fraction
-    r: Fraction
-    w: Fraction
-    k: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ("g", "a", "q", "h", "r", "w", "k", "s", "t")
+
+    def __init__(self, g: Fraction, a: Fraction, q: Fraction, h: Fraction, r: Fraction,
+                 w: Fraction, k: Fraction, s: Fraction, t: Fraction):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     def as_product(self) -> CommProduct:
         half = Fraction(1, 2)

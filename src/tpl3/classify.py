@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Union
@@ -47,8 +46,8 @@ from typing import Iterator, Optional, Union
 from .linalg import (Infeasible, Matrix, Vector, _integer_root, invert, mat_mul, rank,
                      rational_root, solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
-                      TriBracket, Violation, a3_bracket, check_transposed_leibniz,
-                      family_coordinates)
+                      TriBracket, Violation, _Record, a3_bracket,
+                      check_transposed_leibniz, family_coordinates)
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
@@ -56,13 +55,15 @@ from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PA
                        detect_case, instantiate_family)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An automorphism witnessing input ≅ canonical family instance."""
 
-    input: CommProduct
-    family: FamilyInstance
-    witness: AutoMatrix
+    __slots__ = ("input", "family", "witness")
+
+    def __init__(self, input: CommProduct, family: FamilyInstance, witness: AutoMatrix):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "witness", witness)
 
     def validate(self) -> bool:
         return (a3_automorphism_check(self.witness)
@@ -70,33 +71,41 @@ class Certificate:
                 == instantiate_family(self.family))
 
 
-@dataclass(frozen=True)
-class NeedsExtension:
+class NeedsExtension(_Record):
     """Normalisation requires an irrational root of ``radicand`` (the
     defining equation is x**degree = radicand)."""
 
-    radicand: Fraction
-    degree: int
+    __slots__ = ("radicand", "degree")
+
+    def __init__(self, radicand: Fraction, degree: int):
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class Unclassified:
+class Unclassified(_Record):
     """No case condition set applies, or the input is outside the stratum
     the canonical reduction can reach."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class NotTransposedPoisson:
+class NotTransposedPoisson(_Record):
     """The coupling identity fails; the report carries witnesses."""
 
-    report: CheckReport
+    __slots__ = ("report",)
+
+    def __init__(self, report: CheckReport):
+        object.__setattr__(self, "report", report)
 
 
-@dataclass(frozen=True)
-class Unsupported:
-    reason: str
+class Unsupported(_Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,

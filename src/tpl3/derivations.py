@@ -51,7 +51,6 @@ and basis; a killed column is a pivot, zero in every basis product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -59,31 +58,35 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _back_substitute, _densify,
                      _echelon, _eliminate, _integer_row, _kernel, rat)
-from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
+from .algebra import (CommProduct, TriBracket, _Record, check_transposed_leibniz,
+                      structure_table)
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class DerivationQuery:
-    bracket: TriBracket
-    delta: Fraction = ONE_THIRD
+class DerivationQuery(_Record):
+    __slots__ = ("bracket", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", rat(self.delta))
-        if self.delta == 0:
+    def __init__(self, bracket: TriBracket, delta: Fraction = ONE_THIRD):
+        delta = rat(delta)
+        if delta == 0:
             raise ValueError("delta must be nonzero")
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(_Record, hidden=("query",)):
     """Solved δ-derivation space: a basis of coefficient matrices of the
-    kernel of the δ-derivation system of ``query``."""
+    kernel of the δ-derivation system of ``query``, which the ``repr``
+    leaves out."""
 
-    dim: int
-    basis: tuple[Matrix, ...]
-    query: DerivationQuery = field(repr=False)
+    __slots__ = ("dim", "basis", "query")
+
+    def __init__(self, dim: int, basis: tuple[Matrix, ...], query: DerivationQuery):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "query", query)
 
     def contains(self, m: Matrix) -> bool:
         """Exact membership: m satisfies every reduced row the space was
@@ -94,18 +97,22 @@ class DerivationSpace:
         return _annihilates(_reduced_rows(self.query)[0], m.entries)
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """Solved space of compatible commutative products of ``bracket``.
+class ProductSpace(_Record, hidden=("bracket",)):
+    """Solved space of compatible commutative products of ``bracket``,
+    which the ``repr`` leaves out.
 
     ``description`` lists the free structure-constant coordinates as
     ((i, j), component) with 1-based indices, in solved order.
     """
 
-    dim: int
-    basis: tuple[CommProduct, ...]
-    description: tuple[tuple[tuple[int, int], int], ...]
-    bracket: TriBracket = field(repr=False)
+    __slots__ = ("dim", "basis", "description", "bracket")
+
+    def __init__(self, dim: int, basis: tuple[CommProduct, ...],
+                 description: tuple[tuple[tuple[int, int], int], ...], bracket: TriBracket):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "bracket", bracket)
 
     def contains(self, p: CommProduct) -> bool:
         """Exact membership: the rows of the product system state that every

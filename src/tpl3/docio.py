@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .linalg import Matrix, Vector, fmt_rat, parse_rat
-from .algebra import CommProduct, TriBracket
+from .algebra import CommProduct, TriBracket, _Record
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix
@@ -53,11 +52,16 @@ class DocumentError(ValueError):
 MAX_DIM = 32
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
-    bracket: TriBracket
-    product: Optional[CommProduct] = None
-    meta: dict[str, str] = field(default_factory=dict)
+class AlgebraDocument(_Record):
+    """A parsed document; ``meta`` defaults to a new empty dict."""
+
+    __slots__ = ("bracket", "product", "meta")
+
+    def __init__(self, bracket: TriBracket, product: Optional[CommProduct] = None,
+                 meta: Optional[dict[str, str]] = None):
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

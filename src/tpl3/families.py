@@ -18,12 +18,11 @@ a when g = 0; b when g ≠ 0, h = 0; c when g, h ≠ 0, k = 0; d otherwise.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .linalg import rat
-from .algebra import CommProduct, FamilyCoordinates, family_coordinates
+from .algebra import CommProduct, FamilyCoordinates, _Record, family_coordinates
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix
@@ -51,12 +50,14 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Record):
     """A canonical family id together with exact parameter values."""
 
-    id: str
-    params: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("id", "params")
+
+    def __init__(self, id: str, params: tuple[tuple[str, Fraction], ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def make(cls, family_id: str, **params) -> "FamilyInstance":
@@ -77,16 +78,16 @@ class FamilyInstance:
         return f"{self.id}({body})"
 
 
-@dataclass(frozen=True)
-class CaseId:
+class CaseId(_Record):
     """One of the four case condition sets plus subcase letter a..d."""
 
-    case: int
-    subcase: str
+    __slots__ = ("case", "subcase")
 
-    def __post_init__(self):
-        if self.case not in (1, 2, 3, 4) or self.subcase not in ("a", "b", "c", "d"):
-            raise ValueError(f"bad case id {self.case}-{self.subcase}")
+    def __init__(self, case: int, subcase: str):
+        if case not in (1, 2, 3, 4) or subcase not in ("a", "b", "c", "d"):
+            raise ValueError(f"bad case id {case}-{subcase}")
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "subcase", subcase)
 
     def __str__(self) -> str:
         return f"{self.case}-{self.subcase}"

@@ -116,6 +116,18 @@ def fmt_rat(q: Fraction) -> str:
     return str(q)
 
 
+def _frozen_setattr(self, name: str, value) -> None:
+    """``__setattr__`` of the package's immutable values: constructors store
+    their fields with ``object.__setattr__``, and any later assignment
+    raises."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    """``__delattr__`` of the package's immutable values."""
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Vector:
     """Immutable exact vector."""
 
@@ -125,6 +137,12 @@ class Vector:
         object.__setattr__(self, "entries", tuple(map(rat, entries)))
         if not self.entries:
             raise DimensionMismatch("vectors must have positive dimension")
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __reduce__(self):
+        return Vector, (self.entries,)
 
     @property
     def dim(self) -> int:
@@ -199,6 +217,12 @@ class Matrix:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(self.entries)}"
             )
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __reduce__(self):
+        return Matrix, (self.rows, self.cols, self.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":

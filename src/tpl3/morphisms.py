@@ -18,29 +18,33 @@ In this row convention the push-forward satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .linalg import DimensionMismatch, Matrix, Singular, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
-                      _unscaled, bracket_eval, family_coordinates, structure_table)
+                      _Record, _unscaled, bracket_eval, family_coordinates,
+                      structure_table)
 
 
 class NotAutomorphism(ValueError):
     """The supplied map is not an automorphism of the standard bracket."""
 
 
-@dataclass(frozen=True)
-class AutoMatrix:
+class AutoMatrix(_Record):
     """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j.
 
-    The inverse matrix is computed once, on construction, where it also
-    proves the map invertible; transport reads it from ``_inverse``.
+    The inverse matrix is computed once, on construction, by
+    ``__post_init__``, where it also proves the map invertible; transport
+    reads it from ``_inverse``, which is not a field: it stays out of
+    ``==``, the hash and the ``repr``.
     """
 
-    map: Matrix
-    _inverse: Matrix = field(init=False, compare=False, repr=False)
+    __slots__ = ("map", "_inverse")
+
+    def __init__(self, map: Matrix):
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.map.is_square():

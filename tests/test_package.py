@@ -2,11 +2,16 @@
 public names, which are those the package re-exported when it imported
 every submodule eagerly less the dense references now in ``oracles``."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import tpl3
 from conftest import FIXTURES
@@ -100,3 +105,160 @@ def test_submodule_imported_before_package_names():
         "p = tpl3.instantiate_family(tpl3.FamilyInstance.make('T1', alpha=2))\n"
         "print(type(tpl3.classify(tpl3.a3_bracket(), p)).__name__)")
     assert out == "Certificate\n"
+
+
+#: each command, in one ``python -S`` interpreter, and the heavy stdlib
+#: modules loaded after it: the first command that loads one shows up
+STDLIB_AFTER_COMMANDS = """
+import contextlib, io, json, sys
+from tpl3 import cli
+heavy = ("dataclasses", "inspect")
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_command(argv)
+    loaded.append([argv[0], code, [m for m in heavy if m in sys.modules]])
+print(json.dumps(loaded))
+"""
+
+
+def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text('[["1","0","0"],["1","2","0"],["0","-1","1"]]')
+    commands = [["check", str(FIXTURES / "a3.json")],
+                ["classify", str(FIXTURES / "t4.json")],
+                ["fingerprint", str(FIXTURES / "t7.json")],
+                ["transport", str(FIXTURES / "t9.json"), "--matrix", str(matrix)],
+                ["derivations", str(FIXTURES / "a3.json")],
+                ["tp-space", str(FIXTURES / "a3.json")]]
+    proc = subprocess.run([sys.executable, "-S", "-c", STDLIB_AFTER_COMMANDS,
+                           json.dumps(commands)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[argv[0], 0, []] for argv in commands]
+
+
+# -- value semantics: every public value class and record ---------------------
+
+A3 = tpl3.a3_bracket()
+PRODUCT = tpl3.CommProduct(3, {(2, 2): tpl3.Vector([0, 1, 0])})
+VIOLATION = tpl3.Violation((1, 2, 3), tpl3.Vector([1, 0, 0]), tpl3.Vector([0, 0, 0]))
+
+#: one fixed instance of each record and its ``repr`` in the dataclass
+#: format ``Name(field=value!r, ...)``; DerivationSpace.query and
+#: ProductSpace.bracket are left out of it
+RECORD_REPRS = [
+    (VIOLATION, "Violation(witness=(1, 2, 3), left=(1, 0, 0), right=(0, 0, 0))"),
+    (tpl3.CheckReport((VIOLATION,)),
+     "CheckReport(violations=(Violation(witness=(1, 2, 3), left=(1, 0, 0), "
+     "right=(0, 0, 0)),))"),
+    (tpl3.FamilyCoordinates(*map(Fraction, range(9))),
+     "FamilyCoordinates(g=Fraction(0, 1), a=Fraction(1, 1), q=Fraction(2, 1), "
+     "h=Fraction(3, 1), r=Fraction(4, 1), w=Fraction(5, 1), k=Fraction(6, 1), "
+     "s=Fraction(7, 1), t=Fraction(8, 1))"),
+    (tpl3.Certificate(input=PRODUCT, family=tpl3.FamilyInstance.make("T1", alpha=1),
+                      witness=tpl3.AutoMatrix.identity(3)),
+     "Certificate(input=CommProduct(dim=3, e2*e2=(0, 1, 0)), "
+     "family=FamilyInstance(id='T1', params=(('alpha', Fraction(1, 1)),)), "
+     "witness=AutoMatrix(map=[1, 0, 0; 0, 1, 0; 0, 0, 1]))"),
+    (tpl3.NeedsExtension(radicand=Fraction(2), degree=4),
+     "NeedsExtension(radicand=Fraction(2, 1), degree=4)"),
+    (tpl3.Unclassified("no case"), "Unclassified(reason='no case')"),
+    (tpl3.NotTransposedPoisson(tpl3.CheckReport(())),
+     "NotTransposedPoisson(report=CheckReport(violations=()))"),
+    (tpl3.Unsupported("other bracket"), "Unsupported(reason='other bracket')"),
+    (tpl3.DerivationQuery(A3, Fraction(-2, 5)),
+     "DerivationQuery(bracket=TriBracket(dim=3, [e1,e2,e3]=(1, 0, 0)), "
+     "delta=Fraction(-2, 5))"),
+    (tpl3.DerivationSpace(dim=1, basis=(tpl3.Matrix.identity(3),),
+                          query=tpl3.DerivationQuery(A3)),
+     "DerivationSpace(dim=1, basis=([1, 0, 0; 0, 1, 0; 0, 0, 1],))"),
+    (tpl3.ProductSpace(dim=1, basis=(PRODUCT,), description=(((2, 2), 2),), bracket=A3),
+     "ProductSpace(dim=1, basis=(CommProduct(dim=3, e2*e2=(0, 1, 0)),), "
+     "description=(((2, 2), 2),))"),
+    (tpl3.AlgebraDocument(A3, PRODUCT, {"name": "x"}),
+     "AlgebraDocument(bracket=TriBracket(dim=3, [e1,e2,e3]=(1, 0, 0)), "
+     "product=CommProduct(dim=3, e2*e2=(0, 1, 0)), meta={'name': 'x'})"),
+    (tpl3.FamilyInstance.make("T2", alpha=1, theta=Fraction(1, 2)),
+     "FamilyInstance(id='T2', params=(('alpha', Fraction(1, 1)), "
+     "('theta', Fraction(1, 2))))"),
+    (tpl3.CaseId(2, "c"), "CaseId(case=2, subcase='c')"),
+    (tpl3.AutoMatrix.from_rows([[1, 0, 0], [1, 2, 0], [0, -1, 1]]),
+     "AutoMatrix(map=[1, 0, 0; 1, 2, 0; 0, -1, 1])"),
+]
+
+VALUES = [tpl3.Vector([1, Fraction(1, 2)]), tpl3.Matrix.from_rows([[1, 2], [3, 4]]),
+          A3, PRODUCT] + [record for record, _ in RECORD_REPRS]
+
+
+def test_every_public_record_has_a_fixed_instance():
+    # the public classes, exceptions aside, are the value classes and records
+    public = [getattr(tpl3, name) for name in PUBLIC_NAMES]
+    assert {type(value) for value in VALUES} == {
+        c for c in public if isinstance(c, type) and not issubclass(c, Exception)}
+
+
+@pytest.mark.parametrize("record, expected", RECORD_REPRS,
+                         ids=[type(r).__name__ for r, _ in RECORD_REPRS])
+def test_record_repr_is_the_dataclass_format(record, expected):
+    assert repr(record) == expected
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_values_are_immutable(value):
+    stored = [name for c in type(value).__mro__ for name in getattr(c, "__slots__", ())]
+    for name in (*stored, *getattr(value, "__dict__", ()), "extra"):
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_values_survive_pickle_and_deepcopy(value):
+    for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(other) is type(value) and other == value
+        assert repr(other) == repr(value)
+        if isinstance(value, tpl3.AlgebraDocument):
+            continue  # its meta dict leaves it unhashable, as a dict is
+        assert hash(other) == hash(value)
+
+
+def test_record_equality_needs_the_same_class():
+    assert tpl3.Unclassified("x") != tpl3.Unsupported("x")
+    assert tpl3.Unclassified("x") == tpl3.Unclassified("x")
+    assert tpl3.CaseId(1, "a") != (1, "a")
+    with pytest.raises(TypeError):
+        iter(tpl3.CaseId(1, "a"))
+    # the inverse is derived from the map, so it is no field
+    m = tpl3.AutoMatrix.from_rows([[1, 0, 0], [1, 2, 0], [0, -1, 1]])
+    assert m == tpl3.AutoMatrix(m.map) and m.inverse().inverse() == m
+
+
+def test_record_defaults():
+    assert tpl3.DerivationQuery(A3).delta == Fraction(1, 3)
+    assert tpl3.DerivationQuery(A3, "-2/5").delta == Fraction(-2, 5)
+    with pytest.raises(ValueError):
+        tpl3.DerivationQuery(A3, 0)
+    first, second = tpl3.AlgebraDocument(A3), tpl3.AlgebraDocument(A3)
+    assert first.product is None and first.meta == {} and first.meta is not second.meta
+    with pytest.raises(ValueError):
+        tpl3.CaseId(5, "a")
+
+
+def test_automatrix_inverts_through_the_class_hook(monkeypatch):
+    from tpl3 import morphisms
+
+    calls = []
+    post_init = morphisms.AutoMatrix.__post_init__
+    monkeypatch.setattr(morphisms.AutoMatrix, "__post_init__",
+                        lambda self: calls.append(post_init(self)))
+    inverts = []
+    invert = morphisms.invert
+    monkeypatch.setattr(morphisms, "invert", lambda m: inverts.append(m) or invert(m))
+    m = morphisms.AutoMatrix.from_rows([[1, 0, 0], [1, 2, 0], [0, -1, 1]])
+    assert len(calls) == 1 and inverts == [m.map]
+    assert m._inverse == tpl3.invert(m.map)
