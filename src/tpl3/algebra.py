@@ -19,55 +19,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .linalg import DimensionMismatch, Vector, _frozen_delattr, _frozen_setattr
+from .linalg import DimensionMismatch, Vector, _Record
 
 
 class ShapeMismatch(ValueError):
     """A product is outside the solved compatible-product family."""
-
-
-class _Record:
-    """Base of the package's immutable records.
-
-    A record lists its fields in ``__slots__``, in the order of its
-    ``__init__``, which stores them with ``object.__setattr__``; a slot
-    whose name starts with ``_`` holds a value derived from the fields and
-    is not one of them.  The class keyword ``hidden`` names fields left out
-    of the ``repr``.  After construction, assignment and deletion raise
-    ``AttributeError``.  Two records are equal when they are of the same
-    class with equal fields, the hash is that of the field tuple, the
-    ``repr`` reads ``Name(field=value, ...)`` with each value's ``repr``,
-    and ``pickle`` and ``copy`` rebuild a record by calling its class on
-    its fields.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls._shown = tuple(name for name in cls._fields if name not in hidden)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__qualname__}({body})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -84,7 +40,7 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class TriBracket:
+class TriBracket(_Record):
     """Skew trilinear bracket given by coefficients on increasing triples.
 
     ``table`` maps a strictly increasing 1-based triple (i, j, k) to the
@@ -119,12 +75,6 @@ class TriBracket:
         object.__setattr__(self, "_reduced", {})
         object.__setattr__(self, "_structure", None)
 
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return TriBracket, (self.dim, self.table)
-
     def basis_bracket(self, i: int, j: int, k: int) -> Vector:
         """[e_i, e_j, e_k] for arbitrary index order (sign applied)."""
         for idx in (i, j, k):
@@ -138,10 +88,6 @@ class TriBracket:
             return Vector.zero(self.dim)
         return coeffs if sign == 1 else -coeffs
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TriBracket) and self.dim == other.dim
-                and self.table == other.table)
-
     def __hash__(self) -> int:
         return hash((self.dim, tuple(self.table.items())))
 
@@ -150,7 +96,7 @@ class TriBracket:
         return f"TriBracket(dim={self.dim}, {body or 'zero'})"
 
 
-class CommProduct:
+class CommProduct(_Record):
     """Commutative bilinear product given by coefficients on pairs i <= j."""
 
     __slots__ = ("dim", "table")
@@ -170,12 +116,6 @@ class CommProduct:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
 
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return CommProduct, (self.dim, self.table)
-
     @classmethod
     def zero(cls, dim: int) -> "CommProduct":
         return cls(dim, {})
@@ -190,10 +130,6 @@ class CommProduct:
 
     def is_zero(self) -> bool:
         return not self.table
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CommProduct) and self.dim == other.dim
-                and self.table == other.table)
 
     def __hash__(self) -> int:
         return hash((self.dim, tuple(self.table.items())))

@@ -43,11 +43,11 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, _integer_root, invert, mat_mul, rank,
-                     rational_root, solve_affine)
+from .linalg import (Infeasible, Matrix, Vector, _Record, _integer_root, invert, mat_mul,
+                     rank, rational_root, solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
-                      TriBracket, Violation, _Record, a3_bracket,
-                      check_transposed_leibniz, family_coordinates)
+                      TriBracket, Violation, a3_bracket, check_transposed_leibniz,
+                      family_coordinates)
 from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
                         is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
@@ -258,20 +258,51 @@ _SPLIT_TARGETS = (
 
 _IDENTITY_BLOCK = Matrix.identity(2)
 
+#: the quarter-turn (x, y) ↦ (−y, x), which carries the reachable case-2
+#: block shape onto the case-4 one and back
+_QUARTER_TURN = Matrix.from_rows([[0, 1], [-1, 0]])
 
-def _candidate_blocks(co: FamilyCoordinates) -> Iterator[Optional[Matrix]]:
+
+def _candidate_blocks(co: FamilyCoordinates, case: CaseId) -> Iterator[Optional[Matrix]]:
     """The e2/e3 blocks the reduction tries, in order: the identity first.
 
     The e2/e3 block corresponds to the binary cubic
-    q·x³ − 3a·x²y − 3r·xy² − s·y³, and a witness landing on a canonical
+    f = q·x³ − 3a·x²y − 3r·xy² − s·y³, and a witness landing on a canonical
     table maps its root triple onto the table's.  So when the cubic splits
     into three distinct rational roots, every ordering against each
     rational-split target class follows: its Möbius block, or None when
     that map has a non-square determinant.
+
+    Otherwise a case-2 or case-4 input also tries the quarter-turn, when
+    −ρ is a rational square, where ρ is the radicand of its case (q/a in
+    case 2, −r/s in case 4).  Nothing else can certify it:
+
+    * the reachable shapes are f = q·h₂(x, (a/q)·y) in case 2 (q²s = −3a³)
+      and f = s·h₄((r/s)·x, y) in case 4 (3r³ = qs²), with
+      h₂ = X³ − 3X²Y + 3Y³ and h₄ = 3X³ − 3XY² − Y³; both have
+      discriminant 81 and are irreducible over ℚ, and h₂(−Y, X) = h₄(X, Y)
+      is the quarter-turn, of determinant 1;
+    * a Möbius map over ℚ that fixes the root set of an irreducible cubic
+      commutes with its Galois group, here cyclic of order 3, so the
+      stabiliser in PGL2(ℚ) is the order-3 group generated by
+      t ↦ (−t + 3)/(−t + 2), of determinant 1;
+    * hence an SL2(ℚ) block between two forms of these shapes is a scalar
+      times the diagonal scalings, that group and, across the cases, the
+      quarter-turn; comparing determinants, it changes the radicand by a
+      square factor within a case, and across cases 2 and 4 also flips its
+      sign.
+
+    Every canonical table T5–T8 and T13–T16 has radicand 1.  So the
+    identity reaches one when ρ is a square, the quarter-turn when −ρ is,
+    and otherwise the ``NeedsExtension`` of the identity block proves that
+    no table is isomorphic to the input over ℚ.
     """
     yield _IDENTITY_BLOCK
     roots = _rational_roots_of_cubic(co.q, -3 * co.a, -3 * co.r, -co.s)
     if roots is None:
+        if (case.case == 2 and rational_root(-co.q / co.a, 2) is not None
+                or case.case == 4 and rational_root(co.r / co.s, 2) is not None):
+            yield _QUARTER_TURN
         return
     for target in _SPLIT_TARGETS:
         for perm in permutations(roots):
@@ -292,13 +323,16 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     which also finds isomorphisms that cross between the case condition
     sets.  For split inputs inside the four condition sets the analysis is
     therefore complete: a surviving diagnostic means no rational witness to
-    any canonical table exists.  Inputs outside the condition sets are
-    ``Unclassified`` even when a rational witness exists.
+    any canonical table exists.  A case-2 or case-4 input whose cubic does
+    not split tries the quarter-turn instead, and its ``NeedsExtension`` is
+    a proof too (see ``_candidate_blocks``).  Inputs outside the condition
+    sets are ``Unclassified`` even when a rational witness exists.
     """
     co = family_coordinates(p)
-    if case_of_coordinates(co) is None:
+    case = case_of_coordinates(co)
+    if case is None:
         return Unclassified("no case condition set matches the structure constants")
-    for index, block in enumerate(_candidate_blocks(co)):
+    for index, block in enumerate(_candidate_blocks(co, case)):
         if block is None:
             continue
         if block is _IDENTITY_BLOCK:
@@ -316,8 +350,9 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
             return result
         if block is _IDENTITY_BLOCK:
             in_case = result
-    if index > 0 and isinstance(in_case, Unclassified):
-        # blocks past the identity were tried, so the quotient cubic splits
+    if index > 0 and block is not _QUARTER_TURN and isinstance(in_case, Unclassified):
+        # root-matching blocks were tried, so the quotient cubic splits (the
+        # quarter-turn is tried only on a cubic that does not)
         return Unclassified(
             "the quotient cubic splits over the rationals but every root "
             "matching has a non-square determinant: not isomorphic to any "

@@ -56,10 +56,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _back_substitute, _densify,
-                     _echelon, _eliminate, _integer_row, _kernel, rat)
-from .algebra import (CommProduct, TriBracket, _Record, check_transposed_leibniz,
-                      structure_table)
+from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
+                     _densify, _echelon, _eliminate, _integer_row, _kernel, rat)
+from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)

@@ -24,8 +24,8 @@ import json
 import re
 from typing import TYPE_CHECKING, Optional
 
-from .linalg import Matrix, Vector, fmt_rat, parse_rat
-from .algebra import CommProduct, TriBracket, _Record
+from .linalg import Matrix, Vector, _Record, fmt_rat, parse_rat
+from .algebra import CommProduct, TriBracket
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix

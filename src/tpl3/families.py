@@ -21,8 +21,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .linalg import rat
-from .algebra import CommProduct, FamilyCoordinates, _Record, family_coordinates
+from .linalg import _Record, rat
+from .algebra import CommProduct, FamilyCoordinates, family_coordinates
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix

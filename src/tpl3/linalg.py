@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -116,19 +117,55 @@ def fmt_rat(q: Fraction) -> str:
     return str(q)
 
 
-def _frozen_setattr(self, name: str, value) -> None:
-    """``__setattr__`` of the package's immutable values: constructors store
-    their fields with ``object.__setattr__``, and any later assignment
-    raises."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Record:
+    """Base of the package's immutable values and records.
+
+    A record lists its fields in ``__slots__``, in the order of its
+    ``__init__``, which stores them with ``object.__setattr__``; a slot
+    whose name starts with ``_`` holds a value derived from the fields and
+    is not one of them.  After construction, assignment and deletion raise
+    ``AttributeError``.  Two records are equal when they are of the same
+    class with equal fields, the hash is that of the key ``_key(record)``
+    (the fields, or the value of the only field), and ``pickle`` and
+    ``copy`` rebuild a record by calling its class on its fields.  The
+    ``repr`` reads ``Name(field=value, ...)`` with each value's ``repr``;
+    the class keyword ``hidden`` names fields left out of it.  ``Vector``,
+    ``Matrix``, ``TriBracket`` and ``CommProduct`` write their own ``repr``,
+    and the last two their own hash, because their ``table`` is a dict.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
-def _frozen_delattr(self, name: str) -> None:
-    """``__delattr__`` of the package's immutable values."""
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Vector:
+class Vector(_Record):
     """Immutable exact vector."""
 
     __slots__ = ("entries",)
@@ -137,12 +174,6 @@ class Vector:
         object.__setattr__(self, "entries", tuple(map(rat, entries)))
         if not self.entries:
             raise DimensionMismatch("vectors must have positive dimension")
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return Vector, (self.entries,)
 
     @property
     def dim(self) -> int:
@@ -192,17 +223,11 @@ class Vector:
         if not isinstance(other, Vector) or other.dim != self.dim:
             raise DimensionMismatch("vector dimensions differ")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
         return "(" + ", ".join(fmt_rat(a) for a in self.entries) + ")"
 
 
-class Matrix:
+class Matrix(_Record):
     """Immutable exact matrix, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -217,12 +242,6 @@ class Matrix:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(self.entries)}"
             )
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return Matrix, (self.rows, self.cols, self.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -260,13 +279,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return "[" + "; ".join(

@@ -21,10 +21,9 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import DimensionMismatch, Matrix, Singular, invert, vec_mat
+from .linalg import DimensionMismatch, Matrix, Singular, _Record, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
-                      _Record, _unscaled, bracket_eval, family_coordinates,
-                      structure_table)
+                      _unscaled, bracket_eval, family_coordinates, structure_table)
 
 
 class NotAutomorphism(ValueError):

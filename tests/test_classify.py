@@ -257,6 +257,80 @@ def test_tampered_witness_fails_revalidation(monkeypatch, table):
         classify(A3, product_from(table))
 
 
+# --- cases 2 and 4: the sign class of the radicand --------------------------------
+
+def reachable_product(rng: random.Random, case: int, radicand: F) -> CommProduct:
+    """A case-2 (q²s = −3a³, radicand q/a) or case-4 (3r³ = qs², radicand
+    −r/s) product of the reachable shape with the given radicand and a
+    random e1 row (g, h, k)."""
+    g, h, k = (rand_rat(rng) for _ in range(3))
+    if case == 2:
+        a = rand_rat(rng, nonzero=True)
+        q = a * radicand
+        return FamilyCoordinates(g, a, q, h, F(0), -a, k, -3 * a ** 3 / q ** 2,
+                                 F(0)).as_product()
+    s = rand_rat(rng, nonzero=True)
+    r = -s * radicand
+    return FamilyCoordinates(g, F(0), 3 * r ** 3 / s ** 2, h, r, F(0), k, s,
+                             -r).as_product()
+
+
+def test_minus_square_radicands_certify_across_cases_2_and_4():
+    # the quarter-turn (x, y) -> (-y, x) carries the case-2 shape onto the
+    # case-4 one, and flips the sign of the radicand
+    rng = random.Random(20)
+    landed = set()
+    for _ in range(100):
+        case = rng.choice((2, 4))
+        radicand = -F(rng.randint(1, 5), rng.randint(1, 3)) ** 2
+        out = classify(A3, reachable_product(rng, case, radicand))
+        assert isinstance(out, Certificate), (case, radicand, out)
+        assert out.validate()
+        landed.add((case, out.family.id))
+    assert {family for case, family in landed if case == 2} <= {"T13", "T14", "T15", "T16"}
+    assert {family for case, family in landed if case == 4} <= {"T5", "T6", "T7", "T8"}
+    assert {case for case, _ in landed} == {2, 4}
+
+    p = FamilyCoordinates(*map(F, (0, -1, 1, 0, 0, 1, 0, 3, 0))).as_product()
+    out = classify(A3, p)
+    assert out.family == FamilyInstance.make("T13", gamma=-1)
+    assert out.witness == AutoMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+
+
+def test_quarter_turn_keeps_the_not_reachable_reason():
+    # radicand q/a = -1, so the quarter-turn is tried, but q²s = 5 ≠ -3a³
+    # and the quotient cubic does not split: the reason is not "splits"
+    p = FamilyCoordinates(*map(F, (0, 1, -1, 0, 0, -1, 0, 5, 0))).as_product()
+    out = normalize(p)
+    assert isinstance(out, Unclassified)
+    assert "not reachable" in out.reason
+
+
+#: the SL2 blocks with entries in [-2, 2]
+SMALL_SL2 = [(b11, b12, b21, b22) for b11 in range(-2, 3) for b12 in range(-2, 3)
+             for b21 in range(-2, 3) for b22 in range(-2, 3) if b11 * b22 - b12 * b21 == 1]
+
+
+def test_needs_extension_has_no_certified_image_on_a_small_grid():
+    # a certified image under diag(1, B) would give the input a witness too
+    rng = random.Random(21)
+    radicands = [sign * F(n, d) for sign in (1, -1) for n in range(1, 6) for d in (1, 2, 3)]
+    seen = 0
+    for _ in range(40):
+        case, radicand = rng.choice((2, 4)), rng.choice(radicands)
+        p = reachable_product(rng, case, radicand)
+        out = classify(A3, p)
+        if not isinstance(out, NeedsExtension):
+            continue
+        assert rational_root(radicand, 2) is None and rational_root(-radicand, 2) is None
+        seen += 1
+        for b11, b12, b21, b22 in SMALL_SL2:
+            block = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
+            image = classify(A3, transport_product(p, block))
+            assert not isinstance(image, Certificate), (p, block, image)
+    assert seen >= 10
+
+
 # --- the coupling gate ------------------------------------------------------------
 
 PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))

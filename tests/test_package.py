@@ -238,6 +238,25 @@ def test_record_equality_needs_the_same_class():
     assert m == tpl3.AutoMatrix(m.map) and m.inverse().inverse() == m
 
 
+def test_every_value_class_has_the_one_base():
+    from tpl3 import linalg
+
+    public = [getattr(tpl3, name) for name in PUBLIC_NAMES]
+    classes = [c for c in public if isinstance(c, type) and not issubclass(c, Exception)]
+    assert all(issubclass(c, linalg._Record) for c in classes)
+    assert not [name for name in vars(linalg) if name.startswith("_frozen")]
+
+
+def test_value_equality_needs_the_same_class():
+    assert tpl3.Vector([1]) == tpl3.Vector([1])
+    assert tpl3.Vector([1]) != (1,)
+    assert tpl3.Vector([1]) != tpl3.Matrix.from_rows([[1]])
+    assert tpl3.Matrix.from_rows([[1, 2]]) != tpl3.Matrix.from_rows([[1], [2]])
+    assert A3 != PRODUCT and PRODUCT == tpl3.CommProduct(3, dict(PRODUCT.table))
+    # a single-field key is the field itself, so a vector hashes as its entries
+    assert hash(tpl3.Vector([1, 2])) == hash((Fraction(1), Fraction(2)))
+
+
 def test_record_defaults():
     assert tpl3.DerivationQuery(A3).delta == Fraction(1, 3)
     assert tpl3.DerivationQuery(A3, "-2/5").delta == Fraction(-2, 5)
