@@ -13,8 +13,9 @@ of the defining equation, never approximated.
 
 Reduction scheme: witnesses have the shape
 diag(1, B)·[[u,0,0],[x,c,0],[y,0,1/c]] with B in SL2(ℚ).  ``normalize``
-runs one loop over the candidate e2/e3 blocks B (``_candidate_blocks``)
-and finishes each in the case of the coordinates moved by diag(1, B):
+tries the identity block B, then every match of the binary quotient cubic
+onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
+ℚ(√−3)), and finishes each block in the case of the coordinates it moves:
 
 * the block scaling e2 ↦ c·e2, e3 ↦ e3/c rescales the e2/e3 structure
   constants; matching the canonical tables pins c by ``c**4 = radicand``
@@ -40,11 +41,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, _Record, _integer_root, invert, mat_mul,
-                     rank, rational_root, solve_affine)
+from .linalg import (Infeasible, Matrix, Vector, _Record, _integer_root, rank,
+                     rational_root, solve_affine)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
@@ -182,131 +182,140 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
     return cert
 
 
-def _rational_roots_of_cubic(c0: Fraction, c1: Fraction, c2: Fraction,
-                             c3: Fraction) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """All roots in P¹(ℚ) of c0·x³ + c1·x²y + c2·xy² + c3·y³ when the form
-    splits into three distinct rational roots, sorted, as (1, 0) for the
-    point at infinity and (slope, 1) otherwise; None when it does not.
+def _hessian_frame(f: tuple[int, int, int, int]):
+    """The Hessian frame (N, κ) of the integer cubic (A, B, C, D), i.e.
+    A·x³ + B·x²y + C·xy² + D·y³: f∘N ∝ Re(κ·z³) with z = X + √−3·Y, κ as the
+    pair (κ1, κ2) of κ1 + κ2·√−3 and the column map N as (N11, N12, N22).
+    None unless the discriminant is a square d² ≠ 0.
 
-    The form is cleared to integers a0..a3 first: scaling a binary cubic
-    scales its discriminant by a fourth power, so the gate runs on
-    integers.  Three distinct rational roots force a nonzero square
-    discriminant.  Past that gate one rational root makes all three
-    rational, since the quadratic cofactor has discriminant
-    disc / resultant², a nonzero square.  When a0 ≠ 0, z = a0·x gives the
-    monic h(z) = z³ + a1·z² + a0·a2·z + a0²·a3, whose rational roots are
-    integers, so its three real roots are all integers or none is.  They
-    lie in the Cauchy interval (−B, B), B = 1 + max(|a1|, |a0·a2|, |a0²·a3|),
-    where h(−B) < 0 < h(B), and ``_integer_root`` there finds one or
-    proves there is none.  The cofactor, made monic as w² + b1·w + b2 with
-    x = w / scale, has its roots from ``rational_root``.
+    The Hessian h0·x² + h1·xy + (C²−3BD)·y², h0 = B²−3AC, h1 = BC−9AD, has
+    discriminant −3d², so N = [[d, −h1], [0, 2·h0]] completes its square to
+    a multiple of X² + 3Y².  A cubic with that Hessian has the shape
+    (A', B', −9A', −B') = Re(κ·z³), κ ∝ 9A' − B'·√−3; here A' = A·d³ and
+    B' = d²·(2B·h0 − 3A·h1).
     """
-    den = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
-    a0, a1, a2, a3 = (c.numerator * (den // c.denominator) for c in (c0, c1, c2, c3))
-    if not rational_root(a1 * a1 * a2 * a2 - 4 * a0 * a2 ** 3 - 4 * a1 ** 3 * a3
-                         - 27 * a0 * a0 * a3 * a3 + 18 * a0 * a1 * a2 * a3, 2):
-        return None  # the discriminant is zero or not a square
-    g = math.gcd(a0, a1, a2, a3)
-    a0, a1, a2, a3 = a0 // g, a1 // g, a2 // g, a3 // g
-    if a0 == 0:  # the root (1:0); w = a1·x makes the cofactor monic
-        roots, b1, b2, scale = [_INF], a2, a1 * a3, a1
-    else:
-        bound = 1 + max(abs(a1), abs(a0 * a2), abs(a0 * a0 * a3))
-        z = _integer_root(lambda t: ((t + a1) * t + a0 * a2) * t + a0 * a0 * a3,
-                          -bound, bound)
-        if z is None:
-            return None
-        # deflate: h(w) = (w - z)(w² + b1·w + b2)
-        b1 = a1 + z
-        roots, b2, scale = [(Fraction(z, a0), Fraction(1))], a0 * a2 + b1 * z, a0
-    s = rational_root(b1 * b1 - 4 * b2, 2)
-    roots += [((-b1 + s) / (2 * scale), Fraction(1)), ((-b1 - s) / (2 * scale), Fraction(1))]
-    return sorted(roots, key=lambda r: (r[1] == 0, r[0]))
-
-
-def _frame(triple) -> Matrix:
-    """Rows p1 and μ·p2 for distinct projective points p1, p2, p3, where
-    λ1·p1 + λ2·p2 = p3 by Cramer's rule and μ = λ2/λ1."""
-    (x1, y1), (x2, y2), (x3, y3) = triple
-    mu = (x1 * y3 - x3 * y1) / (x3 * y2 - x2 * y3)
-    return Matrix.from_rows([[x1, y1], [mu * x2, mu * y2]])
-
-
-def _mobius_block(src, dst) -> Optional[Matrix]:
-    """An SL2(ℚ) block (row convention: root p ↦ p·B) mapping the ordered
-    triple src of distinct projective points onto dst, or None when the
-    unique projective map has a non-square determinant.  F_src⁻¹·F_dst of
-    the ``_frame``s maps src onto dst, with src[0] ↦ dst[0] exactly; for the
-    frames with rows λ1·p1, λ2·p2 it reads (λ_src/λ_dst)·F_src⁻¹·F_dst.
-    """
-    (m11, m12), (m21, m22) = mat_mul(invert(_frame(src)), _frame(dst)).row_lists()
-    scale = rational_root(m11 * m22 - m12 * m21, 2)
-    if scale is None:
+    a, b, c, d = f
+    disc = b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    root = math.isqrt(max(disc, 0))
+    if disc == 0 or root * root != disc:
         return None
-    return Matrix.from_rows([[m11 / scale, m12 / scale], [m21 / scale, m22 / scale]])
+    h0, h1 = b * b - 3 * a * c, b * c - 9 * a * d
+    return (root, -h1, 2 * h0), (9 * a * root, 3 * a * h1 - 2 * b * h0)
 
 
-#: root triples of the three rational-split quotient classes among the
-#: canonical tables, with the case shape each class lands in
-_INF = (Fraction(1), Fraction(0))
-_SPLIT_TARGETS = (
-    (_INF, (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))),
-    (_INF, (Fraction(2, 3), Fraction(1)), (Fraction(-2, 3), Fraction(1))),
-    ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))),
-)
+def _cube_multipliers(g1: int, g2: int) -> list[tuple[int, int]]:
+    """Every μ = m1 + m2·√−3 up to ℚ* with μ³ ∈ ℚ*·γ, γ = g1 + g2·√−3, as
+    pairs (m1, m2): none, or one orbit of three.
 
+    That holds exactly when ν = μ/μ̄ has ν³ = β = γ/γ̄, and every ν of norm
+    one is such a quotient (Hilbert 90): μ = 1 + ν, or μ = √−3 for ν = −1.
+    For Re β = P/Q and ν = (z + w·√−3)/(2Q), z is an integer root of the
+    Chebyshev cubic z³ − 3Q²z − 2PQ² and 3w² = 4Q² − z².  Its three roots
+    are the real parts of the cube roots of β, which ℚ(√−3) holds all or
+    none of, as it holds the cube roots of unity.  So the least root, in
+    [−2Q, −Q] where the cubic increases, decides them; the sign of w picks
+    β over β̄.
+    """
+    content = math.gcd(g1, g2)
+    g1, g2 = g1 // content, g2 // content
+    norm, real = g1 * g1 + 3 * g2 * g2, g1 * g1 - 3 * g2 * g2
+    common = math.gcd(real, norm)
+    p, q = real // common, norm // common
+    qq = q * q
+    z = _integer_root(lambda t: (t * t - 3 * qq) * t - 2 * p * qq, -2 * q - 1, -q)
+    if z is None:
+        return []
+    w2, rest = divmod(4 * qq - z * z, 3)
+    w = math.isqrt(w2)
+    if rest or w * w != w2:
+        return []
+    if w * (z * z - w * w) * g1 * g2 < 0:  # the √−3 parts of ν³ and β differ
+        w = -w
+    multipliers = []
+    for _ in range(3):
+        multipliers.append((0, 1) if z == -2 * q else (2 * q + z, w))
+        z, w = (-z - 3 * w) // 2, (z - w) // 2  # ν·(−1 + √−3)/2
+    return multipliers
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+def _cubic_matches(source, target) -> list[Optional[Matrix]]:
+    """Every projective map M with f∘M ∝ g, given the Hessian frames of f
+    and g, as the SL2 block adj(M)ᵀ/√det M with a positive first nonzero
+    entry, or None when det M is not a square.  The rational maps keeping
+    X² + 3Y² up to scale are z ↦ μ·z and z ↦ μ·z̄, which take Re(κ·z³) to
+    Re(κμ³·z³) and Re(κ̄μ³·z³); so M = N_f·diag(1, ±1)·L_μ·N_g⁻¹, with L_μ
+    the matrix of z ↦ μ·z, for each μ with κ_f·μ³ or κ̄_f·μ³ in ℚ*·κ_g.
+    """
+    (n11, n12, n22), (k1, k2) = source
+    (t11, t12, t22), (c1, c2) = target
+    blocks: list[Optional[Matrix]] = []
+    for flip in (1, -1):  # z ↦ μ·z, then z ↦ μ·z̄
+        # κ_g / κ ∝ κ_g·κ̄ for κ = k1 + flip·k2·√−3
+        for m1, m2 in _cube_multipliers(c1 * k1 + 3 * flip * c2 * k2,
+                                        c2 * k1 - flip * c1 * k2):
+            (m11, m12), (m21, m22) = _mul(
+                _mul(((n11, flip * n12), (0, flip * n22)), ((m1, -3 * m2), (m2, m1))),
+                ((t22, -t12), (0, t11)))
+            det = m11 * m22 - m12 * m21
+            root = math.isqrt(max(det, 0)) * (-1 if m22 < 0 or m22 == 0 and m21 > 0 else 1)
+            blocks.append(Matrix.from_rows([[Fraction(m22, root), Fraction(-m21, root)],
+                                            [Fraction(-m12, root), Fraction(m11, root)]])
+                          if root * root == det else None)
+    # the sparsest first: a diagonal or antidiagonal block keeps the reachable
+    # case shapes, and is tried before the rest of its orbit
+    return sorted(blocks, key=lambda b: 1 if b is None else -b.entries.count(0))
+
+
+#: the table cubics in groups of projectively equivalent forms, with the
+#: reason that stands when no match certifies: the split root triples
+#: (∞, ±1), (∞, ±2/3), (0, ±1); h₂ = X³ − 3X²Y + 3Y³, 3X³ − 3XY² + Y³
+_TARGET_GROUPS = tuple(
+    (reason, tuple(_hessian_frame(g) for g in cubics)) for reason, cubics in (
+        ("the quotient cubic splits over the rationals but every root matching "
+         "has a non-square determinant",
+         ((0, 1, 0, -1), (0, 9, 0, -4), (1, 0, -1, 0))),
+        ("the quotient cubic is irreducible over the rationals and every match "
+         "onto the case-2 and case-4 table cubics has a non-square determinant",
+         ((1, -3, 0, 3), (3, 0, -3, 1)))))
 
 _IDENTITY_BLOCK = Matrix.identity(2)
 
-#: the quarter-turn (x, y) ↦ (−y, x), which carries the reachable case-2
-#: block shape onto the case-4 one and back
-_QUARTER_TURN = Matrix.from_rows([[0, 1], [-1, 0]])
 
+def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], str]:
+    """The e2/e3 blocks the reduction tries after the identity, and the
+    reason that stands when none certifies.
 
-def _candidate_blocks(co: FamilyCoordinates, case: CaseId) -> Iterator[Optional[Matrix]]:
-    """The e2/e3 blocks the reduction tries, in order: the identity first.
-
-    The e2/e3 block corresponds to the binary cubic
-    f = q·x³ − 3a·x²y − 3r·xy² − s·y³, and a witness landing on a canonical
-    table maps its root triple onto the table's.  So when the cubic splits
-    into three distinct rational roots, every ordering against each
-    rational-split target class follows: its Möbius block, or None when
-    that map has a non-square determinant.
-
-    Otherwise a case-2 or case-4 input also tries the quarter-turn, when
-    −ρ is a rational square, where ρ is the radicand of its case (q/a in
-    case 2, −r/s in case 4).  Nothing else can certify it:
-
-    * the reachable shapes are f = q·h₂(x, (a/q)·y) in case 2 (q²s = −3a³)
-      and f = s·h₄((r/s)·x, y) in case 4 (3r³ = qs²), with
-      h₂ = X³ − 3X²Y + 3Y³ and h₄ = 3X³ − 3XY² − Y³; both have
-      discriminant 81 and are irreducible over ℚ, and h₂(−Y, X) = h₄(X, Y)
-      is the quarter-turn, of determinant 1;
-    * a Möbius map over ℚ that fixes the root set of an irreducible cubic
-      commutes with its Galois group, here cyclic of order 3, so the
-      stabiliser in PGL2(ℚ) is the order-3 group generated by
-      t ↦ (−t + 3)/(−t + 2), of determinant 1;
-    * hence an SL2(ℚ) block between two forms of these shapes is a scalar
-      times the diagonal scalings, that group and, across the cases, the
-      quarter-turn; comparing determinants, it changes the radicand by a
-      square factor within a case, and across cases 2 and 4 also flips its
-      sign.
-
-    Every canonical table T5–T8 and T13–T16 has radicand 1.  So the
-    identity reaches one when ρ is a square, the quarter-turn when −ρ is,
-    and otherwise the ``NeedsExtension`` of the identity block proves that
-    no table is isomorphic to the input over ℚ.
+    The block B moves the binary cubic f = q·x³ − 3a·x²y − 3r·xy² − s·y³ of
+    an in-case input to f∘B⁻ᵀ, and a witness onto a canonical table moves f
+    onto a multiple of the table's cubic.  So the blocks are the matches of
+    f onto the first group of table cubics it matches at all, and each one
+    moves an in-case input into the case of its table cubic.  A split
+    cubic has 6 matches onto each split table cubic, one per root
+    permutation.  An irreducible cubic has one orbit of 3 matches onto each
+    table cubic it matches: a map that fixes its roots commutes with the
+    Galois group, cyclic of order 3 here, so the stabiliser in PGL2(ℚ) is
+    that order-3 group, of square determinant, and the matches share one
+    determinant class.  Every table T5–T8 and T13–T16 has radicand 1,
+    so a case-2 or case-4 input certifies exactly when its matches onto h₂
+    or the case-4 form have a square determinant; otherwise the identity
+    block's ``NeedsExtension`` proves that no table is isomorphic to it.
     """
-    yield _IDENTITY_BLOCK
-    roots = _rational_roots_of_cubic(co.q, -3 * co.a, -3 * co.r, -co.s)
-    if roots is None:
-        if (case.case == 2 and rational_root(-co.q / co.a, 2) is not None
-                or case.case == 4 and rational_root(co.r / co.s, 2) is not None):
-            yield _QUARTER_TURN
-        return
-    for target in _SPLIT_TARGETS:
-        for perm in permutations(roots):
-            yield _mobius_block(perm, target)
+    coeffs = (co.q, co.a, co.r, co.s)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    q, a, r, s = (c.numerator * (den // c.denominator) for c in coeffs)
+    source = _hessian_frame((q, -3 * a, -3 * r, -s))
+    if source is not None:
+        for reason, targets in _TARGET_GROUPS:
+            blocks = _cubic_matches(source, targets[0])
+            if blocks:  # the targets of a group are projectively equivalent
+                return blocks + [b for t in targets[1:] for b in _cubic_matches(source, t)], reason
+    return [], ""
 
 
 def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified]:
@@ -318,45 +327,35 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     is implemented for the input.  Raises ShapeMismatch for products
     outside the solved family.
 
-    One loop tries the candidate e2/e3 blocks: the identity, then, when the
-    quotient cubic splits over ℚ, every square-determinant root matching,
-    which also finds isomorphisms that cross between the case condition
-    sets.  For split inputs inside the four condition sets the analysis is
-    therefore complete: a surviving diagnostic means no rational witness to
-    any canonical table exists.  A case-2 or case-4 input whose cubic does
-    not split tries the quarter-turn instead, and its ``NeedsExtension`` is
-    a proof too (see ``_candidate_blocks``).  Inputs outside the condition
-    sets are ``Unclassified`` even when a rational witness exists.
+    After the identity block come the matches of the quotient cubic onto
+    the table cubics (see ``_candidate_blocks``), which also find
+    isomorphisms that cross between the case condition sets.  So for inputs
+    inside the four sets the analysis is complete: a surviving diagnostic
+    means that no rational witness to any canonical table exists, and an
+    ``Unclassified`` one names the class of the cubic when it matched.
+    Inputs outside the sets are ``Unclassified`` even when a rational
+    witness exists.
     """
     co = family_coordinates(p)
     case = case_of_coordinates(co)
     if case is None:
         return Unclassified("no case condition set matches the structure constants")
-    for index, block in enumerate(_candidate_blocks(co, case)):
+    in_case = _reduce_in_case(p, co, case, _IDENTITY_BLOCK)
+    if isinstance(in_case, Certificate):
+        return in_case
+    blocks, reason = _candidate_blocks(co)
+    for block in blocks:
         if block is None:
             continue
-        if block is _IDENTITY_BLOCK:
-            moved = co
-        else:
-            block_map = AutoMatrix.from_rows([[1, 0, 0],
-                                              [0, block.entry(0, 0), block.entry(0, 1)],
-                                              [0, block.entry(1, 0), block.entry(1, 1)]])
-            moved = family_coordinates(transport_product(p, block_map))
-        case = case_of_coordinates(moved)
-        if case is None:
-            continue
-        result = _reduce_in_case(p, moved, case, block)
+        (b11, b12), (b21, b22) = block.row_lists()
+        block_map = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
+        moved = family_coordinates(transport_product(p, block_map))
+        result = _reduce_in_case(p, moved, case_of_coordinates(moved), block)
         if isinstance(result, Certificate):
             return result
-        if block is _IDENTITY_BLOCK:
-            in_case = result
-    if index > 0 and block is not _QUARTER_TURN and isinstance(in_case, Unclassified):
-        # root-matching blocks were tried, so the quotient cubic splits (the
-        # quarter-turn is tried only on a cubic that does not)
+    if blocks and isinstance(in_case, Unclassified):
         return Unclassified(
-            "the quotient cubic splits over the rationals but every root "
-            "matching has a non-square determinant: not isomorphic to any "
-            "canonical table over the rationals")
+            f"{reason}: not isomorphic to any canonical table over the rationals")
     return in_case
 
 

@@ -2,7 +2,7 @@ import importlib
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -298,8 +298,9 @@ def test_minus_square_radicands_certify_across_cases_2_and_4():
 
 
 def test_quarter_turn_keeps_the_not_reachable_reason():
-    # radicand q/a = -1, so the quarter-turn is tried, but q²s = 5 ≠ -3a³
-    # and the quotient cubic does not split: the reason is not "splits"
+    # radicand q/a = -1 but q²s = 5 ≠ -3a³, and the discriminant of the
+    # quotient cubic is not a square, so it matches no table cubic: the
+    # reason is neither "splits" nor "irreducible"
     p = FamilyCoordinates(*map(F, (0, 1, -1, 0, 0, -1, 0, 5, 0))).as_product()
     out = normalize(p)
     assert isinstance(out, Unclassified)
@@ -593,40 +594,6 @@ def test_certificate_soundness_random():
     assert isinstance(classify(A3, inst), Certificate)
 
 
-def test_cubic_root_finder():
-    from tpl3.classify import _rational_roots_of_cubic as roots
-    inf = (F(1), F(0))
-    # -3x²y + 3y³ has roots {inf, 1, -1}
-    assert roots(F(0), F(-3), F(0), F(3)) == [(F(-1), F(1)), (F(1), F(1)), inf]
-    # x(x - y)(x + y) = x³ - xy²
-    assert roots(F(1), F(0), F(-1), F(0)) == [(F(-1), F(1)), (F(0), F(1)), (F(1), F(1))]
-    # scaled coefficients: 6(x - y/2)(x - 2y)(x + 3y) = 6x³ + 3x²y - 39xy² + 18y³
-    got = roots(F(6), F(3), F(-39), F(18))
-    assert got == [(F(-3), F(1)), (F(1, 2), F(1)), (F(2), F(1))]
-    # irreducible and repeated-root forms are rejected
-    assert roots(F(1), F(0), F(-3), F(1)) is None
-    assert roots(F(0), F(0), F(1), F(1)) is None      # (1:0) repeated
-    assert roots(F(1), F(-3), F(3), F(-1)) is None    # (x - y)³
-    # quadratic factor with irrational pair
-    assert roots(F(0), F(1), F(0), F(-2)) is None
-
-
-def test_mobius_block_construction():
-    from tpl3.classify import _mobius_block
-    inf = (F(1), F(0))
-    one, mone = (F(1), F(1)), (F(-1), F(1))
-    triple = (inf, one, mone)
-    assert _mobius_block(triple, triple) == Matrix.identity(2)
-    # the swap (inf,1,-1) -> (0,-1,1) has determinant 1
-    swapped = _mobius_block(triple, ((F(0), F(1)), mone, one))
-    assert swapped is not None
-    det = (swapped.entry(0, 0) * swapped.entry(1, 1)
-           - swapped.entry(0, 1) * swapped.entry(1, 0))
-    assert det == 1
-    # (inf,1,-1) -> (0,1,-1) needs determinant class -1: no rational block
-    assert _mobius_block(triple, ((F(0), F(1)), one, mone)) is None
-
-
 def reference_rational_roots_of_cubic(c0, c1, c2, c3):
     # the root search before the discriminant gate: a divisor-by-divisor
     # search in Fraction arithmetic, then every distinctness check
@@ -700,6 +667,13 @@ def cubic_discriminant(c0, c1, c2, c3):
             - 27 * c0 * c0 * c3 * c3 + 18 * c0 * c1 * c2 * c3)
 
 
+def random_gl2(rng: random.Random):
+    while True:
+        m = ((rand_rat(rng), rand_rat(rng)), (rand_rat(rng), rand_rat(rng)))
+        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+            return m
+
+
 def random_cubic(rng: random.Random, kind: int) -> list:
     def point():
         # a root (p:q) as the linear form q·x − p·y, (1:0) now and then
@@ -717,11 +691,7 @@ def random_cubic(rng: random.Random, kind: int) -> list:
         line = point()
         f = form_product(form_product(line, line), point())
     elif kind == 3:  # x³ − 3xy² + y³ moved by GL2: square discriminant, irreducible
-        while True:
-            m = ((rand_rat(rng), rand_rat(rng)), (rand_rat(rng), rand_rat(rng)))
-            if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
-                break
-        f = substitute([F(1), F(0), F(-3), F(1)], m)
+        f = substitute([F(1), F(0), F(-3), F(1)], random_gl2(rng))
     else:           # one rational root times an irreducible quadratic
         f = form_product(point(), [F(1), F(rng.randint(-3, 3)),
                                    F(rng.choice((-2, -3, 2, 3, 5, 7)))])
@@ -729,77 +699,16 @@ def random_cubic(rng: random.Random, kind: int) -> list:
     return [c * scale for c in f]
 
 
-def test_cubic_root_finder_matches_reference():
-    from tpl3.classify import _rational_roots_of_cubic
-    rng = random.Random(59)
-    seen = {"split c0 = 0": 0, "split c0 != 0": 0, "zero discriminant": 0,
-            "non-square discriminant": 0, "square, irreducible": 0}
-    for trial in range(5000):
-        cubic = random_cubic(rng, trial % 5)
-        got = _rational_roots_of_cubic(*cubic)
-        assert got == reference_rational_roots_of_cubic(*cubic), cubic
-        disc = cubic_discriminant(*cubic)
-        if got is not None:
-            seen["split c0 = 0" if cubic[0] == 0 else "split c0 != 0"] += 1
-        elif disc == 0:
-            seen["zero discriminant"] += 1
-        elif rational_root(disc, 2) is None:
-            seen["non-square discriminant"] += 1
-        elif trial % 5 == 3:
-            seen["square, irreducible"] += 1
-    assert min(seen.values()) >= 100, seen
-    assert _rational_roots_of_cubic(F(1), F(0), F(-3), F(1)) is None
-    assert cubic_discriminant(F(1), F(0), F(-3), F(1)) == 81
-
-
-def test_cubic_root_finder_big_split_roots():
-    from tpl3.classify import _rational_roots_of_cubic
-    rng = random.Random(60)
-
-    def big(digits):
-        return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10 ** digits - 1)
-
-    inf = (F(1), F(0))
-    for trial in range(40):
-        roots = set()
-        if trial % 4 == 0:
-            roots.add(inf)
-        while len(roots) < 3:
-            roots.add((F(big(rng.randint(20, 40)), abs(big(rng.randint(20, 40)))), F(1)))
-        # the root (p:q) as the linear form q·x − p·y
-        f = [F(rng.choice((-1, 1)) * abs(big(rng.randint(1, 30))), rng.randint(1, 10 ** 6))]
-        for p, q in roots:
-            f = form_product(f, [q, -p])
-        assert _rational_roots_of_cubic(*f) == sorted(roots, key=lambda r: (r[1] == 0, r[0]))
-
-
-def test_cubic_root_finder_rejects_big_cyclic_cubics():
-    from tpl3.classify import _rational_roots_of_cubic
-    rng = random.Random(61)
-    for _ in range(40):
-        # an SL2(ℤ) matrix with 10-digit a, b: b·c ≡ −1 (mod a) makes a·d − b·c = 1
-        while True:
-            a, b = rng.randint(10 ** 9, 10 ** 10 - 1), rng.randint(10 ** 9, 10 ** 10 - 1)
-            if math.gcd(a, b) == 1:
-                break
-        c = a - pow(b, -1, a)
-        d = (1 + b * c) // a
-        assert a * d - b * c == 1 and max(c, d) < 10 ** 10
-        f = substitute([F(1), F(0), F(-3), F(1)], ((F(a), F(b)), (F(c), F(d))))
-        assert cubic_discriminant(*f) == 81
-        assert _rational_roots_of_cubic(*f) is None
-
-
-def test_classify_big_split_quotient_cubic():
-    # the quotient cubic x³ − 3r·xy² − s·y³ splits as
-    # (x − 1000003y)(x − 1000033y)(x + 2000036y): its roots have 7 digits, so
-    # a divisor search on the constant term takes minutes
-    r, s = F(1000036000399), F(-2000108001494003564)
-    co = FamilyCoordinates(F(1), F(0), F(1), F(1), r, F(0), F(1), s, -r)
-    assert classify(A3, co.as_product()) == Unclassified(
-        "the quotient cubic splits over the rationals but every root "
-        "matching has a non-square determinant: not isomorphic to any "
-        "canonical table over the rationals")
+def big_sl2(rng: random.Random):
+    # an SL2(ℤ) matrix with 10-digit a, b: b·c ≡ −1 (mod a) makes a·d − b·c = 1
+    while True:
+        a, b = rng.randint(10 ** 9, 10 ** 10 - 1), rng.randint(10 ** 9, 10 ** 10 - 1)
+        if math.gcd(a, b) == 1:
+            break
+    c = a - pow(b, -1, a)
+    d = (1 + b * c) // a
+    assert a * d - b * c == 1 and max(c, d) < 10 ** 10
+    return (F(a), F(b)), (F(c), F(d))
 
 
 def reference_mobius_block(src, dst):
@@ -821,25 +730,234 @@ def reference_mobius_block(src, dst):
                              [sol[2] / scale, sol[3] / scale]])
 
 
-def test_mobius_block_matches_reference():
-    from tpl3.classify import _SPLIT_TARGETS, _mobius_block
-    rng = random.Random(61)
-    found = 0
-    for trial in range(500):
-        slopes = set()
-        while len(slopes) < 3:
-            slopes.add(None if rng.random() < 0.1 else rand_rat(rng, lo=-9, hi=9))
-        # canonical representatives, and every fourth triple rescaled
-        triple = [(F(1), F(0)) if s is None else (s, F(1)) for s in slopes]
+#: the root triples of the split table cubics; the split table cubics, h₂
+#: and its case-4 form as coefficient lists; the two reasons of the matcher
+SPLIT_TARGETS = (
+    ((F(1), F(0)), (F(1), F(1)), (F(-1), F(1))),
+    ((F(1), F(0)), (F(2, 3), F(1)), (F(-2, 3), F(1))),
+    ((F(0), F(1)), (F(1), F(1)), (F(-1), F(1))),
+)
+SPLIT_CUBICS = ([F(0), F(1), F(0), F(-1)], [F(0), F(9), F(0), F(-4)], [F(1), F(0), F(-1), F(0)])
+H2, H4 = [F(1), F(-3), F(0), F(3)], [F(3), F(0), F(-3), F(1)]
+SPLIT_REASON = ("the quotient cubic splits over the rationals but every root matching has "
+                "a non-square determinant")
+IRREDUCIBLE_REASON = ("the quotient cubic is irreducible over the rationals and every match "
+                      "onto the case-2 and case-4 table cubics has a non-square determinant")
+
+
+def cubic_coordinates(f, e1_row=(F(0), F(0), F(0))) -> FamilyCoordinates:
+    # an in-family product whose quotient cubic q·x³ − 3a·x²y − 3r·xy² − s·y³ is f
+    (c0, c1, c2, c3), (g, h, k) = f, e1_row
+    return FamilyCoordinates(g, -c1 / 3, c0, h, -c2 / 3, c1 / 3, k, -c3, c2 / 3)
+
+
+def matches(f, g):
+    from tpl3.classify import _cubic_matches, _hessian_frame
+
+    def frame(cubic):
+        den = math.lcm(*(c.denominator for c in cubic))
+        return _hessian_frame(tuple(int(c * den) for c in cubic))
+
+    source = frame(f)
+    return [] if source is None else _cubic_matches(source, frame(g))
+
+
+def moved_cubic(f, block):
+    # transport by diag(1, B), B in SL2, moves the quotient cubic to f∘B⁻ᵀ
+    (b11, b12), (b21, b22) = block.row_lists()
+    return substitute(f, ((b22, -b21), (-b12, b11)))
+
+
+def proportional(f, g):
+    scale = next(x / y for x, y in zip(f, g) if y != 0)
+    return scale != 0 and f == [scale * y for y in g]
+
+
+def first_row_positive(block):
+    lead = next(x for x in block.row_lists()[0] if x != 0)
+    return block if lead > 0 else Matrix(2, 2, [-x for x in block.entries])
+
+
+def test_cubic_matcher_matches_reference_mobius_blocks():
+    # a split cubic's matches are the Möbius root matchings: every ordering
+    # of its roots onto each split target, as a set and up to sign; any other
+    # cubic matches no split target
+    from tpl3.classify import _candidate_blocks
+    rng = random.Random(59)
+    seen = {"split c0 = 0": 0, "split c0 != 0": 0, "irreducible": 0, "no match": 0}
+    for trial in range(2500):
+        cubic = random_cubic(rng, trial % 5)
+        blocks, reason = _candidate_blocks(cubic_coordinates(cubic))
+        roots = reference_rational_roots_of_cubic(*cubic)
+        if roots is None:
+            assert reason != SPLIT_REASON, cubic
+            if trial % 5 == 3:
+                assert reason == IRREDUCIBLE_REASON and len(blocks) == 6, cubic
+            seen["irreducible" if blocks else "no match"] += 1
+            continue
+        assert reason == SPLIT_REASON and len(blocks) == 18, cubic
+        expected = {first_row_positive(block) for target in SPLIT_TARGETS
+                    for perm in permutations(roots)
+                    if (block := reference_mobius_block(perm, target)) is not None}
+        assert {block for block in blocks if block is not None} == expected, cubic
+        seen["split c0 = 0" if cubic[0] == 0 else "split c0 != 0"] += 1
+    assert min(seen.values()) >= 80, seen
+
+
+def test_cubic_matcher_counts():
+    # the matches onto a cubic are a coset of its stabiliser in PGL2(ℚ): one
+    # orbit of 3 in h₂'s field (t³ − 3t + 1 included), none across fields,
+    # 6 per split class; each block moves the cubic onto the target
+    rng = random.Random(62)
+    cyclic9 = (H2, H4, [F(1), F(0), F(-3), F(1)])
+    cyclic7 = [F(1), F(1), F(-2), F(-1)]
+    for _ in range(25):
+        m = random_gl2(rng)
+        for f in cyclic9:
+            image = substitute(f, m)
+            assert matches(image, SPLIT_CUBICS[0]) == []
+            for target in (H2, H4):
+                found = matches(image, target)
+                assert len(found) == 3 and len({b is None for b in found}) == 1, (f, m)
+                assert all(proportional(moved_cubic(image, b), target)
+                           for b in found if b is not None)
+        image = substitute(cyclic7, m)
+        assert matches(image, H2) == [] and len(matches(image, cyclic7)) == 3
+        for f in SPLIT_CUBICS:
+            image = substitute(f, m)
+            for target in SPLIT_CUBICS:
+                found = matches(image, target)
+                assert len(found) == 6
+                assert all(proportional(moved_cubic(image, b), target)
+                           for b in found if b is not None)
+            assert matches(image, H2) == []
+    # square and repeated-root discriminants are not frames
+    assert matches([F(0), F(0), F(1), F(1)], H2) == []
+    assert matches([F(1), F(-3), F(3), F(-1)], H2) == []
+
+
+def test_cubic_matcher_blocks_move_the_cubic():
+    # the roots (∞, 1, −1) onto themselves and onto (0, −1, 1): the identity
+    # and the quarter-turn are matches; (∞, 1, −1) -> (0, 1, −1) has
+    # determinant class −1, so it has no SL2 block
+    inf_pm1, zero_pm1 = SPLIT_CUBICS[0], SPLIT_CUBICS[2]
+    assert Matrix.identity(2) in matches(inf_pm1, inf_pm1)
+    found = matches(inf_pm1, zero_pm1)
+    assert Matrix.from_rows([[0, 1], [-1, 0]]) in found and None in found
+    # transport by diag(1, B) moves the product's cubic exactly so
+    p = cubic_coordinates(inf_pm1, (F(1), F(2), F(3))).as_product()
+    for block in found:
+        if block is not None:
+            (b11, b12), (b21, b22) = block.row_lists()
+            moved = family_coordinates(transport_product(p, AutoMatrix.from_rows(
+                [[1, 0, 0], [0, b11, b12], [0, b21, b22]])))
+            cubic = [moved.q, -3 * moved.a, -3 * moved.r, -moved.s]
+            assert cubic == moved_cubic(inf_pm1, block)
+            assert proportional(cubic, zero_pm1)
+
+
+def test_cubic_matcher_big_split_roots():
+    # split cubics with 20- to 40-digit roots: the matches are still the
+    # Möbius root matchings
+    from tpl3.classify import _candidate_blocks
+    rng = random.Random(60)
+
+    def big(digits):
+        return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10 ** digits - 1)
+
+    inf = (F(1), F(0))
+    for trial in range(8):
+        roots = set()
         if trial % 4 == 0:
-            triple = [(x * k, y * k) for (x, y), k in
-                      zip(triple, (rand_rat(rng, nonzero=True) for _ in range(3)))]
-        for target in _SPLIT_TARGETS:
-            for perm in permutations(triple):
-                block = _mobius_block(perm, target)
-                assert block == reference_mobius_block(perm, target), (perm, target)
-                found += block is not None
-    assert 100 <= found <= 9000 - 100
+            roots.add(inf)
+        while len(roots) < 3:
+            roots.add((F(big(rng.randint(20, 40)), abs(big(rng.randint(20, 40)))), F(1)))
+        # the root (p:q) as the linear form q·x − p·y
+        f = [F(rng.choice((-1, 1)) * abs(big(rng.randint(1, 30))), rng.randint(1, 10 ** 6))]
+        for p, q in roots:
+            f = form_product(f, [q, -p])
+        blocks, reason = _candidate_blocks(cubic_coordinates(f))
+        assert reason == SPLIT_REASON and len(blocks) == 18
+        expected = {first_row_positive(block) for target in SPLIT_TARGETS
+                    for perm in permutations(roots)
+                    if (block := reference_mobius_block(perm, target)) is not None}
+        assert {block for block in blocks if block is not None} == expected
+
+
+def test_cubic_matcher_big_cyclic_cubics():
+    # x³ − 3xy² + y³ moved by SL2(ℤ) maps with 10-digit entries keeps its
+    # 3 + 3 matches onto h₂ and the case-4 form, with their determinant
+    # classes; a case-2 image of h₂ built that way certifies
+    from tpl3.classify import _candidate_blocks
+    rng = random.Random(61)
+    cubic = [F(1), F(0), F(-3), F(1)]
+    blocks, reason = _candidate_blocks(cubic_coordinates(cubic))
+    assert reason == IRREDUCIBLE_REASON
+    classes = [b is None for b in blocks]
+    for _ in range(20):
+        image = substitute(cubic, big_sl2(rng))
+        assert cubic_discriminant(*image) == 81
+        blocks, reason = _candidate_blocks(cubic_coordinates(image))
+        assert reason == IRREDUCIBLE_REASON and [b is None for b in blocks] == classes
+        assert all(proportional(moved_cubic(image, b), target)
+                   for b, target in zip(blocks, [H2] * 3 + [H4] * 3) if b is not None)
+    for _ in range(5):
+        f = substitute(H2, big_sl2(rng))
+        # y ↦ y + t·x with t = −c2/(3·c3) clears the xy² coefficient: case 2
+        f = substitute(f, ((F(1), F(0)), (-f[2] / (3 * f[3]), F(1))))
+        p = cubic_coordinates(f, (F(1), F(-2), F(3))).as_product()
+        assert detect_case(p).case == 2
+        out = classify(A3, p)
+        assert isinstance(out, Certificate) and out.validate()
+
+
+def off_shape_products(cubic, case):
+    """Products inside the condition set ``case`` whose quotient cubic is
+    cubic∘M for an integer M with entries in [−3, 3] and det M ∈ {1, 4, 9}."""
+    products = []
+    for m11, m12, m21, m22 in product(range(-3, 4), repeat=4):
+        if m11 * m22 - m12 * m21 in (1, 4, 9):
+            p = cubic_coordinates(substitute(cubic, ((F(m11), F(m12)), (F(m21), F(m22)))))
+            detected = detect_case(p.as_product())
+            if detected is not None and detected.case == case:
+                products.append(p.as_product())
+    return products
+
+
+def test_irreducible_inputs_off_the_case_shape_certify():
+    # the identity block reaches only q²s = −3a³ (case 2) or 3r³ = qs²
+    # (case 4); the matches onto h₂ and its case-4 form reach every image
+    # of square determinant class
+    for cubic, case in ((H2, 2), (H4, 4)):
+        products = off_shape_products(cubic, case)
+        assert len(products) == 22
+        for p in products:
+            out = classify(A3, p)
+            assert isinstance(out, Certificate), (p, out)
+            assert out.validate()
+
+
+def test_irreducible_diagnostic_names_the_class():
+    # h₂∘[[−3, −2], [0, −1]] is a case-2 cubic off the reachable shape with
+    # determinant class 3: every match onto h₂ or the case-4 form has a
+    # non-square determinant, and the reason says so (not "splits")
+    f = substitute(H2, ((F(-3), F(-2)), (F(0), F(-1))))
+    p = cubic_coordinates(f).as_product()
+    assert detect_case(p).case == 2
+    assert normalize(p) == Unclassified(
+        f"{IRREDUCIBLE_REASON}: not isomorphic to any canonical table over the rationals")
+
+
+def test_classify_big_split_quotient_cubic():
+    # the quotient cubic x³ − 3r·xy² − s·y³ splits as
+    # (x − 1000003y)(x − 1000033y)(x + 2000036y): its roots have 7 digits, so
+    # a divisor search on the constant term takes minutes
+    r, s = F(1000036000399), F(-2000108001494003564)
+    co = FamilyCoordinates(F(1), F(0), F(1), F(1), r, F(0), F(1), s, -r)
+    assert classify(A3, co.as_product()) == Unclassified(
+        "the quotient cubic splits over the rationals but every root "
+        "matching has a non-square determinant: not isomorphic to any "
+        "canonical table over the rationals")
 
 
 def reference_fingerprint(b: TriBracket, p: CommProduct):
