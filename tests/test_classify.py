@@ -778,22 +778,31 @@ def first_row_positive(block):
     return block if lead > 0 else Matrix(2, 2, [-x for x in block.entries])
 
 
-def test_cubic_matcher_matches_reference_mobius_blocks():
-    # a split cubic's matches are the Möbius root matchings: every ordering
-    # of its roots onto each split target, as a set and up to sign; any other
-    # cubic matches no split target
+def test_cubic_root_finder_matches_reference():
+    # the matcher finds split matches exactly when the reference root search
+    # splits the cubic, and then they are the Möbius root matchings: every
+    # ordering of its roots onto each split target, as a set and up to sign;
+    # any other cubic matches no split target
     from tpl3.classify import _candidate_blocks
     rng = random.Random(59)
-    seen = {"split c0 = 0": 0, "split c0 != 0": 0, "irreducible": 0, "no match": 0}
+    seen = {"split c0 = 0": 0, "split c0 != 0": 0, "zero discriminant": 0,
+            "non-square discriminant": 0, "square, irreducible": 0}
     for trial in range(2500):
         cubic = random_cubic(rng, trial % 5)
         blocks, reason = _candidate_blocks(cubic_coordinates(cubic))
         roots = reference_rational_roots_of_cubic(*cubic)
         if roots is None:
             assert reason != SPLIT_REASON, cubic
-            if trial % 5 == 3:
+            disc = cubic_discriminant(*cubic)
+            if disc == 0:
+                assert blocks == [], cubic
+                seen["zero discriminant"] += 1
+            elif rational_root(disc, 2) is None:
+                assert blocks == [], cubic
+                seen["non-square discriminant"] += 1
+            elif trial % 5 == 3:
                 assert reason == IRREDUCIBLE_REASON and len(blocks) == 6, cubic
-            seen["irreducible" if blocks else "no match"] += 1
+                seen["square, irreducible"] += 1
             continue
         assert reason == SPLIT_REASON and len(blocks) == 18, cubic
         expected = {first_row_positive(block) for target in SPLIT_TARGETS
@@ -802,6 +811,32 @@ def test_cubic_matcher_matches_reference_mobius_blocks():
         assert {block for block in blocks if block is not None} == expected, cubic
         seen["split c0 = 0" if cubic[0] == 0 else "split c0 != 0"] += 1
     assert min(seen.values()) >= 80, seen
+
+
+def test_mobius_block_matches_reference():
+    # the cubic with three random roots (every fourth with its linear forms
+    # rescaled) against each split target: the matches with a square
+    # determinant are the reference Möbius blocks over every root ordering,
+    # up to sign
+    rng = random.Random(61)
+    found = 0
+    for trial in range(500):
+        slopes = set()
+        while len(slopes) < 3:
+            slopes.add(None if rng.random() < 0.1 else rand_rat(rng, lo=-9, hi=9))
+        triple = [(F(1), F(0)) if s is None else (s, F(1)) for s in slopes]
+        forms = [[y, -x] for x, y in triple]  # the root (x:y) as y·X − x·Y
+        if trial % 4 == 0:
+            forms = [[c * k for c in form] for form in forms
+                     for k in (rand_rat(rng, nonzero=True),)]
+        cubic = form_product(form_product(forms[0], forms[1]), forms[2])
+        for target, target_cubic in zip(SPLIT_TARGETS, SPLIT_CUBICS):
+            blocks = [b for b in matches(cubic, target_cubic) if b is not None]
+            expected = {first_row_positive(block) for perm in permutations(triple)
+                        if (block := reference_mobius_block(perm, target)) is not None}
+            assert len(blocks) == len(expected) and set(blocks) == expected, (triple, target)
+            found += len(blocks)
+    assert 100 <= found <= 9000 - 100
 
 
 def test_cubic_matcher_counts():
