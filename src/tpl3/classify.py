@@ -43,8 +43,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import (Infeasible, Matrix, Vector, _Record, _integer_root, rank,
-                     rational_root, solve_affine)
+from .linalg import (Infeasible, Matrix, _Record, _integer_root, _solve_rows, rank,
+                     rational_root)
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
@@ -125,10 +125,11 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
         h' = h·u + r·x - a·y
         k' = (k·u + s·x - r·y) · c²
 
-    which is affine in (u, x, y, z).  One exact solve gives a particular
-    solution and the kernel; when a kernel vector moves u, the first such
-    vector lifts the solution to u = 1.  Otherwise u is fixed by the system,
-    and a fixed u = 0 admits no witness.
+    which is affine in (u, x, y, z).  One exact solve, ``_solve_rows`` on
+    the rows of [m | b], gives a particular solution and the kernel as
+    plain ``Fraction``s; when a kernel vector moves u, the first such vector
+    lifts the solution to u = 1.  Otherwise u is fixed by the system, and a
+    fixed u = 0 admits no witness.
     """
     names = FAMILY_PARAMS[family_id]
 
@@ -144,14 +145,18 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
         g1, h1, k1 = e1_targets(Fraction(1))
         for row, slope in zip(rows, ((g0 - g1) * c2, h0 - h1, (k0 - k1) / c2)):
             row.append(slope)
+    for row, target in zip(rows, (g0 * c2, h0, k0 / c2)):
+        row.append(target)
     try:
-        particular, kernel = solve_affine(Matrix.from_rows(rows),
-                                          Vector([g0 * c2, h0, k0 / c2]))
+        particular, kernel = _solve_rows(rows)
     except Infeasible:
         return None
-    lift = next((v for v in kernel if v[0] != 0), None)
+    # a kernel row stores only its nonzero entries
+    lift = next((v for v in kernel if 0 in v), None)
     if lift is not None:
-        particular = particular + lift.scale((1 - particular[0]) / lift[0])
+        t = (1 - particular[0]) / lift[0]
+        for j, e in lift.items():
+            particular[j] += t * e
     u, x, y = particular[0], particular[1], particular[2]
     if u == 0:
         return None

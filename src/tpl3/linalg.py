@@ -6,8 +6,8 @@ exact, so equality tests in the rest of the package are literal ``==``.
 
 All row reduction goes through one elimination loop, ``_eliminate``: the
 forward pass ``_echelon`` followed by ``_back_substitute``.  The dense
-``Matrix`` solvers (``rank``, ``solve_affine``, ``invert``) clear each
-rational row to integers in one pass, ``_cleared``, and reach it through
+solvers (``rank``, ``_solve_rows``, ``invert``) clear each rational row
+to integers in one pass, ``_cleared``, and reach it through
 ``_reduce``, whose ``_integer_row`` makes each a normal integer row; the
 product stage of ``derivations`` hands it already normal rows directly,
 and the δ-derivation stage runs the two halves itself, so that it can skip
@@ -24,28 +24,36 @@ proportional to another) keeps the row space, and a row space has exactly
 one reduced row echelon form.
 
 Rationals are formed only where they are reported: in ``_kernel`` (each
-kernel entry −v/a), in the particular solution that ``solve_affine``
-reads off [m | b] and in the entries of the inverse that ``invert`` reads
-off [m | I], each an integer divided by its row's pivot entry.  The other
+kernel entry −v/a), in the particular solution that ``_solve_rows`` reads
+off [m | b] and in the entries of the inverse that ``invert`` reads off
+[m | I], each an integer divided by its row's pivot entry.  The other
 integer readers of the package follow the same convention: the structure
 constants and product tables of ``algebra`` and the maps that
 ``morphisms`` transports by are cleared to integers over one denominator,
 and each reported entry is divided once.
 
+``_solve_rows`` is the affine solve on plain lists: it takes the dense
+rational rows of [m | b] and returns the particular solution as a list and
+the kernel as sparse rows.  ``solve_affine`` wraps its output in
+``Vector``s; the witness solve of ``classify`` calls it directly, so the
+certify route builds no ``Matrix`` or ``Vector`` to solve.  An
+automorphism of [e1,e2,e3] = e1 never reaches ``invert``: ``AutoMatrix``
+inverts those in closed form.
+
 ``_reduce`` reads sparse integer rows, ``{column: value}``, and touches
 only their nonzero entries, and ``_kernel`` returns the kernel basis as
 sparse rows too.  The solved spaces in ``derivations`` pass their rows in
 that form and read their bases from the sparse kernel rows, with no dense
-``Matrix``; the ``Matrix`` solvers here clear their dense rows with
-``_cleared`` and densify the kernel rows with ``_densify``.
+``Matrix``; the dense solvers here clear their rows with ``_cleared``,
+and ``solve_affine`` densifies the kernel rows with ``_densify``.
 
 Conventions fixed by this module and relied on elsewhere:
 
 * ``_kernel`` returns the reduced-echelon kernel basis: each free column,
   in ascending order, contributes one vector with a 1 in that coordinate.
   This makes every downstream solved space byte-stable.
-* ``solve_affine`` returns the particular solution with all free
-  coordinates set to 0, plus that kernel basis.
+* ``solve_affine`` and ``_solve_rows`` return the particular solution
+  with all free coordinates set to 0, plus that kernel basis.
 """
 
 from __future__ import annotations
@@ -353,8 +361,8 @@ def _reduce(rows: Iterable[Mapping[int, int]]
 
     This is the package's one elimination routine for raw rows.  Its input
     rows are sparse integer rows, ``{column: value}`` in any column order,
-    and only their nonzero entries are read: the dense ``Matrix`` solvers
-    clear each of their rational rows with ``_cleared`` first.  Each row is
+    and only their nonzero entries are read: the dense solvers clear each
+    of their rational rows with ``_cleared`` first.  Each row is
     made a normal integer row by ``_integer_row`` (content removed, sign
     fixed) and the rows are eliminated by ``_eliminate``, whose docstring
     gives the output format.
@@ -505,22 +513,35 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
 
     Returns ``(particular, kernel)``: the particular solution has all free
     coordinates equal to 0, and the kernel basis is that of ``_kernel``.
-    Raises ``Infeasible`` if inconsistent.  One reduction of [m | b], each
-    row cleared to integers by ``_cleared``, gives both: its left block is
-    the reduced form of m, and each pivot coordinate of the particular
-    solution is the last entry of its row divided by the pivot entry.
+    Raises ``Infeasible`` if inconsistent.  The solve is ``_solve_rows`` on
+    the rows of [m | b]; this wraps its output in ``Vector``s.
     """
     if m.rows != b.dim:
         raise DimensionMismatch("right-hand side length differs from row count")
-    reduced, pivots = _reduce(_cleared(row + [e])
-                              for row, e in zip(m.row_lists(), b.entries))
-    if m.cols in pivots:
+    particular, kernel = _solve_rows([row + [e] for row, e in zip(m.row_lists(), b.entries)])
+    return Vector(particular), [Vector(_densify(v, m.cols)) for v in kernel]
+
+
+def _solve_rows(rows: Sequence[Sequence[Fraction]]
+                ) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
+    """``solve_affine`` on the dense rational rows of [m | b], all of one
+    length: the particular solution as a list, with every free coordinate
+    0, and the kernel basis of ``_kernel`` as sparse rows; raises
+    ``Infeasible`` if inconsistent.
+
+    One reduction of [m | b], each row cleared to integers by ``_cleared``,
+    gives both: its left block is the reduced form of m, and each pivot
+    coordinate of the particular solution is the last entry of its row
+    divided by the pivot entry.
+    """
+    ncols = len(rows[0]) - 1
+    reduced, pivots = _reduce(map(_cleared, rows))
+    if ncols in pivots:
         raise Infeasible("inconsistent system")
-    x = [Fraction(0)] * m.cols
+    x = [Fraction(0)] * ncols
     for row, pc in zip(reduced, pivots):
-        x[pc] = Fraction(row.get(m.cols, 0), row[pc])
-    return Vector(x), [Vector(_densify(v, m.cols))
-                       for v in _kernel(reduced, pivots, m.cols)]
+        x[pc] = Fraction(row.get(ncols, 0), row[pc])
+    return x, _kernel(reduced, pivots, ncols)
 
 
 def _integer_root(f, lo: int, hi: int) -> int | None:

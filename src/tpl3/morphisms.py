@@ -30,13 +30,32 @@ class NotAutomorphism(ValueError):
     """The supplied map is not an automorphism of the standard bracket."""
 
 
+def _is_a3_shape(m: Matrix) -> bool:
+    """Whether the 3×3 map has the automorphism shape of [e1,e2,e3] = e1:
+    Λ12 = Λ13 = 0, Λ11 ≠ 0 and Λ22·Λ33 − Λ23·Λ32 = 1."""
+    u, l12, l13, _, b11, b12, _, b21, b22 = m.entries
+    return l12 == 0 and l13 == 0 and u != 0 and b11 * b22 - b12 * b21 == 1
+
+
+def _a3_inverse(m: Matrix) -> Matrix:
+    """The inverse of a map of the shape ``_is_a3_shape`` accepts, in closed
+    form.  With Λ = [[u, 0], [v, B]] in blocks, det B = 1 makes the adjugate
+    adj(B) the inverse of B, so Λ⁻¹ = [[1/u, 0], [−adj(B)·v/u, adj(B)]]."""
+    u, zero, _, v1, b11, b12, v2, b21, b22 = m.entries
+    return Matrix(3, 3, (1 / u, zero, zero,
+                         (b12 * v2 - b22 * v1) / u, b22, -b12,
+                         (b21 * v1 - b11 * v2) / u, -b21, b11))
+
+
 class AutoMatrix(_Record):
     """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j.
 
     The inverse matrix is computed once, on construction, by
     ``__post_init__``, where it also proves the map invertible; transport
     reads it from ``_inverse``, which is not a field: it stays out of
-    ``==``, the hash and the ``repr``.
+    ``==``, the hash and the ``repr``.  A map of the automorphism shape of
+    [e1,e2,e3] = e1 (``a3_automorphism_check``) is inverted in closed form,
+    with no elimination; every other map goes to ``invert``.
     """
 
     __slots__ = ("map", "_inverse")
@@ -46,12 +65,16 @@ class AutoMatrix(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if not self.map.is_square():
+        m = self.map
+        if not m.is_square():
             raise DimensionMismatch("automorphism matrices must be square")
-        try:
-            inverse = invert(self.map)
-        except Singular:
-            raise Singular("automorphism matrices must be invertible") from None
+        if m.rows == 3 and _is_a3_shape(m):
+            inverse = _a3_inverse(m)
+        else:
+            try:
+                inverse = invert(m)
+            except Singular:
+                raise Singular("automorphism matrices must be invertible") from None
         object.__setattr__(self, "_inverse", inverse)
 
     @property
@@ -94,9 +117,7 @@ def a3_automorphism_check(m: AutoMatrix) -> bool:
     Λ12 = Λ13 = 0, Λ11 ≠ 0, and Λ22·Λ33 − Λ23·Λ32 = 1."""
     if m.dim != 3:
         raise DimensionMismatch("this check is specific to dimension 3")
-    e = m.map.entry
-    return (e(0, 1) == 0 and e(0, 2) == 0 and e(0, 0) != 0
-            and e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1) == 1)
+    return _is_a3_shape(m.map)
 
 
 def _supports(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:

@@ -19,6 +19,7 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
 from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
                       scaled_shift_witness)
 from oracles import kernel_basis, left_multiplication
+from test_linalg import oracle_solve_affine
 
 A3 = a3_bracket()
 
@@ -512,6 +513,42 @@ def test_solve_witness_matches_two_attempt_oracle():
         seen |= witness_system_kinds(*args)
     assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
             "infeasible", "two-parameter"} <= seen
+
+
+def test_solve_rows_matches_solve_affine_on_witness_systems():
+    from tpl3.classify import _solve_witness
+    from tpl3.linalg import _densify, _solve_rows
+
+    rng = random.Random(4451)
+    seen = set()
+    for i in range(640):
+        family_id = FAMILY_IDS[i % 16]
+        density = (0.3, 0.6, 1)[i % 3]
+        co = FamilyCoordinates(*(rand_rat(rng) if rng.random() < density else F(0)
+                                 for _ in range(9)))
+        args = (co, rand_rat(rng, nonzero=True), family_id, rand_rat(rng, nonzero=True))
+        rows, rhs = oracle_witness_system(*args)
+        ncols = len(rows[0])
+        augmented = [row + [e] for row, e in zip(rows, rhs)]
+        seen |= {family_id, f"{ncols - 2} parameter(s)"}
+        m, b = Matrix.from_rows(rows), Vector(rhs)
+        try:
+            expected = solve_affine(m, b)
+        except Infeasible:
+            seen.add("infeasible")
+            with pytest.raises(Infeasible):
+                oracle_solve_affine(m, b)
+            with pytest.raises(Infeasible):
+                _solve_rows(augmented)
+        else:
+            # solve_affine wraps the helper, so the dense oracle checks both
+            assert expected == oracle_solve_affine(m, b)
+            particular, kernel = _solve_rows(augmented)
+            assert (Vector(particular), [Vector(_densify(v, ncols)) for v in kernel]) == expected
+            seen.add(f"kernel dimension {len(kernel)}")
+        assert _solve_witness(*args) == oracle_solve_witness(*args), args
+    assert set(FAMILY_IDS) | {"1 parameter(s)", "2 parameter(s)", "infeasible",
+                              "kernel dimension 0", "kernel dimension 1"} <= seen, seen
 
 
 def test_split_route_complete_diagnostics():

@@ -14,7 +14,7 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, AutoMatrix,
 from conftest import (A3_PRODUCT_SPACE, rand_a3_automorphism, rand_family_product,
                       rand_invertible, rand_rat)
 from oracles import kernel_basis, product_eval
-from test_linalg import oracle_rref
+from test_linalg import oracle_invert, oracle_rref
 
 A3 = a3_bracket()
 PHI_1A = CANONICAL_AUTOMORPHISM["1-a"]
@@ -38,13 +38,19 @@ def test_automatrix_eliminates_its_witness_once(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_reduce", counting)
-    m = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 1]])
+    # det B = 2: outside the automorphism shape, so ``invert`` eliminates
+    m = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 2]])
     p = instantiate_family(FamilyInstance.make("T2", alpha=1, theta=2))
     # construction inverts the map once; transport reads that inverse
     moved = transport_product(p, m)
     assert counts == [3]
     transport_bracket(A3, m)
     transport_product(moved, m)
+    assert counts == [3]
+    # an automorphism is inverted in closed form, with no elimination
+    automorphism = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 1]])
+    transport_product(p, automorphism)
+    transport_bracket(A3, automorphism)
     assert counts == [3]
     monkeypatch.undo()
     assert transport_product(moved, m.inverse()) == p
@@ -121,6 +127,69 @@ def reference_inverse(m: Matrix) -> Matrix:
         [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.row_lists())]))
     assert pivots == tuple(range(n))
     return Matrix.from_rows([row[n:] for row in reduced.row_lists()])
+
+
+def rand_a3_rows(rng: random.Random, digits: int) -> list[list[F]]:
+    """The rows of a random automorphism of the standard bracket with
+    entries of up to ``digits`` digits: Λ12 = Λ13 = 0, u ≠ 0, det B = 1."""
+    bound = 10 ** digits
+    u, b11 = (rand_rat(rng, True, -bound, bound, bound) for _ in range(2))
+    v1, v2, b12, b21 = (rand_rat(rng, False, -bound, bound, bound) for _ in range(4))
+    return [[u, F(0), F(0)], [v1, b11, b12], [v2, b21, (1 + b12 * b21) / b11]]
+
+
+def test_closed_form_inverse_matches_reference(monkeypatch):
+    # automorphisms of [e1,e2,e3] = e1 are inverted without ``invert``; the
+    # maps just off that shape go to it once each, singular ones included
+    import tpl3.morphisms as morphisms
+
+    inverts = []
+    invert = morphisms.invert
+    monkeypatch.setattr(morphisms, "invert", lambda m: inverts.append(m) or invert(m))
+    rng = random.Random(59)
+    identity = Matrix.identity(3)
+    big = 0
+    for i in range(1000):
+        if i % 4:
+            m = rand_a3_automorphism(rng)
+        else:
+            m = AutoMatrix.from_rows(rand_a3_rows(rng, 20))
+            big += 1
+        assert a3_automorphism_check(m)
+        assert m._inverse == reference_inverse(m.map)
+        assert mat_mul(m.map, m._inverse) == identity
+    assert inverts == [] and big == 250
+
+    outcomes = {"det B = 2": 0, "Λ12 ≠ 0": 0, "u = 0": 0, "singular": 0}
+    for i in range(300):
+        rows = rand_a3_rows(rng, rng.choice((1, 20)))
+        kind = ("det B = 2", "Λ12 ≠ 0", "u = 0")[i % 3]
+        if kind == "det B = 2":
+            rows[1][1:] = [2 * e for e in rows[1][1:]]
+        elif kind == "u = 0":
+            rows[0][0] = F(0)
+        elif i % 4 == 1:
+            # every fourth such map copies its e2 row (b11 ≠ 0) into the e1
+            # row, so it is singular
+            rows[0] = list(rows[1])
+        else:
+            rows[0][1] = rand_rat(rng, nonzero=True)
+        outcomes[kind] += 1
+        matrix = Matrix.from_rows(rows)
+        try:
+            expected = oracle_invert(matrix)
+        except Singular:
+            outcomes["singular"] += 1
+            with pytest.raises(Singular, match="^automorphism matrices must be invertible$"):
+                AutoMatrix(matrix)
+        else:
+            m = AutoMatrix(matrix)
+            assert not a3_automorphism_check(m)
+            assert m._inverse == expected
+        assert inverts == [matrix]
+        inverts.clear()
+    # every u = 0 map is singular, and so is every copied e1 row
+    assert outcomes["singular"] == outcomes["u = 0"] + 25, outcomes
 
 
 def reference_transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
