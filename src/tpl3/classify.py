@@ -22,18 +22,20 @@ onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
   in cases 1 and 3 and by ``c**2 = radicand`` in cases 2 and 4,
 * the shifts x, y and the e1 scaling u then move the e1 components onto
   the canonical table; this is one exact affine solve,
-* which family a case-k product can reach is decided by shift residuals
-  that are invariant under all witnesses of this shape (for case 1:
-  k - g·s/a; vanishing picks T1, a quartic match picks T3, otherwise the
-  subcase zero pattern of (g, h, k) picks T2 against T4, and analogously
-  in the other cases).
+* the family is picked by the determinant D of the shift system
+  (``_shift_determinant``).  On products with e1·A = 0, as in every case,
+  every automorphism keeps D = 0; it picks T1, T5/T6, T9 or T13/T15, else
+  a quartic match picks T3 and the zero pattern of (g, h, k) the rest.
+  So the solve never fails: for D = 0 the kernel's u-entry a·s − r² ≠ 0
+  and the e1 targets lie in the column space; for D ≠ 0 the solved u, or
+  the kernel's u-entry for two-parameter tables, is a nonzero monomial.
 
 So each case yields ordered (family, radicand) candidates, and one
 finisher certifies the first whose radicand has a rational root.  The
 first block that certifies wins; otherwise the identity block's
-diagnostic stands.  Every certificate is revalidated exactly once, by
-actually transporting the input and comparing tables, before it is
-returned.
+``NeedsExtension`` stands, or off its shape the matcher's reason.  Every
+certificate is revalidated exactly once, by actually transporting the
+input and comparing tables, before it is returned.
 """
 
 from __future__ import annotations
@@ -164,15 +166,14 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
 
 
 def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
-             family_id: str, primary: Fraction) -> Optional[Certificate]:
+             family_id: str, primary: Fraction) -> Certificate:
     """The certificate for ``p`` onto ``family_id``, where ``co`` are the
-    coordinates of ``p`` moved by diag(1, block); None when no witness of the
-    implemented shape exists.  The witness is
+    coordinates of ``p`` moved by diag(1, block).  The witness is
     diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
     """
     solved = _solve_witness(co, c, family_id, primary)
     if solved is None:
-        return None
+        raise RuntimeError(f"internal error: no witness onto {family_id}")
     u, x, y, z = solved
     params = dict(zip(FAMILY_PARAMS[family_id], (primary, z)))
     family = FamilyInstance.make(family_id, **params)
@@ -185,6 +186,15 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
         raise RuntimeError(
             f"internal error: witness for {family_id} failed revalidation")
     return cert
+
+
+def _shift_determinant(co: FamilyCoordinates) -> int:
+    """det [[g, a, q], [h, r, −a], [k, s, −r]], the shift system of
+    ``_solve_witness``, times the cube of the coordinates' common denominator."""
+    coeffs = (co.g, co.a, co.q, co.h, co.r, co.k, co.s)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    g, a, q, h, r, k, s = (c.numerator * (den // c.denominator) for c in coeffs)
+    return g * (a * s - r * r) + a * (h * r - a * k) + q * (h * s - r * k)
 
 
 def _hessian_frame(f: tuple[int, int, int, int]):
@@ -294,7 +304,7 @@ _IDENTITY_BLOCK = Matrix.identity(2)
 
 def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], str]:
     """The e2/e3 blocks the reduction tries after the identity, and the
-    reason that stands when none certifies.
+    reason that stands when none certifies, also when there is none.
 
     The block B moves the binary cubic f = q·x³ − 3a·x²y − 3r·xy² − s·y³ of
     an in-case input to f∘B⁻ᵀ, and a witness onto a canonical table moves f
@@ -315,12 +325,15 @@ def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], st
     den = math.lcm(*(c.denominator for c in coeffs))
     q, a, r, s = (c.numerator * (den // c.denominator) for c in coeffs)
     source = _hessian_frame((q, -3 * a, -3 * r, -s))
-    if source is not None:
-        for reason, targets in _TARGET_GROUPS:
-            blocks = _cubic_matches(source, targets[0])
-            if blocks:  # the targets of a group are projectively equivalent
-                return blocks + [b for t in targets[1:] for b in _cubic_matches(source, t)], reason
-    return [], ""
+    if source is None:
+        return [], ("the discriminant of the quotient cubic is not a nonzero "
+                    "rational square, as that of every table cubic is")
+    for reason, targets in _TARGET_GROUPS:
+        blocks = _cubic_matches(source, targets[0])
+        if blocks:  # the targets of a group are projectively equivalent
+            return blocks + [b for t in targets[1:] for b in _cubic_matches(source, t)], reason
+    return [], ("the quotient cubic is irreducible and generates a cubic field "
+                "other than that of the case-2 and case-4 table cubics")
 
 
 def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified]:
@@ -328,16 +341,16 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
 
     Returns a ``Certificate`` with an exact witness, ``NeedsExtension``
     when the reduction requires a root that does not exist in ℚ, or
-    ``Unclassified`` when no case condition set applies or no reduction
-    is implemented for the input.  Raises ShapeMismatch for products
-    outside the solved family.
+    ``Unclassified`` when no case condition set applies or no table is
+    isomorphic to the input.  Raises ShapeMismatch for products outside
+    the solved family.
 
     After the identity block come the matches of the quotient cubic onto
     the table cubics (see ``_candidate_blocks``), which also find
     isomorphisms that cross between the case condition sets.  So for inputs
     inside the four sets the analysis is complete: a surviving diagnostic
     means that no rational witness to any canonical table exists, and an
-    ``Unclassified`` one names the class of the cubic when it matched.
+    ``Unclassified`` one names the class of the cubic.
     Inputs outside the sets are ``Unclassified`` even when a rational
     witness exists.
     """
@@ -358,39 +371,37 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
         result = _reduce_in_case(p, moved, case_of_coordinates(moved), block)
         if isinstance(result, Certificate):
             return result
-    if blocks and isinstance(in_case, Unclassified):
+    if in_case is None:
         return Unclassified(
             f"{reason}: not isomorphic to any canonical table over the rationals")
     return in_case
 
 
 def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
-                    block: Matrix) -> Union[Certificate, NeedsExtension, Unclassified]:
+                    block: Matrix) -> Union[Certificate, NeedsExtension, None]:
     """Each case picks its ordered (family, radicand) candidates, the root
     degree pinning the block scaling c, and the radicand ``NeedsExtension``
-    reports; the first candidate with a rational root is certified."""
+    reports; the first candidate with a rational root is certified.  None
+    when the e2/e3 block is off the shape of the case's tables."""
     g, a, q, h, r, k, s = co.g, co.a, co.q, co.h, co.r, co.k, co.s
     if (case.case == 2 and q * q * s != -3 * a ** 3
             or case.case == 4 and 3 * r ** 3 != q * s * s):
-        return Unclassified(
-            "the e2/e3 block is not reachable from a canonical table "
-            "by the implemented witnesses")
+        return None
+    singular = _shift_determinant(co) == 0
     if case.case == 1:
         rad_t2, rad_t3 = -3 * a / s, Fraction(-4, 3) * a / s
-        if k - g * s / a == 0:
-            candidates = [("T1", rad_t2)]
-        else:
-            candidates = [("T3", rad_t3), ("T4" if case.subcase == "d" else "T2", rad_t2)]
-        # subcase c has k = 0, so its shift residual -g·s/a never vanishes
+        candidates = ([("T1", rad_t2)] if singular else
+                      [("T3", rad_t3), ("T4" if case.subcase == "d" else "T2", rad_t2)])
+        # subcase c has k = 0, so D = a·g·s never vanishes
         degree, reported = 4, rad_t3 if case.subcase == "c" else rad_t2
     elif case.case == 2:
-        if g - a * k / s + q * h / a == 0:
+        if singular:
             target = "T5" if g == 0 else "T6"
         else:
             target = "T7" if case.subcase == "c" else "T8"
         candidates, degree = [(target, q / a)], 2
     elif case.case == 3:
-        if g * r + k * q == 0:
+        if singular:
             target = "T9"
         elif g != 0 and h != 0:
             target = "T11" if k == 0 else "T12"
@@ -398,7 +409,7 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
             target = "T10"
         candidates, degree = [(target, q / (3 * r))], 4
     else:
-        if -r * r * g + s * q * h - r * q * k == 0:
+        if singular:
             target = "T13" if g == 0 else "T15"
         else:
             target = "T14" if case.subcase == "b" else "T16"
@@ -410,10 +421,7 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
         c = rational_root(radicand, degree)
         if c is not None:
             primary = a / c if case.case in (1, 2) else -r * c
-            cert = _certify(p, co, block, c, family_id, primary)
-            if cert is None:
-                return Unclassified("no admissible witness of the implemented shape exists")
-            return cert
+            return _certify(p, co, block, c, family_id, primary)
     return NeedsExtension(reported, degree)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
-                  AutoMatrix, Certificate, CommProduct, DerivationQuery,
+                  AutoMatrix, CaseId, Certificate, CommProduct, DerivationQuery,
                   DimensionMismatch, FamilyCoordinates, FamilyInstance, Infeasible,
                   Matrix, NeedsExtension, NotTransposedPoisson, ShapeMismatch,
                   TriBracket, Unclassified, Unsupported, Vector, a3_bracket,
@@ -156,12 +156,14 @@ def test_normalize_case3_quartic_extension():
 
 
 def test_normalize_off_stratum_case2():
-    # case-2 conditions hold but q**2 s != -3 a**3: not reachable from any
-    # canonical table by the implemented witnesses
+    # case-2 conditions hold but q**2 s != -3 a**3, and the quotient cubic
+    # x³ − 3x²y − y³ has discriminant −135, no square, as that of every
+    # table cubic is: no table is isomorphic to it
     p = product_from({(2, 2): [0, 1, 1], (2, 3): [0, 0, -1], (3, 3): [0, 1, 0]})
     assert detect_case(p) is not None
     out = normalize(p)
-    assert isinstance(out, Unclassified)
+    assert out == Unclassified(
+        f"{DISCRIMINANT_REASON}: not isomorphic to any canonical table over the rationals")
 
 
 def test_normalize_t3_quartic_dispatch():
@@ -298,14 +300,14 @@ def test_minus_square_radicands_certify_across_cases_2_and_4():
     assert out.witness == AutoMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
 
 
-def test_quarter_turn_keeps_the_not_reachable_reason():
+def test_quarter_turn_keeps_the_discriminant_reason():
     # radicand q/a = -1 but q²s = 5 ≠ -3a³, and the discriminant of the
     # quotient cubic is not a square, so it matches no table cubic: the
     # reason is neither "splits" nor "irreducible"
     p = FamilyCoordinates(*map(F, (0, 1, -1, 0, 0, -1, 0, 5, 0))).as_product()
     out = normalize(p)
-    assert isinstance(out, Unclassified)
-    assert "not reachable" in out.reason
+    assert out == Unclassified(
+        f"{DISCRIMINANT_REASON}: not isomorphic to any canonical table over the rationals")
 
 
 #: the SL2 blocks with entries in [-2, 2]
@@ -331,6 +333,142 @@ def test_needs_extension_has_no_certified_image_on_a_small_grid():
             image = classify(A3, transport_product(p, block))
             assert not isinstance(image, Certificate), (p, block, image)
     assert seen >= 10
+
+
+# --- the shift determinant and the finisher ---------------------------------------
+
+def shift_determinant(g, a, q, h, r, k, s):
+    from tpl3.classify import _shift_determinant
+
+    return _shift_determinant(FamilyCoordinates(g, a, q, h, r, -a, k, s, -r))
+
+
+def singular_k(g, a, q, h, r, s):
+    # D is g·(a·s − r²) + a·h·r + q·h·s − (a² + q·r)·k
+    return (g * (a * s - r * r) + a * h * r + q * h * s) / (a * a + q * r)
+
+
+def in_case_coordinates(rng: random.Random, case: int):
+    # (g, a, q, h, r, k, s) under the case's conditions; w = −a and t = −r
+    g, h, k = (rand_rat(rng) for _ in range(3))
+    if case in (1, 2):
+        a, s, r = rand_rat(rng, nonzero=True), rand_rat(rng, nonzero=True), F(0)
+        q = F(0) if case == 1 else rand_rat(rng, nonzero=True)
+    else:
+        r, q, a = rand_rat(rng, nonzero=True), rand_rat(rng, nonzero=True), F(0)
+        s = F(0) if case == 3 else rand_rat(rng, nonzero=True)
+    return [g, a, q, h, r, k, s]
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_shift_determinant_matches_the_residual_oracle(case):
+    # D = 0 exactly when the case's shift residual in conftest vanishes;
+    # half the draws are forced singular by solving D = 0 for k
+    rng = random.Random(f"shift-determinant:{case}")
+    singular = 0
+    for trial in range(2000):
+        co = in_case_coordinates(rng, case)
+        if trial % 2:
+            g, a, q, h, r, _, s = co
+            co[5] = singular_k(g, a, q, h, r, s)
+        g, a, q, h, r, k, s = co
+        p = FamilyCoordinates(g, a, q, h, r, -a, k, s, -r).as_product()
+        key = dispatch_key(p)
+        assert key[0] == case
+        assert (shift_determinant(*co) == 0) == key[1], co
+        singular += key[1]
+    assert singular >= 1000
+
+
+def test_singular_shift_determinant_survives_automorphisms():
+    # on products with e1·A = 0 (a + w = r + t = 0), every automorphism of
+    # [e1,e2,e3] = e1 keeps the product in that set and keeps D = 0 or not
+    rng = random.Random(23)
+    singular = 0
+    for trial in range(2000):
+        g, a, q, h, r, k, s = (rand_rat(rng) for _ in range(7))
+        if trial % 2 and a * a + q * r != 0:
+            k = singular_k(g, a, q, h, r, s)
+        p = FamilyCoordinates(g, a, q, h, r, -a, k, s, -r).as_product()
+        moved = family_coordinates(transport_product(p, rand_a3_automorphism(rng)))
+        assert moved.w == -moved.a and moved.t == -moved.r
+        was_singular = shift_determinant(g, a, q, h, r, k, s) == 0
+        assert (shift_determinant(moved.g, moved.a, moved.q, moved.h, moved.r, moved.k,
+                                  moved.s) == 0) == was_singular
+        singular += was_singular
+    assert singular >= 900
+
+
+def singular_route_product(rng: random.Random, case: int, pattern: str) -> CommProduct:
+    """A case-2 or case-4 product of the reachable shape, of subcase
+    ``pattern``, with D = 0 and a radicand ± a rational square."""
+    while True:
+        radicand = rng.choice((1, -1)) * F(rng.randint(1, 4), rng.randint(1, 3)) ** 2
+        co = family_coordinates(reachable_product(rng, case, radicand))
+        g, a, q, h, r, k, s = co.g, co.a, co.q, co.h, co.r, co.k, co.s
+        g, h = (F(0) if pattern == "a" else g), (F(0) if pattern == "b" else h)
+        if pattern == "c":
+            # D is linear in h, with coefficient a·r + q·s ≠ 0 on both shapes
+            k, h = F(0), -g * (a * s - r * r) / (a * r + q * s)
+        else:
+            k = singular_k(g, a, q, h, r, s)
+        p = FamilyCoordinates(g, a, q, h, r, -a, k, s, -r).as_product()
+        if detect_case(p) == CaseId(case, pattern):
+            return p
+
+
+def test_finisher_never_fails(monkeypatch):
+    # every (family, c) the finisher picks has exactly one witness: the
+    # solve never returns None on automorphism images of all 16 tables, nor
+    # on the singular T5/T6 and T13/T15 routes in every subcase
+    module = importlib.import_module("tpl3.classify")
+    original = module._solve_witness
+    solved = []
+
+    def counting(*args):
+        out = original(*args)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(module, "_solve_witness", counting)
+    rng = random.Random(24)
+    # images under the witness shape stay in their case; the quarter turn
+    # moves them across cases 1 ↔ 3 and 2 ↔ 4, onto the block route
+    quarter_turn = AutoMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+    for fam in FAMILY_IDS:
+        inst = instantiate_family(FamilyInstance.make(fam, **draw_family_params(fam, rng)))
+        for _ in range(6):
+            image = transport_product(inst, scaled_shift_witness(rng))
+            for p in (image, transport_product(image, quarter_turn)):
+                out = classify(A3, p)
+                assert isinstance(out, Certificate), (fam, out)
+    for case in (2, 4):
+        for pattern in "abcd":
+            for _ in range(10):
+                out = classify(A3, singular_route_product(rng, case, pattern))
+                assert isinstance(out, Certificate), (case, pattern, out)
+                assert out.family.id in {"T5", "T6", "T13", "T15"}
+    assert len(solved) >= 16 * 6 * 2 + 80
+    assert None not in solved
+
+
+@pytest.mark.parametrize("table", [IN_CASE, SPLIT_RESCUE], ids=["in-case", "split-rescue"])
+def test_missing_witness_is_an_internal_error(monkeypatch, table):
+    module = importlib.import_module("tpl3.classify")
+    monkeypatch.setattr(module, "_solve_witness", lambda *args: None)
+    with pytest.raises(RuntimeError, match="internal error"):
+        classify(A3, product_from(table))
+
+
+def test_conductor_seven_cubic_gets_the_cubic_field_reason():
+    # with x = X + Y/3 the quotient cubic x³ − (7/3)·xy² − (7/27)·y³ is
+    # X³ + X²Y − 2XY² − Y³, of discriminant 49: it generates the cyclic
+    # cubic field of conductor 7, and h₂, of discriminant 81, that of
+    # conductor 9, so no block matches it onto a table cubic
+    p = FamilyCoordinates(*map(F, (1, 0, 1, 2, F(7, 9), 0, 3, F(7, 27), F(-7, 9)))).as_product()
+    assert detect_case(p) == CaseId(4, "d")
+    assert normalize(p) == Unclassified(
+        f"{FIELD_REASON}: not isomorphic to any canonical table over the rationals")
 
 
 # --- the coupling gate ------------------------------------------------------------
@@ -780,6 +918,11 @@ SPLIT_REASON = ("the quotient cubic splits over the rationals but every root mat
                 "a non-square determinant")
 IRREDUCIBLE_REASON = ("the quotient cubic is irreducible over the rationals and every match "
                       "onto the case-2 and case-4 table cubics has a non-square determinant")
+#: the reasons that stand when the quotient cubic matches no table cubic
+DISCRIMINANT_REASON = ("the discriminant of the quotient cubic is not a nonzero rational "
+                       "square, as that of every table cubic is")
+FIELD_REASON = ("the quotient cubic is irreducible and generates a cubic field other than "
+                "that of the case-2 and case-4 table cubics")
 
 
 def cubic_coordinates(f, e1_row=(F(0), F(0), F(0))) -> FamilyCoordinates:
