@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
 from .linalg import DimensionMismatch, Vector, _Record
@@ -243,7 +243,7 @@ def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int]
     ``_unscaled``.  ``check_transposed_leibniz`` multiplies one bracket and
     one product constant per term, so it divides by D_bracket·D;
     ``check_commutative_associative`` multiplies two product constants
-    (D²); ``morphisms.transport_product`` documents its own scale.
+    (D²); ``morphisms._transported`` documents its own scale.
     """
     n = p.dim
     den = math.lcm(*(e.denominator for coeffs in p.table.values() for e in coeffs))
@@ -402,16 +402,22 @@ class FamilyCoordinates(_Record):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
+    def pair_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The coordinates of e_i·e_j for the six basis pairs i <= j, in the
+        order of ``combinations_with_replacement``: the one statement of the
+        table layout, read by ``as_product`` and by certificate
+        revalidation."""
+        zero, half = Fraction(0), Fraction(1, 2)
+        return ((zero, zero, zero),
+                ((self.a + self.w) * half, zero, zero),
+                ((self.r + self.t) * half, zero, zero),
+                (self.g, self.a, self.q),
+                (self.h, self.r, self.w),
+                (self.k, self.s, self.t))
+
     def as_product(self) -> CommProduct:
-        half = Fraction(1, 2)
-        table = {
-            (1, 2): Vector([(self.a + self.w) * half, 0, 0]),
-            (1, 3): Vector([(self.r + self.t) * half, 0, 0]),
-            (2, 2): Vector([self.g, self.a, self.q]),
-            (2, 3): Vector([self.h, self.r, self.w]),
-            (3, 3): Vector([self.k, self.s, self.t]),
-        }
-        return CommProduct(3, table)
+        pairs = combinations_with_replacement(range(1, 4), 2)
+        return CommProduct(3, {pair: Vector(row) for pair, row in zip(pairs, self.pair_rows())})
 
 
 _ZERO3 = (Fraction(0),) * 3

@@ -34,8 +34,9 @@ So each case yields ordered (family, radicand) candidates, and one
 finisher certifies the first whose radicand has a rational root.  The
 first block that certifies wins; otherwise the identity block's
 ``NeedsExtension`` stands, or off its shape the matcher's reason.  Every
-certificate is revalidated exactly once, by actually transporting the
-input and comparing tables, before it is returned.
+certificate is revalidated exactly once before it is returned, by
+``Certificate.validate``: it transports the input by the witness on
+integers and compares every entry with the canonical table exactly.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .linalg import (Infeasible, Matrix, _Record, _integer_root, _solve_rows, ra
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
-from .morphisms import (AutoMatrix, a3_automorphism_check, eleven_equation_residuals,
-                        is_bracket_automorphism, transport_product)
+from .morphisms import (AutoMatrix, _transported, a3_automorphism_check,
+                        eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
                        CaseId, FamilyInstance, canonical_coordinates, case_of_coordinates,
                        detect_case, instantiate_family)
@@ -68,9 +69,23 @@ class Certificate(_Record):
         object.__setattr__(self, "witness", witness)
 
     def validate(self) -> bool:
-        return (a3_automorphism_check(self.witness)
-                and transport_product(self.input, self.witness)
-                == instantiate_family(self.family))
+        """Whether the witness is an automorphism of [e1,e2,e3] = e1 that
+        carries the input exactly onto the family's canonical table.
+
+        The input is transported by the witness over all six basis pairs
+        on integers (``morphisms._transported``, every entry over one
+        denominator den), and each entry x is compared with the table's
+        entry f by cross-multiplication, x·f.denominator = f.numerator·den,
+        so no product or ``Vector`` is built.  It reads only the three
+        fields, never the solve that produced them, so it stays an
+        independent check of every certificate.
+        """
+        if not a3_automorphism_check(self.witness):
+            return False
+        den, moved = _transported(self.input, self.witness)
+        table = canonical_coordinates(self.family.id, self.family.param_map).pair_rows()
+        return all(x * f.denominator == f.numerator * den
+                   for row, target in zip(moved, table) for x, f in zip(row, target))
 
 
 class NeedsExtension(_Record):
@@ -114,9 +129,9 @@ ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
                        NotTransposedPoisson, Unsupported]
 
 
-def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
-                   primary: Fraction) -> Optional[tuple[Fraction, Fraction, Fraction,
-                                                        Optional[Fraction]]]:
+def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: Fraction,
+                   det: Optional[int] = None) -> Optional[tuple[Fraction, Fraction, Fraction,
+                                                                 Optional[Fraction]]]:
     """Solve for the e1 scaling u, the shifts x, y, and the secondary family
     parameter z (when the family has one) so that the witness
     [[u,0,0],[x,c,0],[y,0,1/c]] lands exactly on the canonical table.
@@ -127,13 +142,26 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
         h' = h·u + r·x - a·y
         k' = (k·u + s·x - r·y) · c²
 
-    which is affine in (u, x, y, z).  One exact solve, ``_solve_rows`` on
-    the rows of [m | b], gives a particular solution and the kernel as
-    plain ``Fraction``s; when a kernel vector moves u, the first such vector
-    lifts the solution to u = 1.  Otherwise u is fixed by the system, and a
-    fixed u = 0 admits no witness.
+    so M·(u, x, y) = b + z·σ with M = [[g,a,q],[h,r,−a],[k,s,−r]], the
+    targets b and, for a two-parameter table, the slope σ of the targets in
+    z.  ``det`` is ``_shift_determinant(co)``, D, when the caller has it.
+
+    For D ≠ 0, M is regular and the integer adjugate solves it: with M
+    and b, σ cleared to integers (``_shift_system``), (u, x, y) =
+    (P + z·S)/Q for P = adj·b, S = adj·σ and Q = D times the denominator.
+    When S moves u, z = (Q − P₀)/S₀ lifts the solution to u = 1; otherwise
+    z = 0.  A ``Fraction`` is built only for each reported value.
+
+    For D = 0 the system is rank-deficient and may be inconsistent, so one
+    exact elimination, ``_solve_rows`` on the rows of [M | −σ | b], gives a
+    particular solution and the kernel; when a kernel vector moves u, the
+    first such vector lifts the solution to u = 1.
+
+    Otherwise, in either branch, u is fixed by the system, and a fixed
+    u = 0 admits no witness.
     """
     names = FAMILY_PARAMS[family_id]
+    two_param = len(names) == 2
 
     def e1_targets(z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         table = canonical_coordinates(family_id, dict(zip(names, (primary, z))))
@@ -141,13 +169,19 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
 
     g0, h0, k0 = e1_targets(Fraction(0))
     c2 = c * c
-    rows = [[co.g, co.a, co.q], [co.h, co.r, -co.a], [co.k, co.s, -co.r]]
-    if len(names) == 2:
+    targets, slopes = (g0 * c2, h0, k0 / c2), ()
+    if two_param:
         # the canonical e1 components are affine in the secondary parameter
         g1, h1, k1 = e1_targets(Fraction(1))
-        for row, slope in zip(rows, ((g0 - g1) * c2, h0 - h1, (k0 - k1) / c2)):
-            row.append(slope)
-    for row, target in zip(rows, (g0 * c2, h0, k0 / c2)):
+        slopes = ((g1 - g0) * c2, h1 - h0, (k1 - k0) / c2)
+    if det is None:
+        det = _shift_determinant(co)
+    if det:
+        return _solve_regular(co, det, targets, slopes)
+    rows = [[co.g, co.a, co.q], [co.h, co.r, -co.a], [co.k, co.s, -co.r]]
+    for row, slope in zip(rows, slopes):
+        row.append(-slope)
+    for row, target in zip(rows, targets):
         row.append(target)
     try:
         particular, kernel = _solve_rows(rows)
@@ -162,16 +196,45 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str,
     u, x, y = particular[0], particular[1], particular[2]
     if u == 0:
         return None
-    return u, x, y, (particular[3] if len(names) == 2 else None)
+    return u, x, y, (particular[3] if two_param else None)
+
+
+def _solve_regular(co: FamilyCoordinates, det: int, targets: tuple[Fraction, ...],
+                   slopes: tuple[Fraction, ...]):
+    """``_solve_witness`` for D = ``det`` ≠ 0, by the integer adjugate; no
+    ``slopes`` for a one-parameter table."""
+    den, g, a, q, h, r, k, s = _shift_system(co)
+    adj = ((a * s - r * r, a * r + q * s, -a * a - q * r),
+           (h * r - a * k, -g * r - q * k, g * a + q * h),
+           (h * s - r * k, a * k - g * s, g * r - a * h))
+    values = targets + slopes
+    lcd = math.lcm(*(v.denominator for v in values))
+    # M·v = b is (den·M)·v = den·b, and den·M is the cleared system
+    cleared = [v.numerator * (lcd // v.denominator) * den for v in values]
+    p0, p1, p2 = (c0 * cleared[0] + c1 * cleared[1] + c2 * cleared[2] for c0, c1, c2 in adj)
+    scale = det * lcd
+    if slopes:
+        s0, s1, s2 = (c0 * cleared[3] + c1 * cleared[4] + c2 * cleared[5]
+                      for c0, c1, c2 in adj)
+        if s0:
+            # z = (scale − p0)/s0 gives u = 1
+            lift = scale - p0
+            return (Fraction(1), Fraction(p1 * s0 + lift * s1, scale * s0),
+                    Fraction(p2 * s0 + lift * s2, scale * s0), Fraction(lift, s0))
+    if p0 == 0:
+        return None
+    return (Fraction(p0, scale), Fraction(p1, scale), Fraction(p2, scale),
+            Fraction(0) if slopes else None)
 
 
 def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
-             family_id: str, primary: Fraction) -> Certificate:
+             family_id: str, primary: Fraction, det: int) -> Certificate:
     """The certificate for ``p`` onto ``family_id``, where ``co`` are the
-    coordinates of ``p`` moved by diag(1, block).  The witness is
-    diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
+    coordinates of ``p`` moved by diag(1, block) and ``det`` their shift
+    determinant.  The witness is diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]],
+    revalidated against ``p``.
     """
-    solved = _solve_witness(co, c, family_id, primary)
+    solved = _solve_witness(co, c, family_id, primary, det)
     if solved is None:
         raise RuntimeError(f"internal error: no witness onto {family_id}")
     u, x, y, z = solved
@@ -188,12 +251,18 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
     return cert
 
 
+def _shift_system(co: FamilyCoordinates) -> tuple[int, int, int, int, int, int, int, int]:
+    """(den, g, a, q, h, r, k, s): the seven coordinates of the shift system
+    of ``_solve_witness`` times den, their least common denominator."""
+    coeffs = (co.g, co.a, co.q, co.h, co.r, co.k, co.s)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return (den, *(c.numerator * (den // c.denominator) for c in coeffs))
+
+
 def _shift_determinant(co: FamilyCoordinates) -> int:
     """det [[g, a, q], [h, r, −a], [k, s, −r]], the shift system of
     ``_solve_witness``, times the cube of the coordinates' common denominator."""
-    coeffs = (co.g, co.a, co.q, co.h, co.r, co.k, co.s)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    g, a, q, h, r, k, s = (c.numerator * (den // c.denominator) for c in coeffs)
+    _, g, a, q, h, r, k, s = _shift_system(co)
     return g * (a * s - r * r) + a * (h * r - a * k) + q * (h * s - r * k)
 
 
@@ -321,9 +390,9 @@ def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], st
     or the case-4 form have a square determinant; otherwise the identity
     block's ``NeedsExtension`` proves that no table is isomorphic to it.
     """
-    coeffs = (co.q, co.a, co.r, co.s)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    q, a, r, s = (c.numerator * (den // c.denominator) for c in coeffs)
+    # cleared with the e1 components too: a positive scale of the cubic
+    # leaves its matches unchanged
+    _, _, a, q, _, r, _, s = _shift_system(co)
     source = _hessian_frame((q, -3 * a, -3 * r, -s))
     if source is None:
         return [], ("the discriminant of the quotient cubic is not a nonzero "
@@ -387,7 +456,8 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
     if (case.case == 2 and q * q * s != -3 * a ** 3
             or case.case == 4 and 3 * r ** 3 != q * s * s):
         return None
-    singular = _shift_determinant(co) == 0
+    det = _shift_determinant(co)
+    singular = det == 0
     if case.case == 1:
         rad_t2, rad_t3 = -3 * a / s, Fraction(-4, 3) * a / s
         candidates = ([("T1", rad_t2)] if singular else
@@ -421,7 +491,7 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
         c = rational_root(radicand, degree)
         if c is not None:
             primary = a / c if case.case in (1, 2) else -r * c
-            return _certify(p, co, block, c, family_id, primary)
+            return _certify(p, co, block, c, family_id, primary, det)
     return NeedsExtension(reported, degree)
 
 

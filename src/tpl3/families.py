@@ -139,6 +139,8 @@ def canonical_coordinates(family_id: str,
                           values: Mapping[str, Fraction]) -> FamilyCoordinates:
     """Solved-family coordinates (g,a,q,h,r,w,k,s,t) of a canonical table;
     a missing secondary parameter reads as 0."""
+    if family_id not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family id {family_id!r}")
     primary, *secondary = FAMILY_PARAMS[family_id]
     second = values.get(secondary[0], _Z) if secondary else _Z
     return FamilyCoordinates(*_CANONICAL_ROWS[family_id](values[primary], second))
@@ -146,8 +148,6 @@ def canonical_coordinates(family_id: str,
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:
     """The exact product table of a canonical family instance."""
-    if f.id not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family id {f.id!r}")
     return canonical_coordinates(f.id, f.param_map).as_product()
 
 

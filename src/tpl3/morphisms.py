@@ -139,16 +139,17 @@ def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
     return out
 
 
-def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
-    """Push-forward of a commutative product along an invertible map.
+def _transported(p: CommProduct, m: AutoMatrix) -> tuple[int, list[list[int]]]:
+    """The push-forward of ``p`` along ``m`` on integers: ``(den, moved)``,
+    where ``moved`` holds one ``int`` coordinate list per basis pair i <= j,
+    in the order of ``combinations_with_replacement``, each den times the
+    coordinates of e_i ∗ e_j.  Nothing is divided here.
 
     x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
     through the product's ``_product_table`` into a coordinate list, which
-    Λ then moves.  Everything runs on ``int``s: with Λ⁻¹ over E, the
-    product over D_p and Λ over D (``_supports``), each term multiplies two
-    entries of Λ⁻¹, one product constant and one entry of Λ, so an output
-    entry is divided by E²·D_p·D once, when its ``Vector`` is built; one
-    is built per nonzero output pair.
+    Λ then moves.  With Λ⁻¹ over E, the product over D_p and Λ over D
+    (``_supports``), each term multiplies two entries of Λ⁻¹, one product
+    constant and one entry of Λ, so den = E²·D_p·D.
     """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
@@ -156,8 +157,7 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     den_p, prod = _product_table(p)
     den_pre, pre = _supports(m._inverse)
     den_map, image = _supports(m.map)
-    den = den_pre * den_pre * den_p * den_map
-    table = {}
+    moved = []
     for (i, j) in combinations_with_replacement(range(n), 2):
         value = [0] * n
         for s, x in pre[i]:
@@ -166,16 +166,27 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
                 xy = x * y
                 for t, d in row[u]:
                     value[t] += xy * d
-        moved = _push(value, image)
-        if any(moved):
-            table[(i + 1, j + 1)] = _unscaled(moved, den)
-    return CommProduct(n, table)
+        moved.append(_push(value, image))
+    return den_pre * den_pre * den_p * den_map, moved
+
+
+def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
+    """Push-forward of a commutative product along an invertible map.
+
+    The integer kernel ``_transported`` computes every output pair over one
+    denominator; this wraps each nonzero pair in a ``Vector``, which is
+    where each entry is divided by that denominator, once.
+    """
+    den, moved = _transported(p, m)
+    pairs = combinations_with_replacement(range(1, p.dim + 1), 2)
+    return CommProduct(p.dim, {pair: _unscaled(row, den)
+                               for pair, row in zip(pairs, moved) if any(row)})
 
 
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     """Push-forward of a skew ternary bracket along an invertible map.
 
-    The same integer expansion as ``transport_product``, through the
+    The same integer expansion as ``_transported``, through the
     bracket's ``structure_table`` on increasing basis triples: each term
     multiplies three entries of Λ⁻¹, one structure constant and one entry
     of Λ, so an output entry is divided by E³·D_b·D once, when its

@@ -10,15 +10,16 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
                   AutoMatrix, CaseId, Certificate, CommProduct, DerivationQuery,
                   DimensionMismatch, FamilyCoordinates, FamilyInstance, Infeasible,
                   Matrix, NeedsExtension, NotTransposedPoisson, ShapeMismatch,
-                  TriBracket, Unclassified, Unsupported, Vector, a3_bracket,
-                  check_transposed_leibniz, classify, delta_derivations, detect_case,
-                  draw_family_params, family_coordinates, fingerprint,
-                  instantiate_family, normalize, rank,
+                  Singular, TriBracket, Unclassified, Unsupported, Vector,
+                  a3_automorphism_check, a3_bracket, check_transposed_leibniz, classify,
+                  delta_derivations, detect_case, draw_family_params, family_coordinates,
+                  fingerprint, instantiate_family, normalize, rank,
                   rational_root, solve_affine, tp_product_space, transport_bracket,
                   transport_product, verify_all_cases, verify_paper_case)
 from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
                       scaled_shift_witness)
-from oracles import kernel_basis, left_multiplication
+from oracles import determinant, kernel_basis, left_multiplication
+from test_algebra import classify_mix_products
 from test_linalg import oracle_solve_affine
 
 A3 = a3_bracket()
@@ -258,6 +259,74 @@ def test_tampered_witness_fails_revalidation(monkeypatch, table):
     monkeypatch.setattr(module, "_solve_witness", wrong_shift)
     with pytest.raises(RuntimeError, match="failed revalidation"):
         classify(A3, product_from(table))
+
+
+def reference_validate(cert: Certificate) -> bool:
+    """Revalidation through the public products: transport, then compare
+    with the instantiated table."""
+    return (a3_automorphism_check(cert.witness)
+            and transport_product(cert.input, cert.witness) == instantiate_family(cert.family))
+
+
+def corrupted_certificates(rng: random.Random, cert: Certificate):
+    """(kind, certificate) for each corruption of a genuine certificate."""
+    entries = list(cert.witness.map.entries)
+    index = rng.randrange(9)
+    entries[index] += rand_rat(rng, nonzero=True)
+    try:
+        witness = AutoMatrix(Matrix(3, 3, tuple(entries)))
+    except Singular:
+        pass
+    else:
+        shape = "kept" if a3_automorphism_check(witness) else "broken"
+        yield f"witness entry, A3 shape {shape}", Certificate(cert.input, cert.family, witness)
+    family = cert.family
+    names = FAMILY_PARAMS[family.id]
+    params = family.param_map
+    name = rng.choice(names)
+    params[name] += rng.choice((1, -1))
+    yield "parameter ±1", Certificate(cert.input, FamilyInstance.make(family.id, **params),
+                                      cert.witness)
+    other = rng.choice([f for f in FAMILY_IDS
+                        if f != family.id and len(FAMILY_PARAMS[f]) == len(names)])
+    values = [value for _, value in family.params]
+    yield "family id", Certificate(
+        cert.input, FamilyInstance.make(other, **dict(zip(FAMILY_PARAMS[other], values))),
+        cert.witness)
+    pair = rng.choice(((1, 1), (1, 2)))
+    table = dict(cert.input.table)
+    table[pair] = cert.input.basis_product(*pair) + Vector(
+        [rand_rat(rng, nonzero=True), rand_rat(rng), rand_rat(rng)])
+    yield f"input e{pair[0]}·e{pair[1]}", Certificate(CommProduct(3, table), cert.family,
+                                                     cert.witness)
+
+
+def test_integer_validate_matches_the_reference():
+    # genuine certificates onto all 16 tables, each with one of every kind of
+    # corruption; a third of the witnesses have no shift, so that only the
+    # e1·e1 entry of the transported product reveals a corrupted e1·e1
+    rng = random.Random(2968)
+    outcomes: dict[str, set] = {}
+    certified = 0
+    for trial in range(13):
+        for fam in FAMILY_IDS:
+            family = FamilyInstance.make(fam, **draw_family_params(fam, rng))
+            m = rand_a3_automorphism(rng)
+            if trial % 3 == 0:
+                (l11, _, _), (_, l22, l23), (_, l32, l33) = m.map.row_lists()
+                m = AutoMatrix.from_rows([[l11, 0, 0], [0, l22, l23], [0, l32, l33]])
+            genuine = Certificate(transport_product(instantiate_family(family), m), family,
+                                  m.inverse())
+            for kind, cert in [("genuine", genuine), *corrupted_certificates(rng, genuine)]:
+                verdict = cert.validate()
+                assert verdict == reference_validate(cert), (kind, cert)
+                outcomes.setdefault(kind, set()).add(verdict)
+                certified += 1
+    assert certified >= 1000
+    assert outcomes.pop("genuine") == {True}
+    assert set(outcomes) == {"witness entry, A3 shape kept", "witness entry, A3 shape broken",
+                             "parameter ±1", "family id", "input e1·e1", "input e1·e2"}
+    assert all(False in verdicts for verdicts in outcomes.values()), outcomes
 
 
 # --- cases 2 and 4: the sign class of the radicand --------------------------------
@@ -608,10 +677,27 @@ def oracle_solve_witness(co, c, family_id, primary):
     return u, x, y, z
 
 
+#: the branches of the witness solve: the adjugate for a regular shift
+#: matrix (D ≠ 0), the elimination for D = 0
+SOLVE_BRANCHES = {"D ≠ 0, one parameter", "D ≠ 0, two-parameter lift",
+                  "D ≠ 0, kernel fixes u (z = 0)", "D = 0"}
+
+
 def witness_system_kinds(co, c, family_id, primary):
-    """How the witness system decides the e1 scaling u."""
+    """How the witness system decides the e1 scaling u, and which branch of
+    ``SOLVE_BRANCHES`` solves it."""
     rows, rhs = oracle_witness_system(co, c, family_id, primary)
-    kinds = {"two-parameter"} if len(rows[0]) == 4 else set()
+    shifts = Matrix.from_rows([row[:3] for row in rows])
+    if determinant(shifts) == 0:
+        kinds = {"D = 0"}
+    elif len(rows[0]) == 3:
+        kinds = {"D ≠ 0, one parameter"}
+    else:
+        # the kernel is the line (−M⁻¹·σ, 1) for the z column σ
+        moved_u = solve_affine(shifts, Vector([row[3] for row in rows]))[0][0] != 0
+        kinds = {"D ≠ 0, two-parameter lift" if moved_u else "D ≠ 0, kernel fixes u (z = 0)"}
+    if len(rows[0]) == 4:
+        kinds.add("two-parameter")
     try:
         particular, kernel = solve_affine(Matrix.from_rows(rows), Vector(rhs))
     except Infeasible:
@@ -651,6 +737,7 @@ def test_solve_witness_matches_two_attempt_oracle():
         seen |= witness_system_kinds(*args)
     assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
             "infeasible", "two-parameter"} <= seen
+    assert SOLVE_BRANCHES <= seen, seen
 
 
 def test_solve_rows_matches_solve_affine_on_witness_systems():
@@ -685,8 +772,36 @@ def test_solve_rows_matches_solve_affine_on_witness_systems():
             assert (Vector(particular), [Vector(_densify(v, ncols)) for v in kernel]) == expected
             seen.add(f"kernel dimension {len(kernel)}")
         assert _solve_witness(*args) == oracle_solve_witness(*args), args
+        seen |= witness_system_kinds(*args)
     assert set(FAMILY_IDS) | {"1 parameter(s)", "2 parameter(s)", "infeasible",
                               "kernel dimension 0", "kernel dimension 1"} <= seen, seen
+    assert SOLVE_BRANCHES <= seen, seen
+
+
+def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
+    # the adjugate solves every regular witness system of the seed-1
+    # classify-mix inputs; each D = 0 system runs one elimination
+    module = importlib.import_module("tpl3.classify")
+    solve_rows, solve_witness = module._solve_rows, module._solve_witness
+    eliminations, calls = [], []
+
+    def counting_rows(rows):
+        eliminations.append(rows)
+        return solve_rows(rows)
+
+    def recording(co, *args):
+        before = len(eliminations)
+        out = solve_witness(co, *args)
+        shifts = Matrix.from_rows([[co.g, co.a, co.q], [co.h, co.r, -co.a],
+                                   [co.k, co.s, -co.r]])
+        calls.append((determinant(shifts) != 0, len(eliminations) - before))
+        return out
+
+    monkeypatch.setattr(module, "_solve_rows", counting_rows)
+    monkeypatch.setattr(module, "_solve_witness", recording)
+    for p in classify_mix_products(1, 300):
+        classify(A3, p)
+    assert set(calls) == {(True, 0), (False, 1)}
 
 
 def test_split_route_complete_diagnostics():
