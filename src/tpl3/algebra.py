@@ -243,7 +243,8 @@ def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int]
     ``_unscaled``.  ``check_transposed_leibniz`` multiplies one bracket and
     one product constant per term, so it divides by D_bracket·D;
     ``check_commutative_associative`` multiplies two product constants
-    (D²); ``morphisms._transported`` documents its own scale.
+    (D²); ``morphisms._transported`` and ``morphisms._homomorphism``
+    document their own scales.
     """
     n = p.dim
     den = math.lcm(*(e.denominator for coeffs in p.table.values() for e in coeffs))
@@ -405,8 +406,8 @@ class FamilyCoordinates(_Record):
     def pair_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The coordinates of e_i·e_j for the six basis pairs i <= j, in the
         order of ``combinations_with_replacement``: the one statement of the
-        table layout, read by ``as_product`` and by certificate
-        revalidation."""
+        table layout, read by ``as_product`` and by the integer table forms
+        of ``families._table_form``."""
         zero, half = Fraction(0), Fraction(1, 2)
         return ((zero, zero, zero),
                 ((self.a + self.w) * half, zero, zero),

@@ -27,16 +27,20 @@ onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
   every automorphism keeps D = 0; it picks T1, T5/T6, T9 or T13/T15, else
   a quartic match picks T3 and the zero pattern of (g, h, k) the rest.
   So the solve never fails: for D = 0 the kernel's u-entry a·s − r² ≠ 0
-  and the e1 targets lie in the column space; for D ≠ 0 the solved u, or
-  the kernel's u-entry for two-parameter tables, is a nonzero monomial.
+  and the e1 targets lie in the column space, so that minor solves it by
+  Cramer's rule with no elimination; for D ≠ 0 the solved u, or the
+  kernel's u-entry for two-parameter tables, is a nonzero monomial.
 
 So each case yields ordered (family, radicand) candidates, and one
 finisher certifies the first whose radicand has a rational root.  The
 first block that certifies wins; otherwise the identity block's
 ``NeedsExtension`` stands, or off its shape the matcher's reason.  Every
 certificate is revalidated exactly once before it is returned, by
-``Certificate.validate``: it transports the input by the witness on
-integers and compares every entry with the canonical table exactly.
+``Certificate.validate``: the witness passes the automorphism check, which
+also proves it invertible, and then φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) holds
+exactly on the six basis pairs, with ∗ the canonical table, on integers.
+For a bijection that is the same as transporting the input onto the
+table, so no certificate builds the inverse of its witness.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ from .linalg import (Infeasible, Matrix, _Record, _integer_root, _solve_rows, ra
 from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
                       TriBracket, Violation, a3_bracket, check_transposed_leibniz,
                       family_coordinates)
-from .morphisms import (AutoMatrix, _transported, a3_automorphism_check,
+from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
-                       CaseId, FamilyInstance, canonical_coordinates, case_of_coordinates,
-                       detect_case, instantiate_family)
+                       CaseId, FamilyInstance, _table_form, case_of_coordinates, detect_case,
+                       instantiate_family, table_rows)
 
 
 class Certificate(_Record):
@@ -72,20 +76,18 @@ class Certificate(_Record):
         """Whether the witness is an automorphism of [e1,e2,e3] = e1 that
         carries the input exactly onto the family's canonical table.
 
-        The input is transported by the witness over all six basis pairs
-        on integers (``morphisms._transported``, every entry over one
-        denominator den), and each entry x is compared with the table's
-        entry f by cross-multiplication, x·f.denominator = f.numerator·den,
-        so no product or ``Vector`` is built.  It reads only the three
-        fields, never the solve that produced them, so it stays an
-        independent check of every certificate.
+        ``a3_automorphism_check`` comes first, and it also proves the
+        witness invertible.  Then φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) on the six
+        basis pairs (``morphisms._homomorphism``), with ∗ the table read on
+        integers from its linear forms (``families.table_rows``); for an
+        invertible φ that holds exactly when the input transported by φ is
+        the table, and no inverse, product or ``Vector`` is built.  It reads
+        only the three fields, never the solve that produced them, so it
+        stays an independent check of every certificate.
         """
         if not a3_automorphism_check(self.witness):
             return False
-        den, moved = _transported(self.input, self.witness)
-        table = canonical_coordinates(self.family.id, self.family.param_map).pair_rows()
-        return all(x * f.denominator == f.numerator * den
-                   for row, target in zip(moved, table) for x, f in zip(row, target))
+        return _homomorphism(self.input, self.witness, *table_rows(self.family))
 
 
 class NeedsExtension(_Record):
@@ -146,43 +148,114 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
     targets b and, for a two-parameter table, the slope σ of the targets in
     z.  ``det`` is ``_shift_determinant(co)``, D, when the caller has it.
 
-    For D ≠ 0, M is regular and the integer adjugate solves it: with M
-    and b, σ cleared to integers (``_shift_system``), (u, x, y) =
-    (P + z·S)/Q for P = adj·b, S = adj·σ and Q = D times the denominator.
-    When S moves u, z = (Q − P₀)/S₀ lifts the solution to u = 1; otherwise
-    z = 0.  A ``Fraction`` is built only for each reported value.
+    Everything runs on integers: M is cleared by ``_shift_system``, and b
+    and σ are read from the table's linear forms (``families._table_form``)
+    over one denominator W.  A ``Fraction`` is built only for each reported
+    value.
 
-    For D = 0 the system is rank-deficient and may be inconsistent, so one
-    exact elimination, ``_solve_rows`` on the rows of [M | −σ | b], gives a
+    For D ≠ 0, M is regular and the integer adjugate solves it: (u, x, y) =
+    (P + z·S)/Q for P = adj·b, S = adj·σ and Q = D·W.  When S moves u,
+    z = (Q − P₀)/S₀ lifts the solution to u = 1; otherwise z = 0.
+
+    For D = 0 with the minor m = a·s − r² ≠ 0, M has rank 2, its kernel is
+    column 0 of adj(M), whose u-entry is m, and its left null vector ℓ is
+    row 0, (m, a·r + q·s, −a² − q·r).  So u = 1 is pinned, ℓ·(b + z·σ) = 0
+    decides consistency and fixes z when ℓ·σ ≠ 0 (otherwise z = 0), and
+    rows 2 and 3 give x and y by Cramer's rule on [[r, −a], [s, −r]], of
+    determinant m.  ``classify`` reaches no zero minor: only then does one
+    exact elimination, ``_solve_rows`` on the rows of [M | −σ | b], give a
     particular solution and the kernel; when a kernel vector moves u, the
     first such vector lifts the solution to u = 1.
 
-    Otherwise, in either branch, u is fixed by the system, and a fixed
-    u = 0 admits no witness.
+    Otherwise, in any branch, u is fixed by the system, and a fixed u = 0
+    admits no witness.
     """
-    names = FAMILY_PARAMS[family_id]
-    two_param = len(names) == 2
-
-    def e1_targets(z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        table = canonical_coordinates(family_id, dict(zip(names, (primary, z))))
-        return table.g, table.h, table.k
-
-    g0, h0, k0 = e1_targets(Fraction(0))
-    c2 = c * c
-    targets, slopes = (g0 * c2, h0, k0 / c2), ()
-    if two_param:
-        # the canonical e1 components are affine in the secondary parameter
-        g1, h1, k1 = e1_targets(Fraction(1))
-        slopes = ((g1 - g0) * c2, h1 - h0, (k1 - k0) / c2)
+    two_param = len(FAMILY_PARAMS[family_id]) == 2
+    system = _shift_system(co)
+    den, _, a, _, _, r, _, s = system
+    form_den, first, second = _table_form(family_id)
+    # the e1 entries of e2·e2, e2·e3 and e3·e3 are in the pair rows 3, 4 and
+    # 5, moved by c², 1 and 1/c²: over W = den(primary)·L·num(c)²·den(c)²,
+    # and times den, as M is; a one-parameter table has zero slopes
+    cn, cd = c.numerator ** 2, c.denominator ** 2
+    pn, pd = primary.numerator, primary.denominator
+    weights = (den * cn * cn, den * cn * cd, den * cd * cd)
+    targets = [pn * row[0] * w for row, w in zip(first[3:], weights)]
+    slopes = [pd * row[0] * w for row, w in zip(second[3:], weights)]
+    scale = pd * form_den * cn * cd
     if det is None:
         det = _shift_determinant(co)
     if det:
-        return _solve_regular(co, det, targets, slopes)
-    rows = [[co.g, co.a, co.q], [co.h, co.r, -co.a], [co.k, co.s, -co.r]]
-    for row, slope in zip(rows, slopes):
-        row.append(-slope)
-    for row, target in zip(rows, targets):
-        row.append(target)
+        solved = _solve_regular(system, det, targets, slopes, scale)
+    elif a * s != r * r:
+        solved = _solve_minor(system, targets, slopes, scale)
+    else:
+        solved = _solve_eliminated(system, targets, slopes, scale, two_param)
+    if solved is None or two_param:
+        return solved
+    return (*solved[:3], None)
+
+
+_Solved = Optional[tuple[Fraction, Fraction, Fraction, Fraction]]
+
+
+def _solve_regular(system: tuple[int, ...], det: int, targets: list[int], slopes: list[int],
+                   scale: int) -> _Solved:
+    """(u, x, y, z) of ``_solve_witness`` for D = ``det`` ≠ 0, by the
+    integer adjugate of the cleared ``system``, whose shift matrix M has
+    M·v = (targets + z·slopes)/``scale``; None when u = 0."""
+    _, g, a, q, h, r, k, s = system
+    adj = ((a * s - r * r, a * r + q * s, -a * a - q * r),
+           (h * r - a * k, -g * r - q * k, g * a + q * h),
+           (h * s - r * k, a * k - g * s, g * r - a * h))
+    p0, p1, p2 = (c0 * targets[0] + c1 * targets[1] + c2 * targets[2] for c0, c1, c2 in adj)
+    s0, s1, s2 = (c0 * slopes[0] + c1 * slopes[1] + c2 * slopes[2] for c0, c1, c2 in adj)
+    scale *= det
+    if s0:
+        # z = (scale − p0)/s0 gives u = 1
+        lift = scale - p0
+        return (Fraction(1), Fraction(p1 * s0 + lift * s1, scale * s0),
+                Fraction(p2 * s0 + lift * s2, scale * s0), Fraction(lift, s0))
+    if p0 == 0:
+        return None
+    return (Fraction(p0, scale), Fraction(p1, scale), Fraction(p2, scale), Fraction(0))
+
+
+def _solve_minor(system: tuple[int, ...], targets: list[int], slopes: list[int],
+                 scale: int) -> _Solved:
+    """(u, x, y, z) of ``_solve_witness`` for D = 0 and a·s − r² ≠ 0, on the
+    system of ``_solve_regular``, at u = 1; None when the targets leave the
+    column space of M for every z."""
+    _, _, a, q, h, r, k, s = system
+    minor = a * s - r * r
+    left = (minor, a * r + q * s, -a * a - q * r)
+    drift = sum(e * v for e, v in zip(left, targets))
+    turn = sum(e * v for e, v in zip(left, slopes))
+    if turn:
+        zn, zd = -drift, turn
+    elif drift:
+        return None
+    else:
+        zn, zd = 0, 1
+    # rows 2 and 3 at u = 1, over scale·zd
+    r1, r2 = (v * zd + zn * w - e * scale * zd
+              for v, w, e in zip(targets[1:], slopes[1:], (h, k)))
+    out = minor * scale * zd
+    return (Fraction(1), Fraction(a * r2 - r * r1, out), Fraction(r * r2 - s * r1, out),
+            Fraction(zn, zd))
+
+
+def _solve_eliminated(system: tuple[int, ...], targets: list[int], slopes: list[int],
+                      scale: int, two_param: bool) -> _Solved:
+    """(u, x, y, z) of ``_solve_witness`` for D = a·s − r² = 0, on the system
+    of ``_solve_regular``, by one exact elimination of [M | −slopes |
+    targets], with no slope column for a one-parameter table; None when it
+    is inconsistent or fixes u = 0."""
+    _, g, a, q, h, r, k, s = system
+    rows = [[scale * g, scale * a, scale * q], [scale * h, scale * r, -scale * a],
+            [scale * k, scale * s, -scale * r]]
+    for row, target, slope in zip(rows, targets, slopes):
+        row += [-slope, target] if two_param else [target]
     try:
         particular, kernel = _solve_rows(rows)
     except Infeasible:
@@ -193,38 +266,9 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
         t = (1 - particular[0]) / lift[0]
         for j, e in lift.items():
             particular[j] += t * e
-    u, x, y = particular[0], particular[1], particular[2]
-    if u == 0:
+    if particular[0] == 0:
         return None
-    return u, x, y, (particular[3] if two_param else None)
-
-
-def _solve_regular(co: FamilyCoordinates, det: int, targets: tuple[Fraction, ...],
-                   slopes: tuple[Fraction, ...]):
-    """``_solve_witness`` for D = ``det`` ≠ 0, by the integer adjugate; no
-    ``slopes`` for a one-parameter table."""
-    den, g, a, q, h, r, k, s = _shift_system(co)
-    adj = ((a * s - r * r, a * r + q * s, -a * a - q * r),
-           (h * r - a * k, -g * r - q * k, g * a + q * h),
-           (h * s - r * k, a * k - g * s, g * r - a * h))
-    values = targets + slopes
-    lcd = math.lcm(*(v.denominator for v in values))
-    # M·v = b is (den·M)·v = den·b, and den·M is the cleared system
-    cleared = [v.numerator * (lcd // v.denominator) * den for v in values]
-    p0, p1, p2 = (c0 * cleared[0] + c1 * cleared[1] + c2 * cleared[2] for c0, c1, c2 in adj)
-    scale = det * lcd
-    if slopes:
-        s0, s1, s2 = (c0 * cleared[3] + c1 * cleared[4] + c2 * cleared[5]
-                      for c0, c1, c2 in adj)
-        if s0:
-            # z = (scale − p0)/s0 gives u = 1
-            lift = scale - p0
-            return (Fraction(1), Fraction(p1 * s0 + lift * s1, scale * s0),
-                    Fraction(p2 * s0 + lift * s2, scale * s0), Fraction(lift, s0))
-    if p0 == 0:
-        return None
-    return (Fraction(p0, scale), Fraction(p1, scale), Fraction(p2, scale),
-            Fraction(0) if slopes else None)
+    return (*particular[:3], particular[3] if two_param else Fraction(0))
 
 
 def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,

@@ -17,6 +17,7 @@ a when g = 0; b when g ≠ 0, h = 0; c when g, h ≠ 0, k = 0; d otherwise.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -144,6 +145,48 @@ def canonical_coordinates(family_id: str,
     primary, *secondary = FAMILY_PARAMS[family_id]
     second = values.get(secondary[0], _Z) if secondary else _Z
     return FamilyCoordinates(*_CANONICAL_ROWS[family_id](values[primary], second))
+
+
+_Rows = tuple[tuple[int, ...], ...]
+
+#: family id -> (L, A, B), filled by ``_table_form`` on first use
+_FORMS: dict[str, tuple[int, _Rows, _Rows]] = {}
+
+
+def _table_form(family_id: str) -> tuple[int, _Rows, _Rows]:
+    """The canonical table of ``family_id`` as integer linear forms: (L, A,
+    B) with L·rows = P·A + S·B, where rows are the table's six pair rows
+    (``FamilyCoordinates.pair_rows``) at primary parameter P and secondary
+    parameter S, A and B hold one ``int`` row per pair, and L is the least
+    common denominator of the rows at (P, S) = (1, 0) and (0, 1).  Every
+    entry of ``_CANONICAL_ROWS`` and of the pair rows is linear in (P, S),
+    so those two rows give the forms; a one-parameter table has B = 0."""
+    form = _FORMS.get(family_id)
+    if form is None:
+        make = _CANONICAL_ROWS[family_id]
+        units = [FamilyCoordinates(*make(*unit)).pair_rows()
+                 for unit in ((Fraction(1), _Z), (_Z, Fraction(1)))]
+        den = math.lcm(*(e.denominator for rows in units for row in rows for e in row))
+        form = _FORMS[family_id] = (den, *(
+            tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
+            for rows in units))
+    return form
+
+
+def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """The six pair rows of a family instance's table on integers: ``(den,
+    rows)`` with den·pair_rows = rows, read from ``_table_form``; a missing
+    secondary parameter reads as 0, as in ``canonical_coordinates``."""
+    if f.id not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family id {f.id!r}")
+    values = f.param_map
+    primary, *secondary = FAMILY_PARAMS[f.id]
+    p = values[primary]
+    s = values.get(secondary[0], _Z) if secondary else _Z
+    den, first, second = _table_form(f.id)
+    x, y = p.numerator * s.denominator, s.numerator * p.denominator
+    return den * p.denominator * s.denominator, [
+        tuple(x * e + y * d for e, d in zip(row, slope)) for row, slope in zip(first, second)]
 
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:

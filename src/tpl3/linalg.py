@@ -35,10 +35,12 @@ and each reported entry is divided once.
 ``_solve_rows`` is the affine solve on plain lists: it takes the dense
 rational rows of [m | b] and returns the particular solution as a list and
 the kernel as sparse rows.  ``solve_affine`` wraps its output in
-``Vector``s; the witness solve of ``classify`` calls it directly, so the
-certify route builds no ``Matrix`` or ``Vector`` to solve.  An
+``Vector``s.  The witness solve of ``classify`` calls it directly, with
+no ``Matrix`` or ``Vector``, but only on a shift system whose determinant
+and minor a·s − r² both vanish, which ``classify`` itself never builds:
+it solves the others by the integer adjugate or Cramer's rule.  An
 automorphism of [e1,e2,e3] = e1 never reaches ``invert``: ``AutoMatrix``
-inverts those in closed form.
+inverts those in closed form, and only when the inverse is read.
 
 ``_reduce`` reads sparse integer rows, ``{column: value}``, and touches
 only their nonzero entries, and ``_kernel`` returns the kernel basis as

@@ -50,15 +50,17 @@ def _a3_inverse(m: Matrix) -> Matrix:
 class AutoMatrix(_Record):
     """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j.
 
-    The inverse matrix is computed once, on construction, by
-    ``__post_init__``, where it also proves the map invertible; transport
-    reads it from ``_inverse``, which is not a field: it stays out of
-    ``==``, the hash and the ``repr``.  A map of the automorphism shape of
-    [e1,e2,e3] = e1 (``a3_automorphism_check``) is inverted in closed form,
-    with no elimination; every other map goes to ``invert``.
+    ``__post_init__`` runs on every construction and proves the map
+    invertible.  A map of the automorphism shape of [e1,e2,e3] = e1
+    (``a3_automorphism_check``) is invertible by that shape alone, and its
+    closed-form inverse is built, with no elimination, the first time
+    ``_inverse`` is read; every other map goes to ``invert`` on
+    construction.  Either inverse is kept in the slot ``_cached_inverse``,
+    None until built, and transport reads it from ``_inverse``.  Neither is
+    a field: they stay out of ``==``, the hash, the ``repr`` and pickles.
     """
 
-    __slots__ = ("map", "_inverse")
+    __slots__ = ("map", "_cached_inverse")
 
     def __init__(self, map: Matrix):
         object.__setattr__(self, "map", map)
@@ -69,13 +71,21 @@ class AutoMatrix(_Record):
         if not m.is_square():
             raise DimensionMismatch("automorphism matrices must be square")
         if m.rows == 3 and _is_a3_shape(m):
-            inverse = _a3_inverse(m)
+            inverse = None
         else:
             try:
                 inverse = invert(m)
             except Singular:
                 raise Singular("automorphism matrices must be invertible") from None
-        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_cached_inverse", inverse)
+
+    @property
+    def _inverse(self) -> Matrix:
+        inverse = self._cached_inverse
+        if inverse is None:
+            inverse = _a3_inverse(self.map)
+            object.__setattr__(self, "_cached_inverse", inverse)
+        return inverse
 
     @property
     def dim(self) -> int:
@@ -168,6 +178,46 @@ def _transported(p: CommProduct, m: AutoMatrix) -> tuple[int, list[list[int]]]:
                     value[t] += xy * d
         moved.append(_push(value, image))
     return den_pre * den_pre * den_p * den_map, moved
+
+
+def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
+                  rows: list[tuple[int, ...]]) -> bool:
+    """Whether φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) for every basis pair i <= j, for
+    the product ∗ whose pair rows, in the order of
+    ``combinations_with_replacement``, are ``rows`` over ``den``.  Nothing
+    is inverted or divided.
+
+    With the product over D_p (``_product_table``) and Λ over D
+    (``_supports``), the left side is an ``int`` list over D_p·D and the
+    right side one over D²·den, so each is cross-multiplied by the other's
+    denominator (the common factor D cancelled).  For an invertible φ this
+    holds exactly when ``transport_product(p, m)`` is ∗.
+    """
+    if p.dim != m.dim:
+        raise DimensionMismatch("product and map dimensions differ")
+    n = p.dim
+    den_p, prod = _product_table(p)
+    den_map, image = _supports(m.map)
+    pairs = list(combinations_with_replacement(range(n), 2))
+    target = [[()] * n for _ in range(n)]
+    for (i, j), row in zip(pairs, rows):
+        target[i][j] = target[j][i] = tuple((t, c) for t, c in enumerate(row) if c)
+    left_scale, right_scale = den_map * den, den_p
+    for i, j in pairs:
+        left = [0] * n
+        for t, c in prod[i][j]:
+            for k, e in image[t]:
+                left[k] += c * e
+        right = [0] * n
+        for s, x in image[i]:
+            row = target[s]
+            for u, y in image[j]:
+                xy = x * y
+                for t, c in row[u]:
+                    right[t] += xy * c
+        if any(a * left_scale != b * right_scale for a, b in zip(left, right)):
+            return False
+    return True
 
 
 def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:

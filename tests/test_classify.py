@@ -1,6 +1,8 @@
 import importlib
 import math
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
@@ -21,6 +23,9 @@ from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, r
 from oracles import determinant, kernel_basis, left_multiplication
 from test_algebra import classify_mix_products
 from test_linalg import oracle_solve_affine
+from test_morphisms import reference_inverse
+from tpl3.families import _table_form, canonical_coordinates, table_rows
+from tpl3.morphisms import _homomorphism
 
 A3 = a3_bracket()
 
@@ -299,6 +304,27 @@ def corrupted_certificates(rng: random.Random, cert: Certificate):
         [rand_rat(rng, nonzero=True), rand_rat(rng), rand_rat(rng)])
     yield f"input e{pair[0]}·e{pair[1]}", Certificate(CommProduct(3, table), cert.family,
                                                      cert.witness)
+    for rows in singular_homomorphisms(cert):
+        yield "singular homomorphism", Certificate(cert.input, cert.family, unchecked_map(rows))
+
+
+def unchecked_map(rows) -> AutoMatrix:
+    """An ``AutoMatrix`` around a map that construction would reject as
+    singular; its inverse slot stays unset, so reading it fails."""
+    m = object.__new__(AutoMatrix)
+    object.__setattr__(m, "map", Matrix.from_rows(rows))
+    return m
+
+
+def singular_homomorphisms(cert: Certificate):
+    """Rows of singular maps φ with φ(x·y) = φ(x) ∗ φ(y) from the input of a
+    genuine certificate to its table: the zero map, and on a table with no e1
+    components (T1, T5, T9, T13) the witness followed by the projection onto
+    e1, which sends every product of the table to 0."""
+    yield [[0, 0, 0]] * 3
+    table = family_coordinates(instantiate_family(cert.family))
+    if table.g == table.h == table.k == 0:
+        yield [[row[0], 0, 0] for row in cert.witness.map.row_lists()]
 
 
 def test_integer_validate_matches_the_reference():
@@ -307,7 +333,7 @@ def test_integer_validate_matches_the_reference():
     # e1·e1 entry of the transported product reveals a corrupted e1·e1
     rng = random.Random(2968)
     outcomes: dict[str, set] = {}
-    certified = 0
+    certified = projections = 0
     for trial in range(13):
         for fam in FAMILY_IDS:
             family = FamilyInstance.make(fam, **draw_family_params(fam, rng))
@@ -320,13 +346,68 @@ def test_integer_validate_matches_the_reference():
             for kind, cert in [("genuine", genuine), *corrupted_certificates(rng, genuine)]:
                 verdict = cert.validate()
                 assert verdict == reference_validate(cert), (kind, cert)
+                if kind == "singular homomorphism":
+                    # it passes the homomorphism test; only the automorphism
+                    # check, which proves the witness invertible, rejects it
+                    assert _homomorphism(cert.input, cert.witness, *table_rows(cert.family))
+                    projections += any(cert.witness.map.row_lists()[0])
                 outcomes.setdefault(kind, set()).add(verdict)
                 certified += 1
-    assert certified >= 1000
+    assert certified >= 1000 and projections >= 40
     assert outcomes.pop("genuine") == {True}
     assert set(outcomes) == {"witness entry, A3 shape kept", "witness entry, A3 shape broken",
-                             "parameter ±1", "family id", "input e1·e1", "input e1·e2"}
+                             "parameter ±1", "family id", "input e1·e1", "input e1·e2",
+                             "singular homomorphism"}
     assert all(False in verdicts for verdicts in outcomes.values()), outcomes
+
+
+def test_table_forms_give_the_canonical_pair_rows():
+    # the witness solve and revalidation read every table from its integer
+    # linear forms, so a wrong form would pass both; compare each form with
+    # the Fraction rows of _CANONICAL_ROWS at zero, small and 20-digit values
+    rng = random.Random(6174)
+    big = 10 ** 20
+    checked = 0
+    for fam in FAMILY_IDS:
+        names = FAMILY_PARAMS[fam]
+        den, first, second = _table_form(fam)
+        if len(names) == 1:
+            assert not any(e for row in second for e in row)
+        values = [F(0), F(1), rand_rat(rng, nonzero=True),
+                  rand_rat(rng, True, -big, big, big), rand_rat(rng, True, -big, big, big)]
+        for primary, secondary in product(values, repeat=2):
+            params = dict(zip(names, (primary, secondary)))
+            expected = canonical_coordinates(fam, params).pair_rows()
+            assert tuple(tuple(F(primary * a + secondary * b) / den for a, b in zip(x, y))
+                         for x, y in zip(first, second)) == expected
+            if primary:
+                scale, rows = table_rows(FamilyInstance.make(fam, **params))
+                assert tuple(tuple(F(e, scale) for e in row) for row in rows) == expected
+                checked += 1
+    assert checked == 16 * 4 * 5
+
+
+def test_certificate_witnesses_build_no_inverse(monkeypatch):
+    # classify neither eliminates nor inverts for a certificate; its witness
+    # builds the closed-form inverse when first read, and the read changes
+    # no field, hash, repr or pickle
+    module = importlib.import_module("tpl3.classify")
+    eliminations = []
+    solve_rows = module._solve_rows
+    monkeypatch.setattr(module, "_solve_rows",
+                        lambda rows: eliminations.append(rows) or solve_rows(rows))
+    witnesses = [out.witness for p in classify_mix_products(1, 300)
+                 if isinstance(out := classify(A3, p), Certificate)]
+    assert len(witnesses) >= 300 and eliminations == []
+    assert all(w._cached_inverse is None for w in witnesses)
+    for witness in witnesses[:60]:
+        before = (hash(witness), repr(witness), pickle.dumps(witness))
+        copy = pickle.loads(before[2])
+        assert witness._inverse == reference_inverse(witness.map)
+        assert witness._cached_inverse is witness._inverse
+        assert (hash(witness), repr(witness), pickle.dumps(witness)) == before
+        assert witness == copy and copy._cached_inverse is None
+        assert pickle.loads(pickle.dumps(witness))._cached_inverse is None
 
 
 # --- cases 2 and 4: the sign class of the radicand --------------------------------
@@ -678,9 +759,11 @@ def oracle_solve_witness(co, c, family_id, primary):
 
 
 #: the branches of the witness solve: the adjugate for a regular shift
-#: matrix (D ≠ 0), the elimination for D = 0
+#: matrix (D ≠ 0), Cramer's rule on the minor a·s − r² for D = 0, and the
+#: elimination when that minor vanishes too
 SOLVE_BRANCHES = {"D ≠ 0, one parameter", "D ≠ 0, two-parameter lift",
-                  "D ≠ 0, kernel fixes u (z = 0)", "D = 0"}
+                  "D ≠ 0, kernel fixes u (z = 0)", "D = 0, a·s − r² ≠ 0",
+                  "D = 0, a·s − r² = 0"}
 
 
 def witness_system_kinds(co, c, family_id, primary):
@@ -689,7 +772,8 @@ def witness_system_kinds(co, c, family_id, primary):
     rows, rhs = oracle_witness_system(co, c, family_id, primary)
     shifts = Matrix.from_rows([row[:3] for row in rows])
     if determinant(shifts) == 0:
-        kinds = {"D = 0"}
+        minor = determinant(Matrix.from_rows([row[1:3] for row in rows[1:]]))
+        kinds = {"D = 0, a·s − r² ≠ 0" if minor else "D = 0, a·s − r² = 0"}
     elif len(rows[0]) == 3:
         kinds = {"D ≠ 0, one parameter"}
     else:
@@ -731,13 +815,15 @@ def test_solve_witness_matches_two_attempt_oracle():
                                  for _ in range(9)))
         systems.append((co, rand_rat(rng, nonzero=True), FAMILY_IDS[rng.randrange(16)],
                         rand_rat(rng, nonzero=True)))
-    seen = set()
+    seen = Counter()
     for args in systems:
         assert _solve_witness(*args) == oracle_solve_witness(*args), args
-        seen |= witness_system_kinds(*args)
+        seen.update(witness_system_kinds(*args))
     assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
-            "infeasible", "two-parameter"} <= seen
-    assert SOLVE_BRANCHES <= seen, seen
+            "infeasible", "two-parameter"} <= set(seen)
+    assert SOLVE_BRANCHES <= set(seen), seen
+    # both D = 0 solves: Cramer's rule on the minor, and the elimination
+    assert seen["D = 0, a·s − r² ≠ 0"] >= 20 and seen["D = 0, a·s − r² = 0"] >= 20, seen
 
 
 def test_solve_rows_matches_solve_affine_on_witness_systems():
@@ -745,7 +831,7 @@ def test_solve_rows_matches_solve_affine_on_witness_systems():
     from tpl3.linalg import _densify, _solve_rows
 
     rng = random.Random(4451)
-    seen = set()
+    seen, branches = set(), Counter()
     for i in range(640):
         family_id = FAMILY_IDS[i % 16]
         density = (0.3, 0.6, 1)[i % 3]
@@ -772,15 +858,20 @@ def test_solve_rows_matches_solve_affine_on_witness_systems():
             assert (Vector(particular), [Vector(_densify(v, ncols)) for v in kernel]) == expected
             seen.add(f"kernel dimension {len(kernel)}")
         assert _solve_witness(*args) == oracle_solve_witness(*args), args
-        seen |= witness_system_kinds(*args)
+        kinds = witness_system_kinds(*args)
+        seen |= kinds
+        branches.update(kinds & SOLVE_BRANCHES)
     assert set(FAMILY_IDS) | {"1 parameter(s)", "2 parameter(s)", "infeasible",
                               "kernel dimension 0", "kernel dimension 1"} <= seen, seen
-    assert SOLVE_BRANCHES <= seen, seen
+    assert SOLVE_BRANCHES <= set(branches), branches
+    assert (branches["D = 0, a·s − r² ≠ 0"] >= 20
+            and branches["D = 0, a·s − r² = 0"] >= 20), branches
 
 
 def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
     # the adjugate solves every regular witness system of the seed-1
-    # classify-mix inputs; each D = 0 system runs one elimination
+    # classify-mix inputs and the minor a·s − r² every singular one, so no
+    # witness solve eliminates; only a zero minor would
     module = importlib.import_module("tpl3.classify")
     solve_rows, solve_witness = module._solve_rows, module._solve_witness
     eliminations, calls = [], []
@@ -801,7 +892,7 @@ def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
     monkeypatch.setattr(module, "_solve_witness", recording)
     for p in classify_mix_products(1, 300):
         classify(A3, p)
-    assert set(calls) == {(True, 0), (False, 1)}
+    assert set(calls) == {(True, 0), (False, 0)}
 
 
 def test_split_route_complete_diagnostics():
