@@ -97,9 +97,15 @@ class TriBracket(_Record):
 
 
 class CommProduct(_Record):
-    """Commutative bilinear product given by coefficients on pairs i <= j."""
+    """Commutative bilinear product given by coefficients on pairs i <= j.
 
-    __slots__ = ("dim", "table")
+    The memo ``_table`` keeps the result of ``_product_table``, None until
+    its first call, as ``TriBracket._structure`` keeps ``structure_table``,
+    on the same terms: ``table`` is never mutated, the memo is read-only,
+    and it is not part of ``==``, ``hash``, ``repr`` or the pickled state.
+    """
+
+    __slots__ = ("dim", "table", "_table")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Vector]):
         if dim < 1:
@@ -115,6 +121,7 @@ class CommProduct(_Record):
                 clean[(i, j)] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
+        object.__setattr__(self, "_table", None)
 
     @classmethod
     def zero(cls, dim: int) -> "CommProduct":
@@ -238,21 +245,32 @@ def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int]
     product).
 
     The product's counterpart of ``structure_table``, with the same
-    convention: each reader runs its inner loops on the scaled ``int``s
-    and divides by its power of D once per reported entry, through
-    ``_unscaled``.  ``check_transposed_leibniz`` multiplies one bracket and
-    one product constant per term, so it divides by D_bracket·D;
-    ``check_commutative_associative`` multiplies two product constants
-    (D²); ``morphisms._transported`` and ``morphisms._homomorphism``
-    document their own scales.
+    convention and the same memo: built once per product object, kept in
+    its ``_table`` slot, never mutated by a caller.  Each reader runs its
+    inner loops on the scaled ``int``s and divides by its power of D once
+    per reported entry, through ``_unscaled``.  ``check_transposed_leibniz``
+    multiplies one bracket and one product constant per term, so it divides
+    by D_bracket·D; ``check_commutative_associative`` multiplies two
+    product constants (D²); ``_cleared_coordinates``,
+    ``morphisms._transported`` and ``morphisms._homomorphism`` document
+    their own scales.
     """
+    if p._table is not None:
+        return p._table
     n = p.dim
-    den = math.lcm(*(e.denominator for coeffs in p.table.values() for e in coeffs))
+    # one flat pass over the stored entries, n per stored pair
+    ratios = [e.as_integer_ratio() for coeffs in p.table.values() for e in coeffs.entries]
+    den = math.lcm(*[d for _, d in ratios])
     table = [[()] * n for _ in range(n)]
-    for (i, j), coeffs in p.table.items():
-        table[i - 1][j - 1] = table[j - 1][i - 1] = tuple(
-            (t, c.numerator * (den // c.denominator)) for t, c in enumerate(coeffs) if c)
-    return den, table
+    for start, (i, j) in zip(range(0, len(ratios), n), p.table):
+        row = []
+        for t in range(n):
+            num, d = ratios[start + t]
+            if num:
+                row.append((t, num * (den // d)))
+        table[i - 1][j - 1] = table[j - 1][i - 1] = tuple(row)
+    object.__setattr__(p, "_table", (den, table))
+    return p._table
 
 
 def check_fundamental_identity(b: TriBracket) -> CheckReport:
@@ -421,33 +439,50 @@ class FamilyCoordinates(_Record):
         return CommProduct(3, {pair: Vector(row) for pair, row in zip(pairs, self.pair_rows())})
 
 
-_ZERO3 = (Fraction(0),) * 3
+def _dense(row: tuple[tuple[int, int], ...]) -> list[int]:
+    """A 3-dimensional row of ``_product_table`` as a coordinate list."""
+    out = [0, 0, 0]
+    for t, c in row:
+        out[t] = c
+    return out
 
 
-def family_coordinates(p: CommProduct) -> FamilyCoordinates:
-    """Extract the solved-family coordinates of ``p``; raise ShapeMismatch
-    when ``p`` is not of the solved compatible-product shape.
+def _traces(row: tuple[tuple[int, int], ...], twice: int) -> bool:
+    """Whether a row of ``_product_table`` is (twice/2)·e1 (the zero row is
+    the empty one)."""
+    return not twice % 2 and row == (((0, twice // 2),) if twice else ())
 
-    Reads the stored entry tuples: the coordinates come from e2·e2, e2·e3
-    and e3·e3, and ``p`` equals ``FamilyCoordinates.as_product()`` exactly
-    when it has no e1·e1 entry and its e1·e2 and e1·e3 entries (zero when
-    absent) are ((a+w)/2, 0, 0) and ((r+t)/2, 0, 0).
+
+def _cleared_coordinates(p: CommProduct) -> tuple[int, ...]:
+    """The solved-family coordinates of ``p`` on integers, read from
+    ``_product_table(p)``: (D, g, a, q, h, r, w, k, s, t), each coordinate
+    D times the one ``family_coordinates`` reports; ShapeMismatch when
+    ``p`` is not of the solved compatible-product shape.
+
+    The coordinates come from e2·e2, e2·e3 and e3·e3, and ``p`` is of the
+    shape exactly when e1·e1 = 0 and e1·e2 = c12·e1 and e1·e3 = c13·e1
+    with 2·c12 = a + w and 2·c13 = r + t, all on the scale D.
     """
     if p.dim != 3:
         raise ShapeMismatch(f"expected dimension 3, got {p.dim}")
-    table = p.table
-    g, a, q = table[(2, 2)].entries if (2, 2) in table else _ZERO3
-    h, r, w = table[(2, 3)].entries if (2, 3) in table else _ZERO3
-    k, s, t = table[(3, 3)].entries if (3, 3) in table else _ZERO3
-    e12 = table[(1, 2)].entries if (1, 2) in table else _ZERO3
-    e13 = table[(1, 3)].entries if (1, 3) in table else _ZERO3
-    if ((1, 1) in table or e12 != ((a + w) / 2, 0, 0)
-            or e13 != ((r + t) / 2, 0, 0)):
+    den, ((e11, e12, e13), (_, e22, e23), (_, _, e33)) = _product_table(p)
+    g, a, q = _dense(e22)
+    h, r, w = _dense(e23)
+    k, s, t = _dense(e33)
+    if e11 or not _traces(e12, a + w) or not _traces(e13, r + t):
         raise ShapeMismatch(
             "product is outside the compatible family: e1·e1 must vanish, "
             "e1·e2 = ((a+w)/2) e1 and e1·e3 = ((r+t)/2) e1 must hold"
         )
-    return FamilyCoordinates(g, a, q, h, r, w, k, s, t)
+    return den, g, a, q, h, r, w, k, s, t
+
+
+def family_coordinates(p: CommProduct) -> FamilyCoordinates:
+    """Extract the solved-family coordinates of ``p``; raise ShapeMismatch
+    when ``p`` is not of the solved compatible-product shape.  The
+    ``Fraction`` form of ``_cleared_coordinates``, which states the test."""
+    den, *values = _cleared_coordinates(p)
+    return FamilyCoordinates(*(Fraction(v, den) for v in values))
 
 
 def remark_associativity_residuals(p: CommProduct) -> list[Fraction]:

@@ -52,13 +52,12 @@ from typing import Optional, Union
 
 from .linalg import (Infeasible, Matrix, _Record, _integer_root, _solve_rows, rank,
                      rational_root)
-from .algebra import (CheckReport, CommProduct, FamilyCoordinates, ShapeMismatch,
-                      TriBracket, Violation, a3_bracket, check_transposed_leibniz,
-                      family_coordinates)
+from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation,
+                      _cleared_coordinates, a3_bracket, check_transposed_leibniz)
 from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
-                       CaseId, FamilyInstance, _table_form, case_of_coordinates, detect_case,
+                       CaseId, FamilyInstance, _case_of, _table_form, detect_case,
                        instantiate_family, table_rows)
 
 
@@ -102,8 +101,10 @@ class NeedsExtension(_Record):
 
 
 class Unclassified(_Record):
-    """No case condition set applies, or the input is outside the stratum
-    the canonical reduction can reach."""
+    """No case condition set applies, or the input is in one but no
+    canonical table is isomorphic to it over the rationals; ``reason`` says
+    which, and for the second names the class of the quotient cubic that
+    rules the tables out."""
 
     __slots__ = ("reason",)
 
@@ -131,7 +132,7 @@ ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
                        NotTransposedPoisson, Unsupported]
 
 
-def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: Fraction,
+def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fraction,
                    det: Optional[int] = None) -> Optional[tuple[Fraction, Fraction, Fraction,
                                                                  Optional[Fraction]]]:
     """Solve for the e1 scaling u, the shifts x, y, and the secondary family
@@ -146,11 +147,13 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
 
     so M·(u, x, y) = b + z·σ with M = [[g,a,q],[h,r,−a],[k,s,−r]], the
     targets b and, for a two-parameter table, the slope σ of the targets in
-    z.  ``det`` is ``_shift_determinant(co)``, D, when the caller has it.
+    z.  ``co`` holds the coordinates on integers, as
+    ``algebra._cleared_coordinates`` returns them, and ``det`` is
+    ``_shift_determinant(co)``, D, when the caller has it.
 
-    Everything runs on integers: M is cleared by ``_shift_system``, and b
-    and σ are read from the table's linear forms (``families._table_form``)
-    over one denominator W.  A ``Fraction`` is built only for each reported
+    Everything runs on integers: M is read from ``co`` times its scale, and
+    b and σ from the table's linear forms (``families._table_form``) over
+    one denominator W.  A ``Fraction`` is built only for each reported
     value.
 
     For D ≠ 0, M is regular and the integer adjugate solves it: (u, x, y) =
@@ -171,8 +174,7 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
     admits no witness.
     """
     two_param = len(FAMILY_PARAMS[family_id]) == 2
-    system = _shift_system(co)
-    den, _, a, _, _, r, _, s = system
+    den, _, a, _, _, r, _, _, s, _ = co
     form_den, first, second = _table_form(family_id)
     # the e1 entries of e2·e2, e2·e3 and e3·e3 are in the pair rows 3, 4 and
     # 5, moved by c², 1 and 1/c²: over W = den(primary)·L·num(c)²·den(c)²,
@@ -186,11 +188,11 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
     if det is None:
         det = _shift_determinant(co)
     if det:
-        solved = _solve_regular(system, det, targets, slopes, scale)
+        solved = _solve_regular(co, det, targets, slopes, scale)
     elif a * s != r * r:
-        solved = _solve_minor(system, targets, slopes, scale)
+        solved = _solve_minor(co, targets, slopes, scale)
     else:
-        solved = _solve_eliminated(system, targets, slopes, scale, two_param)
+        solved = _solve_eliminated(co, targets, slopes, scale, two_param)
     if solved is None or two_param:
         return solved
     return (*solved[:3], None)
@@ -199,12 +201,12 @@ def _solve_witness(co: FamilyCoordinates, c: Fraction, family_id: str, primary: 
 _Solved = Optional[tuple[Fraction, Fraction, Fraction, Fraction]]
 
 
-def _solve_regular(system: tuple[int, ...], det: int, targets: list[int], slopes: list[int],
+def _solve_regular(co: tuple[int, ...], det: int, targets: list[int], slopes: list[int],
                    scale: int) -> _Solved:
     """(u, x, y, z) of ``_solve_witness`` for D = ``det`` ≠ 0, by the
-    integer adjugate of the cleared ``system``, whose shift matrix M has
-    M·v = (targets + z·slopes)/``scale``; None when u = 0."""
-    _, g, a, q, h, r, k, s = system
+    integer adjugate of the shift matrix M read from the cleared ``co``,
+    with M·v = (targets + z·slopes)/``scale``; None when u = 0."""
+    _, g, a, q, h, r, _, k, s, _ = co
     adj = ((a * s - r * r, a * r + q * s, -a * a - q * r),
            (h * r - a * k, -g * r - q * k, g * a + q * h),
            (h * s - r * k, a * k - g * s, g * r - a * h))
@@ -221,12 +223,12 @@ def _solve_regular(system: tuple[int, ...], det: int, targets: list[int], slopes
     return (Fraction(p0, scale), Fraction(p1, scale), Fraction(p2, scale), Fraction(0))
 
 
-def _solve_minor(system: tuple[int, ...], targets: list[int], slopes: list[int],
+def _solve_minor(co: tuple[int, ...], targets: list[int], slopes: list[int],
                  scale: int) -> _Solved:
     """(u, x, y, z) of ``_solve_witness`` for D = 0 and a·s − r² ≠ 0, on the
     system of ``_solve_regular``, at u = 1; None when the targets leave the
     column space of M for every z."""
-    _, _, a, q, h, r, k, s = system
+    _, _, a, q, h, r, _, k, s, _ = co
     minor = a * s - r * r
     left = (minor, a * r + q * s, -a * a - q * r)
     drift = sum(e * v for e, v in zip(left, targets))
@@ -245,13 +247,13 @@ def _solve_minor(system: tuple[int, ...], targets: list[int], slopes: list[int],
             Fraction(zn, zd))
 
 
-def _solve_eliminated(system: tuple[int, ...], targets: list[int], slopes: list[int],
+def _solve_eliminated(co: tuple[int, ...], targets: list[int], slopes: list[int],
                       scale: int, two_param: bool) -> _Solved:
     """(u, x, y, z) of ``_solve_witness`` for D = a·s − r² = 0, on the system
     of ``_solve_regular``, by one exact elimination of [M | −slopes |
     targets], with no slope column for a one-parameter table; None when it
     is inconsistent or fixes u = 0."""
-    _, g, a, q, h, r, k, s = system
+    _, g, a, q, h, r, _, k, s, _ = co
     rows = [[scale * g, scale * a, scale * q], [scale * h, scale * r, -scale * a],
             [scale * k, scale * s, -scale * r]]
     for row, target, slope in zip(rows, targets, slopes):
@@ -271,12 +273,12 @@ def _solve_eliminated(system: tuple[int, ...], targets: list[int], slopes: list[
     return (*particular[:3], particular[3] if two_param else Fraction(0))
 
 
-def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
+def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fraction,
              family_id: str, primary: Fraction, det: int) -> Certificate:
     """The certificate for ``p`` onto ``family_id``, where ``co`` are the
-    coordinates of ``p`` moved by diag(1, block) and ``det`` their shift
-    determinant.  The witness is diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]],
-    revalidated against ``p``.
+    cleared coordinates of ``p`` moved by diag(1, block), or of ``p`` when
+    ``block`` is None, and ``det`` their shift determinant.  The witness is
+    diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
     """
     solved = _solve_witness(co, c, family_id, primary, det)
     if solved is None:
@@ -284,29 +286,24 @@ def _certify(p: CommProduct, co: FamilyCoordinates, block: Matrix, c: Fraction,
     u, x, y, z = solved
     params = dict(zip(FAMILY_PARAMS[family_id], (primary, z)))
     family = FamilyInstance.make(family_id, **params)
-    (b11, b12), (b21, b22) = block.row_lists()
-    witness = AutoMatrix.from_rows([[u, 0, 0],
-                                    [b11 * x + b12 * y, b11 * c, b12 / c],
-                                    [b21 * x + b22 * y, b21 * c, b22 / c]])
-    cert = Certificate(input=p, family=family, witness=witness)
+    if block is None:
+        rows = [[u, 0, 0], [x, c, 0], [y, 0, 1 / c]]
+    else:
+        (b11, b12), (b21, b22) = block.row_lists()
+        rows = [[u, 0, 0],
+                [b11 * x + b12 * y, b11 * c, b12 / c],
+                [b21 * x + b22 * y, b21 * c, b22 / c]]
+    cert = Certificate(input=p, family=family, witness=AutoMatrix.from_rows(rows))
     if not cert.validate():
         raise RuntimeError(
             f"internal error: witness for {family_id} failed revalidation")
     return cert
 
 
-def _shift_system(co: FamilyCoordinates) -> tuple[int, int, int, int, int, int, int, int]:
-    """(den, g, a, q, h, r, k, s): the seven coordinates of the shift system
-    of ``_solve_witness`` times den, their least common denominator."""
-    coeffs = (co.g, co.a, co.q, co.h, co.r, co.k, co.s)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return (den, *(c.numerator * (den // c.denominator) for c in coeffs))
-
-
-def _shift_determinant(co: FamilyCoordinates) -> int:
+def _shift_determinant(co: tuple[int, ...]) -> int:
     """det [[g, a, q], [h, r, −a], [k, s, −r]], the shift system of
-    ``_solve_witness``, times the cube of the coordinates' common denominator."""
-    _, g, a, q, h, r, k, s = _shift_system(co)
+    ``_solve_witness``, times the cube of the scale of the cleared ``co``."""
+    _, g, a, q, h, r, _, k, s, _ = co
     return g * (a * s - r * r) + a * (h * r - a * k) + q * (h * s - r * k)
 
 
@@ -412,10 +409,8 @@ _TARGET_GROUPS = tuple(
          "onto the case-2 and case-4 table cubics has a non-square determinant",
          ((1, -3, 0, 3), (3, 0, -3, 1)))))
 
-_IDENTITY_BLOCK = Matrix.identity(2)
 
-
-def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], str]:
+def _candidate_blocks(co: tuple[int, ...]) -> tuple[list[Optional[Matrix]], str]:
     """The e2/e3 blocks the reduction tries after the identity, and the
     reason that stands when none certifies, also when there is none.
 
@@ -433,10 +428,11 @@ def _candidate_blocks(co: FamilyCoordinates) -> tuple[list[Optional[Matrix]], st
     so a case-2 or case-4 input certifies exactly when its matches onto h₂
     or the case-4 form have a square determinant; otherwise the identity
     block's ``NeedsExtension`` proves that no table is isomorphic to it.
+
+    ``co`` holds the coordinates on integers (``algebra._cleared_coordinates``)
+    on a positive scale, which leaves the matches unchanged.
     """
-    # cleared with the e1 components too: a positive scale of the cubic
-    # leaves its matches unchanged
-    _, _, a, q, _, r, _, s = _shift_system(co)
+    _, _, a, q, _, r, _, _, s, _ = co
     source = _hessian_frame((q, -3 * a, -3 * r, -s))
     if source is None:
         return [], ("the discriminant of the quotient cubic is not a nonzero "
@@ -467,11 +463,11 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     Inputs outside the sets are ``Unclassified`` even when a rational
     witness exists.
     """
-    co = family_coordinates(p)
-    case = case_of_coordinates(co)
+    co = _cleared_coordinates(p)
+    case = _case_of(*co[1:])
     if case is None:
         return Unclassified("no case condition set matches the structure constants")
-    in_case = _reduce_in_case(p, co, case, _IDENTITY_BLOCK)
+    in_case = _reduce_in_case(p, co, case, None)
     if isinstance(in_case, Certificate):
         return in_case
     blocks, reason = _candidate_blocks(co)
@@ -480,8 +476,8 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
             continue
         (b11, b12), (b21, b22) = block.row_lists()
         block_map = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
-        moved = family_coordinates(transport_product(p, block_map))
-        result = _reduce_in_case(p, moved, case_of_coordinates(moved), block)
+        moved = _cleared_coordinates(transport_product(p, block_map))
+        result = _reduce_in_case(p, moved, _case_of(*moved[1:]), block)
         if isinstance(result, Certificate):
             return result
     if in_case is None:
@@ -490,20 +486,24 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     return in_case
 
 
-def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
-                    block: Matrix) -> Union[Certificate, NeedsExtension, None]:
+def _reduce_in_case(p: CommProduct, co: tuple[int, ...], case: CaseId,
+                    block: Optional[Matrix]) -> Union[Certificate, NeedsExtension, None]:
     """Each case picks its ordered (family, radicand) candidates, the root
     degree pinning the block scaling c, and the radicand ``NeedsExtension``
     reports; the first candidate with a rational root is certified.  None
-    when the e2/e3 block is off the shape of the case's tables."""
-    g, a, q, h, r, k, s = co.g, co.a, co.q, co.h, co.r, co.k, co.s
+    when the e2/e3 block is off the shape of the case's tables.
+
+    ``co`` are the cleared coordinates (``algebra._cleared_coordinates``)
+    of ``p`` moved by diag(1, block), or of ``p`` when ``block`` is None;
+    every test here is homogeneous in them, and the radicands are ratios."""
+    den, g, a, q, h, r, _, k, s, _ = co
     if (case.case == 2 and q * q * s != -3 * a ** 3
             or case.case == 4 and 3 * r ** 3 != q * s * s):
         return None
     det = _shift_determinant(co)
     singular = det == 0
     if case.case == 1:
-        rad_t2, rad_t3 = -3 * a / s, Fraction(-4, 3) * a / s
+        rad_t2, rad_t3 = Fraction(-3 * a, s), Fraction(-4 * a, 3 * s)
         candidates = ([("T1", rad_t2)] if singular else
                       [("T3", rad_t3), ("T4" if case.subcase == "d" else "T2", rad_t2)])
         # subcase c has k = 0, so D = a·g·s never vanishes
@@ -513,7 +513,7 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
             target = "T5" if g == 0 else "T6"
         else:
             target = "T7" if case.subcase == "c" else "T8"
-        candidates, degree = [(target, q / a)], 2
+        candidates, degree = [(target, Fraction(q, a))], 2
     elif case.case == 3:
         if singular:
             target = "T9"
@@ -521,20 +521,23 @@ def _reduce_in_case(p: CommProduct, co: FamilyCoordinates, case: CaseId,
             target = "T11" if k == 0 else "T12"
         else:
             target = "T10"
-        candidates, degree = [(target, q / (3 * r))], 4
+        candidates, degree = [(target, Fraction(q, 3 * r))], 4
     else:
         if singular:
             target = "T13" if g == 0 else "T15"
         else:
             target = "T14" if case.subcase == "b" else "T16"
-        candidates, degree = [(target, -r / s)], 2
+        candidates, degree = [(target, Fraction(-r, s))], 2
     if case.case != 1:
         reported = candidates[0][1]
 
     for family_id, radicand in candidates:
         c = rational_root(radicand, degree)
         if c is not None:
-            primary = a / c if case.case in (1, 2) else -r * c
+            if case.case in (1, 2):  # a/c and −r·c
+                primary = Fraction(a * c.denominator, den * c.numerator)
+            else:
+                primary = Fraction(-r * c.numerator, den * c.denominator)
             return _certify(p, co, block, c, family_id, primary, det)
     return NeedsExtension(reported, degree)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .linalg import _Record, rat
-from .algebra import CommProduct, FamilyCoordinates, family_coordinates
+from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix
@@ -201,23 +201,31 @@ def detect_case(p: CommProduct) -> Optional[CaseId]:
     of the canonical classification).  Raises ShapeMismatch when ``p`` is
     not in the solved compatible family at all.
     """
-    return case_of_coordinates(family_coordinates(p))
+    return _case_of(*_cleared_coordinates(p)[1:])
 
 
 def case_of_coordinates(c: FamilyCoordinates) -> Optional[CaseId]:
     """``detect_case`` on already extracted solved-family coordinates."""
+    return _case_of(c.g, c.a, c.q, c.h, c.r, c.w, c.k, c.s, c.t)
+
+
+def _case_of(g, a, q, h, r, w, k, s, t) -> Optional[CaseId]:
+    """The case test on the coordinates (g, a, q, h, r, w, k, s, t) times
+    any positive scale: every condition compares with zero or equates two
+    coordinates, so ``Fraction``s and the ``int``s of
+    ``algebra._cleared_coordinates`` give the same answer."""
     case: Optional[int] = None
-    if c.r == 0 and c.t == 0 and c.w == -c.a and c.a != 0 and c.s != 0:
-        case = 1 if c.q == 0 else 2
-    elif c.a == 0 and c.w == 0 and c.r == -c.t and c.r != 0 and c.q != 0:
-        case = 3 if c.s == 0 else 4
+    if r == 0 and t == 0 and w == -a and a != 0 and s != 0:
+        case = 1 if q == 0 else 2
+    elif a == 0 and w == 0 and r == -t and r != 0 and q != 0:
+        case = 3 if s == 0 else 4
     if case is None:
         return None
-    if c.g == 0:
+    if g == 0:
         sub = "a"
-    elif c.h == 0:
+    elif h == 0:
         sub = "b"
-    elif c.k == 0:
+    elif k == 0:
         sub = "c"
     else:
         sub = "d"

@@ -32,9 +32,16 @@ class NotAutomorphism(ValueError):
 
 def _is_a3_shape(m: Matrix) -> bool:
     """Whether the 3×3 map has the automorphism shape of [e1,e2,e3] = e1:
-    Λ12 = Λ13 = 0, Λ11 ≠ 0 and Λ22·Λ33 − Λ23·Λ32 = 1."""
+    Λ12 = Λ13 = 0, Λ11 ≠ 0 and Λ22·Λ33 − Λ23·Λ32 = 1, decided on
+    numerators and denominators: with B = [[b11, b12], [b21, b22]] and
+    bij = nij/dij, det B = 1 reads n11·n22·d12·d21 − n12·n21·d11·d22 =
+    d11·d12·d21·d22."""
     u, l12, l13, _, b11, b12, _, b21, b22 = m.entries
-    return l12 == 0 and l13 == 0 and u != 0 and b11 * b22 - b12 * b21 == 1
+    if l12.numerator or l13.numerator or not u.numerator:
+        return False
+    d11, d12, d21, d22 = b11.denominator, b12.denominator, b21.denominator, b22.denominator
+    return (b11.numerator * b22.numerator * d12 * d21
+            - b12.numerator * b21.numerator * d11 * d22 == d11 * d12 * d21 * d22)
 
 
 def _a3_inverse(m: Matrix) -> Matrix:

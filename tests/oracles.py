@@ -17,7 +17,11 @@ objects, kept so the tests can state them independently of the fast path:
   arbitrary vectors;
 * ``build_derivation_system`` and ``build_product_system`` are the dense
   systems whose kernels the solved spaces are, and ``left_multiplication``
-  is the matrix those systems constrain.
+  is the matrix those systems constrain;
+* ``reference_family_coordinates`` and ``reference_case`` are the shape
+  test and the case test in ``Fraction`` arithmetic on the stored entries,
+  the references for the integer read ``algebra._cleared_coordinates`` and
+  the case helper ``families._case_of``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from tpl3.algebra import CommProduct, TriBracket
+from tpl3.algebra import CommProduct, FamilyCoordinates, ShapeMismatch, TriBracket
+from tpl3.families import CaseId
 from tpl3.derivations import (DerivationQuery, _derivation_rows, _moved_rows,
                               _sym_pairs)
 from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _cleared, _densify, _kernel,
@@ -158,3 +163,32 @@ def build_product_system(b: TriBracket) -> tuple[Matrix, tuple[tuple[int, int], 
     rows = list(_derivation_rows(DerivationQuery(b)))
     ncols = len(pairs) * b.dim
     return _dense(_moved_rows(rows, b.dim, range(ncols)), ncols), pairs
+
+
+def reference_family_coordinates(p: CommProduct) -> FamilyCoordinates:
+    """The solved-family coordinates of ``p`` read from its stored entries
+    in ``Fraction`` arithmetic; ShapeMismatch unless e1·e1 = 0, e1·e2 =
+    ((a+w)/2) e1 and e1·e3 = ((r+t)/2) e1."""
+    if p.dim != 3:
+        raise ShapeMismatch(f"expected dimension 3, got {p.dim}")
+    g, a, q = p.basis_product(2, 2)
+    h, r, w = p.basis_product(2, 3)
+    k, s, t = p.basis_product(3, 3)
+    if (p.basis_product(1, 1) != Vector.zero(3)
+            or p.basis_product(1, 2) != Vector([(a + w) / 2, 0, 0])
+            or p.basis_product(1, 3) != Vector([(r + t) / 2, 0, 0])):
+        raise ShapeMismatch("product is outside the compatible family")
+    return FamilyCoordinates(g, a, q, h, r, w, k, s, t)
+
+
+def reference_case(c: FamilyCoordinates):
+    """The case condition set and subcase letter of the coordinates, as the
+    module docstring of ``tpl3.families`` states them, or None."""
+    if c.r == c.t == 0 and c.w == -c.a != 0 and c.s != 0:
+        case = 1 if c.q == 0 else 2
+    elif c.a == c.w == 0 and c.r == -c.t != 0 and c.q != 0:
+        case = 3 if c.s == 0 else 4
+    else:
+        return None
+    sub = "a" if c.g == 0 else "b" if c.h == 0 else "c" if c.k == 0 else "d"
+    return CaseId(case, sub)

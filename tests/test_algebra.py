@@ -457,6 +457,134 @@ def test_family_coordinates_of_absent_entries_are_fractions():
         assert all(type(x) is F for x in values)
 
 
+#: the products of the three ShapeMismatch tests above, one per kind
+SHAPE_MISMATCHES = {
+    **{f"e1·e1 entry {i}": shifted(SHAPED, (1, 1), i, 1) for i in range(3)},
+    **{f"e1·e{j} entry {i}": shifted(SHAPED, (1, j), i, F(-1, 3))
+       for j in (2, 3) for i in (1, 2)},
+    **{f"e1·e{j} coefficient": shifted(SHAPED, (1, j), 0, 1) for j in (2, 3)},
+    "e1·e2 missing": CommProduct(3, {key: v for key, v in SHAPED.table.items()
+                                     if key != (1, 2)}),
+}
+
+#: denominators of the mixed-denominator draws
+MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 12, 35)
+
+
+def mixed_rat(rng: random.Random, nonzero: bool = False) -> F:
+    while True:
+        value = F(rng.randint(-9, 9), rng.choice(MIXED_DENOMINATORS))
+        if value or not nonzero:
+            return value
+
+
+def mixed_coordinates(rng: random.Random, trial: int) -> FamilyCoordinates:
+    """Coordinates over mixed denominators; every third draw is in one of
+    the four case condition sets, with a random subcase zero pattern."""
+    values = [mixed_rat(rng) if rng.random() < 0.8 else F(0) for _ in range(9)]
+    g, a, q, h, r, w, k, s, t = values
+    if trial % 3 == 0:
+        case = 1 + trial // 6 % 4
+        g, h, k = (mixed_rat(rng, nonzero=True) for _ in range(3))
+        sub = rng.choice("abcd")
+        g, h, k = (F(0) if sub == "a" else g, F(0) if sub == "b" else h,
+                   F(0) if sub == "c" else k)
+        nonzero = [mixed_rat(rng, nonzero=True) for _ in range(3)]
+        if case in (1, 2):
+            a, s, r, t, q = nonzero[0], nonzero[1], F(0), F(0), (F(0) if case == 1 else nonzero[2])
+            w = -a
+        else:
+            r, q, a, w, s = nonzero[0], nonzero[1], F(0), F(0), (F(0) if case == 3 else nonzero[2])
+            t = -r
+    return FamilyCoordinates(g, a, q, h, r, w, k, s, t)
+
+
+def mixed_product(rng: random.Random, trial: int) -> tuple[CommProduct, str]:
+    """A family product over mixed denominators, or one of the
+    ShapeMismatch kinds of ``SHAPE_MISMATCHES`` applied to one."""
+    p = mixed_coordinates(rng, trial).as_product()
+    kind = "in family" if trial % 2 else rng.choice(tuple(SHAPE_MISMATCHES))
+    if kind.startswith("e1·e1"):
+        p = shifted(p, (1, 1), int(kind[-1]), mixed_rat(rng, nonzero=True))
+    elif kind.endswith("coefficient"):
+        p = shifted(p, (1, int(kind[4])), 0, mixed_rat(rng, nonzero=True))
+    elif kind.endswith("missing"):
+        # absent, or present and not (a+w)/2 when a + w = 0
+        table = dict(p.table)
+        if table.pop((1, 2), None) is None:
+            table[(1, 2)] = Vector([mixed_rat(rng, nonzero=True), 0, 0])
+        p = CommProduct(3, table)
+    elif kind.startswith("e1·e"):
+        p = shifted(p, (1, int(kind[4])), int(kind[-1]), mixed_rat(rng, nonzero=True))
+    return p, kind
+
+
+def test_integer_read_matches_the_fraction_reference():
+    # the integer read and its Fraction wrapper against the shape test on
+    # stored Fractions, and the integer case helper against the case test:
+    # on every ShapeMismatch kind above, on a wrong dimension, and on mixed
+    # denominator products of every kind
+    from tpl3.algebra import _cleared_coordinates
+    from tpl3.families import _case_of, case_of_coordinates, detect_case
+    from oracles import reference_case, reference_family_coordinates
+
+    products = [(p, kind) for kind, p in SHAPE_MISMATCHES.items()]
+    products += [(SHAPED, "in family"), (CommProduct.zero(3), "in family"),
+                 (CommProduct(2, {}), "dimension")]
+    rng = random.Random(83)
+    products += [mixed_product(rng, trial) for trial in range(1200)]
+    seen = Counter()
+    for p, kind in products:
+        try:
+            expected = reference_family_coordinates(p)
+        except ShapeMismatch:
+            with pytest.raises(ShapeMismatch):
+                _cleared_coordinates(p)
+            with pytest.raises(ShapeMismatch):
+                family_coordinates(p)
+            with pytest.raises(ShapeMismatch):
+                detect_case(p)
+            seen[f"mismatch: {kind}"] += 1
+            continue
+        den, *values = read = _cleared_coordinates(p)
+        assert den == _product_table(p)[0] and all(type(v) is int for v in read)
+        assert FamilyCoordinates(*(F(v, den) for v in values)) == expected, p
+        assert family_coordinates(p) == expected
+        case = reference_case(expected)
+        assert _case_of(*values) == case_of_coordinates(expected) == detect_case(p) == case
+        seen[f"{kind}: {case or 'no case'}"] += 1
+    assert {f"mismatch: {kind}" for kind in (*SHAPE_MISMATCHES, "dimension")} <= set(seen)
+    assert min(seen[f"mismatch: {kind}"] for kind in SHAPE_MISMATCHES) >= 30, seen
+    assert {f"in family: {case}-{sub}" for case in (1, 2, 3, 4) for sub in "abcd"} <= set(seen)
+    assert seen["in family: no case"] >= 100, seen
+
+
+def test_product_table_memo_stays_outside_the_value():
+    # the memo is built once, never copied, pickled, compared, hashed or
+    # shown, and classify answers alike on a fresh product and on one whose
+    # memo is filled
+    import copy
+    import pickle
+
+    from tpl3 import classify
+
+    rng = random.Random(89)
+    products = [mixed_product(rng, trial)[0] for trial in range(240)]
+    products += classify_mix_products(1, 12)
+    for p in products:
+        fresh = CommProduct(p.dim, p.table)
+        shown = (hash(p), repr(p))
+        assert p._table is None
+        table = _product_table(p)
+        assert _product_table(p) is table is p._table
+        snapshot = copy.deepcopy(table)
+        assert p == fresh and (hash(p), repr(p)) == shown
+        for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert other == p and other._table is None and repr(other) == repr(p)
+        assert classify(A3, p) == classify(A3, fresh)
+        assert p._table is table and table == snapshot == fresh._table
+
+
 def test_remark_residuals_zero_product():
     assert remark_associativity_residuals(CommProduct.zero(3)) == [0] * 8
 

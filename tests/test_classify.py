@@ -487,10 +487,18 @@ def test_needs_extension_has_no_certified_image_on_a_small_grid():
 
 # --- the shift determinant and the finisher ---------------------------------------
 
+def cleared(co: FamilyCoordinates) -> tuple[int, ...]:
+    """The integer read of the reduction, (D, g, a, q, h, r, w, k, s, t), of
+    the product with the coordinates ``co``."""
+    from tpl3.algebra import _cleared_coordinates
+
+    return _cleared_coordinates(co.as_product())
+
+
 def shift_determinant(g, a, q, h, r, k, s):
     from tpl3.classify import _shift_determinant
 
-    return _shift_determinant(FamilyCoordinates(g, a, q, h, r, -a, k, s, -r))
+    return _shift_determinant(cleared(FamilyCoordinates(g, a, q, h, r, -a, k, s, -r)))
 
 
 def singular_k(g, a, q, h, r, s):
@@ -817,7 +825,7 @@ def test_solve_witness_matches_two_attempt_oracle():
                         rand_rat(rng, nonzero=True)))
     seen = Counter()
     for args in systems:
-        assert _solve_witness(*args) == oracle_solve_witness(*args), args
+        assert _solve_witness(cleared(args[0]), *args[1:]) == oracle_solve_witness(*args), args
         seen.update(witness_system_kinds(*args))
     assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
             "infeasible", "two-parameter"} <= set(seen)
@@ -857,7 +865,7 @@ def test_solve_rows_matches_solve_affine_on_witness_systems():
             particular, kernel = _solve_rows(augmented)
             assert (Vector(particular), [Vector(_densify(v, ncols)) for v in kernel]) == expected
             seen.add(f"kernel dimension {len(kernel)}")
-        assert _solve_witness(*args) == oracle_solve_witness(*args), args
+        assert _solve_witness(cleared(co), *args[1:]) == oracle_solve_witness(*args), args
         kinds = witness_system_kinds(*args)
         seen |= kinds
         branches.update(kinds & SOLVE_BRANCHES)
@@ -881,10 +889,11 @@ def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
         return solve_rows(rows)
 
     def recording(co, *args):
+        # co is the integer read (D, g, a, q, h, r, w, k, s, t)
         before = len(eliminations)
         out = solve_witness(co, *args)
-        shifts = Matrix.from_rows([[co.g, co.a, co.q], [co.h, co.r, -co.a],
-                                   [co.k, co.s, -co.r]])
+        _, g, a, q, h, r, _, k, s, _ = co
+        shifts = Matrix.from_rows([[g, a, q], [h, r, -a], [k, s, -r]])
         calls.append((determinant(shifts) != 0, len(eliminations) - before))
         return out
 
@@ -1175,7 +1184,7 @@ def test_cubic_root_finder_matches_reference():
             "non-square discriminant": 0, "square, irreducible": 0}
     for trial in range(2500):
         cubic = random_cubic(rng, trial % 5)
-        blocks, reason = _candidate_blocks(cubic_coordinates(cubic))
+        blocks, reason = _candidate_blocks(cleared(cubic_coordinates(cubic)))
         roots = reference_rational_roots_of_cubic(*cubic)
         if roots is None:
             assert reason != SPLIT_REASON, cubic
@@ -1297,7 +1306,7 @@ def test_cubic_matcher_big_split_roots():
         f = [F(rng.choice((-1, 1)) * abs(big(rng.randint(1, 30))), rng.randint(1, 10 ** 6))]
         for p, q in roots:
             f = form_product(f, [q, -p])
-        blocks, reason = _candidate_blocks(cubic_coordinates(f))
+        blocks, reason = _candidate_blocks(cleared(cubic_coordinates(f)))
         assert reason == SPLIT_REASON and len(blocks) == 18
         expected = {first_row_positive(block) for target in SPLIT_TARGETS
                     for perm in permutations(roots)
@@ -1312,13 +1321,13 @@ def test_cubic_matcher_big_cyclic_cubics():
     from tpl3.classify import _candidate_blocks
     rng = random.Random(61)
     cubic = [F(1), F(0), F(-3), F(1)]
-    blocks, reason = _candidate_blocks(cubic_coordinates(cubic))
+    blocks, reason = _candidate_blocks(cleared(cubic_coordinates(cubic)))
     assert reason == IRREDUCIBLE_REASON
     classes = [b is None for b in blocks]
     for _ in range(20):
         image = substitute(cubic, big_sl2(rng))
         assert cubic_discriminant(*image) == 81
-        blocks, reason = _candidate_blocks(cubic_coordinates(image))
+        blocks, reason = _candidate_blocks(cleared(cubic_coordinates(image)))
         assert reason == IRREDUCIBLE_REASON and [b is None for b in blocks] == classes
         assert all(proportional(moved_cubic(image, b), target)
                    for b, target in zip(blocks, [H2] * 3 + [H4] * 3) if b is not None)

@@ -71,6 +71,42 @@ def test_a3_automorphism_check_examples():
     assert not a3_automorphism_check(AutoMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
 
 
+def fraction_a3_shape(m: Matrix) -> bool:
+    """The automorphism-shape test in ``Fraction`` arithmetic."""
+    u, l12, l13, _, b11, b12, _, b21, b22 = m.entries
+    return l12 == 0 and l13 == 0 and u != 0 and b11 * b22 - b12 * b21 == 1
+
+
+def test_integer_a3_shape_matches_the_fraction_formula():
+    # det B = 1 decided on numerators and denominators: exactly 1, 1 ± 1/N
+    # for N up to 10¹², a zero corner, and a nonzero Λ12 or Λ13, over
+    # denominators up to 10⁶
+    from tpl3.morphisms import _is_a3_shape
+
+    rng = random.Random(97)
+
+    def entry(nonzero=False):
+        while True:
+            value = F(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 12, 10 ** 6)))
+            if value or not nonzero:
+                return value
+
+    kinds = ("det 1", "det 1 + 1/N", "det 1 - 1/N", "zero corner", "Λ12 or Λ13")
+    for trial in range(1500):
+        kind = kinds[trial % 5]
+        b11, b12, b21 = entry(nonzero=True), entry(), entry()
+        det = {"det 1 + 1/N": 1 + F(1, rng.randint(1, 10 ** 12)),
+               "det 1 - 1/N": 1 - F(1, rng.randint(2, 10 ** 12))}.get(kind, F(1))
+        b22 = (det + b12 * b21) / b11
+        top = [entry(nonzero=True), F(0), F(0)]
+        if kind == "zero corner":
+            top[0] = F(0)
+        elif kind == "Λ12 or Λ13":
+            top[rng.choice((1, 2))] = entry(nonzero=True)
+        m = Matrix.from_rows([top, [entry(), b11, b12], [entry(), b21, b22]])
+        assert _is_a3_shape(m) == fraction_a3_shape(m) == (kind == "det 1"), (kind, m)
+
+
 def test_check_agreement_with_bracket_automorphism():
     # closed-form check agrees with the structure-constant check on random
     # invertible maps and on all sixteen canonical automorphisms
