@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Mapping
 
-from .linalg import DimensionMismatch, Vector, _Record
+from .linalg import DimensionMismatch, Vector, _from_fractions, _Record
 
 
 class ShapeMismatch(ValueError):
@@ -232,9 +232,15 @@ def structure_table(b: TriBracket) -> tuple[int, list[list[list[tuple[tuple[int,
     return den, table
 
 
-def _unscaled(values: list, den: int) -> Vector:
-    """The ``Vector`` of a coordinate list that is ``den`` times the value."""
-    return Vector(values if den == 1 else [Fraction(v, den) for v in values])
+_ZERO = Fraction(0)
+
+
+def _unscaled(values: list[int], den: int) -> Vector:
+    """The ``Vector`` of an ``int`` coordinate list that is ``den`` times the
+    value.  Each entry is built once, as ``Fraction(v, den)``, and every zero
+    is one shared ``Fraction(0)``; the tuple goes to ``Vector`` through
+    ``linalg._from_fractions``, with no second pass through ``rat``."""
+    return _from_fractions(Vector, tuple([Fraction(v, den) if v else _ZERO for v in values]))
 
 
 def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
@@ -258,14 +264,14 @@ def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int]
     if p._table is not None:
         return p._table
     n = p.dim
-    # one flat pass over the stored entries, n per stored pair
+    # one as_integer_ratio pass over the stored entries, n per stored pair
     ratios = [e.as_integer_ratio() for coeffs in p.table.values() for e in coeffs.entries]
     den = math.lcm(*[d for _, d in ratios])
     table = [[()] * n for _ in range(n)]
-    for start, (i, j) in zip(range(0, len(ratios), n), p.table):
+    entries = iter(ratios)
+    for i, j in p.table:
         row = []
-        for t in range(n):
-            num, d = ratios[start + t]
+        for t, (num, d) in enumerate(islice(entries, n)):
             if num:
                 row.append((t, num * (den // d)))
         table[i - 1][j - 1] = table[j - 1][i - 1] = tuple(row)

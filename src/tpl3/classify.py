@@ -50,10 +50,11 @@ import random
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import (Infeasible, Matrix, _Record, _integer_root, _solve_rows, rank,
-                     rational_root)
-from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation,
-                      _cleared_coordinates, a3_bracket, check_transposed_leibniz)
+from .linalg import (Infeasible, Matrix, _from_fractions, _Record, _integer_root, _solve_rows,
+                     rank, rational_root)
+from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
+                      _cleared_coordinates, a3_bracket, check_transposed_leibniz,
+                      structure_table)
 from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
@@ -286,14 +287,17 @@ def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fr
     u, x, y, z = solved
     params = dict(zip(FAMILY_PARAMS[family_id], (primary, z)))
     family = FamilyInstance.make(family_id, **params)
+    # the nine entries are Fractions, built once each: the solved values,
+    # c and the block are Fractions, and so is every product and quotient
     if block is None:
-        rows = [[u, 0, 0], [x, c, 0], [y, 0, 1 / c]]
+        entries = (u, _ZERO, _ZERO, x, c, _ZERO, y, _ZERO, 1 / c)
     else:
-        (b11, b12), (b21, b22) = block.row_lists()
-        rows = [[u, 0, 0],
-                [b11 * x + b12 * y, b11 * c, b12 / c],
-                [b21 * x + b22 * y, b21 * c, b22 / c]]
-    cert = Certificate(input=p, family=family, witness=AutoMatrix.from_rows(rows))
+        b11, b12, b21, b22 = block.entries
+        entries = (u, _ZERO, _ZERO,
+                   b11 * x + b12 * y, b11 * c, b12 / c,
+                   b21 * x + b22 * y, b21 * c, b22 / c)
+    witness = AutoMatrix(_from_fractions(Matrix, 3, 3, entries))
+    cert = Certificate(input=p, family=family, witness=witness)
     if not cert.validate():
         raise RuntimeError(
             f"internal error: witness for {family_id} failed revalidation")
@@ -542,15 +546,30 @@ def _reduce_in_case(p: CommProduct, co: tuple[int, ...], case: CaseId,
     return NeedsExtension(reported, degree)
 
 
-_STANDARD_BRACKET = a3_bracket()
+#: the integer structure table of [e1,e2,e3] = e1, as ``structure_table``
+#: returns it
+_STANDARD_TABLE = structure_table(a3_bracket())
 
 
 def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
     """Full pipeline: bracket check, then normalisation.  The coupling
     identity holds exactly on the solved family, so only a product that
     ``normalize`` rejects by shape runs the identity check, whose report
-    becomes ``NotTransposedPoisson`` (a wrong dimension raises there)."""
-    if b != _STANDARD_BRACKET:
+    becomes ``NotTransposedPoisson`` (a wrong dimension raises there).
+
+    The bracket check compares integer tables: ``b`` is [e1,e2,e3] = e1
+    exactly when it has dimension 3 and ``structure_table(b)`` equals that
+    of the standard bracket.  The dimension is tested first, so a bracket of
+    another dimension builds no table.  The test is exact: D is the least
+    common denominator of the stored coefficients and the table holds every
+    nonzero one times D, so (D, table) determines the coefficients, and
+    ``TriBracket`` drops zero vectors on construction, so equal coefficients
+    are equal brackets.  A certificate's witness is built by
+    ``linalg._from_fractions`` from a tuple of nine ``Fraction``s, which is
+    that constructor's whole contract (see ``_certify``), and still through
+    ``AutoMatrix``, so its shape check runs on construction.
+    """
+    if b.dim != 3 or structure_table(b) != _STANDARD_TABLE:
         return Unsupported(
             "classification is implemented for the standard bracket "
             "[e1,e2,e3] = e1 only")

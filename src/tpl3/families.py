@@ -176,17 +176,19 @@ def _table_form(family_id: str) -> tuple[int, _Rows, _Rows]:
 def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
     """The six pair rows of a family instance's table on integers: ``(den,
     rows)`` with den·pair_rows = rows, read from ``_table_form``; a missing
-    secondary parameter reads as 0, as in ``canonical_coordinates``."""
+    secondary parameter reads as 0, as in ``canonical_coordinates``.  Each
+    parameter is read once, by ``as_integer_ratio``, and each row is one
+    3-tuple of ``int``s."""
     if f.id not in FAMILY_PARAMS:
         raise ValueError(f"unknown family id {f.id!r}")
     values = f.param_map
     primary, *secondary = FAMILY_PARAMS[f.id]
-    p = values[primary]
-    s = values.get(secondary[0], _Z) if secondary else _Z
+    pn, pd = values[primary].as_integer_ratio()
+    sn, sd = (values.get(secondary[0], _Z) if secondary else _Z).as_integer_ratio()
     den, first, second = _table_form(f.id)
-    x, y = p.numerator * s.denominator, s.numerator * p.denominator
-    return den * p.denominator * s.denominator, [
-        tuple(x * e + y * d for e, d in zip(row, slope)) for row, slope in zip(first, second)]
+    x, y = pn * sd, sn * pd
+    return den * pd * sd, [(x * e0 + y * d0, x * e1 + y * d1, x * e2 + y * d2)
+                           for (e0, e1, e2), (d0, d1, d2) in zip(first, second)]
 
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:

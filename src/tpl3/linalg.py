@@ -30,7 +30,17 @@ off [m | b] and in the entries of the inverse that ``invert`` reads off
 integer readers of the package follow the same convention: the structure
 constants and product tables of ``algebra`` and the maps that
 ``morphisms`` transports by are cleared to integers over one denominator,
-and each reported entry is divided once.
+and each reported entry is divided once.  Such an entry is already a
+``Fraction``, so the ``Vector``s of ``algebra._unscaled`` and the
+certificate witnesses of ``classify`` are built by ``_from_fractions``,
+which stores a tuple of ``Fraction``s as it is, with no second pass
+through ``rat``; its docstring states the contract.  The public
+constructors still coerce every entry.
+
+``rational_root`` takes square roots by ``math.isqrt``, and fourth roots
+by ``math.isqrt`` twice, with one exact power check; only other degrees
+bisect with ``_integer_root``, which the cubic matcher of ``classify``
+also uses.
 
 ``_solve_rows`` is the affine solve on plain lists: it takes the dense
 rational rows of [m | b] and returns the particular solution as a list and
@@ -173,6 +183,26 @@ class _Record:
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+def _from_fractions(cls, *fields):
+    """A ``Vector`` or ``Matrix`` from its fields as they are stored, with no
+    coercion and no check: ``_from_fractions(Vector, entries)`` or
+    ``_from_fractions(Matrix, rows, cols, entries)``.
+
+    The caller's contract: ``entries`` is a tuple whose every item is
+    exactly a ``Fraction`` (reduced, as every ``Fraction`` is), of positive
+    length ``dim`` for a ``Vector`` and ``rows * cols`` for a ``Matrix``.
+    That is what the public constructors store after ``rat``, so the record
+    compares, hashes, prints and pickles like the one they build.  The
+    integer readers of ``algebra`` and the certifier of ``classify`` use it
+    for values they have just divided out, which ``rat`` would only pass
+    through; every other caller goes through the public constructors.
+    """
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(record, name, value)
+    return record
 
 
 class Vector(_Record):
@@ -570,16 +600,28 @@ def rational_root(q: Fraction | int, degree: int) -> Fraction | None:
 
     ``degree`` must be even here (2 or 4 in this package), so a negative
     radicand never has a root.  The root's numerator and denominator are
-    the integer roots of z**degree - k for k the numerator and denominator
-    of q.  For k >= 1 that polynomial has one positive root, and it is -k
-    at 0 and at least 2**bits(k) - k > 0 at 2**ceil(bits(k)/degree), so
-    ``_integer_root`` decides it in about bits(k)/degree evaluations.
+    the integer roots of z**degree = k for k the numerator and denominator
+    of q, which are coprime, so q has a rational root exactly when both
+    have integer ones.  For degrees 2 and 4, z is ``math.isqrt(k)``, taken
+    twice for degree 4: the floor of the square root of the floor of √k is
+    the floor of k**(1/4).  One exact power check per k decides it.  Any
+    other degree bisects with ``_integer_root``: z**degree − k is −k at 0
+    and at least 2**bits(k) − k > 0 at 2**ceil(bits(k)/degree), so that
+    takes about bits(k)/degree evaluations.
     """
     if q <= 0:
         return Fraction(0) if q == 0 else None
-    num, den = (_integer_root(lambda z: z ** degree - k, 0,
-                              1 << -(-k.bit_length() // degree))
-                for k in (q.numerator, q.denominator))
-    if num is None or den is None:
+    num, den = q.as_integer_ratio()
+    if degree == 2 or degree == 4:
+        z_num, z_den = math.isqrt(num), math.isqrt(den)
+        if degree == 4:
+            z_num, z_den = math.isqrt(z_num), math.isqrt(z_den)
+        if z_num ** degree != num or z_den ** degree != den:
+            return None
+        return Fraction(z_num, z_den)
+    z_num, z_den = (_integer_root(lambda z: z ** degree - k, 0,
+                                  1 << -(-k.bit_length() // degree))
+                    for k in (num, den))
+    if z_num is None or z_den is None:
         return None
-    return Fraction(num, den)
+    return Fraction(z_num, z_den)

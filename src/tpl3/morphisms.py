@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from .linalg import DimensionMismatch, Matrix, Singular, _Record, invert, vec_mat
@@ -140,10 +141,24 @@ def a3_automorphism_check(m: AutoMatrix) -> bool:
 def _supports(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
     """The map over one common denominator: ``(D, rows)``, where ``rows[i]``
     lists the nonzero (j, c) with Λ_ij = c/D, each c an ``int``, all
-    indices 0-based, and D is the least common denominator of the entries."""
-    den = math.lcm(*(e.denominator for e in m.entries))
-    return den, [[(j, e.numerator * (den // e.denominator)) for j, e in enumerate(row) if e]
-                 for row in m.row_lists()]
+    indices 0-based, and D is the least common denominator of the entries.
+    One ``as_integer_ratio`` pass over the flat entries feeds both."""
+    ratios = [e.as_integer_ratio() for e in m.entries]
+    den = math.lcm(*[d for _, d in ratios])
+    cols = m.cols
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(m.rows)]
+    for idx, (num, d) in enumerate(ratios):
+        if num:
+            i, j = divmod(idx, cols)
+            rows[i].append((j, num * (den // d)))
+    return den, rows
+
+
+@cache
+def _basis_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The 0-based basis pairs i <= j of dimension n, in the order of
+    ``combinations_with_replacement``, built once per dimension."""
+    return tuple(combinations_with_replacement(range(n), 2))
 
 
 def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
@@ -197,22 +212,29 @@ def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
     With the product over D_p (``_product_table``) and Λ over D
     (``_supports``), the left side is an ``int`` list over D_p·D and the
     right side one over D²·den, so each is cross-multiplied by the other's
-    denominator (the common factor D cancelled).  For an invertible φ this
-    holds exactly when ``transport_product(p, m)`` is ∗.
+    denominator (the common factor D cancelled): the product constants by
+    D·den as they are read, and the table entries by D_p as ∗ is built.
+    The two scaled lists are then compared with ``!=``.  For an invertible
+    φ this holds exactly when ``transport_product(p, m)`` is ∗.
     """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
     n = p.dim
     den_p, prod = _product_table(p)
     den_map, image = _supports(m.map)
-    pairs = list(combinations_with_replacement(range(n), 2))
+    pairs = _basis_pairs(n)
     target = [[()] * n for _ in range(n)]
     for (i, j), row in zip(pairs, rows):
-        target[i][j] = target[j][i] = tuple((t, c) for t, c in enumerate(row) if c)
-    left_scale, right_scale = den_map * den, den_p
+        scaled = []
+        for t, c in enumerate(row):
+            if c:
+                scaled.append((t, c * den_p))
+        target[i][j] = target[j][i] = scaled
+    left_scale = den_map * den
     for i, j in pairs:
         left = [0] * n
         for t, c in prod[i][j]:
+            c *= left_scale
             for k, e in image[t]:
                 left[k] += c * e
         right = [0] * n
@@ -222,7 +244,7 @@ def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
                 xy = x * y
                 for t, c in row[u]:
                     right[t] += xy * c
-        if any(a * left_scale != b * right_scale for a, b in zip(left, right)):
+        if left != right:
             return False
     return True
 

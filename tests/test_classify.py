@@ -15,13 +15,14 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, FAMILY_IDS, FAMILY_PARAMS,
                   Singular, TriBracket, Unclassified, Unsupported, Vector,
                   a3_automorphism_check, a3_bracket, check_transposed_leibniz, classify,
                   delta_derivations, detect_case, draw_family_params, family_coordinates,
-                  fingerprint, instantiate_family, normalize, rank,
+                  fingerprint, instantiate_family, normalize, parse_document, rank,
                   rational_root, solve_affine, tp_product_space, transport_bracket,
                   transport_product, verify_all_cases, verify_paper_case)
 from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, rand_rat,
                       scaled_shift_witness)
 from oracles import determinant, kernel_basis, left_multiplication
 from test_algebra import classify_mix_products
+from test_classify_digest import corpus
 from test_linalg import oracle_solve_affine
 from test_morphisms import reference_inverse
 from tpl3.families import _table_form, canonical_coordinates, table_rows
@@ -101,6 +102,72 @@ def test_classify_unsupported_bracket():
     assert isinstance(classify(other, CommProduct.zero(3)), Unsupported)
     scaled = TriBracket(3, {(1, 2, 3): Vector([2, 0, 0])})
     assert isinstance(classify(scaled, CommProduct.zero(3)), Unsupported)
+
+
+def gate_brackets() -> list[TriBracket]:
+    """Brackets around the standard one: itself, fresh and parsed with an
+    unreduced coefficient, its multiples and other values of [e1,e2,e3],
+    the zero bracket, and brackets of dimensions 2 and 4."""
+    document = b'{"dim":3,"bracket":[{"args":[1,2,3],"value":{"1":"2/2"}}]}'
+    brackets = [a3_bracket(), parse_document(document).bracket]
+    for value in ([2, 0, 0], [F(1, 2), 0, 0], [-1, 0, 0], [0, 1, 0], [1, 1, 0]):
+        brackets.append(TriBracket(3, {(1, 2, 3): Vector(value)}))
+    brackets += [TriBracket(3, {}), TriBracket(2, {}),
+                 TriBracket(4, {(1, 2, 3): Vector.unit(4, 1)})]
+    return brackets
+
+
+def test_classify_gate_matches_bracket_equality():
+    # the gate reads integer structure tables; the oracle is record equality
+    for b in gate_brackets():
+        out = classify(b, CommProduct.zero(b.dim))
+        assert isinstance(out, Unsupported) == (b != a3_bracket()), b
+    # a bracket of another dimension is turned away before any table is built
+    sparse = TriBracket(32, {(1, 2, 3): Vector.unit(32, 1), (30, 31, 32): Vector.unit(32, 4)})
+    assert isinstance(classify(sparse, CommProduct.zero(32)), Unsupported)
+    assert sparse._structure is None
+
+
+def reported_values(out):
+    """The records of a classify result that the integer readers build
+    (witness map, violation sides) and every reported scalar."""
+    records, scalars = [], []
+    if isinstance(out, Certificate):
+        records.append(out.witness.map)
+        scalars += [value for _, value in out.family.params]
+        # the transported input is built entry by entry from integers too
+        records += list(transport_product(out.input, out.witness).table.values())
+    elif isinstance(out, NeedsExtension):
+        scalars.append(out.radicand)
+    elif isinstance(out, NotTransposedPoisson):
+        for v in out.report.violations:
+            records += [v.left, v.right]
+    for record in records:
+        scalars += record.entries
+    return records, scalars
+
+
+def public_copy(record):
+    if isinstance(record, Vector):
+        return Vector(list(record))
+    return Matrix.from_rows(record.row_lists())
+
+
+def test_reported_values_are_exact_fractions_with_public_semantics():
+    kinds = Counter()
+    for p in corpus() + classify_mix_products(7, 40):
+        out = classify(A3, p)
+        kinds[type(out).__name__] += 1
+        records, scalars = reported_values(out)
+        assert all(type(x) is F for x in scalars), out
+        for record in records:
+            copy = public_copy(record)
+            assert record == copy and hash(record) == hash(copy)
+            assert repr(record) == repr(copy)
+            assert pickle.dumps(record) == pickle.dumps(copy)
+            assert pickle.loads(pickle.dumps(record)) == record
+    assert min(kinds[name] for name in ("Certificate", "NeedsExtension",
+                                        "NotTransposedPoisson")) > 0, kinds
 
 
 def test_classify_roundtrip_shape_preserving():

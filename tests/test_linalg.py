@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +191,37 @@ def test_rational_root_near_miss_non_squares():
             assert rational_root(F(k - 1), degree) is None
             assert rational_root(F(k + 1), degree) is None
             assert rational_root(F(k, k + 1), degree) is None
+
+
+def bisected_root(q: F, degree: int):
+    """``rational_root`` by bisection alone: ``_integer_root`` on z**degree − k
+    for the numerator and the denominator of q."""
+    if q <= 0:
+        return F(0) if q == 0 else None
+    roots = [_integer_root(lambda z: z ** degree - k, 0, 1 << -(-k.bit_length() // degree))
+             for k in (q.numerator, q.denominator)]
+    return None if None in roots else F(*roots)
+
+
+def test_rational_root_isqrt_matches_bisection():
+    rng = random.Random("rational-root-isqrt")
+    radicands = [F(0), F(-1), F(1), F(-16, 81)]
+    for _ in range(60):
+        k = rng.randint(1, 10 ** 80)
+        radicands += [F(k), F(k, k + 1), F(k + 1, k), F(-k)]
+        for degree in (2, 4):
+            power = rng.randint(1, 10 ** (80 // degree)) ** degree
+            radicands += [F(power + d) for d in (-1, 0, 1) if power + d]
+            radicands += [F(power, power + 1), F(power + 1, power),
+                          F(power, rng.randint(1, 10 ** 20) ** degree)]
+    found = Counter()
+    for q in radicands:
+        for degree in (2, 4):
+            got = rational_root(q, degree)
+            assert got == bisected_root(q, degree), (q, degree)
+            assert got is None or type(got) is F and got ** degree == q
+            found[degree, got is not None] += 1
+    assert min(found.values()) > 50, found
 
 
 def counted(f):
