@@ -26,10 +26,11 @@ onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
   (``_shift_determinant``).  On products with e1·A = 0, as in every case,
   every automorphism keeps D = 0; it picks T1, T5/T6, T9 or T13/T15, else
   a quartic match picks T3 and the zero pattern of (g, h, k) the rest.
-  So the solve never fails: for D = 0 the kernel's u-entry a·s − r² ≠ 0
-  and the e1 targets lie in the column space, so that minor solves it by
-  Cramer's rule with no elimination; for D ≠ 0 the solved u, or the
-  kernel's u-entry for two-parameter tables, is a nonzero monomial.
+  So the solve never fails: every case has a·s − r² ≠ 0, so row 0 of the
+  adjugate of the shift system reduces it to one scalar equation in u and
+  z, for every D, and Cramer's rule on that minor gives x and y; for D = 0
+  the e1 targets lie in the column space, and for D ≠ 0 the solved u, or
+  the kernel's u-entry for two-parameter tables, is a nonzero monomial.
 
 So each case yields ordered (family, radicand) candidates, and one
 finisher certifies the first whose radicand has a rational root.  The
@@ -50,8 +51,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import (Infeasible, Matrix, _from_fractions, _Record, _integer_root, _solve_rows,
-                     rank, rational_root)
+from .linalg import Matrix, _from_fractions, _Record, _integer_root, rank, rational_root
 from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
                       _cleared_coordinates, a3_bracket, check_transposed_leibniz,
                       structure_table)
@@ -134,8 +134,8 @@ ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
 
 
 def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fraction,
-                   det: Optional[int] = None) -> Optional[tuple[Fraction, Fraction, Fraction,
-                                                                 Optional[Fraction]]]:
+                   det: int) -> Optional[tuple[Fraction, Fraction, Fraction,
+                                                 Optional[Fraction]]]:
     """Solve for the e1 scaling u, the shifts x, y, and the secondary family
     parameter z (when the family has one) so that the witness
     [[u,0,0],[x,c,0],[y,0,1/c]] lands exactly on the canonical table.
@@ -150,32 +150,25 @@ def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fr
     targets b and, for a two-parameter table, the slope σ of the targets in
     z.  ``co`` holds the coordinates on integers, as
     ``algebra._cleared_coordinates`` returns them, and ``det`` is
-    ``_shift_determinant(co)``, D, when the caller has it.
+    ``_shift_determinant(co)``, D.  M is read from ``co``, and b and σ from
+    the table's linear forms (``families._table_form``), on integers over
+    one denominator W; a ``Fraction`` is built only for each reported value.
 
-    Everything runs on integers: M is read from ``co`` times its scale, and
-    b and σ from the table's linear forms (``families._table_form``) over
-    one denominator W.  A ``Fraction`` is built only for each reported
-    value.
-
-    For D ≠ 0, M is regular and the integer adjugate solves it: (u, x, y) =
-    (P + z·S)/Q for P = adj·b, S = adj·σ and Q = D·W.  When S moves u,
-    z = (Q − P₀)/S₀ lifts the solution to u = 1; otherwise z = 0.
-
-    For D = 0 with the minor m = a·s − r² ≠ 0, M has rank 2, its kernel is
-    column 0 of adj(M), whose u-entry is m, and its left null vector ℓ is
-    row 0, (m, a·r + q·s, −a² − q·r).  So u = 1 is pinned, ℓ·(b + z·σ) = 0
-    decides consistency and fixes z when ℓ·σ ≠ 0 (otherwise z = 0), and
-    rows 2 and 3 give x and y by Cramer's rule on [[r, −a], [s, −r]], of
-    determinant m.  ``classify`` reaches no zero minor: only then does one
-    exact elimination, ``_solve_rows`` on the rows of [M | −σ | b], give a
-    particular solution and the kernel; when a kernel vector moves u, the
-    first such vector lifts the solution to u = 1.
-
-    Otherwise, in any branch, u is fixed by the system, and a fixed u = 0
-    admits no witness.
+    Row 0 of adj(M), ℓ = (m, a·r + q·s, −a² − q·r) with the minor
+    m = a·s − r², has ℓ·M = (D, 0, 0) for every D, so it leaves one scalar
+    equation, D·u·W = ℓ·b + z·ℓ·σ.  When ℓ·σ ≠ 0 it fixes z for u = 1;
+    otherwise z = 0, and u = ℓ·b/(D·W) for D ≠ 0, while for D = 0 it holds
+    for every u, so u = 1, exactly when ℓ·b = 0.  A fixed u = 0 admits no
+    witness.  Rows 2 and 3 give x and y by Cramer's rule on
+    [[r, −a], [s, −r]], of determinant m, and row 1 then holds, as m ≠ 0.
+    Every case condition set has m ≠ 0 (sets 1–2 have r = 0 and a·s ≠ 0,
+    sets 3–4 a = 0 and r ≠ 0); a zero minor raises ``ValueError``.
     """
-    two_param = len(FAMILY_PARAMS[family_id]) == 2
-    den, _, a, _, _, r, _, _, s, _ = co
+    den, _, a, q, h, r, _, k, s, _ = co
+    minor = a * s - r * r
+    if not minor:
+        raise ValueError("the witness solve needs a·s − r² ≠ 0, "
+                         "as every case condition set has")
     form_den, first, second = _table_form(family_id)
     # the e1 entries of e2·e2, e2·e3 and e3·e3 are in the pair rows 3, 4 and
     # 5, moved by c², 1 and 1/c²: over W = den(primary)·L·num(c)²·den(c)²,
@@ -186,92 +179,24 @@ def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fr
     targets = [pn * row[0] * w for row, w in zip(first[3:], weights)]
     slopes = [pd * row[0] * w for row, w in zip(second[3:], weights)]
     scale = pd * form_den * cn * cd
-    if det is None:
-        det = _shift_determinant(co)
-    if det:
-        solved = _solve_regular(co, det, targets, slopes, scale)
-    elif a * s != r * r:
-        solved = _solve_minor(co, targets, slopes, scale)
-    else:
-        solved = _solve_eliminated(co, targets, slopes, scale, two_param)
-    if solved is None or two_param:
-        return solved
-    return (*solved[:3], None)
-
-
-_Solved = Optional[tuple[Fraction, Fraction, Fraction, Fraction]]
-
-
-def _solve_regular(co: tuple[int, ...], det: int, targets: list[int], slopes: list[int],
-                   scale: int) -> _Solved:
-    """(u, x, y, z) of ``_solve_witness`` for D = ``det`` ≠ 0, by the
-    integer adjugate of the shift matrix M read from the cleared ``co``,
-    with M·v = (targets + z·slopes)/``scale``; None when u = 0."""
-    _, g, a, q, h, r, _, k, s, _ = co
-    adj = ((a * s - r * r, a * r + q * s, -a * a - q * r),
-           (h * r - a * k, -g * r - q * k, g * a + q * h),
-           (h * s - r * k, a * k - g * s, g * r - a * h))
-    p0, p1, p2 = (c0 * targets[0] + c1 * targets[1] + c2 * targets[2] for c0, c1, c2 in adj)
-    s0, s1, s2 = (c0 * slopes[0] + c1 * slopes[1] + c2 * slopes[2] for c0, c1, c2 in adj)
-    scale *= det
-    if s0:
-        # z = (scale − p0)/s0 gives u = 1
-        lift = scale - p0
-        return (Fraction(1), Fraction(p1 * s0 + lift * s1, scale * s0),
-                Fraction(p2 * s0 + lift * s2, scale * s0), Fraction(lift, s0))
-    if p0 == 0:
-        return None
-    return (Fraction(p0, scale), Fraction(p1, scale), Fraction(p2, scale), Fraction(0))
-
-
-def _solve_minor(co: tuple[int, ...], targets: list[int], slopes: list[int],
-                 scale: int) -> _Solved:
-    """(u, x, y, z) of ``_solve_witness`` for D = 0 and a·s − r² ≠ 0, on the
-    system of ``_solve_regular``, at u = 1; None when the targets leave the
-    column space of M for every z."""
-    _, _, a, q, h, r, _, k, s, _ = co
-    minor = a * s - r * r
     left = (minor, a * r + q * s, -a * a - q * r)
     drift = sum(e * v for e, v in zip(left, targets))
     turn = sum(e * v for e, v in zip(left, slopes))
+    # u = un/ud and z = zn/zd
     if turn:
-        zn, zd = -drift, turn
-    elif drift:
+        un, ud, zn, zd = 1, 1, det * scale - drift, turn
+    elif det and drift:
+        un, ud, zn, zd = drift, det * scale, 0, 1
+    elif det or drift:  # u = 0, or the targets leave the column space
         return None
     else:
-        zn, zd = 0, 1
-    # rows 2 and 3 at u = 1, over scale·zd
-    r1, r2 = (v * zd + zn * w - e * scale * zd
+        un, ud, zn, zd = 1, 1, 0, 1
+    # rows 2 and 3, over scale·zd·ud
+    r1, r2 = ((v * zd + zn * w) * ud - e * un * scale * zd
               for v, w, e in zip(targets[1:], slopes[1:], (h, k)))
-    out = minor * scale * zd
-    return (Fraction(1), Fraction(a * r2 - r * r1, out), Fraction(r * r2 - s * r1, out),
-            Fraction(zn, zd))
-
-
-def _solve_eliminated(co: tuple[int, ...], targets: list[int], slopes: list[int],
-                      scale: int, two_param: bool) -> _Solved:
-    """(u, x, y, z) of ``_solve_witness`` for D = a·s − r² = 0, on the system
-    of ``_solve_regular``, by one exact elimination of [M | −slopes |
-    targets], with no slope column for a one-parameter table; None when it
-    is inconsistent or fixes u = 0."""
-    _, g, a, q, h, r, _, k, s, _ = co
-    rows = [[scale * g, scale * a, scale * q], [scale * h, scale * r, -scale * a],
-            [scale * k, scale * s, -scale * r]]
-    for row, target, slope in zip(rows, targets, slopes):
-        row += [-slope, target] if two_param else [target]
-    try:
-        particular, kernel = _solve_rows(rows)
-    except Infeasible:
-        return None
-    # a kernel row stores only its nonzero entries
-    lift = next((v for v in kernel if 0 in v), None)
-    if lift is not None:
-        t = (1 - particular[0]) / lift[0]
-        for j, e in lift.items():
-            particular[j] += t * e
-    if particular[0] == 0:
-        return None
-    return (*particular[:3], particular[3] if two_param else Fraction(0))
+    out = minor * scale * zd * ud
+    z = Fraction(zn, zd) if len(FAMILY_PARAMS[family_id]) == 2 else None
+    return (Fraction(un, ud), Fraction(a * r2 - r * r1, out), Fraction(r * r2 - s * r1, out), z)
 
 
 def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fraction,

@@ -6,7 +6,7 @@ exact, so equality tests in the rest of the package are literal ``==``.
 
 All row reduction goes through one elimination loop, ``_eliminate``: the
 forward pass ``_echelon`` followed by ``_back_substitute``.  The dense
-solvers (``rank``, ``_solve_rows``, ``invert``) clear each rational row
+solvers (``rank``, ``solve_affine``, ``invert``) clear each rational row
 to integers in one pass, ``_cleared``, and reach it through
 ``_reduce``, whose ``_integer_row`` makes each a normal integer row; the
 product stage of ``derivations`` hands it already normal rows directly,
@@ -24,7 +24,7 @@ proportional to another) keeps the row space, and a row space has exactly
 one reduced row echelon form.
 
 Rationals are formed only where they are reported: in ``_kernel`` (each
-kernel entry −v/a), in the particular solution that ``_solve_rows`` reads
+kernel entry −v/a), in the particular solution that ``solve_affine`` reads
 off [m | b] and in the entries of the inverse that ``invert`` reads off
 [m | I], each an integer divided by its row's pivot entry.  The other
 integer readers of the package follow the same convention: the structure
@@ -42,16 +42,6 @@ by ``math.isqrt`` twice, with one exact power check; only other degrees
 bisect with ``_integer_root``, which the cubic matcher of ``classify``
 also uses.
 
-``_solve_rows`` is the affine solve on plain lists: it takes the dense
-rational rows of [m | b] and returns the particular solution as a list and
-the kernel as sparse rows.  ``solve_affine`` wraps its output in
-``Vector``s.  The witness solve of ``classify`` calls it directly, with
-no ``Matrix`` or ``Vector``, but only on a shift system whose determinant
-and minor a·s − r² both vanish, which ``classify`` itself never builds:
-it solves the others by the integer adjugate or Cramer's rule.  An
-automorphism of [e1,e2,e3] = e1 never reaches ``invert``: ``AutoMatrix``
-inverts those in closed form, and only when the inverse is read.
-
 ``_reduce`` reads sparse integer rows, ``{column: value}``, and touches
 only their nonzero entries, and ``_kernel`` returns the kernel basis as
 sparse rows too.  The solved spaces in ``derivations`` pass their rows in
@@ -64,8 +54,8 @@ Conventions fixed by this module and relied on elsewhere:
 * ``_kernel`` returns the reduced-echelon kernel basis: each free column,
   in ascending order, contributes one vector with a 1 in that coordinate.
   This makes every downstream solved space byte-stable.
-* ``solve_affine`` and ``_solve_rows`` return the particular solution
-  with all free coordinates set to 0, plus that kernel basis.
+* ``solve_affine`` returns the particular solution with all free
+  coordinates set to 0, plus that kernel basis.
 """
 
 from __future__ import annotations
@@ -545,35 +535,24 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
 
     Returns ``(particular, kernel)``: the particular solution has all free
     coordinates equal to 0, and the kernel basis is that of ``_kernel``.
-    Raises ``Infeasible`` if inconsistent.  The solve is ``_solve_rows`` on
-    the rows of [m | b]; this wraps its output in ``Vector``s.
-    """
-    if m.rows != b.dim:
-        raise DimensionMismatch("right-hand side length differs from row count")
-    particular, kernel = _solve_rows([row + [e] for row, e in zip(m.row_lists(), b.entries)])
-    return Vector(particular), [Vector(_densify(v, m.cols)) for v in kernel]
-
-
-def _solve_rows(rows: Sequence[Sequence[Fraction]]
-                ) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
-    """``solve_affine`` on the dense rational rows of [m | b], all of one
-    length: the particular solution as a list, with every free coordinate
-    0, and the kernel basis of ``_kernel`` as sparse rows; raises
-    ``Infeasible`` if inconsistent.
+    Raises ``Infeasible`` if inconsistent.
 
     One reduction of [m | b], each row cleared to integers by ``_cleared``,
     gives both: its left block is the reduced form of m, and each pivot
     coordinate of the particular solution is the last entry of its row
     divided by the pivot entry.
     """
-    ncols = len(rows[0]) - 1
-    reduced, pivots = _reduce(map(_cleared, rows))
+    if m.rows != b.dim:
+        raise DimensionMismatch("right-hand side length differs from row count")
+    ncols = m.cols
+    reduced, pivots = _reduce(_cleared(row + [e])
+                              for row, e in zip(m.row_lists(), b.entries))
     if ncols in pivots:
         raise Infeasible("inconsistent system")
     x = [Fraction(0)] * ncols
     for row, pc in zip(reduced, pivots):
         x[pc] = Fraction(row.get(ncols, 0), row[pc])
-    return x, _kernel(reduced, pivots, ncols)
+    return Vector(x), [Vector(_densify(v, ncols)) for v in _kernel(reduced, pivots, ncols)]
 
 
 def _integer_root(f, lo: int, hi: int) -> int | None:

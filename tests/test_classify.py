@@ -458,11 +458,11 @@ def test_certificate_witnesses_build_no_inverse(monkeypatch):
     # classify neither eliminates nor inverts for a certificate; its witness
     # builds the closed-form inverse when first read, and the read changes
     # no field, hash, repr or pickle
-    module = importlib.import_module("tpl3.classify")
+    linalg = importlib.import_module("tpl3.linalg")
     eliminations = []
-    solve_rows = module._solve_rows
-    monkeypatch.setattr(module, "_solve_rows",
-                        lambda rows: eliminations.append(rows) or solve_rows(rows))
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: eliminations.append(rows) or echelon(rows))
     witnesses = [out.witness for p in classify_mix_products(1, 300)
                  if isinstance(out := classify(A3, p), Certificate)]
     assert len(witnesses) >= 300 and eliminations == []
@@ -833,17 +833,18 @@ def oracle_solve_witness(co, c, family_id, primary):
     return u, x, y, z
 
 
-#: the branches of the witness solve: the adjugate for a regular shift
-#: matrix (D ≠ 0), Cramer's rule on the minor a·s − r² for D = 0, and the
-#: elimination when that minor vanishes too
+#: the shift systems the one witness solve covers, by the scalar equation
+#: that row 0 of the adjugate leaves: a regular shift matrix (D ≠ 0) with
+#: one parameter, with the two-parameter lift or with a kernel that fixes
+#: u, and a singular one (D = 0); every one has the minor a·s − r² ≠ 0,
+#: and a zero minor raises ``ValueError``
 SOLVE_BRANCHES = {"D ≠ 0, one parameter", "D ≠ 0, two-parameter lift",
-                  "D ≠ 0, kernel fixes u (z = 0)", "D = 0, a·s − r² ≠ 0",
-                  "D = 0, a·s − r² = 0"}
+                  "D ≠ 0, kernel fixes u (z = 0)", "D = 0, a·s − r² ≠ 0"}
 
 
 def witness_system_kinds(co, c, family_id, primary):
-    """How the witness system decides the e1 scaling u, and which branch of
-    ``SOLVE_BRANCHES`` solves it."""
+    """How the witness system decides the e1 scaling u, and which kind of
+    ``SOLVE_BRANCHES`` it is, if any."""
     rows, rhs = oracle_witness_system(co, c, family_id, primary)
     shifts = Matrix.from_rows([row[:3] for row in rows])
     if determinant(shifts) == 0:
@@ -870,19 +871,44 @@ def witness_system_kinds(co, c, family_id, primary):
     return kinds | {"u fixed at 1" if particular[0] == 1 else "u fixed, not 1"}
 
 
+def zero_minor(co: FamilyCoordinates) -> bool:
+    """Whether a·s = r², where the witness solve raises ``ValueError``."""
+    return co.a * co.s == co.r * co.r
+
+
+def solve_witness(co, c, family_id, primary):
+    """``_solve_witness`` on the integer read of ``co``, with its shift
+    determinant."""
+    from tpl3.classify import _shift_determinant, _solve_witness
+
+    ints = cleared(co)
+    return _solve_witness(ints, c, family_id, primary, _shift_determinant(ints))
+
+
+def coords(**nonzero) -> FamilyCoordinates:
+    return FamilyCoordinates(**{name: F(nonzero.get(name, 0)) for name in "gaqhrwkst"})
+
+
+#: two-parameter systems with D ≠ 0 and a·s − r² ≠ 0 whose slope row 0 of
+#: the adjugate annihilates, so z = 0 and the system fixes u: nonzero onto
+#: T4 and T12, 0 onto T2 and T10
+FIXED_U_SYSTEMS = [
+    (coords(g=1, a=1, s=3), F(1), "T4", F(1)),
+    (coords(g=1, a=1, s=3), F(1), "T2", F(1)),
+    (coords(g=1, q=-3, r=1, s=1), F(1), "T12", F(1)),
+    (coords(g=1, q=-3, r=1), F(1), "T10", F(1)),
+]
+
+
 def test_solve_witness_matches_two_attempt_oracle():
-    from tpl3.classify import _solve_witness
-
-    def coords(**nonzero):
-        return FamilyCoordinates(**{name: F(nonzero.get(name, 0)) for name in "gaqhrwkst"})
-
     systems = [
         (coords(a=1, w=-1, s=-3), F(1), "T1", F(1)),        # u free
-        (coords(g=1, a=1), F(2), "T1", F(1)),               # u pivot, x moves it
-        (coords(g=1, k=-3), F(1), "T6", F(2)),              # u fixed at 2
+        (coords(g=1, a=1), F(2), "T1", F(1)),               # zero minor: raises
+        (coords(g=1, k=-3), F(1), "T6", F(2)),              # zero minor: raises
         (coords(g=1, a=1, w=-1, s=-3), F(1), "T1", F(1)),   # u fixed at 0
-        (coords(), F(1), "T3", F(1)),                       # infeasible
+        (coords(), F(1), "T3", F(1)),                       # zero minor: raises
         (coords(g=1, a=1, w=-1, k=3, s=-3), F(1), "T2", F(1)),  # two parameters
+        *FIXED_U_SYSTEMS,
     ]
     rng = random.Random(2718)
     for _ in range(400):
@@ -892,30 +918,33 @@ def test_solve_witness_matches_two_attempt_oracle():
                         rand_rat(rng, nonzero=True)))
     seen = Counter()
     for args in systems:
-        assert _solve_witness(cleared(args[0]), *args[1:]) == oracle_solve_witness(*args), args
+        if zero_minor(args[0]):
+            with pytest.raises(ValueError, match="a·s − r²"):
+                solve_witness(*args)
+            seen["zero minor"] += 1
+            continue
+        assert solve_witness(*args) == oracle_solve_witness(*args), args
         seen.update(witness_system_kinds(*args))
     assert {"u free", "u pivot moved by the kernel", "u fixed, not 1", "u = 0",
             "infeasible", "two-parameter"} <= set(seen)
     assert SOLVE_BRANCHES <= set(seen), seen
-    # both D = 0 solves: Cramer's rule on the minor, and the elimination
-    assert seen["D = 0, a·s − r² ≠ 0"] >= 20 and seen["D = 0, a·s − r² = 0"] >= 20, seen
+    assert seen["D = 0, a·s − r² ≠ 0"] >= 20 and seen["zero minor"] >= 20, seen
 
 
 def test_solve_rows_matches_solve_affine_on_witness_systems():
-    from tpl3.classify import _solve_witness
-    from tpl3.linalg import _densify, _solve_rows
-
     rng = random.Random(4451)
-    seen, branches = set(), Counter()
+    systems = []
     for i in range(640):
-        family_id = FAMILY_IDS[i % 16]
         density = (0.3, 0.6, 1)[i % 3]
         co = FamilyCoordinates(*(rand_rat(rng) if rng.random() < density else F(0)
                                  for _ in range(9)))
-        args = (co, rand_rat(rng, nonzero=True), family_id, rand_rat(rng, nonzero=True))
+        systems.append((co, rand_rat(rng, nonzero=True), FAMILY_IDS[i % 16],
+                        rand_rat(rng, nonzero=True)))
+    seen, branches = set(), Counter()
+    for args in systems + FIXED_U_SYSTEMS:
+        co, _, family_id, _ = args
         rows, rhs = oracle_witness_system(*args)
         ncols = len(rows[0])
-        augmented = [row + [e] for row, e in zip(rows, rhs)]
         seen |= {family_id, f"{ncols - 2} parameter(s)"}
         m, b = Matrix.from_rows(rows), Vector(rhs)
         try:
@@ -924,36 +953,36 @@ def test_solve_rows_matches_solve_affine_on_witness_systems():
             seen.add("infeasible")
             with pytest.raises(Infeasible):
                 oracle_solve_affine(m, b)
-            with pytest.raises(Infeasible):
-                _solve_rows(augmented)
         else:
-            # solve_affine wraps the helper, so the dense oracle checks both
             assert expected == oracle_solve_affine(m, b)
-            particular, kernel = _solve_rows(augmented)
-            assert (Vector(particular), [Vector(_densify(v, ncols)) for v in kernel]) == expected
-            seen.add(f"kernel dimension {len(kernel)}")
-        assert _solve_witness(cleared(co), *args[1:]) == oracle_solve_witness(*args), args
+            seen.add(f"kernel dimension {len(expected[1])}")
+        if zero_minor(co):
+            with pytest.raises(ValueError, match="a·s − r²"):
+                solve_witness(*args)
+            branches["zero minor"] += 1
+            continue
+        assert solve_witness(*args) == oracle_solve_witness(*args), args
         kinds = witness_system_kinds(*args)
         seen |= kinds
         branches.update(kinds & SOLVE_BRANCHES)
     assert set(FAMILY_IDS) | {"1 parameter(s)", "2 parameter(s)", "infeasible",
                               "kernel dimension 0", "kernel dimension 1"} <= seen, seen
     assert SOLVE_BRANCHES <= set(branches), branches
-    assert (branches["D = 0, a·s − r² ≠ 0"] >= 20
-            and branches["D = 0, a·s − r² = 0"] >= 20), branches
+    assert branches["D = 0, a·s − r² ≠ 0"] >= 20 and branches["zero minor"] >= 20, branches
 
 
 def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
-    # the adjugate solves every regular witness system of the seed-1
-    # classify-mix inputs and the minor a·s − r² every singular one, so no
-    # witness solve eliminates; only a zero minor would
+    # row 0 of the adjugate and Cramer's rule on the minor a·s − r² solve
+    # every witness system of the seed-1 classify-mix inputs, regular or
+    # singular, so no witness solve runs the elimination's forward pass
     module = importlib.import_module("tpl3.classify")
-    solve_rows, solve_witness = module._solve_rows, module._solve_witness
+    linalg = importlib.import_module("tpl3.linalg")
+    echelon, solve_witness = linalg._echelon, module._solve_witness
     eliminations, calls = [], []
 
     def counting_rows(rows):
         eliminations.append(rows)
-        return solve_rows(rows)
+        return echelon(rows)
 
     def recording(co, *args):
         # co is the integer read (D, g, a, q, h, r, w, k, s, t)
@@ -964,11 +993,60 @@ def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
         calls.append((determinant(shifts) != 0, len(eliminations) - before))
         return out
 
-    monkeypatch.setattr(module, "_solve_rows", counting_rows)
+    monkeypatch.setattr(linalg, "_echelon", counting_rows)
     monkeypatch.setattr(module, "_solve_witness", recording)
     for p in classify_mix_products(1, 300):
         classify(A3, p)
     assert set(calls) == {(True, 0), (False, 0)}
+
+
+def test_case_condition_sets_have_a_nonzero_minor():
+    # the one witness solve divides by the minor a·s − r²: sets 1–2 have
+    # r = 0 and a·s ≠ 0, sets 3–4 have a = 0 and r ≠ 0, so every tuple
+    # _case_of accepts has a·s ≠ r², also after a candidate block's move
+    from tpl3.algebra import _cleared_coordinates
+    from tpl3.classify import _candidate_blocks
+    from tpl3.families import _case_of
+
+    def nonzero_minor(co):
+        _, _, a, _, _, r, _, _, s, _ = co
+        return a * s != r * r
+
+    rng = random.Random(1729)
+    accepted = Counter()
+    while min(accepted.get((case, sub), 0) for case in range(1, 5) for sub in "abcd") < 70:
+        # each constant zero half the time, and the set relations w = −a and
+        # t = −r three times in four
+        g, a, q, h, r, k, s = (0 if rng.random() < 0.5 else rng.randint(-9, 9)
+                               for _ in range(7))
+        w = -a if rng.random() < 0.75 else rng.randint(-9, 9)
+        t = -r if rng.random() < 0.75 else rng.randint(-9, 9)
+        case = _case_of(g, a, q, h, r, w, k, s, t)
+        if case is not None:
+            assert a * s != r * r, (g, a, q, h, r, w, k, s, t)
+            accepted[case.case, case.subcase] += 1
+    assert sum(accepted.values()) >= 1000, accepted
+
+    in_case = moved_in_case = 0
+    for p in corpus():
+        try:
+            co = _cleared_coordinates(p)
+        except ShapeMismatch:
+            continue
+        if _case_of(*co[1:]) is None:
+            continue
+        assert nonzero_minor(co), co
+        in_case += 1
+        for block in _candidate_blocks(co)[0]:
+            if block is None:
+                continue
+            (b11, b12), (b21, b22) = block.row_lists()
+            block_map = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
+            moved = _cleared_coordinates(transport_product(p, block_map))
+            if _case_of(*moved[1:]) is not None:
+                assert nonzero_minor(moved), moved
+                moved_in_case += 1
+    assert in_case >= 100 and moved_in_case >= 100, (in_case, moved_in_case)
 
 
 def test_split_route_complete_diagnostics():
