@@ -146,6 +146,26 @@ class CommProduct(_Record):
         return f"CommProduct(dim={self.dim}, {body or 'zero'})"
 
 
+def _stored_product(dim: int, table: dict[tuple[int, int], Vector]) -> CommProduct:
+    """A ``CommProduct`` from its table as it is stored, with no check and
+    no copy.
+
+    The caller's contract: the keys of ``table`` are the pairs (i, j) with
+    1 <= i <= j <= ``dim``, in ascending order, and each value is a
+    nonzero ``Vector`` of length ``dim``.  That is what the public
+    constructor stores after its checks, so the record compares, hashes,
+    prints and pickles like the one it builds, and its ``_table`` memo
+    starts as None.  ``derivations.tp_product_space`` uses it for the
+    basis products it reads off its kernel rows; every other caller goes
+    through the public constructor.
+    """
+    record = object.__new__(CommProduct)
+    object.__setattr__(record, "dim", dim)
+    object.__setattr__(record, "table", table)
+    object.__setattr__(record, "_table", None)
+    return record
+
+
 def a3_bracket() -> TriBracket:
     """The unique nontrivial 3-dimensional 3-Lie bracket: [e1,e2,e3] = e1."""
     return TriBracket(3, {(1, 2, 3): Vector.unit(3, 1)})

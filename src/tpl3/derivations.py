@@ -17,36 +17,46 @@ docstring).  The solvers eliminate them with the forward pass and
 back-substitution of ``linalg._eliminate``, which return normal integer
 rows, and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
-built on the solve path.  ``_reduced_rows`` is the one place that
-eliminates a bracket's δ-derivation rows, once per bracket object and δ,
-so ``delta_derivations``, ``DerivationSpace.contains`` and
-``tp_product_space`` on one bracket share one elimination.
-``ProductSpace.contains`` checks the coupling identity, which is what the
-product rows state.  The dense definitions of both systems, and of a left
-multiplication, are test oracles in ``tests/oracles.py``.
+built on the solve path.  The basis matrices and products are built from
+those rationals as they are, through ``linalg._from_fractions`` and
+``algebra._stored_product``, with no second pass through ``rat``.
+``_reduced_rows`` is the one place that eliminates a bracket's
+δ-derivation rows, once per bracket object and δ, so ``delta_derivations``,
+``DerivationSpace.contains`` and ``tp_product_space`` on one bracket share
+one elimination.  ``ProductSpace.contains`` checks the coupling identity,
+which is what the product rows state.  The dense definitions of both
+systems, and of a left multiplication, are test oracles in
+``tests/oracles.py``.
 
-The product space is solved in two stages.  The nonzero 1/3-derivation
-rows of the bracket (at most C(n,3)·n rows over n² columns) are reduced by
-``_reduced_rows`` to normal integer rows.  Every left multiplication L_g
-of a compatible product is a 1/3-derivation with β_uv = (e_g·e_u)_v, so
-each reduced row, moved into the column blocks of the products e_g·e_u,
-is a row of the product system, once per g.  Lemma: a singleton reduced row β_uv = 0 holds for
-every 1/3-derivation, so (e_g·e_u)_v = 0 for every g in every compatible
-product; its n moved copies are the unit rows e_c of the killed columns
-c = pair(min(g, u), max(g, u))·n + v.  So the second stage collects the
-killed columns as a set, and ``_moved_rows`` moves only the other rows,
-drops the killed columns from each copy and renumbers the surviving
-columns in order; ``linalg._eliminate`` reduces those copies.  The dense
-product system of the tests moves every raw row and presolves nothing.
-Both give one space: reduction keeps a row space and moving columns is
-linear, so the moved reduced rows span the dense system's rows, and
-dropping a killed entry subtracts a multiple of a unit row that is itself
-a moved row.  Hence that row space is spanned by the unit rows of the
-killed columns and the shortened copies, whose reduced rows are zero at
-every killed column, and its reduced row echelon form is those unit rows
-together with the reduced copies, mapped back.  A row space has one
-reduced row echelon form, so both give the same pivots, free coordinates
-and basis; a killed column is a pivot, zero in every basis product.
+Both eliminations presolve their singleton rows by one lemma.  Lemma: let
+a row space be spanned by the unit rows e_c of a set K of killed columns
+and by rows that are zero at every column of K.  Eliminating those other
+rows alone gives reduced rows that are zero at K too, so they and the
+unit rows, in pivot order, are a reduced row echelon form of the whole
+space; a row space has exactly one, so the pivots, free columns and
+kernel are those of the joint elimination, and a killed column is a
+pivot, zero in every kernel vector.  Dropping the entry of a killed
+column from any row subtracts a multiple of a unit row, which keeps the
+row space, so the other rows may be shortened to satisfy the lemma.
+
+Stage 1, ``_reduced_rows``: a singleton δ-derivation row holds as
+β_uv = 0, a unit row; its column is killed and dropped from the other
+rows, and only those go to the forward pass ``_echelon``.  Stage 2, the
+product space: the reduced 1/3-derivation rows (at most n² − 1 rows over
+n² columns) are moved into the product columns.  Every left
+multiplication L_g of a compatible product is a 1/3-derivation with
+β_uv = (e_g·e_u)_v, so each reduced row, moved into the column blocks of
+the products e_g·e_u, is a row of the product system, once per g.  A
+singleton reduced row β_uv = 0 holds for every 1/3-derivation, so
+(e_g·e_u)_v = 0 for every g in every compatible product: its n moved
+copies are the unit rows of the killed columns
+c = pair(min(g, u), max(g, u))·n + v.  ``_moved_rows`` moves only the
+other rows, drops the killed columns from each copy and renumbers the
+surviving columns in order, and ``linalg._eliminate`` reduces those
+copies.  Reduction keeps a row space and moving columns is linear, so
+the moved reduced rows span the rows of the dense product system of the
+tests, which moves every raw row and presolves nothing; by the lemma both
+give the same pivots, free coordinates and basis.
 """
 
 from __future__ import annotations
@@ -57,8 +67,10 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
-                     _densify, _echelon, _eliminate, _integer_row, _kernel, rat)
-from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
+                     _densify, _echelon, _eliminate, _from_fractions, _integer_row, _kernel,
+                     rat)
+from .algebra import (CommProduct, TriBracket, _stored_product, check_transposed_leibniz,
+                      structure_table)
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)
@@ -134,7 +146,8 @@ class ProductSpace(_Record, hidden=("bracket",)):
 
 def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
     """Sparse integer rows ``{column: value}`` of the δ-derivation system of
-    ``query``, one per (i<j<k, t), all-zero rows left out.
+    ``query``, one per (i<j<k, t), all-zero rows left out; every stored
+    entry is nonzero, so a row of length 1 is a singleton β_uv = 0.
 
     The unknown β_uv (component v of the image of e_u, 0-based) sits at
     column u·n + v.  With δ = p/q in lowest terms and the bracket's
@@ -146,35 +159,41 @@ def _derivation_rows(query: DerivationQuery) -> Iterator[dict[int, int]]:
 
     The rows of (i, j, k) read [e_s,e_j,e_k], [e_i,e_s,e_k], [e_i,e_j,e_s]
     and [e_i,e_j,e_k], so they all vanish unless a stored triple holds two
-    of i, j, k (the triple itself among them).  Those live pairs are read
-    off the stored triples, and the other triples are skipped.  A row whose
-    entries all cancel is dropped too.  Zero rows add nothing to the row
-    space.
+    of i, j, k (the triple itself among them).  Each stored triple lists,
+    for each of its three pairs (a, b), its third index s with the cell
+    [e_s,e_a,e_b]; so the rows read only those nonempty cells, as
+    [e_i,e_s,e_k] = −[e_s,e_i,e_k] and [e_i,e_j,e_s] = [e_s,e_i,e_j], and
+    the triples with no listed pair are skipped.  Entries that cancel are
+    dropped, and so is a row whose entries all cancel.  Zero rows add
+    nothing to the row space.
     """
     _, table = structure_table(query.bracket)
     p, q = query.delta.numerator, query.delta.denominator
     n = len(table)
-    live = set()
+    partners: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
     for (i, j, k) in query.bracket.table:
-        live.update(((i - 1, j - 1), (i - 1, k - 1), (j - 1, k - 1)))
+        i, j, k = i - 1, j - 1, k - 1
+        for s, a, b in ((i, j, k), (j, i, k), (k, i, j)):
+            partners.setdefault((a, b), []).append((s, table[s][a][b]))
     for (i, j, k) in combinations(range(n), 3):
-        if (j, k) not in live and (i, k) not in live and (i, j) not in live:
+        if (j, k) not in partners and (i, k) not in partners and (i, j) not in partners:
             continue
         rows: list[dict[int, int]] = [{} for _ in range(n)]
-        for s in range(n):
-            for col, cell in ((i * n + s, table[s][j][k]),
-                              (j * n + s, table[i][s][k]),
-                              (k * n + s, table[i][j][s])):
+        for base, sign, pair in ((i * n, p, (j, k)), (j * n, -p, (i, k)), (k * n, p, (i, j))):
+            for s, cell in partners.get(pair, ()):
+                col = base + s
                 for t, c in cell:
                     row = rows[t]
-                    row[col] = row.get(col, 0) + p * c
+                    row[col] = row.get(col, 0) + sign * c
         for s, c in table[i][j][k]:
             f = q * c
             for t in range(n):
                 row, col = rows[t], s * n + t
                 row[col] = row.get(col, 0) - f
         for row in rows:
-            if any(row.values()):
+            if not all(row.values()):
+                row = {c: e for c, e in row.items() if e}
+            if row:
                 yield row
 
 
@@ -196,29 +215,44 @@ def _reduced_rows(q: DerivationQuery
     then read from the memo, which only gains entries; any two writers
     store equal values.  Callers must not mutate the returned rows.
 
-    The forward pass ``_echelon`` always runs; back-substitution is skipped
-    when its answer is known.  At δ = 1/3 the identity map is a
+    The singleton rows are presolved by the lemma of the module docstring:
+    their columns are killed, the other rows lose those columns and go to
+    the forward pass ``_echelon``, and the unit rows {c: 1} of the killed
+    columns are merged into the reduced rows in pivot order.  The rank is
+    the number of killed columns plus the length of the echelon form.
+
+    The forward pass always runs; back-substitution is skipped when its
+    answer is known.  At δ = 1/3 the identity map is a
     1/3-derivation (φ[x,y,z] = [x,y,z] = (1/3)·3[x,y,z]), so vec(I), with
     a 1 at each u·n + u, is in the kernel and the rank is at most n² − 1.
-    When the forward pass finds n² − 1 pivots, the kernel is the line
-    through vec(I).  A free column is the last nonzero coordinate of its
-    kernel vector, so the one free column is n² − 1, the pivots are
-    0..n² − 2, and the reduced row of pivot c is e_c − I_c·e_{n²−1}, since
-    it annihilates vec(I): {c: 1} for each off-diagonal c and
-    {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
+    When the killed columns and the pivots of the forward pass number
+    n² − 1 together, the kernel is the line through vec(I).  A free column
+    is the last nonzero coordinate of its kernel vector, so the one free
+    column is n² − 1, the pivots are 0..n² − 2, and the reduced row of
+    pivot c is e_c − I_c·e_{n²−1}, since it annihilates vec(I): {c: 1} for
+    each off-diagonal c and {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
     rows, and a row space has one reduced row echelon form, so they are
     what back-substitution would return.
     """
     memo = q.bracket._reduced
     if q.delta not in memo:
-        echelon = _echelon(map(_integer_row, _derivation_rows(q)))
+        rows = list(_derivation_rows(q))
+        killed = {c for row in rows if len(row) == 1 for c in row}
+        if killed:
+            rows = [{c: e for c, e in row.items() if c not in killed}
+                    for row in rows if len(row) > 1]
+        echelon = _echelon(map(_integer_row, rows))
         n = q.bracket.dim
         last = n * n - 1
-        if q.delta == ONE_THIRD and len(echelon) == last:
+        if q.delta == ONE_THIRD and len(echelon) + len(killed) == last:
             memo[q.delta] = ([{c: 1, last: -1} if c % (n + 1) == 0 else {c: 1}
                               for c in range(last)], tuple(range(last)))
         else:
-            memo[q.delta] = _back_substitute(echelon)
+            reduced, pivots = _back_substitute(echelon)
+            by_pivot = dict(zip(pivots, reduced))
+            by_pivot.update((c, {c: 1}) for c in killed)
+            order = sorted(by_pivot)
+            memo[q.delta] = [by_pivot[c] for c in order], tuple(order)
     return memo[q.delta]
 
 
@@ -230,11 +264,12 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     δ, ``tp_product_space`` included at δ = 1/3.
     """
     n = q.bracket.dim
-    basis = tuple(Matrix(n, n, _densify(vec, n * n))
+    basis = tuple(_from_fractions(Matrix, n, n, tuple(_densify(vec, n * n)))
                   for vec in _kernel(*_reduced_rows(q), n * n))
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
+@lru_cache(maxsize=None)
 def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
@@ -261,18 +296,12 @@ def _moved_rows(rows: Sequence[dict[int, int]], n: int,
     0, 1, ... in order.  A copy that loses all its columns is dropped.
 
     ``tp_product_space`` keeps every column but those that the singleton
-    rows β_uv = 0 kill.  Such a row holds for every 1/3-derivation, hence
-    for every left multiplication, so (e_g·e_u)_v = 0 for every g in every
-    compatible product, and its moved copies are the unit rows of the
-    killed columns.  Dropping a killed entry from a copy subtracts a
-    multiple of one of those unit rows, so the unit rows and the shortened
-    copies span the row space of the whole copies, whose one reduced row
-    echelon form is thus unchanged.  Moving and renumbering are strictly
-    increasing and leave the values alone, so a copy of a normal integer
-    row that keeps all its columns is a normal integer row; only a copy
-    that lost a column is normalised again, by ``_integer_row``.  With
-    every column kept, each row is moved whole, all-zero rows included,
-    as the dense reference in the tests moves the raw rows.
+    rows β_uv = 0 kill, as the module docstring's second stage states.
+    Moving and renumbering are strictly increasing and leave the values
+    alone, so a copy of a normal integer row that keeps all its columns is
+    a normal integer row; only a copy that lost a column is normalised
+    again, by ``_integer_row``.  With every column kept, each row is moved
+    whole, as the dense reference in the tests moves the raw rows.
     """
     label = dict(zip(keep, range(len(keep))))
     for move in _column_moves(n):
@@ -287,18 +316,16 @@ def _moved_rows(rows: Sequence[dict[int, int]], n: int,
 def tp_product_space(b: TriBracket) -> ProductSpace:
     """All commutative products making ``b`` a transposed Poisson structure.
 
-    The two-stage solve of the module docstring.  Lemma: a singleton row
-    β_uv = 0 among the reduced 1/3-derivation rows of ``b`` holds for every
-    left multiplication, so it kills the columns (e_g·e_u)_v, g = 1..n,
-    which are zero in every compatible product.  The other rows, moved by
-    ``_moved_rows`` onto the surviving columns, are eliminated again by
-    ``_eliminate``, and ``_kernel`` reads the kernel on those columns.  The
-    unit rows of the killed columns and the eliminated rows, which are
-    zero there, form the reduced row echelon form of the whole product
-    system; it is unique, so the pivots, free coordinates and basis are
-    those of the joint elimination.  The free coordinates are the
-    surviving non-pivot columns, ascending, and each basis product is read
-    from its sparse kernel row, mapped back and grouped by pair.
+    The second stage of the module docstring: the singleton rows among the
+    reduced 1/3-derivation rows of ``b`` kill the columns (e_g·e_u)_v,
+    g = 1..n, which are zero in every compatible product.  The other rows,
+    moved by ``_moved_rows`` onto the surviving columns, are eliminated
+    again by ``_eliminate``, and ``_kernel`` reads the kernel on those
+    columns.  The free coordinates are the surviving non-pivot columns,
+    ascending.  Each basis product is read from its sparse kernel row,
+    each kept column mapped back to its (pair, component) slot, and is
+    built once, through ``_from_fractions`` and ``_stored_product``, with
+    its pairs in ascending order.
     """
     n = b.dim
     pairs = _sym_pairs(n)
@@ -307,16 +334,17 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     killed = {move[c] for move in _column_moves(n) for c in singletons}
     keep = [c for c in range(len(pairs) * n) if c not in killed]
     reduced, pivots = _eliminate(_moved_rows([r for r in rows if len(r) > 1], n, keep))
+    where = [divmod(c, n) for c in keep]
     basis = []
     for vec in _kernel(reduced, pivots, len(keep)):
-        table: dict[tuple[int, int], list[Fraction]] = {}
+        table: dict[int, list[Fraction]] = {}
         for j, e in vec.items():
-            c = keep[j]
-            table.setdefault(pairs[c // n], [ZERO] * n)[c % n] = e
-        basis.append(CommProduct(n, {pair: Vector(coeffs)
-                                     for pair, coeffs in table.items()}))
+            idx, t = where[j]
+            table.setdefault(idx, [ZERO] * n)[t] = e
+        basis.append(_stored_product(n, {pairs[idx]: _from_fractions(Vector, tuple(table[idx]))
+                                         for idx in sorted(table)}))
     pivot_set = set(pivots)
-    description = tuple((pairs[c // n], c % n + 1)
-                        for i, c in enumerate(keep) if i not in pivot_set)
+    description = tuple((pairs[idx], t + 1)
+                        for i, (idx, t) in enumerate(where) if i not in pivot_set)
     return ProductSpace(dim=len(basis), basis=tuple(basis),
                         description=description, bracket=b)

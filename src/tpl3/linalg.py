@@ -31,11 +31,12 @@ integer readers of the package follow the same convention: the structure
 constants and product tables of ``algebra`` and the maps that
 ``morphisms`` transports by are cleared to integers over one denominator,
 and each reported entry is divided once.  Such an entry is already a
-``Fraction``, so the ``Vector``s of ``algebra._unscaled`` and the
-certificate witnesses of ``classify`` are built by ``_from_fractions``,
-which stores a tuple of ``Fraction``s as it is, with no second pass
-through ``rat``; its docstring states the contract.  The public
-constructors still coerce every entry.
+``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the
+certificate witnesses of ``classify`` and the basis records of the solved
+spaces in ``derivations`` are built by ``_from_fractions``, which stores a
+tuple of ``Fraction``s as it is, with no second pass through ``rat``; its
+docstring states the contract.  The public constructors still coerce
+every entry.
 
 ``rational_root`` takes square roots by ``math.isqrt``, and fourth roots
 by ``math.isqrt`` twice, with one exact power check; only other degrees
@@ -187,7 +188,9 @@ def _from_fractions(cls, *fields):
     compares, hashes, prints and pickles like the one they build.  The
     integer readers of ``algebra`` and the certifier of ``classify`` use it
     for values they have just divided out, which ``rat`` would only pass
-    through; every other caller goes through the public constructors.
+    through, and ``derivations`` for the basis matrices and vectors it reads
+    off ``_kernel``; every other caller goes through the public
+    constructors.
     """
     record = object.__new__(cls)
     for name, value in zip(cls._fields, fields):

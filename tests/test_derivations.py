@@ -419,21 +419,24 @@ def moved_copies(b: TriBracket) -> tuple[set[int], list[list[int]]]:
     return killed, copies
 
 
-def nonzero_derivation_rows(b: TriBracket) -> int:
-    """The number of nonzero rows (i<j<k, t) of the 1/3-derivation system of
-    ``b``, from the ``bracket_eval`` system; each lies in a triple of which
-    a stored triple holds two indices."""
+def derivation_row_supports(b: TriBracket) -> list[set[int]]:
+    """The columns of the nonzero entries of each nonzero row (i<j<k, t) of
+    the 1/3-derivation system of ``b``, from the ``bracket_eval`` system;
+    each such row lies in a triple of which a stored triple holds two
+    indices."""
     n = b.dim
     first, second = bracket_eval_systems(b)
     triples = list(combinations(range(1, n + 1), 3))
     live = {pair for key in b.table for pair in combinations(key, 2)}
-    count = 0
+    supports = []
     for r in range(len(triples) * n):
-        if any(x != y / 3 for x, y in zip((col[r] for col in first),
-                                            (col[r] for col in second))):
+        cols = {c for c, (x, y) in enumerate(zip((col[r] for col in first),
+                                                 (col[r] for col in second)))
+                if x != y / 3}
+        if cols:
             assert live & set(combinations(triples[r // n], 2))
-            count += 1
-    return count
+            supports.append(cols)
+    return supports
 
 
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
@@ -442,11 +445,14 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.linalg as linalg
 
     n = fresh_bracket(name).dim
-    # the first elimination gets the nonzero 1/3-derivation rows, all of
-    # them in triples that share two indices with a stored triple; the
+    # the nonzero 1/3-derivation rows all lie in triples that share two
+    # indices with a stored triple; the singletons among them only kill
+    # their columns, so the first elimination gets the other rows.  The
     # second gets the moved copies of the non-singleton reduced rows that
     # keep a column off the killed ones
-    first = nonzero_derivation_rows(fresh_bracket(name))
+    supports = derivation_row_supports(fresh_bracket(name))
+    first = sum(len(cols) > 1 for cols in supports)
+    assert (len(supports), first) == {"A3": (3, 1), "A4+ab2": (48, 16), "dense4": (16, 16)}[name]
     killed, copies = moved_copies(fresh_bracket(name))
     kept = [cols for cols in copies if not killed.issuperset(cols)]
     shrunk = [cols for cols in kept if not killed.isdisjoint(cols)]
@@ -466,10 +472,11 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
 
     derivation = lambda b: delta_derivations(DerivationQuery(b))
     # both eliminations tp_product_space calls: the forward pass _echelon
-    # on the raw rows, _eliminate on the moved copies of the reduced rows
+    # on the non-singleton raw rows, _eliminate on the moved copies of the
+    # reduced rows
     for fn in ("_echelon", "_eliminate"):
         monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
-    # a fresh bracket: the nonzero 1/3-derivation rows once, then the
+    # a fresh bracket: the non-singleton 1/3-derivation rows once, then the
     # surviving reduced copies, instead of n raw copies of every row
     b = fresh_bracket(name)
     full = [first, len(kept)]
@@ -479,7 +486,8 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # membership reads those reduced rows too (the identity is a 1/3-derivation)
     counts.clear()
     assert derivation(b).contains(Matrix.identity(n)) and counts == []
-    # the other order: the derivation rows once, then only the moved copies
+    # the other order: the non-singleton derivation rows once, then only
+    # the moved copies
     b2 = fresh_bracket(name)
     assert reduce_counts(derivation, b2)[0] == full[:1]
     # a moved copy that keeps all its columns is already a normal integer
@@ -629,6 +637,81 @@ def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
     # every dense bracket with n = 4 or 5 (dense4 included), no direct sum
     assert full_rank == 9
     monkeypatch.undo()
+
+
+def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
+    # the singleton rows β_uv = 0 of the δ-derivation system are taken out
+    # as killed columns and only the other rows, without those columns, are
+    # eliminated; the memo must equal the elimination of every row, whether
+    # columns are killed or not, and also when a row is left with a single
+    # column only after the drop
+    import tpl3.derivations as derivations
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+
+    eliminated = []
+    original = derivations._echelon
+    monkeypatch.setattr(derivations, "_echelon",
+                        lambda rows: original(eliminated.append(list(rows)) or eliminated[-1]))
+    rng = random.Random(89)
+    brackets = oracle_brackets()[:40]
+    brackets += [rational_bracket(rng, n, keep, density) for n in (3, 4, 5, 6)
+                 for keep, density in ((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5))]
+    kills = none = later = 0
+    for b in brackets:
+        for delta in (F(1, 3), F(1), F(-2, 5), F(2)):
+            q = DerivationQuery(TriBracket(b.dim, b.table), delta)
+            rows = list(_derivation_rows(q))
+            assert all(all(row.values()) for row in rows)
+            killed = {c for row in rows if len(row) == 1 for c in row}
+            eliminated.clear()
+            assert _reduced_rows(q) == _reduce(rows)
+            # one forward pass, on the other rows, without a killed column
+            [given] = eliminated
+            assert len(given) == sum(len(row) > 1 for row in rows)
+            assert all(killed.isdisjoint(row) for row in given)
+            kills += bool(killed)
+            none += not killed
+            later += any(len(row.keys() - killed) == 1 for row in rows if len(row) > 1)
+    assert kills > 100 and none > 40 and later > 20
+    monkeypatch.undo()
+
+
+def test_solved_space_records_match_public_constructors():
+    # the basis matrices and basis products are built with no second pass
+    # through rat and no key check; they must be the records the public
+    # constructors build from the same entries
+    from tpl3.algebra import _product_table
+
+    def rebuilt(record):
+        if isinstance(record, Matrix):
+            return Matrix(record.rows, record.cols, record.entries)
+        return CommProduct(record.dim, {key: Vector(vec.entries)
+                                        for key, vec in record.table.items()})
+
+    rng = random.Random(101)
+    brackets = [A3, seed3_dense_bracket()]
+    brackets += [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
+    brackets += [rational_bracket(rng, n, 0.5, 0.7) for n in (3, 4, 5) for _ in range(3)]
+    records = 0
+    for b in brackets:
+        space = tp_product_space(TriBracket(b.dim, b.table))
+        basis = list(space.basis)
+        for delta in (F(1, 3), F(-2, 5)):
+            basis += delta_derivations(DerivationQuery(b, delta)).basis
+        for record in basis:
+            public = rebuilt(record)
+            assert record == public and hash(record) == hash(public)
+            assert repr(record) == repr(public)
+            assert pickle.dumps(record) == pickle.dumps(public)
+            entries = (record.entries if isinstance(record, Matrix)
+                       else [e for vec in record.table.values() for e in vec.entries])
+            assert all(type(e) is F for e in entries)
+            if isinstance(record, CommProduct):
+                assert list(record.table) == sorted(record.table)
+                assert record._table is None and _product_table(record) == _product_table(public)
+            records += 1
+    assert records > 300
 
 
 def unimodular(rng: random.Random, n: int) -> AutoMatrix:
