@@ -15,7 +15,8 @@ Reduction scheme: witnesses have the shape
 diag(1, B)·[[u,0,0],[x,c,0],[y,0,1/c]] with B in SL2(ℚ).  ``normalize``
 tries the identity block B, then every match of the binary quotient cubic
 onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
-ℚ(√−3)), and finishes each block in the case of the coordinates it moves:
+ℚ(√−3)), moves the input by each block on integers (``_moved_coordinates``),
+and finishes each block in the case of the coordinates it moves:
 
 * the block scaling e2 ↦ c·e2, e3 ↦ e3/c rescales the e2/e3 structure
   constants; matching the canonical tables pins c by ``c**4 = radicand``
@@ -41,7 +42,7 @@ certificate is revalidated exactly once before it is returned, by
 also proves it invertible, and then φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) holds
 exactly on the six basis pairs, with ∗ the canonical table, on integers.
 For a bijection that is the same as transporting the input onto the
-table, so no certificate builds the inverse of its witness.
+table, so no certificate inverts its witness, nor keeps an inverse.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .linalg import Matrix, _from_fractions, _Record, _integer_root, rank, ratio
 from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
                       _cleared_coordinates, a3_bracket, check_transposed_leibniz,
                       structure_table)
-from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
+from .morphisms import (AutoMatrix, _homomorphism, _transported, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
                        CaseId, FamilyInstance, _case_of, _table_form, detect_case,
@@ -148,11 +149,12 @@ def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fr
 
     so M·(u, x, y) = b + z·σ with M = [[g,a,q],[h,r,−a],[k,s,−r]], the
     targets b and, for a two-parameter table, the slope σ of the targets in
-    z.  ``co`` holds the coordinates on integers, as
-    ``algebra._cleared_coordinates`` returns them, and ``det`` is
-    ``_shift_determinant(co)``, D.  M is read from ``co``, and b and σ from
-    the table's linear forms (``families._table_form``), on integers over
-    one denominator W; a ``Fraction`` is built only for each reported value.
+    z.  ``co`` holds the coordinates on integers on a positive scale, as
+    ``_cleared_coordinates`` or ``_moved_coordinates`` returns them, and
+    ``det`` is ``_shift_determinant(co)``, D.  M is read from ``co``, and b
+    and σ from the table's linear forms (``families._table_form``), on
+    integers over one denominator W; a ``Fraction`` is built only for each
+    reported value.
 
     Row 0 of adj(M), ℓ = (m, a·r + q·s, −a² − q·r) with the minor
     m = a·s − r², has ℓ·M = (D, 0, 0) for every D, so it leaves one scalar
@@ -202,8 +204,8 @@ def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fr
 def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fraction,
              family_id: str, primary: Fraction, det: int) -> Certificate:
     """The certificate for ``p`` onto ``family_id``, where ``co`` are the
-    cleared coordinates of ``p`` moved by diag(1, block), or of ``p`` when
-    ``block`` is None, and ``det`` their shift determinant.  The witness is
+    coordinates of ``p`` moved by diag(1, block), or of ``p`` when ``block``
+    is None, and ``det`` their shift determinant.  The witness is
     diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
     """
     solved = _solve_witness(co, c, family_id, primary, det)
@@ -403,9 +405,7 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     for block in blocks:
         if block is None:
             continue
-        (b11, b12), (b21, b22) = block.row_lists()
-        block_map = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
-        moved = _cleared_coordinates(transport_product(p, block_map))
+        moved = _moved_coordinates(p, block)
         result = _reduce_in_case(p, moved, _case_of(*moved[1:]), block)
         if isinstance(result, Certificate):
             return result
@@ -415,6 +415,24 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     return in_case
 
 
+def _moved_coordinates(p: CommProduct, block: Matrix) -> tuple[int, ...]:
+    """``_cleared_coordinates`` of ``p`` moved by diag(1, B), det B = 1, on
+    another positive scale, read off pair rows 3–5 of ``_transported``.
+    adj(B) = B⁻¹, so the integer rows of both maps come from B's entries;
+    diag(1, B) is an automorphism, so the moved product keeps the shape."""
+    ratios = [e.as_integer_ratio() for e in block.entries]
+    den = math.lcm(*[d for _, d in ratios])
+    b11, b12, b21, b22 = [num * (den // d) for num, d in ratios]
+
+    def support(x11, x12, x21, x22):
+        return den, [[(0, den)], [(j, x) for j, x in ((1, x11), (2, x12)) if x],
+                     [(j, x) for j, x in ((1, x21), (2, x22)) if x]]
+
+    scale, moved = _transported(p, support(b11, b12, b21, b22),
+                                support(b22, -b12, -b21, b11))
+    return (scale, *moved[3], *moved[4], *moved[5])
+
+
 def _reduce_in_case(p: CommProduct, co: tuple[int, ...], case: CaseId,
                     block: Optional[Matrix]) -> Union[Certificate, NeedsExtension, None]:
     """Each case picks its ordered (family, radicand) candidates, the root
@@ -422,9 +440,9 @@ def _reduce_in_case(p: CommProduct, co: tuple[int, ...], case: CaseId,
     reports; the first candidate with a rational root is certified.  None
     when the e2/e3 block is off the shape of the case's tables.
 
-    ``co`` are the cleared coordinates (``algebra._cleared_coordinates``)
-    of ``p`` moved by diag(1, block), or of ``p`` when ``block`` is None;
-    every test here is homogeneous in them, and the radicands are ratios."""
+    ``co`` are the coordinates of ``p`` moved by diag(1, block)
+    (``_moved_coordinates``), or of ``p`` when ``block`` is None; every
+    test here is homogeneous in them, and the radicands are ratios."""
     den, g, a, q, h, r, _, k, s, _ = co
     if (case.case == 2 and q * q * s != -3 * a ** 3
             or case.case == 4 and 3 * r ** 3 != q * s * s):

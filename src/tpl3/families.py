@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .linalg import _Record, rat
-from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates
+from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates, _unscaled
 
 if TYPE_CHECKING:
     from .morphisms import AutoMatrix
@@ -136,17 +137,6 @@ _CANONICAL_ROWS = {
 }
 
 
-def canonical_coordinates(family_id: str,
-                          values: Mapping[str, Fraction]) -> FamilyCoordinates:
-    """Solved-family coordinates (g,a,q,h,r,w,k,s,t) of a canonical table;
-    a missing secondary parameter reads as 0."""
-    if family_id not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family id {family_id!r}")
-    primary, *secondary = FAMILY_PARAMS[family_id]
-    second = values.get(secondary[0], _Z) if secondary else _Z
-    return FamilyCoordinates(*_CANONICAL_ROWS[family_id](values[primary], second))
-
-
 _Rows = tuple[tuple[int, ...], ...]
 
 #: family id -> (L, A, B), filled by ``_table_form`` on first use
@@ -176,7 +166,7 @@ def _table_form(family_id: str) -> tuple[int, _Rows, _Rows]:
 def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
     """The six pair rows of a family instance's table on integers: ``(den,
     rows)`` with den·pair_rows = rows, read from ``_table_form``; a missing
-    secondary parameter reads as 0, as in ``canonical_coordinates``.  Each
+    secondary parameter reads as 0.  Each
     parameter is read once, by ``as_integer_ratio``, and each row is one
     3-tuple of ``int``s."""
     if f.id not in FAMILY_PARAMS:
@@ -192,8 +182,13 @@ def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:
-    """The exact product table of a canonical family instance."""
-    return canonical_coordinates(f.id, f.param_map).as_product()
+    """The exact product table of a canonical family instance, built from
+    its integer pair rows (``table_rows``): each nonzero row is divided by
+    their denominator once, by ``algebra._unscaled``."""
+    den, rows = table_rows(f)
+    pairs = combinations_with_replacement(range(1, 4), 2)
+    return CommProduct(3, {pair: _unscaled(row, den)
+                           for pair, row in zip(pairs, rows) if any(row)})
 
 
 def detect_case(p: CommProduct) -> Optional[CaseId]:
@@ -204,11 +199,6 @@ def detect_case(p: CommProduct) -> Optional[CaseId]:
     not in the solved compatible family at all.
     """
     return _case_of(*_cleared_coordinates(p)[1:])
-
-
-def case_of_coordinates(c: FamilyCoordinates) -> Optional[CaseId]:
-    """``detect_case`` on already extracted solved-family coordinates."""
-    return _case_of(c.g, c.a, c.q, c.h, c.r, c.w, c.k, c.s, c.t)
 
 
 def _case_of(g, a, q, h, r, w, k, s, t) -> Optional[CaseId]:
@@ -236,7 +226,9 @@ def _case_of(g, a, q, h, r, w, k, s, t) -> Optional[CaseId]:
 
 class _Witnesses(Mapping):
     """Subcase -> automorphism witness, each built from its rows when first
-    read, so importing this module inverts no matrix."""
+    read.  Every witness has the automorphism shape, so building one inverts
+    nothing; the laziness only keeps this module from importing
+    ``morphisms``."""
 
     def __init__(self, rows: dict[str, list]):
         self._rows = rows

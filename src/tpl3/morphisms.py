@@ -13,6 +13,10 @@ In this row convention the push-forward satisfies
     transport(p, a·b) = transport(transport(p, a), b)
 
 (matrix product a·b transports like "apply a first").
+
+No map keeps its inverse: each transport calls ``invert`` when it runs.
+Products move on integers in one kernel, ``_transported``, which
+``transport_product`` and ``classify.normalize``'s candidate blocks share.
 """
 
 from __future__ import annotations
@@ -45,30 +49,16 @@ def _is_a3_shape(m: Matrix) -> bool:
             - b12.numerator * b21.numerator * d11 * d22 == d11 * d12 * d21 * d22)
 
 
-def _a3_inverse(m: Matrix) -> Matrix:
-    """The inverse of a map of the shape ``_is_a3_shape`` accepts, in closed
-    form.  With Λ = [[u, 0], [v, B]] in blocks, det B = 1 makes the adjugate
-    adj(B) the inverse of B, so Λ⁻¹ = [[1/u, 0], [−adj(B)·v/u, adj(B)]]."""
-    u, zero, _, v1, b11, b12, v2, b21, b22 = m.entries
-    return Matrix(3, 3, (1 / u, zero, zero,
-                         (b12 * v2 - b22 * v1) / u, b22, -b12,
-                         (b21 * v1 - b11 * v2) / u, -b21, b11))
-
-
 class AutoMatrix(_Record):
     """An invertible linear map in the row convention φ(e_i) = Σ_j Λ_ij e_j.
 
     ``__post_init__`` runs on every construction and proves the map
-    invertible.  A map of the automorphism shape of [e1,e2,e3] = e1
-    (``a3_automorphism_check``) is invertible by that shape alone, and its
-    closed-form inverse is built, with no elimination, the first time
-    ``_inverse`` is read; every other map goes to ``invert`` on
-    construction.  Either inverse is kept in the slot ``_cached_inverse``,
-    None until built, and transport reads it from ``_inverse``.  Neither is
-    a field: they stay out of ``==``, the hash, the ``repr`` and pickles.
+    invertible: a map of the automorphism shape of [e1,e2,e3] = e1
+    (``a3_automorphism_check``) by that shape alone, with no elimination,
+    and every other map by ``invert``.  No inverse is kept.
     """
 
-    __slots__ = ("map", "_cached_inverse")
+    __slots__ = ("map",)
 
     def __init__(self, map: Matrix):
         object.__setattr__(self, "map", map)
@@ -79,21 +69,11 @@ class AutoMatrix(_Record):
         if not m.is_square():
             raise DimensionMismatch("automorphism matrices must be square")
         if m.rows == 3 and _is_a3_shape(m):
-            inverse = None
-        else:
-            try:
-                inverse = invert(m)
-            except Singular:
-                raise Singular("automorphism matrices must be invertible") from None
-        object.__setattr__(self, "_cached_inverse", inverse)
-
-    @property
-    def _inverse(self) -> Matrix:
-        inverse = self._cached_inverse
-        if inverse is None:
-            inverse = _a3_inverse(self.map)
-            object.__setattr__(self, "_cached_inverse", inverse)
-        return inverse
+            return
+        try:
+            invert(m)
+        except Singular:
+            raise Singular("automorphism matrices must be invertible") from None
 
     @property
     def dim(self) -> int:
@@ -108,7 +88,7 @@ class AutoMatrix(_Record):
         return cls(Matrix.identity(n))
 
     def inverse(self) -> "AutoMatrix":
-        return AutoMatrix(self._inverse)
+        return AutoMatrix(invert(self.map))
 
 
 def is_bracket_automorphism(b: TriBracket, m: AutoMatrix) -> CheckReport:
@@ -138,7 +118,11 @@ def a3_automorphism_check(m: AutoMatrix) -> bool:
     return _is_a3_shape(m.map)
 
 
-def _supports(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+#: a map over one common denominator, as ``_supports`` returns it
+_Support = tuple[int, list[list[tuple[int, int]]]]
+
+
+def _supports(m: Matrix) -> _Support:
     """The map over one common denominator: ``(D, rows)``, where ``rows[i]``
     lists the nonzero (j, c) with Λ_ij = c/D, each c an ``int``, all
     indices 0-based, and D is the least common denominator of the entries.
@@ -171,26 +155,26 @@ def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
     return out
 
 
-def _transported(p: CommProduct, m: AutoMatrix) -> tuple[int, list[list[int]]]:
-    """The push-forward of ``p`` along ``m`` on integers: ``(den, moved)``,
-    where ``moved`` holds one ``int`` coordinate list per basis pair i <= j,
-    in the order of ``combinations_with_replacement``, each den times the
-    coordinates of e_i ∗ e_j.  Nothing is divided here.
+def _transported(p: CommProduct, forward: _Support,
+                 backward: _Support) -> tuple[int, list[list[int]]]:
+    """The push-forward of ``p`` along a map on integers, given the map and
+    its inverse as ``_supports``: ``(den, moved)``, where ``moved`` holds
+    one ``int`` coordinate list per basis pair i <= j, in the order of
+    ``combinations_with_replacement``, each den times the coordinates of
+    e_i ∗ e_j.  Nothing is inverted or divided here.
 
     x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
     through the product's ``_product_table`` into a coordinate list, which
-    Λ then moves.  With Λ⁻¹ over E, the product over D_p and Λ over D
-    (``_supports``), each term multiplies two entries of Λ⁻¹, one product
-    constant and one entry of Λ, so den = E²·D_p·D.
+    Λ then moves.  With Λ⁻¹ over E (``backward``), the product over D_p and
+    Λ over D (``forward``), each term multiplies two entries of Λ⁻¹, one
+    product constant and one entry of Λ, so den = E²·D_p·D.
     """
-    if p.dim != m.dim:
-        raise DimensionMismatch("product and map dimensions differ")
     n = p.dim
     den_p, prod = _product_table(p)
-    den_pre, pre = _supports(m._inverse)
-    den_map, image = _supports(m.map)
+    den_pre, pre = backward
+    den_map, image = forward
     moved = []
-    for (i, j) in combinations_with_replacement(range(n), 2):
+    for (i, j) in _basis_pairs(n):
         value = [0] * n
         for s, x in pre[i]:
             row = prod[s]
@@ -252,11 +236,13 @@ def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
 def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     """Push-forward of a commutative product along an invertible map.
 
-    The integer kernel ``_transported`` computes every output pair over one
-    denominator; this wraps each nonzero pair in a ``Vector``, which is
-    where each entry is divided by that denominator, once.
+    The map is inverted here, and ``_transported`` computes every output
+    pair over one denominator; this wraps each nonzero pair in a ``Vector``,
+    which is where each entry is divided by that denominator, once.
     """
-    den, moved = _transported(p, m)
+    if p.dim != m.dim:
+        raise DimensionMismatch("product and map dimensions differ")
+    den, moved = _transported(p, _supports(m.map), _supports(invert(m.map)))
     pairs = combinations_with_replacement(range(1, p.dim + 1), 2)
     return CommProduct(p.dim, {pair: _unscaled(row, den)
                                for pair, row in zip(pairs, moved) if any(row)})
@@ -265,8 +251,9 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     """Push-forward of a skew ternary bracket along an invertible map.
 
-    The same integer expansion as ``_transported``, through the
-    bracket's ``structure_table`` on increasing basis triples: each term
+    The map is inverted here, by ``invert``; the bracket moves by the same
+    integer expansion as in ``_transported``, through the bracket's
+    ``structure_table`` on increasing basis triples: each term
     multiplies three entries of Λ⁻¹, one structure constant and one entry
     of Λ, so an output entry is divided by E³·D_b·D once, when its
     ``Vector`` is built.
@@ -275,7 +262,7 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
         raise DimensionMismatch("bracket and map dimensions differ")
     n = b.dim
     den_b, brk = structure_table(b)
-    den_pre, pre = _supports(m._inverse)
+    den_pre, pre = _supports(invert(m.map))
     den_map, image = _supports(m.map)
     den = den_pre ** 3 * den_b * den_map
     table = {}

@@ -25,7 +25,9 @@ from test_algebra import classify_mix_products
 from test_classify_digest import corpus
 from test_linalg import oracle_solve_affine
 from test_morphisms import reference_inverse
-from tpl3.families import _table_form, canonical_coordinates, table_rows
+from tpl3.algebra import _cleared_coordinates
+from tpl3.classify import _candidate_blocks, _moved_coordinates
+from tpl3.families import _CANONICAL_ROWS, _case_of, _table_form, table_rows
 from tpl3.morphisms import _homomorphism
 
 A3 = a3_bracket()
@@ -444,7 +446,7 @@ def test_table_forms_give_the_canonical_pair_rows():
                   rand_rat(rng, True, -big, big, big), rand_rat(rng, True, -big, big, big)]
         for primary, secondary in product(values, repeat=2):
             params = dict(zip(names, (primary, secondary)))
-            expected = canonical_coordinates(fam, params).pair_rows()
+            expected = FamilyCoordinates(*_CANONICAL_ROWS[fam](primary, secondary)).pair_rows()
             assert tuple(tuple(F(primary * a + secondary * b) / den for a, b in zip(x, y))
                          for x, y in zip(first, second)) == expected
             if primary:
@@ -455,9 +457,9 @@ def test_table_forms_give_the_canonical_pair_rows():
 
 
 def test_certificate_witnesses_build_no_inverse(monkeypatch):
-    # classify neither eliminates nor inverts for a certificate; its witness
-    # builds the closed-form inverse when first read, and the read changes
-    # no field, hash, repr or pickle
+    # classify neither eliminates nor inverts for a certificate, and a
+    # witness keeps no inverse: inverting it changes no field, hash, repr or
+    # pickle
     linalg = importlib.import_module("tpl3.linalg")
     eliminations = []
     echelon = linalg._echelon
@@ -466,15 +468,69 @@ def test_certificate_witnesses_build_no_inverse(monkeypatch):
     witnesses = [out.witness for p in classify_mix_products(1, 300)
                  if isinstance(out := classify(A3, p), Certificate)]
     assert len(witnesses) >= 300 and eliminations == []
-    assert all(w._cached_inverse is None for w in witnesses)
+    monkeypatch.undo()
     for witness in witnesses[:60]:
         before = (hash(witness), repr(witness), pickle.dumps(witness))
         copy = pickle.loads(before[2])
-        assert witness._inverse == reference_inverse(witness.map)
-        assert witness._cached_inverse is witness._inverse
+        assert witness.inverse().map == reference_inverse(witness.map)
         assert (hash(witness), repr(witness), pickle.dumps(witness)) == before
-        assert witness == copy and copy._cached_inverse is None
-        assert pickle.loads(pickle.dumps(witness))._cached_inverse is None
+        assert witness == copy and hash(copy) == before[0]
+
+
+def candidate_block_inputs() -> list[tuple[CommProduct, Matrix]]:
+    """Every in-case product of the digest corpus and of seeded table-cubic
+    images, with each of its candidate blocks.  An image is a split table
+    cubic, h₂ or its case-4 form moved by a random GL2 map, then sheared by
+    y ↦ y + t·x into case 1 or 2, with a random e1 row."""
+    rng = random.Random(3301)
+    products = corpus()
+    for cubic in (*SPLIT_CUBICS, H2, H4):
+        for _ in range(12):
+            f = substitute(cubic, random_gl2(rng))
+            if f[3]:
+                f = substitute(f, ((F(1), F(0)), (-f[2] / (3 * f[3]), F(1))))
+                products.append(cubic_coordinates(f, [rand_rat(rng) for _ in range(3)])
+                                .as_product())
+    pairs = []
+    for p in products:
+        try:
+            co = _cleared_coordinates(p)
+        except ShapeMismatch:
+            continue
+        if _case_of(*co[1:]) is not None:
+            pairs += [(p, b) for b in _candidate_blocks(co)[0] if b is not None]
+    return pairs
+
+
+def test_block_move_matches_the_transport_oracle():
+    # normalize moves each candidate block on integers; the transported
+    # product's cleared coordinates are the oracle, and the integer tuple
+    # is a positive multiple of them
+    pairs = candidate_block_inputs()
+    for p, block in pairs:
+        (b11, b12), (b21, b22) = block.row_lists()
+        oracle = _cleared_coordinates(transport_product(
+            p, AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])))
+        moved = _moved_coordinates(p, block)
+        assert all(type(v) is int for v in moved) and moved[0] > 0
+        assert [v * oracle[0] for v in moved] == [v * moved[0] for v in oracle], (p, block)
+    # the digest corpus alone gives 585 blocks, among them the 114 that
+    # normalize's block loops see on it
+    assert len(pairs) >= 620, len(pairs)
+
+
+def test_normalize_builds_one_automatrix_per_certificate(monkeypatch):
+    # the candidate blocks move the input with no AutoMatrix: the only one
+    # built is each certificate's witness
+    from tpl3 import morphisms
+
+    products = list({id(p): p for p, _ in candidate_block_inputs()}.values())
+    constructions = []
+    post_init = morphisms.AutoMatrix.__post_init__
+    monkeypatch.setattr(morphisms.AutoMatrix, "__post_init__",
+                        lambda self: constructions.append(post_init(self)))
+    certificates = sum(isinstance(normalize(p), Certificate) for p in products)
+    assert certificates >= 140 and len(constructions) == certificates
 
 
 # --- cases 2 and 4: the sign class of the radicand --------------------------------

@@ -38,20 +38,23 @@ def test_automatrix_eliminates_its_witness_once(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_reduce", counting)
-    # det B = 2: outside the automorphism shape, so ``invert`` eliminates
+    # det B = 2: outside the automorphism shape, so construction eliminates
     m = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 2]])
-    p = instantiate_family(FamilyInstance.make("T2", alpha=1, theta=2))
-    # construction inverts the map once; transport reads that inverse
-    moved = transport_product(p, m)
     assert counts == [3]
+    # no inverse is kept: each transport eliminates once more
+    p = instantiate_family(FamilyInstance.make("T2", alpha=1, theta=2))
+    moved = transport_product(p, m)
+    assert counts == [3, 3]
     transport_bracket(A3, m)
     transport_product(moved, m)
-    assert counts == [3]
-    # an automorphism is inverted in closed form, with no elimination
+    assert counts == [3] * 4
+    # an automorphism is invertible by its shape, so construction eliminates
+    # nothing; its transports eliminate once each
     automorphism = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 1]])
+    assert counts == [3] * 4
     transport_product(p, automorphism)
     transport_bracket(A3, automorphism)
-    assert counts == [3]
+    assert counts == [3] * 6
     monkeypatch.undo()
     assert transport_product(moved, m.inverse()) == p
 
@@ -174,9 +177,10 @@ def rand_a3_rows(rng: random.Random, digits: int) -> list[list[F]]:
     return [[u, F(0), F(0)], [v1, b11, b12], [v2, b21, (1 + b12 * b21) / b11]]
 
 
-def test_closed_form_inverse_matches_reference(monkeypatch):
-    # automorphisms of [e1,e2,e3] = e1 are inverted without ``invert``; the
-    # maps just off that shape go to it once each, singular ones included
+def test_automorphism_inverse_matches_reference(monkeypatch):
+    # automorphisms of [e1,e2,e3] = e1 are constructed without ``invert``,
+    # and ``inverse()`` inverts each once; the maps just off that shape go
+    # to it once each on construction, singular ones included
     import tpl3.morphisms as morphisms
 
     inverts = []
@@ -191,10 +195,13 @@ def test_closed_form_inverse_matches_reference(monkeypatch):
         else:
             m = AutoMatrix.from_rows(rand_a3_rows(rng, 20))
             big += 1
-        assert a3_automorphism_check(m)
-        assert m._inverse == reference_inverse(m.map)
-        assert mat_mul(m.map, m._inverse) == identity
-    assert inverts == [] and big == 250
+        assert a3_automorphism_check(m) and inverts == []
+        inverse = m.inverse().map
+        assert inverts == [m.map]
+        inverts.clear()
+        assert inverse == reference_inverse(m.map)
+        assert mat_mul(m.map, inverse) == identity
+    assert big == 250
 
     outcomes = {"det B = 2": 0, "Λ12 ≠ 0": 0, "u = 0": 0, "singular": 0}
     for i in range(300):
@@ -221,7 +228,7 @@ def test_closed_form_inverse_matches_reference(monkeypatch):
         else:
             m = AutoMatrix(matrix)
             assert not a3_automorphism_check(m)
-            assert m._inverse == expected
+            assert invert(m.map) == expected
         assert inverts == [matrix]
         inverts.clear()
     # every u = 0 map is singular, and so is every copied e1 row

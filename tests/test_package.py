@@ -280,4 +280,8 @@ def test_automatrix_inverts_through_the_class_hook(monkeypatch):
     monkeypatch.setattr(morphisms, "invert", lambda m: inverts.append(m) or invert(m))
     m = morphisms.AutoMatrix.from_rows([[1, 0, 0], [1, 2, 0], [0, -1, 1]])
     assert len(calls) == 1 and inverts == [m.map]
-    assert m._inverse == tpl3.invert(m.map)
+    # no inverse is kept: inverse() inverts the map again, and constructs an
+    # off-shape map (det B = 1/2), which inverts once more
+    inverse = m.inverse()
+    assert len(calls) == 2 and inverts == [m.map, m.map, inverse.map]
+    assert inverse.map == tpl3.invert(m.map)
