@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from typing import Mapping
 
-from .linalg import DimensionMismatch, Vector, _from_fractions, _Record
+from .linalg import DimensionMismatch, Vector, _Record
 
 
 class ShapeMismatch(ValueError):
@@ -49,10 +49,10 @@ class TriBracket(_Record):
     Two memos sit beside ``table``.  ``_reduced`` is the reduction memo of
     ``tpl3.derivations._reduced_rows``, which documents its format: the
     normal integer rows and pivots that ``linalg._reduce`` returns.  It is
-    empty until the first solve.  ``_structure`` is the result of
-    ``structure_table``, None until its first call.  Both rely on ``table``
-    never being mutated after construction, and what they store is
-    read-only.  Neither is part of ``==``, ``hash``, ``repr`` or the
+    None until the first solve creates it.  ``_structure`` is the result
+    of ``structure_table``, None until its first call.  Both rely on
+    ``table`` never being mutated after construction, and what they store
+    is read-only.  Neither is part of ``==``, ``hash``, ``repr`` or the
     pickled state, so a copy or an equal bracket builds and solves again.
     """
 
@@ -72,7 +72,7 @@ class TriBracket(_Record):
                 clean[(i, j, k)] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", dict(sorted(clean.items())))
-        object.__setattr__(self, "_reduced", {})
+        object.__setattr__(self, "_reduced", None)
         object.__setattr__(self, "_structure", None)
 
     def basis_bracket(self, i: int, j: int, k: int) -> Vector:
@@ -146,26 +146,6 @@ class CommProduct(_Record):
         return f"CommProduct(dim={self.dim}, {body or 'zero'})"
 
 
-def _stored_product(dim: int, table: dict[tuple[int, int], Vector]) -> CommProduct:
-    """A ``CommProduct`` from its table as it is stored, with no check and
-    no copy.
-
-    The caller's contract: the keys of ``table`` are the pairs (i, j) with
-    1 <= i <= j <= ``dim``, in ascending order, and each value is a
-    nonzero ``Vector`` of length ``dim``.  That is what the public
-    constructor stores after its checks, so the record compares, hashes,
-    prints and pickles like the one it builds, and its ``_table`` memo
-    starts as None.  ``derivations.tp_product_space`` uses it for the
-    basis products it reads off its kernel rows; every other caller goes
-    through the public constructor.
-    """
-    record = object.__new__(CommProduct)
-    object.__setattr__(record, "dim", dim)
-    object.__setattr__(record, "table", table)
-    object.__setattr__(record, "_table", None)
-    return record
-
-
 def a3_bracket() -> TriBracket:
     """The unique nontrivial 3-dimensional 3-Lie bracket: [e1,e2,e3] = e1."""
     return TriBracket(3, {(1, 2, 3): Vector.unit(3, 1)})
@@ -176,17 +156,9 @@ class Violation(_Record):
 
     __slots__ = ("witness", "left", "right")
 
-    def __init__(self, witness: tuple, left: Vector, right: Vector):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class CheckReport(_Record):
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -259,8 +231,8 @@ def _unscaled(values: list[int], den: int) -> Vector:
     """The ``Vector`` of an ``int`` coordinate list that is ``den`` times the
     value.  Each entry is built once, as ``Fraction(v, den)``, and every zero
     is one shared ``Fraction(0)``; the tuple goes to ``Vector`` through
-    ``linalg._from_fractions``, with no second pass through ``rat``."""
-    return _from_fractions(Vector, tuple([Fraction(v, den) if v else _ZERO for v in values]))
+    ``Vector._from_fields``, with no second pass through ``rat``."""
+    return Vector._from_fields(tuple([Fraction(v, den) if v else _ZERO for v in values]))
 
 
 def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
@@ -434,18 +406,6 @@ class FamilyCoordinates(_Record):
     """
 
     __slots__ = ("g", "a", "q", "h", "r", "w", "k", "s", "t")
-
-    def __init__(self, g: Fraction, a: Fraction, q: Fraction, h: Fraction, r: Fraction,
-                 w: Fraction, k: Fraction, s: Fraction, t: Fraction):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
 
     def pair_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The coordinates of e_i·e_j for the six basis pairs i <= j, in the

@@ -52,7 +52,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import Matrix, _from_fractions, _Record, _integer_root, rank, rational_root
+from .linalg import Matrix, _Record, _integer_root, rank, rational_root
 from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
                       _cleared_coordinates, a3_bracket, check_transposed_leibniz,
                       structure_table)
@@ -67,11 +67,6 @@ class Certificate(_Record):
     """An automorphism witnessing input ≅ canonical family instance."""
 
     __slots__ = ("input", "family", "witness")
-
-    def __init__(self, input: CommProduct, family: FamilyInstance, witness: AutoMatrix):
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "witness", witness)
 
     def validate(self) -> bool:
         """Whether the witness is an automorphism of [e1,e2,e3] = e1 that
@@ -97,10 +92,6 @@ class NeedsExtension(_Record):
 
     __slots__ = ("radicand", "degree")
 
-    def __init__(self, radicand: Fraction, degree: int):
-        object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "degree", degree)
-
 
 class Unclassified(_Record):
     """No case condition set applies, or the input is in one but no
@@ -110,24 +101,15 @@ class Unclassified(_Record):
 
     __slots__ = ("reason",)
 
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
 
 class NotTransposedPoisson(_Record):
     """The coupling identity fails; the report carries witnesses."""
 
     __slots__ = ("report",)
 
-    def __init__(self, report: CheckReport):
-        object.__setattr__(self, "report", report)
-
 
 class Unsupported(_Record):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
 
 
 ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
@@ -223,7 +205,7 @@ def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fr
         entries = (u, _ZERO, _ZERO,
                    b11 * x + b12 * y, b11 * c, b12 / c,
                    b21 * x + b22 * y, b21 * c, b22 / c)
-    witness = AutoMatrix(_from_fractions(Matrix, 3, 3, entries))
+    witness = AutoMatrix(Matrix._from_fields(3, 3, entries))
     cert = Certificate(input=p, family=family, witness=witness)
     if not cert.validate():
         raise RuntimeError(
@@ -508,7 +490,7 @@ def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
     nonzero one times D, so (D, table) determines the coefficients, and
     ``TriBracket`` drops zero vectors on construction, so equal coefficients
     are equal brackets.  A certificate's witness is built by
-    ``linalg._from_fractions`` from a tuple of nine ``Fraction``s, which is
+    ``Matrix._from_fields`` from a tuple of nine ``Fraction``s, which is
     that constructor's whole contract (see ``_certify``), and still through
     ``AutoMatrix``, so its shape check runs on construction.
     """

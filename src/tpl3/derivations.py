@@ -18,8 +18,8 @@ back-substitution of ``linalg._eliminate``, which return normal integer
 rows, and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
 built on the solve path.  The basis matrices and products are built from
-those rationals as they are, through ``linalg._from_fractions`` and
-``algebra._stored_product``, with no second pass through ``rat``.
+those rationals as they are, through ``_Record._from_fields``, with no
+second pass through ``rat``.
 ``_reduced_rows`` is the one place that eliminates a bracket's
 δ-derivation rows, once per bracket object and δ, so ``delta_derivations``,
 ``DerivationSpace.contains`` and ``tp_product_space`` on one bracket share
@@ -67,10 +67,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
-                     _densify, _echelon, _eliminate, _from_fractions, _integer_row, _kernel,
-                     rat)
-from .algebra import (CommProduct, TriBracket, _stored_product, check_transposed_leibniz,
-                      structure_table)
+                     _densify, _echelon, _eliminate, _integer_row, _kernel, rat)
+from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)
@@ -94,11 +92,6 @@ class DerivationSpace(_Record, hidden=("query",)):
 
     __slots__ = ("dim", "basis", "query")
 
-    def __init__(self, dim: int, basis: tuple[Matrix, ...], query: DerivationQuery):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "query", query)
-
     def contains(self, m: Matrix) -> bool:
         """Exact membership: m satisfies every reduced row the space was
         solved from, which span the rows of the derivation system."""
@@ -117,13 +110,6 @@ class ProductSpace(_Record, hidden=("bracket",)):
     """
 
     __slots__ = ("dim", "basis", "description", "bracket")
-
-    def __init__(self, dim: int, basis: tuple[CommProduct, ...],
-                 description: tuple[tuple[tuple[int, int], int], ...], bracket: TriBracket):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "bracket", bracket)
 
     def contains(self, p: CommProduct) -> bool:
         """Exact membership: the rows of the product system state that every
@@ -207,13 +193,14 @@ def _reduced_rows(q: DerivationQuery
                   ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     """The reduced rows and pivots of the δ-derivation system of ``q``.
 
-    The bracket's ``_reduced`` memo maps δ to ``(rows, pivots)``, the
-    output of ``_reduce`` on ``_derivation_rows``: sparse normal integer
-    rows ``{column: value}`` in ascending columns, with content 1, a
-    positive pivot entry first and zero at every other pivot column, in
-    pivot order.  The rows are eliminated once per bracket object and δ and
-    then read from the memo, which only gains entries; any two writers
-    store equal values.  Callers must not mutate the returned rows.
+    The bracket's ``_reduced`` memo, created here on the first solve,
+    maps δ to ``(rows, pivots)``, the output of ``_reduce`` on
+    ``_derivation_rows``: sparse normal integer rows ``{column: value}``
+    in ascending columns, with content 1, a positive pivot entry first and
+    zero at every other pivot column, in pivot order.  The rows are
+    eliminated once per bracket object and δ and then read from the memo,
+    which only gains entries; any two writers store equal values.  Callers
+    must not mutate the returned rows.
 
     The singleton rows are presolved by the lemma of the module docstring:
     their columns are killed, the other rows lose those columns and go to
@@ -235,6 +222,9 @@ def _reduced_rows(q: DerivationQuery
     what back-substitution would return.
     """
     memo = q.bracket._reduced
+    if memo is None:
+        memo = {}
+        object.__setattr__(q.bracket, "_reduced", memo)
     if q.delta not in memo:
         rows = list(_derivation_rows(q))
         killed = {c for row in rows if len(row) == 1 for c in row}
@@ -264,7 +254,7 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     δ, ``tp_product_space`` included at δ = 1/3.
     """
     n = q.bracket.dim
-    basis = tuple(_from_fractions(Matrix, n, n, tuple(_densify(vec, n * n)))
+    basis = tuple(Matrix._from_fields(n, n, tuple(_densify(vec, n * n)))
                   for vec in _kernel(*_reduced_rows(q), n * n))
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
@@ -324,8 +314,8 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     columns.  The free coordinates are the surviving non-pivot columns,
     ascending.  Each basis product is read from its sparse kernel row,
     each kept column mapped back to its (pair, component) slot, and is
-    built once, through ``_from_fractions`` and ``_stored_product``, with
-    its pairs in ascending order.
+    built once, through ``CommProduct._from_fields`` and
+    ``Vector._from_fields``, with its pairs in ascending order.
     """
     n = b.dim
     pairs = _sym_pairs(n)
@@ -341,8 +331,8 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
         for j, e in vec.items():
             idx, t = where[j]
             table.setdefault(idx, [ZERO] * n)[t] = e
-        basis.append(_stored_product(n, {pairs[idx]: _from_fractions(Vector, tuple(table[idx]))
-                                         for idx in sorted(table)}))
+        basis.append(CommProduct._from_fields(
+            n, {pairs[idx]: Vector._from_fields(tuple(table[idx])) for idx in sorted(table)}))
     pivot_set = set(pivots)
     description = tuple((pairs[idx], t + 1)
                         for i, (idx, t) in enumerate(where) if i not in pivot_set)

@@ -57,10 +57,6 @@ class FamilyInstance(_Record):
 
     __slots__ = ("id", "params")
 
-    def __init__(self, id: str, params: tuple[tuple[str, Fraction], ...]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "params", params)
-
     @classmethod
     def make(cls, family_id: str, **params) -> "FamilyInstance":
         if family_id not in FAMILY_PARAMS:

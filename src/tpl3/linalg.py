@@ -33,15 +33,14 @@ constants and product tables of ``algebra`` and the maps that
 and each reported entry is divided once.  Such an entry is already a
 ``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the
 certificate witnesses of ``classify`` and the basis records of the solved
-spaces in ``derivations`` are built by ``_from_fractions``, which stores a
-tuple of ``Fraction``s as it is, with no second pass through ``rat``; its
+spaces in ``derivations`` are built by ``_Record._from_fields``, which
+stores its fields as they are, with no second pass through ``rat``; its
 docstring states the contract.  The public constructors still coerce
 every entry.
 
 ``rational_root`` takes square roots by ``math.isqrt``, and fourth roots
-by ``math.isqrt`` twice, with one exact power check; only other degrees
-bisect with ``_integer_root``, which the cubic matcher of ``classify``
-also uses.
+by ``math.isqrt`` twice, with one exact power check; it takes no other
+degree.  ``_integer_root`` bisects for the cubic matcher of ``classify``.
 
 ``_reduce`` reads sparse integer rows, ``{column: value}``, and touches
 only their nonzero entries, and ``_kernel`` returns the kernel basis as
@@ -131,18 +130,27 @@ def fmt_rat(q: Fraction) -> str:
 class _Record:
     """Base of the package's immutable values and records.
 
-    A record lists its fields in ``__slots__``, in the order of its
-    ``__init__``, which stores them with ``object.__setattr__``; a slot
-    whose name starts with ``_`` holds a value derived from the fields and
-    is not one of them.  After construction, assignment and deletion raise
-    ``AttributeError``.  Two records are equal when they are of the same
-    class with equal fields, the hash is that of the key ``_key(record)``
-    (the fields, or the value of the only field), and ``pickle`` and
-    ``copy`` rebuild a record by calling its class on its fields.  The
-    ``repr`` reads ``Name(field=value, ...)`` with each value's ``repr``;
-    the class keyword ``hidden`` names fields left out of it.  ``Vector``,
-    ``Matrix``, ``TriBracket`` and ``CommProduct`` write their own ``repr``,
-    and the last two their own hash, because their ``table`` is a dict.
+    A record lists its fields in ``__slots__``; a slot whose name starts
+    with ``_`` is a memo, a value derived from the fields that is not one
+    of them.  Each class gets one generated function, ``_store(record,
+    *fields)``, built once as ``collections.namedtuple`` builds its
+    methods: its parameters are named after ``_fields`` and its body is one
+    ``object.__setattr__`` per field, then one per memo, which starts as
+    None.  A record that defines no ``__init__`` of its own takes ``_store``
+    as its ``__init__``; ``Vector``, ``Matrix``, ``TriBracket``,
+    ``CommProduct``, ``AutoMatrix`` and the records with defaults or checks
+    write their own, which coerce or check first.  ``_from_fields`` is the
+    one constructor that skips them.
+
+    After construction, assignment and deletion raise ``AttributeError``.
+    Two records are equal when they are of the same class with equal
+    fields, the hash is that of the key ``_key(record)`` (the fields, or
+    the value of the only field), and ``pickle`` and ``copy`` rebuild a
+    record by calling its class on its fields.  The ``repr`` reads
+    ``Name(field=value, ...)`` with each value's ``repr``; the class keyword
+    ``hidden`` names fields left out of it.  ``Vector``, ``Matrix``,
+    ``TriBracket`` and ``CommProduct`` write their own ``repr``, and the
+    last two their own hash, because their ``table`` is a dict.
     """
 
     __slots__ = ()
@@ -152,6 +160,16 @@ class _Record:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._shown = tuple(name for name in cls._fields if name not in hidden)
         cls._key = attrgetter(*cls._fields)
+        memos = tuple(name for name in cls.__slots__ if name.startswith("_"))
+        body = "".join(f"\n    _set(record, {name!r}, {name})" for name in cls._fields)
+        body += "".join(f"\n    _set(record, {name!r}, None)" for name in memos)
+        namespace = {"_set": object.__setattr__}
+        exec(f"def _store(record, {', '.join(cls._fields)}):{body}", namespace)
+        store = namespace["_store"]
+        store.__module__, store.__qualname__ = cls.__module__, f"{cls.__qualname__}._store"
+        cls._store = staticmethod(store)
+        if "__init__" not in vars(cls):
+            cls.__init__ = store
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -175,27 +193,25 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self._fields])
 
+    @classmethod
+    def _from_fields(cls, *fields):
+        """A record from its fields exactly as they are stored, with every
+        memo None, and no coercion and no check.
 
-def _from_fractions(cls, *fields):
-    """A ``Vector`` or ``Matrix`` from its fields as they are stored, with no
-    coercion and no check: ``_from_fractions(Vector, entries)`` or
-    ``_from_fractions(Matrix, rows, cols, entries)``.
-
-    The caller's contract: ``entries`` is a tuple whose every item is
-    exactly a ``Fraction`` (reduced, as every ``Fraction`` is), of positive
-    length ``dim`` for a ``Vector`` and ``rows * cols`` for a ``Matrix``.
-    That is what the public constructors store after ``rat``, so the record
-    compares, hashes, prints and pickles like the one they build.  The
-    integer readers of ``algebra`` and the certifier of ``classify`` use it
-    for values they have just divided out, which ``rat`` would only pass
-    through, and ``derivations`` for the basis matrices and vectors it reads
-    off ``_kernel``; every other caller goes through the public
-    constructors.
-    """
-    record = object.__new__(cls)
-    for name, value in zip(cls._fields, fields):
-        object.__setattr__(record, name, value)
-    return record
+        The caller's contract: ``fields`` are what the public constructor
+        would store, so the record compares, hashes, prints and pickles
+        like the one it builds.  For a ``Vector`` or ``Matrix`` that is a
+        tuple of ``Fraction``s of the right positive length; for a
+        ``CommProduct`` or ``TriBracket`` a dict of nonzero ``Vector``s of
+        length ``dim`` on the ordered keys, in ascending order, which the
+        record then owns.  The integer readers of ``algebra``, the
+        certifier of ``classify`` and the solved spaces of ``derivations``
+        use it for values they have just divided out, which the public
+        constructors would only pass through again.
+        """
+        record = object.__new__(cls)
+        cls._store(record, *fields)
+        return record
 
 
 class Vector(_Record):
@@ -580,30 +596,22 @@ def _integer_root(f, lo: int, hi: int) -> int | None:
 def rational_root(q: Fraction | int, degree: int) -> Fraction | None:
     """The positive rational solution of x**degree = q, or None.
 
-    ``degree`` must be even here (2 or 4 in this package), so a negative
-    radicand never has a root.  The root's numerator and denominator are
-    the integer roots of z**degree = k for k the numerator and denominator
-    of q, which are coprime, so q has a rational root exactly when both
-    have integer ones.  For degrees 2 and 4, z is ``math.isqrt(k)``, taken
+    ``degree`` must be 2 or 4, else ``ValueError``; both are even, so a
+    negative radicand never has a root.  The root's numerator and
+    denominator are the integer roots of z**degree = k for k the numerator
+    and denominator of q, which are coprime, so q has a rational root
+    exactly when both have integer ones.  z is ``math.isqrt(k)``, taken
     twice for degree 4: the floor of the square root of the floor of √k is
-    the floor of k**(1/4).  One exact power check per k decides it.  Any
-    other degree bisects with ``_integer_root``: z**degree − k is −k at 0
-    and at least 2**bits(k) − k > 0 at 2**ceil(bits(k)/degree), so that
-    takes about bits(k)/degree evaluations.
+    the floor of k**(1/4).  One exact power check per k decides it.
     """
+    if degree != 2 and degree != 4:
+        raise ValueError(f"rational_root takes degree 2 or 4, not {degree}")
     if q <= 0:
         return Fraction(0) if q == 0 else None
     num, den = q.as_integer_ratio()
-    if degree == 2 or degree == 4:
-        z_num, z_den = math.isqrt(num), math.isqrt(den)
-        if degree == 4:
-            z_num, z_den = math.isqrt(z_num), math.isqrt(z_den)
-        if z_num ** degree != num or z_den ** degree != den:
-            return None
-        return Fraction(z_num, z_den)
-    z_num, z_den = (_integer_root(lambda z: z ** degree - k, 0,
-                                  1 << -(-k.bit_length() // degree))
-                    for k in (num, den))
-    if z_num is None or z_den is None:
+    z_num, z_den = math.isqrt(num), math.isqrt(den)
+    if degree == 4:
+        z_num, z_den = math.isqrt(z_num), math.isqrt(z_den)
+    if z_num ** degree != num or z_den ** degree != den:
         return None
     return Fraction(z_num, z_den)

@@ -110,6 +110,13 @@ def test_rational_root():
     assert rational_root(F(0), 2) == 0
 
 
+@pytest.mark.parametrize("degree", [3, 6])
+def test_rational_root_takes_only_degrees_2_and_4(degree):
+    for q in (F(8), F(64), F(0), F(-1)):
+        with pytest.raises(ValueError, match="degree 2 or 4"):
+            rational_root(q, degree)
+
+
 @settings(max_examples=60)
 @given(st.lists(small_rats, min_size=9, max_size=9))
 def test_invert_roundtrip(entries):

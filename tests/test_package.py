@@ -3,6 +3,7 @@ public names, which are those the package re-exported when it imported
 every submodule eagerly less the dense references now in ``oracles``."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -285,3 +286,84 @@ def test_automatrix_inverts_through_the_class_hook(monkeypatch):
     inverse = m.inverse()
     assert len(calls) == 2 and inverts == [m.map, m.map, inverse.map]
     assert inverse.map == tpl3.invert(m.map)
+
+
+# -- one generated constructor, and one no-check constructor -------------------
+
+#: the records that store their fields as given, and their fields: each takes
+#: the generated ``_store`` as its ``__init__``
+GENERATED = {
+    tpl3.Violation: "witness, left, right",
+    tpl3.CheckReport: "violations",
+    tpl3.FamilyCoordinates: "g, a, q, h, r, w, k, s, t",
+    tpl3.Certificate: "input, family, witness",
+    tpl3.NeedsExtension: "radicand, degree",
+    tpl3.Unclassified: "reason",
+    tpl3.NotTransposedPoisson: "report",
+    tpl3.Unsupported: "reason",
+    tpl3.DerivationSpace: "dim, basis, query",
+    tpl3.ProductSpace: "dim, basis, description, bracket",
+    tpl3.FamilyInstance: "id, params",
+}
+
+#: the records whose own ``__init__`` checks, coerces or supplies a default
+CHECKED = {tpl3.Vector, tpl3.Matrix, tpl3.TriBracket, tpl3.CommProduct, tpl3.AutoMatrix,
+           tpl3.DerivationQuery, tpl3.CaseId, tpl3.AlgebraDocument}
+
+
+def test_every_record_either_checks_or_takes_the_generated_init():
+    classes = {type(value) for value in VALUES}
+    assert classes == set(GENERATED) | CHECKED
+    for cls in classes:
+        assert (cls.__init__ is cls._store) == (cls in GENERATED), cls
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=[c.__name__ for c in GENERATED])
+def test_generated_init_takes_exactly_the_fields(cls):
+    assert str(inspect.signature(cls)) == f"({GENERATED[cls]})"
+    assert ", ".join(cls._fields) == GENERATED[cls]
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORD_REPRS if type(r) in GENERATED],
+                         ids=lambda r: type(r).__name__)
+def test_generated_init_by_position_and_by_keyword(record):
+    cls = type(record)
+    fields = [getattr(record, name) for name in cls._fields]
+    by_name = dict(zip(cls._fields, fields))
+    assert cls(*fields) == cls(**by_name) == record
+    assert repr(cls(*fields)) == repr(cls(**by_name)) == repr(record)
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    with pytest.raises(TypeError):
+        cls(**by_name, extra=None)
+    with pytest.raises(TypeError):
+        cls(*fields, **{cls._fields[0]: fields[0]})
+
+
+#: fresh values, so that no other test has filled a memo
+NO_CHECK = [tpl3.Vector([1, Fraction(1, 2)]), tpl3.Matrix.from_rows([[1, 2], [3, 4]]),
+            tpl3.CommProduct(3, dict(PRODUCT.table)), tpl3.TriBracket(3, dict(A3.table))]
+
+
+@pytest.mark.parametrize("value", NO_CHECK, ids=[type(v).__name__ for v in NO_CHECK])
+def test_from_fields_is_the_public_record_with_empty_memos(value):
+    cls = type(value)
+    # the record owns what it is given, so each dict field is a copy
+    fields = [getattr(value, name) for name in cls._fields]
+    fields = [dict(f) if isinstance(f, dict) else f for f in fields]
+    record = cls._from_fields(*fields)
+    assert type(record) is cls and record == value and hash(record) == hash(value)
+    assert repr(record) == repr(value)
+    for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+    memos = [name for name in cls.__slots__ if name.startswith("_")]
+    assert all(getattr(record, name) is None for name in memos)
+    assert all(getattr(value, name) is None for name in memos)
+
+
+def test_from_fields_bracket_solves_from_empty_memos():
+    b = tpl3.TriBracket._from_fields(3, dict(A3.table))
+    assert b._reduced is None and tpl3.tp_product_space(b).dim == 9
+    assert set(b._reduced) == {Fraction(1, 3)}
