@@ -31,12 +31,12 @@ _EXPORTS = {
     "morphisms": ("AutoMatrix", "NotAutomorphism", "a3_automorphism_check",
                   "eleven_equation_residuals", "is_bracket_automorphism",
                   "transport_bracket", "transport_product"),
-    "families": ("ALL_CASES", "CANONICAL_AUTOMORPHISM", "CASE_FAMILY", "FAMILY_IDS",
-                 "FAMILY_PARAMS", "CaseId", "FamilyInstance", "detect_case",
-                 "instantiate_family"),
-    "classify": ("Certificate", "NeedsExtension", "NotTransposedPoisson", "Unclassified",
-                 "Unsupported", "classify", "draw_family_params", "fingerprint",
-                 "normalize", "verify_all_cases", "verify_paper_case"),
+    "families": ("ALL_CASES", "CASE_FAMILY", "FAMILY_IDS", "FAMILY_PARAMS", "CaseId",
+                 "FamilyInstance", "detect_case", "instantiate_family"),
+    "classify": ("CANONICAL_AUTOMORPHISM", "Certificate", "NeedsExtension",
+                 "NotTransposedPoisson", "Unclassified", "Unsupported", "classify",
+                 "draw_family_params", "fingerprint", "normalize", "verify_all_cases",
+                 "verify_paper_case"),
     "docio": ("AlgebraDocument", "DocumentError", "matrix_payload", "parse_document",
               "parse_matrix", "serialize_document"),
 }

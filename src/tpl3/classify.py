@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Union
 
 from .linalg import Matrix, _Record, _integer_root, rank, rational_root
@@ -58,9 +59,9 @@ from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Viola
                       structure_table)
 from .morphisms import (AutoMatrix, _homomorphism, _transported, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
-from .families import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, FAMILY_PARAMS,
-                       CaseId, FamilyInstance, _case_of, _table_form, detect_case,
-                       instantiate_family, table_rows)
+from .families import (ALL_CASES, CASE_FAMILY, FAMILY_PARAMS, CaseId, FamilyInstance,
+                       _WITNESS_ROWS, _case_of, _table_form, detect_case, instantiate_family,
+                       table_rows)
 
 
 class Certificate(_Record):
@@ -552,6 +553,12 @@ def draw_family_params(family_id: str, rng: random.Random) -> dict[str, Fraction
                                   or 3 * params["theta"] + params["alpha"] == 0):
             continue
         return params
+
+
+#: the canonical automorphism of each subcase, built once from its rows in
+#: ``families``; each one fixes every instance of its family (a tested property)
+CANONICAL_AUTOMORPHISM = MappingProxyType(
+    {case: AutoMatrix.from_rows(rows) for case, rows in _WITNESS_ROWS.items()})
 
 
 def verify_paper_case(case: Union[CaseId, str], seed: int = 0,

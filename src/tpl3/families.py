@@ -1,4 +1,5 @@
-"""The sixteen canonical compatible products T1..T16 and case detection.
+"""The sixteen canonical compatible products T1..T16, case detection, and
+the rows of each subcase's canonical automorphism.
 
 Every family lives on the standard bracket [e1,e2,e3] = e1.  Families
 T1..T8 take parameters (alpha, theta), T9..T12 (gamma, eta), T13..T16
@@ -18,16 +19,13 @@ a when g = 0; b when g ≠ 0, h = 0; c when g, h ≠ 0, k = 0; d otherwise.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Optional
 
 from .linalg import _Record, rat
 from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates, _unscaled
-
-if TYPE_CHECKING:
-    from .morphisms import AutoMatrix
 
 FAMILY_IDS = tuple(f"T{i}" for i in range(1, 17))
 
@@ -132,13 +130,36 @@ _CANONICAL_ROWS = {
     "T16": lambda ga, xi: (-2 * xi, _Z, -3 * ga, xi, -ga, _Z, Fraction(-2, 3) * xi, ga, ga),
 }
 
+_H = Fraction(1, 2)
+_Q3 = Fraction(3, 4)
+_T = Fraction(3, 2)
+
+#: subcase -> rows of its canonical automorphism witness, which
+#: ``classify.CANONICAL_AUTOMORPHISM`` builds
+_WITNESS_ROWS = {
+    "1-a": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
+    "1-b": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
+    "1-c": [[1, 0, 0], [3, -_H, -_Q3], [2, 1, -_H]],
+    "1-d": [[1, 0, 0], [0, -_H, _H], [2, -_T, -_H]],
+    "2-a": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
+    "2-b": [[1, 0, 0], [-3, -2, -1], [3, 3, 1]],
+    "2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]],
+    "2-d": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
+    "3-a": [[1, 0, 0], [0, -_H, _T], [0, -_H, -_H]],
+    "3-b": [[1, 0, 0], [0, -_H, -_T], [0, _H, -_H]],
+    "3-c": [[1, 0, 0], [2, -_H, _T], [2, -_H, -_H]],
+    "3-d": [[1, 0, 0], [3, -_H, -_T], [-1, _H, -_H]],
+    "4-a": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
+    "4-b": [[1, 0, 0], [1, -2, -3], [1, 1, 1]],
+    "4-c": [[1, 0, 0], [0, -2, -3], [-1, 1, 1]],
+    "4-d": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
+}
+
 
 _Rows = tuple[tuple[int, ...], ...]
 
-#: family id -> (L, A, B), filled by ``_table_form`` on first use
-_FORMS: dict[str, tuple[int, _Rows, _Rows]] = {}
 
-
+@cache
 def _table_form(family_id: str) -> tuple[int, _Rows, _Rows]:
     """The canonical table of ``family_id`` as integer linear forms: (L, A,
     B) with L·rows = P·A + S·B, where rows are the table's six pair rows
@@ -147,16 +168,12 @@ def _table_form(family_id: str) -> tuple[int, _Rows, _Rows]:
     common denominator of the rows at (P, S) = (1, 0) and (0, 1).  Every
     entry of ``_CANONICAL_ROWS`` and of the pair rows is linear in (P, S),
     so those two rows give the forms; a one-parameter table has B = 0."""
-    form = _FORMS.get(family_id)
-    if form is None:
-        make = _CANONICAL_ROWS[family_id]
-        units = [FamilyCoordinates(*make(*unit)).pair_rows()
-                 for unit in ((Fraction(1), _Z), (_Z, Fraction(1)))]
-        den = math.lcm(*(e.denominator for rows in units for row in rows for e in row))
-        form = _FORMS[family_id] = (den, *(
-            tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
-            for rows in units))
-    return form
+    make = _CANONICAL_ROWS[family_id]
+    units = [FamilyCoordinates(*make(*unit)).pair_rows()
+             for unit in ((Fraction(1), _Z), (_Z, Fraction(1)))]
+    den = math.lcm(*(e.denominator for rows in units for row in rows for e in row))
+    return (den, *(tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
+                   for rows in units))
 
 
 def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
@@ -218,54 +235,3 @@ def _case_of(g, a, q, h, r, w, k, s, t) -> Optional[CaseId]:
     else:
         sub = "d"
     return CaseId(case, sub)
-
-
-class _Witnesses(Mapping):
-    """Subcase -> automorphism witness, each built from its rows when first
-    read.  Every witness has the automorphism shape, so building one inverts
-    nothing; the laziness only keeps this module from importing
-    ``morphisms``."""
-
-    def __init__(self, rows: dict[str, list]):
-        self._rows = rows
-        self._built: dict[str, AutoMatrix] = {}
-
-    def __getitem__(self, case: str) -> AutoMatrix:
-        witness = self._built.get(case)
-        if witness is None:
-            from .morphisms import AutoMatrix
-
-            witness = self._built[case] = AutoMatrix.from_rows(self._rows[case])
-        return witness
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-_H = Fraction(1, 2)
-_Q3 = Fraction(3, 4)
-_T = Fraction(3, 2)
-
-#: the canonical automorphism witness of each subcase; each one fixes every
-#: instance of the subcase's family (a tested property)
-CANONICAL_AUTOMORPHISM: Mapping[str, AutoMatrix] = _Witnesses({
-    "1-a": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
-    "1-b": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
-    "1-c": [[1, 0, 0], [3, -_H, -_Q3], [2, 1, -_H]],
-    "1-d": [[1, 0, 0], [0, -_H, _H], [2, -_T, -_H]],
-    "2-a": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
-    "2-b": [[1, 0, 0], [-3, -2, -1], [3, 3, 1]],
-    "2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]],
-    "2-d": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
-    "3-a": [[1, 0, 0], [0, -_H, _T], [0, -_H, -_H]],
-    "3-b": [[1, 0, 0], [0, -_H, -_T], [0, _H, -_H]],
-    "3-c": [[1, 0, 0], [2, -_H, _T], [2, -_H, -_H]],
-    "3-d": [[1, 0, 0], [3, -_H, -_T], [-1, _H, -_H]],
-    "4-a": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
-    "4-b": [[1, 0, 0], [1, -2, -3], [1, 1, 1]],
-    "4-c": [[1, 0, 0], [0, -2, -3], [-1, 1, 1]],
-    "4-d": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
-})

@@ -36,12 +36,12 @@ PUBLIC_NAMES = {
     "eleven_equation_residuals", "is_bracket_automorphism", "transport_bracket",
     "transport_product",
     # families
-    "ALL_CASES", "CANONICAL_AUTOMORPHISM", "CASE_FAMILY", "FAMILY_IDS", "FAMILY_PARAMS",
-    "CaseId", "FamilyInstance", "detect_case", "instantiate_family",
+    "ALL_CASES", "CASE_FAMILY", "FAMILY_IDS", "FAMILY_PARAMS", "CaseId",
+    "FamilyInstance", "detect_case", "instantiate_family",
     # classify
-    "Certificate", "NeedsExtension", "NotTransposedPoisson", "Unclassified",
-    "Unsupported", "classify", "draw_family_params", "fingerprint", "normalize",
-    "verify_all_cases", "verify_paper_case",
+    "CANONICAL_AUTOMORPHISM", "Certificate", "NeedsExtension", "NotTransposedPoisson",
+    "Unclassified", "Unsupported", "classify", "draw_family_params", "fingerprint",
+    "normalize", "verify_all_cases", "verify_paper_case",
     # docio
     "AlgebraDocument", "DocumentError", "matrix_payload", "parse_document",
     "parse_matrix", "serialize_document",
@@ -88,6 +88,34 @@ def test_subcommands_load_only_what_they_run(tmp_path):
                                 "--matrix", str(matrix))
     assert code == 0 and "morphisms" in loaded
     assert not loaded & {"classify", "derivations"}
+
+
+def test_family_tables_load_neither_morphisms_nor_classify():
+    # the classify bench builds its tables from ``families`` alone, so its
+    # set-up time must not include compiling the automorphism modules
+    out = fresh_python(
+        "import sys\n"
+        "from tpl3.families import FAMILY_IDS, FAMILY_PARAMS, FamilyInstance, "
+        "instantiate_family\n"
+        "for family in FAMILY_IDS:\n"
+        "    params = {name: 1 for name in FAMILY_PARAMS[family]}\n"
+        "    instantiate_family(FamilyInstance.make(family, **params))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tpl3.')))")
+    assert out == "['tpl3.algebra', 'tpl3.families', 'tpl3.linalg']\n"
+
+
+def test_canonical_automorphisms_are_built_from_the_family_rows():
+    from tpl3.families import _WITNESS_ROWS
+
+    witnesses = tpl3.CANONICAL_AUTOMORPHISM
+    assert list(witnesses) == [str(case) for case in tpl3.ALL_CASES]
+    for case, witness in witnesses.items():
+        assert type(witness) is tpl3.AutoMatrix
+        assert witness == tpl3.AutoMatrix.from_rows(_WITNESS_ROWS[case])
+    with pytest.raises(TypeError):
+        witnesses["1-a"] = tpl3.AutoMatrix.identity(3)
+    with pytest.raises(TypeError):
+        witnesses["5-a"] = tpl3.AutoMatrix.identity(3)
 
 
 def test_public_names_unchanged():
