@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, islice
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import DimensionMismatch, Vector, _Record
 
@@ -70,10 +71,7 @@ class TriBracket(_Record):
                 raise DimensionMismatch(f"coefficient vector for {key} has wrong length")
             if not value.is_zero():
                 clean[(i, j, k)] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", dict(sorted(clean.items())))
-        object.__setattr__(self, "_reduced", None)
-        object.__setattr__(self, "_structure", None)
+        self._store(self, dim, dict(sorted(clean.items())))
 
     def basis_bracket(self, i: int, j: int, k: int) -> Vector:
         """[e_i, e_j, e_k] for arbitrary index order (sign applied)."""
@@ -119,9 +117,7 @@ class CommProduct(_Record):
                 raise DimensionMismatch(f"coefficient vector for {key} has wrong length")
             if not value.is_zero():
                 clean[(i, j)] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", dict(sorted(clean.items())))
-        object.__setattr__(self, "_table", None)
+        self._store(self, dim, dict(sorted(clean.items())))
 
     @classmethod
     def zero(cls, dim: int) -> "CommProduct":
@@ -233,6 +229,25 @@ def _unscaled(values: list[int], den: int) -> Vector:
     is one shared ``Fraction(0)``; the tuple goes to ``Vector`` through
     ``Vector._from_fields``, with no second pass through ``rat``."""
     return Vector._from_fields(tuple([Fraction(v, den) if v else _ZERO for v in values]))
+
+
+@cache
+def _basis_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The 0-based basis pairs i <= j of dimension n, in the order of
+    ``combinations_with_replacement``, built once per dimension: the order
+    of every list of pair rows in the package."""
+    return tuple(combinations_with_replacement(range(n), 2))
+
+
+def _unscaled_product(n: int, den: int, rows: Iterable[Sequence[int]]) -> CommProduct:
+    """The product of dimension ``n`` whose pair rows, in the order of
+    ``_basis_pairs``, are the ``int`` lists ``rows`` over ``den``.  A zero
+    row is left out and every other row goes through ``_unscaled``; the
+    pairs are ascending and every vector is nonzero, so the table goes to
+    ``CommProduct._from_fields`` as it is."""
+    return CommProduct._from_fields(n, {(i + 1, j + 1): _unscaled(row, den)
+                                        for (i, j), row in zip(_basis_pairs(n), rows)
+                                        if any(row)})
 
 
 def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
@@ -409,9 +424,9 @@ class FamilyCoordinates(_Record):
 
     def pair_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The coordinates of e_i·e_j for the six basis pairs i <= j, in the
-        order of ``combinations_with_replacement``: the one statement of the
-        table layout, read by ``as_product`` and by the integer table forms
-        of ``families._table_form``."""
+        order of ``_basis_pairs``: the one statement of the table layout,
+        read by ``as_product`` and by the integer table forms of
+        ``families._table_form``."""
         zero, half = Fraction(0), Fraction(1, 2)
         return ((zero, zero, zero),
                 ((self.a + self.w) * half, zero, zero),

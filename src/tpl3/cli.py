@@ -64,14 +64,12 @@ def _report_payload(op: str, report: CheckReport) -> dict:
     }
 
 
-def _print_report_text(title: str, identity: str, report: CheckReport) -> None:
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{title}: {status}")
-    if not report.passed:
-        print(f"  identity: {identity}")
-        for v in report.violations:
-            print(f"  witness {v.witness}: "
-                  f"left = {fmt_vec(v.left)}, right = {fmt_vec(v.right)}")
+def _report_lines(title: str, identity: str, report: CheckReport) -> list[str]:
+    if report.passed:
+        return [f"{title}: PASS"]
+    return [f"{title}: FAIL", f"  identity: {identity}",
+            *(f"  witness {v.witness}: left = {fmt_vec(v.left)}, right = {fmt_vec(v.right)}"
+              for v in report.violations)]
 
 
 def _read_input(path: str) -> bytes:
@@ -121,7 +119,7 @@ def _cmd_check(args) -> int:
     else:
         for name, identity, rep in sections:
             note = " (informational)" if name in informational else ""
-            _print_report_text(f"{name}{note}", identity, rep)
+            print("\n".join(_report_lines(f"{name}{note}", identity, rep)))
         print(f"overall: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -202,79 +200,69 @@ def _cmd_transport(args) -> int:
     return 0
 
 
-def _classify_payload(result) -> tuple[int, dict]:
-    from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
-                           Unclassified, Unsupported)
-    from .docio import matrix_payload
-
-    if isinstance(result, Certificate):
-        return 0, {"result": "certificate",
-                   "data": {"family": result.family.id,
-                            "params": {k: fmt_rat(v) for k, v in result.family.params},
-                            "witness": matrix_payload(result.witness.map)}}
-    if isinstance(result, NotTransposedPoisson):
-        return 1, {"result": "not-transposed-poisson",
-                   "data": _report_payload("transposed-leibniz", result.report)}
-    if isinstance(result, NeedsExtension):
-        return 3, {"result": "needs-extension",
-                   "data": {"radicand": fmt_rat(result.radicand),
-                            "degree": result.degree}}
-    if isinstance(result, Unclassified):
-        return 3, {"result": "unclassified", "data": {"reason": result.reason}}
-    if isinstance(result, Unsupported):
-        return 3, {"result": "unsupported", "data": {"reason": result.reason}}
-    raise RuntimeError(f"unexpected classification result {result!r}")
-
-
 def _cmd_classify(args) -> int:
+    """Classify the document's product; each result type maps, in one
+    ``isinstance`` chain, to its exit code, its JSON payload and its text
+    lines."""
     from .algebra import CommProduct
-    from .classify import classify
+    from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
+                           Unclassified, Unsupported, classify)
+    from .docio import matrix_payload
 
     doc = _load_document(args.file)
     product = doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
     result = classify(doc.bracket, product)
-    code, payload = _classify_payload(result)
-    if args.format == "json":
-        print(json.dumps({"op": "classify", **payload}, indent=2))
+    if isinstance(result, Certificate):
+        witness = matrix_payload(result.witness.map)
+        code, kind = 0, "certificate"
+        data = {"family": result.family.id,
+                "params": {k: fmt_rat(v) for k, v in result.family.params},
+                "witness": witness}
+        lines = [f"certificate: isomorphic to {result.family}",
+                 "witness rows (images of e1,e2,e3):",
+                 *("  [" + ", ".join(row) + "]" for row in witness)]
+    elif isinstance(result, NotTransposedPoisson):
+        code, kind = 1, "not-transposed-poisson"
+        data = _report_payload("transposed-leibniz", result.report)
+        lines = ["not a transposed Poisson structure; coupling identity fails:",
+                 *_report_lines("transposed-leibniz", COUPLING_IDENTITY, result.report)]
+    elif isinstance(result, NeedsExtension):
+        code, kind = 3, "needs-extension"
+        data = {"radicand": fmt_rat(result.radicand), "degree": result.degree}
+        lines = [f"needs-extension: requires x**{result.degree} = {data['radicand']}, "
+                 f"which has no rational solution"]
+    elif isinstance(result, Unclassified):
+        code, kind, data = 3, "unclassified", {"reason": result.reason}
+        lines = [f"unclassified: {result.reason}"]
+    elif isinstance(result, Unsupported):
+        code, kind, data = 3, "unsupported", {"reason": result.reason}
+        lines = [f"unsupported: {result.reason}"]
     else:
-        kind = payload["result"]
-        if kind == "certificate":
-            data = payload["data"]
-            params = ", ".join(f"{k}={v}" for k, v in data["params"].items())
-            print(f"certificate: isomorphic to {data['family']}({params})")
-            print("witness rows (images of e1,e2,e3):")
-            for row in data["witness"]:
-                print("  [" + ", ".join(row) + "]")
-        elif kind == "not-transposed-poisson":
-            print("not a transposed Poisson structure; coupling identity fails:")
-            _print_report_text("transposed-leibniz", COUPLING_IDENTITY, result.report)
-        elif kind == "needs-extension":
-            d = payload["data"]
-            print(f"needs-extension: requires x**{d['degree']} = {d['radicand']}, "
-                  f"which has no rational solution")
-        else:
-            print(f"{kind}: {payload['data']['reason']}")
+        raise RuntimeError(f"unexpected classification result {result!r}")
+    if args.format == "json":
+        print(json.dumps({"op": "classify", "result": kind, "data": data}, indent=2))
+    else:
+        print("\n".join(lines))
     return code
 
 
 def _cmd_verify_paper(args) -> int:
-    from .families import ALL_CASES, CaseId
-    from .classify import verify_paper_case
+    from .families import CaseId
+    from .classify import verify_all_cases, verify_paper_case
 
-    cases = [CaseId.parse(args.case)] if args.case else list(ALL_CASES)
-    all_passed = True
-    results = []
-    for case in cases:
-        report = verify_paper_case(case, seed=args.seed)
-        results.append((case, report))
-        all_passed = all_passed and report.passed
+    if args.case:
+        case = str(CaseId.parse(args.case))
+        reports = {case: verify_paper_case(case, seed=args.seed)}
+    else:
+        reports = verify_all_cases(seed=args.seed)
+    all_passed = all(rep.passed for rep in reports.values())
     if args.format == "json":
         payload = {"op": "verify-paper", "passed": all_passed,
-                   "data": [{"case": str(c), **_report_payload("case-suite", rep)}
-                            for c, rep in results]}
+                   "data": [{"case": c, **_report_payload("case-suite", rep)}
+                            for c, rep in reports.items()]}
         print(json.dumps(payload, indent=2))
     else:
-        for case, rep in results:
+        for case, rep in reports.items():
             print(f"case {case}: {'PASS' if rep.passed else 'FAIL'}")
             for v in rep.violations:
                 print(f"  {v.witness}: left = {v.left}, right = {v.right}")

@@ -62,13 +62,14 @@ give the same pivots, free coordinates and basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
                      _densify, _echelon, _eliminate, _integer_row, _kernel, rat)
-from .algebra import CommProduct, TriBracket, check_transposed_leibniz, structure_table
+from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
+                      structure_table)
 
 ONE_THIRD = Fraction(1, 3)
 ZERO = Fraction(0)
@@ -81,8 +82,7 @@ class DerivationQuery(_Record):
         delta = rat(delta)
         if delta == 0:
             raise ValueError("delta must be nonzero")
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "delta", delta)
+        self._store(self, bracket, delta)
 
 
 class DerivationSpace(_Record, hidden=("query",)):
@@ -259,12 +259,14 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+    """The 1-based basis pairs i <= j of dimension n, in the order of
+    ``algebra._basis_pairs``: the column blocks of the product system."""
+    return tuple((i + 1, j + 1) for i, j in _basis_pairs(n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _column_moves(n: int) -> tuple[tuple[int, ...], ...]:
     """For each left multiplication L_g, g = 1..n, the product column that
     each derivation column u·n + v moves to: β_uv of L_g is component v of

@@ -59,9 +59,7 @@ class AlgebraDocument(_Record):
 
     def __init__(self, bracket: TriBracket, product: Optional[CommProduct] = None,
                  meta: Optional[dict[str, str]] = None):
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
+        self._store(self, bracket, product, {} if meta is None else meta)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

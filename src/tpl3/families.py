@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
 from typing import Optional
 
 from .linalg import _Record, rat
-from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates, _unscaled
+from .algebra import CommProduct, FamilyCoordinates, _cleared_coordinates, _unscaled_product
 
 FAMILY_IDS = tuple(f"T{i}" for i in range(1, 17))
 
@@ -82,8 +81,7 @@ class CaseId(_Record):
     def __init__(self, case: int, subcase: str):
         if case not in (1, 2, 3, 4) or subcase not in ("a", "b", "c", "d"):
             raise ValueError(f"bad case id {case}-{subcase}")
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "subcase", subcase)
+        self._store(self, case, subcase)
 
     def __str__(self) -> str:
         return f"{self.case}-{self.subcase}"
@@ -196,12 +194,9 @@ def table_rows(f: FamilyInstance) -> tuple[int, list[tuple[int, ...]]]:
 
 def instantiate_family(f: FamilyInstance) -> CommProduct:
     """The exact product table of a canonical family instance, built from
-    its integer pair rows (``table_rows``): each nonzero row is divided by
-    their denominator once, by ``algebra._unscaled``."""
-    den, rows = table_rows(f)
-    pairs = combinations_with_replacement(range(1, 4), 2)
-    return CommProduct(3, {pair: _unscaled(row, den)
-                           for pair, row in zip(pairs, rows) if any(row)})
+    its integer pair rows (``table_rows``) by ``algebra._unscaled_product``,
+    which divides each entry by their denominator once."""
+    return _unscaled_product(3, *table_rows(f))
 
 
 def detect_case(p: CommProduct) -> Optional[CaseId]:

@@ -31,12 +31,13 @@ integer readers of the package follow the same convention: the structure
 constants and product tables of ``algebra`` and the maps that
 ``morphisms`` transports by are cleared to integers over one denominator,
 and each reported entry is divided once.  Such an entry is already a
-``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the
-certificate witnesses of ``classify`` and the basis records of the solved
-spaces in ``derivations`` are built by ``_Record._from_fields``, which
-stores its fields as they are, with no second pass through ``rat``; its
-docstring states the contract.  The public constructors still coerce
-every entry.
+``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the products
+of ``algebra._unscaled_product`` (which ``transport_product`` and
+``instantiate_family`` return), the certificate witnesses of ``classify``
+and the basis records of the solved spaces in ``derivations`` are built by
+``_Record._from_fields``, which stores its fields as they are, with no
+second pass through ``rat``; its docstring states the contract.  The
+public constructors still coerce every entry.
 
 ``rational_root`` takes square roots by ``math.isqrt``, and fourth roots
 by ``math.isqrt`` twice, with one exact power check; it takes no other
@@ -139,8 +140,10 @@ class _Record:
     None.  A record that defines no ``__init__`` of its own takes ``_store``
     as its ``__init__``; ``Vector``, ``Matrix``, ``TriBracket``,
     ``CommProduct``, ``AutoMatrix`` and the records with defaults or checks
-    write their own, which coerce or check first.  ``_from_fields`` is the
-    one constructor that skips them.
+    write their own, which coerce or check first and then store every field
+    and memo by one ``self._store(self, ...)`` call.  ``_from_fields`` is
+    the one constructor that skips the checks.  Outside ``_store``, a memo
+    is written only by the function that fills it.
 
     After construction, assignment and deletion raise ``AttributeError``.
     Two records are equal when they are of the same class with equal
@@ -220,9 +223,10 @@ class Vector(_Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(map(rat, entries)))
-        if not self.entries:
+        entries = tuple(map(rat, entries))
+        if not entries:
             raise DimensionMismatch("vectors must have positive dimension")
+        self._store(self, entries)
 
     @property
     def dim(self) -> int:
@@ -284,13 +288,10 @@ class Matrix(_Record):
     def __init__(self, rows: int, cols: int, entries: Iterable):
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrices must have positive shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(map(rat, entries)))
-        if len(self.entries) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(self.entries)}"
-            )
+        entries = tuple(map(rat, entries))
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
+        self._store(self, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":

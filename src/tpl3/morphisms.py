@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .linalg import DimensionMismatch, Matrix, Singular, _Record, invert, vec_mat
-from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _product_table,
-                      _unscaled, bracket_eval, family_coordinates, structure_table)
+from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _basis_pairs,
+                      _product_table, _unscaled, _unscaled_product, bracket_eval,
+                      family_coordinates, structure_table)
 
 
 class NotAutomorphism(ValueError):
@@ -61,7 +61,7 @@ class AutoMatrix(_Record):
     __slots__ = ("map",)
 
     def __init__(self, map: Matrix):
-        object.__setattr__(self, "map", map)
+        self._store(self, map)
         self.__post_init__()
 
     def __post_init__(self):
@@ -138,13 +138,6 @@ def _supports(m: Matrix) -> _Support:
     return den, rows
 
 
-@cache
-def _basis_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The 0-based basis pairs i <= j of dimension n, in the order of
-    ``combinations_with_replacement``, built once per dimension."""
-    return tuple(combinations_with_replacement(range(n), 2))
-
-
 def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
     """The coordinate list ``pre`` moved by the integer rows of a map."""
     out = [0] * len(pre)
@@ -160,7 +153,7 @@ def _transported(p: CommProduct, forward: _Support,
     """The push-forward of ``p`` along a map on integers, given the map and
     its inverse as ``_supports``: ``(den, moved)``, where ``moved`` holds
     one ``int`` coordinate list per basis pair i <= j, in the order of
-    ``combinations_with_replacement``, each den times the coordinates of
+    ``algebra._basis_pairs``, each den times the coordinates of
     e_i ∗ e_j.  Nothing is inverted or divided here.
 
     x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
@@ -190,7 +183,7 @@ def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
                   rows: list[tuple[int, ...]]) -> bool:
     """Whether φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) for every basis pair i <= j, for
     the product ∗ whose pair rows, in the order of
-    ``combinations_with_replacement``, are ``rows`` over ``den``.  Nothing
+    ``algebra._basis_pairs``, are ``rows`` over ``den``.  Nothing
     is inverted or divided.
 
     With the product over D_p (``_product_table``) and Λ over D
@@ -237,15 +230,13 @@ def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     """Push-forward of a commutative product along an invertible map.
 
     The map is inverted here, and ``_transported`` computes every output
-    pair over one denominator; this wraps each nonzero pair in a ``Vector``,
-    which is where each entry is divided by that denominator, once.
+    pair over one denominator; ``algebra._unscaled_product`` divides each
+    entry by that denominator, once.
     """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
     den, moved = _transported(p, _supports(m.map), _supports(invert(m.map)))
-    pairs = combinations_with_replacement(range(1, p.dim + 1), 2)
-    return CommProduct(p.dim, {pair: _unscaled(row, den)
-                               for pair, row in zip(pairs, moved) if any(row)})
+    return _unscaled_product(p.dim, den, moved)
 
 
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:

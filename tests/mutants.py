@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 ALGEBRA = "tests/test_algebra.py::"
 CLASSIFY = "tests/test_classify.py::"
 DERIVATIONS = "tests/test_derivations.py::"
+MORPHISMS = "tests/test_morphisms.py::"
+CLI = "tests/test_cli.py::"
 CLASSIFY_DIGEST = "tests/test_classify_digest.py::test_classify_results_match_golden_digest"
 SPACES_DIGEST = "tests/test_spaces_digest.py::test_solved_spaces_match_golden_digest"
 CLI_DIGESTS = "tests/test_cli_golden.py::test_cli_transcripts_match_golden_digests"
@@ -122,6 +124,65 @@ MUTANTS = [
            (CLASSIFY + "test_table_forms_give_the_canonical_pair_rows",
             "tests/test_families.py::test_instantiate_t16",
             CLASSIFY_DIGEST)),
+    Mutant("transport along the inverse", "morphisms.py",
+           "_transported(p, _supports(m.map), _supports(invert(m.map)))",
+           "_transported(p, _supports(invert(m.map)), _supports(m.map))",
+           (MORPHISMS + "test_transport_product_scaling_example",
+            MORPHISMS + "test_transport_matches_evaluator_reference")),
+    Mutant("transport by the transposed map", "morphisms.py",
+           "_transported(p, _supports(m.map), _supports(invert(m.map)))",
+           "_transported(p, _supports(m.map.transpose()), _supports(invert(m.map).transpose()))",
+           (MORPHISMS + "test_transport_matches_evaluator_reference",)),
+    Mutant("transport drops the diagonal pairs", "morphisms.py",
+           "        moved.append(_push(value, image))\n",
+           "        moved.append(_push(value, image) if i != j else [0] * n)\n",
+           (MORPHISMS + "test_transport_product_scaling_example",
+            MORPHISMS + "test_transport_matches_evaluator_reference")),
+    Mutant("validate skips pair (0, 0)", "morphisms.py",
+           "    for i, j in pairs:\n", "    for i, j in pairs[1:]:\n",
+           (CLASSIFY + "test_integer_validate_matches_the_reference",)),
+    Mutant("validate drops den on the left", "morphisms.py",
+           "left_scale = den_map * den", "left_scale = den_map",
+           (CLASSIFY + "test_integer_validate_matches_the_reference",)),
+    Mutant("validate compares only nonzero sides", "morphisms.py",
+           "        if left != right:\n            return False\n",
+           "        if any(left) and any(right) and left != right:\n            return False\n",
+           (CLASSIFY + "test_integer_validate_matches_the_reference",)),
+    Mutant("table rows with a wrong secondary scale", "families.py",
+           "x, y = pn * sd, sn * pd", "x, y = pn * sd, sn * sd",
+           (CLASSIFY_DIGEST, CLASSIFY + "test_table_forms_give_the_canonical_pair_rows")),
+    Mutant("witness solve with scale for det * scale", "classify.py",
+           "un, ud, zn, zd = 1, 1, det * scale - drift, turn",
+           "un, ud, zn, zd = 1, 1, scale - drift, turn",
+           (CLASSIFY + "test_solve_witness_matches_two_attempt_oracle",)),
+    Mutant("witness solve drops ud in the row numerators", "classify.py",
+           "((v * zd + zn * w) * ud - e * un * scale * zd",
+           "((v * zd + zn * w) - e * un * scale * zd",
+           (CLASSIFY + "test_solve_witness_matches_two_attempt_oracle",)),
+    Mutant("presolve without its merged unit rows", "derivations.py",
+           "            by_pivot.update((c, {c: 1}) for c in killed)\n", "",
+           (DERIVATIONS + "test_presolved_reduced_rows_match_full_elimination",)),
+    Mutant("product-space pairs left unsorted", "derivations.py",
+           "for idx in sorted(table)}", "for idx in table}",
+           (DERIVATIONS + "test_solved_space_records_match_public_constructors",)),
+    Mutant("row generator with the wrong slot sign", "derivations.py",
+           "(j * n, -p, (i, k))", "(j * n, p, (i, k))",
+           (SPACES_DIGEST,)),
+    Mutant("integer pair rows keep their zero rows", "algebra.py",
+           "for (i, j), row in zip(_basis_pairs(n), rows)\n"
+           "                                        if any(row)})",
+           "for (i, j), row in zip(_basis_pairs(n), rows)})",
+           ("tests/test_families.py::test_instantiate_t1",
+            "tests/test_package.py::test_integer_pair_rows_make_the_public_product")),
+    Mutant("classify exits 0 on needs-extension", "cli.py",
+           'code, kind = 3, "needs-extension"', 'code, kind = 0, "needs-extension"',
+           (CLI + "test_classify_needs_extension",)),
+    Mutant("verify-paper --case runs every case", "cli.py",
+           "        reports = {case: verify_paper_case(case, seed=args.seed)}\n"
+           "    else:\n"
+           "        reports = verify_all_cases(seed=args.seed)\n",
+           "    reports = verify_all_cases(seed=args.seed)\n",
+           (CLI + "test_verify_paper_single_case",)),
 ]
 
 

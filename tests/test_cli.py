@@ -12,6 +12,10 @@ from tpl3 import cli
 from tpl3.cli import run_command
 from conftest import FIXTURES
 
+#: documents classified here and by CI's installed console script, kept out
+#: of tests/fixtures, whose files the golden CLI table lists
+DOCUMENTS = Path(__file__).parent / "documents"
+
 
 def run(capsys, *argv):
     code = run_command(list(argv))
@@ -84,6 +88,56 @@ def test_classify_unclassified(capsys):
     assert "unclassified" in out
 
 
+#: each document of ``DOCUMENTS``, the exit code of its classification (0 a
+#: certificate, 1 the coupling identity fails, 3 a diagnostic) and a text its
+#: output must contain, or None; CI classifies the same files by this table
+CLASSIFIED_DOCUMENTS = [
+    # a quotient cubic with 7-digit rational roots
+    ("big_cubic", 3, None),
+    # a case-2 product with radicand -1: the quarter-turn carries it onto
+    # T13(gamma=-1)
+    ("minus_one", 0, "T13"),
+    # a case-2 product off the shape the identity block reaches (q²s ≠ −3a³)
+    # whose quotient cubic is an image of h₂ of square determinant class: a
+    # match onto h₂ certifies it
+    ("off_shape", 0, None),
+    # h₂ moved by an SL2(ℤ) map with 10-digit entries, then sheared by
+    # y ↦ y + t·x into case 2: the matcher certifies it in bounded time
+    ("big_h2", 0, None),
+    # the shift determinant D vanishes on this case-2 product, which picks
+    # the singular route onto T6
+    ("singular_t6", 0, "T6"),
+    # D ≠ 0 on this case-4 product, which picks the two-parameter T16: the
+    # witness solve lifts its witness to u = 1 through the secondary parameter
+    ("two_param_lift", 0, "T16(gamma=1, xi=4)"),
+    # in-case products that match no table cubic: a cubic generating the
+    # cyclic cubic field of conductor 7, and one of non-square discriminant
+    ("conductor7", 3, "cubic field"),
+    ("off_stratum", 3, "discriminant"),
+    # the shape test on integers over mixed denominators: an in-family
+    # product with e1·e2 = 5/12 and e1·e3 = 1/4 over entries in 1/3, 1/2,
+    # 2/5, 3/4 and 5/7 is in no case condition set; the same with an e2
+    # entry 1/6 in e1·e2, or with its e1 entry 37/84, is off the family and
+    # fails the coupling identity
+    ("mixed", 3, "no case condition set matches"),
+    ("mixed_e2", 1, "coupling identity fails"),
+    ("mixed_e1", 1, "coupling identity fails"),
+]
+
+
+def test_documents_are_the_classified_table():
+    assert (sorted(path.name for path in DOCUMENTS.iterdir())
+            == sorted(f"{name}.json" for name, _, _ in CLASSIFIED_DOCUMENTS))
+
+
+@pytest.mark.parametrize("name, code, pattern", CLASSIFIED_DOCUMENTS,
+                         ids=[name for name, _, _ in CLASSIFIED_DOCUMENTS])
+def test_classify_documents(capsys, name, code, pattern):
+    got, out, err = run(capsys, "classify", str(DOCUMENTS / f"{name}.json"))
+    assert (got, err) == (code, "")
+    assert pattern is None or pattern in out
+
+
 def test_parse_and_usage_errors(capsys):
     code, _, err = run(capsys, "check", str(FIXTURES / "malformed.json"))
     assert code == 2 and "malformed JSON" in err
@@ -151,7 +205,19 @@ def test_transport_command(capsys, tmp_path):
 def test_verify_paper_single_case(capsys):
     code, out, _ = run(capsys, "verify-paper", "--case", "1-a", "--seed", "7")
     assert code == 0
-    assert "case 1-a: PASS" in out
+    assert out == "case 1-a: PASS\noverall: PASS\n"
+
+
+def test_verify_paper_runs_every_case_through_verify_all_cases(capsys, monkeypatch):
+    import importlib
+
+    from tpl3 import CheckReport
+
+    seeds = []
+    monkeypatch.setattr(importlib.import_module("tpl3.classify"), "verify_all_cases",
+                        lambda seed: seeds.append(seed) or {"4-d": CheckReport(())})
+    assert run(capsys, "verify-paper", "--seed", "5") == (0, "case 4-d: PASS\noverall: PASS\n", "")
+    assert seeds == [5]
 
 
 def test_verify_paper_bad_case(capsys):
@@ -188,6 +254,9 @@ def test_exit_codes_are_deterministic(capsys):
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    # _cmd_classify maps each result to its exit code, JSON and text itself
+    assert not hasattr(cli, "_classify_payload")
+
     def boom(args):
         raise OverflowError("int too large to convert to float")
 

@@ -7,9 +7,11 @@ import inspect
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -346,6 +348,33 @@ def test_every_record_either_checks_or_takes_the_generated_init():
         assert (cls.__init__ is cls._store) == (cls in GENERATED), cls
 
 
+#: one call of each checking constructor, on arguments built beforehand
+CHECKED_CALLS = {
+    tpl3.Vector: lambda: tpl3.Vector([1, "1/2"]),
+    tpl3.Matrix: lambda: tpl3.Matrix.from_rows([[1, 2], [3, 4]]),
+    tpl3.TriBracket: lambda: tpl3.TriBracket(3, dict(A3.table)),
+    tpl3.CommProduct: lambda: tpl3.CommProduct(3, dict(PRODUCT.table)),
+    tpl3.AutoMatrix: lambda: tpl3.AutoMatrix(tpl3.Matrix.identity(4)),
+    tpl3.DerivationQuery: lambda: tpl3.DerivationQuery(A3, "-2/5"),
+    tpl3.CaseId: lambda: tpl3.CaseId(2, "c"),
+    tpl3.AlgebraDocument: lambda: tpl3.AlgebraDocument(A3, PRODUCT),
+}
+
+
+@pytest.mark.parametrize("cls", CHECKED_CALLS, ids=[c.__name__ for c in CHECKED_CALLS])
+def test_checking_init_stores_once_through_the_generated_store(cls, monkeypatch):
+    assert set(CHECKED_CALLS) == CHECKED
+    stored = []
+    store = cls._store
+    monkeypatch.setattr(cls, "_store", staticmethod(
+        lambda record, *fields: stored.append(fields) or store(record, *fields)))
+    record = CHECKED_CALLS[cls]()
+    assert type(record) is cls
+    assert stored == [tuple(getattr(record, name) for name in cls._fields)]
+    memos = [name for name in cls.__slots__ if name.startswith("_")]
+    assert all(getattr(record, name) is None for name in memos)
+
+
 @pytest.mark.parametrize("cls", GENERATED, ids=[c.__name__ for c in GENERATED])
 def test_generated_init_takes_exactly_the_fields(cls):
     assert str(inspect.signature(cls)) == f"({GENERATED[cls]})"
@@ -389,6 +418,43 @@ def test_from_fields_is_the_public_record_with_empty_memos(value):
     memos = [name for name in cls.__slots__ if name.startswith("_")]
     assert all(getattr(record, name) is None for name in memos)
     assert all(getattr(value, name) is None for name in memos)
+
+
+def test_integer_pair_rows_make_the_public_product():
+    # seeded int rows, zero rows among them, through the one builder and
+    # through the two readers that call it
+    from tpl3.algebra import _unscaled_product
+    from tpl3.families import table_rows
+    from tpl3.linalg import invert
+    from tpl3.morphisms import _supports, _transported
+
+    def public(n, den, rows):
+        pairs = combinations_with_replacement(range(1, n + 1), 2)
+        return tpl3.CommProduct(n, {pair: tpl3.Vector([Fraction(v, den) for v in row])
+                                    for pair, row in zip(pairs, rows)})
+
+    rng = random.Random(34)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            den = rng.choice((1, 2, 6, -4))
+            rows = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(n * (n + 1) // 2)]
+            cases.append((_unscaled_product(n, den, rows), public(n, den, rows)))
+    for family_id in tpl3.FAMILY_IDS:
+        f = tpl3.FamilyInstance.make(family_id, **tpl3.draw_family_params(family_id, rng))
+        table = tpl3.instantiate_family(f)
+        cases.append((table, public(3, *table_rows(f))))
+        m = tpl3.AutoMatrix.from_rows([[1, 0, 0], [rng.randint(-2, 2), 2, 1],
+                                       [Fraction(1, 3), rng.randint(1, 3), 2]])
+        moved = _transported(table, _supports(m.map), _supports(invert(m.map)))
+        cases.append((tpl3.transport_product(table, m), public(3, *moved)))
+    # rows were dropped in most cases
+    assert sum(len(b.table) < b.dim * (b.dim + 1) // 2 for b, _ in cases) >= 40
+    for built, expected in cases:
+        for other in (built, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert type(other) is tpl3.CommProduct and other == expected
+            assert hash(other) == hash(expected) and repr(other) == repr(expected)
 
 
 def test_from_fields_bracket_solves_from_empty_memos():
