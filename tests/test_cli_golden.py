@@ -4,9 +4,13 @@ covered ``tpl3`` call, run in-process, against ``golden/cli_digests.json``.
 Every document fixture except ``malformed.json`` goes through ``check``,
 ``derivations`` (at the default δ and at −2/5), ``tp-space``, ``classify``,
 ``fingerprint`` and ``transport --matrix``, in text and in json; then
-``verify-paper`` runs in both formats.  A call is keyed by its arguments
-with fixture and matrix paths replaced by their file names, so the table
-does not depend on where the checkout lives.
+``verify-paper`` runs in both formats, for every case and for ``--case 2-c
+--seed 7``.  The parser is pinned by ``tpl3 --help``, bare ``tpl3``, each
+subcommand's ``--help`` and each file-taking subcommand with no arguments
+(a usage error), all rendered at ``COLUMNS=80`` so that argparse wraps them
+the same way on any terminal.  A call is keyed by its arguments with
+fixture and matrix paths replaced by their file names, so the table does
+not depend on where the checkout lives.
 
 To rewrite the table after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli_digests.json``.
@@ -18,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +33,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 MATRIX = [["1", "0", "0"], ["1", "2", "0"], ["0", "-1", "1"]]
 FORMATS = ("text", "json")
+SUBCOMMANDS = ("check", "derivations", "tp-space", "transport", "classify",
+               "verify-paper", "fingerprint")
 
 
 def calls(matrix: Path) -> list[list[str]]:
@@ -43,6 +50,10 @@ def calls(matrix: Path) -> list[list[str]]:
                 out.append([command[0], str(doc), *command[1:], "--format", fmt])
     for fmt in FORMATS:
         out.append(["verify-paper", "--format", fmt])
+        out.append(["verify-paper", "--case", "2-c", "--seed", "7", "--format", fmt])
+    out += [[], ["--help"]]
+    out += [[command, "--help"] for command in SUBCOMMANDS]
+    out += [[command] for command in SUBCOMMANDS if command != "verify-paper"]
     return out
 
 
@@ -62,11 +73,12 @@ def digests(tmp: Path) -> dict[str, str]:
     table = {}
     for argv in calls(matrix):
         key = " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
-        table[key] = transcript(argv)
+        table[key or "(no arguments)"] = transcript(argv)
     return table
 
 
-def test_cli_transcripts_match_golden_digests(tmp_path):
+def test_cli_transcripts_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     expected = json.loads(GOLDEN.read_text())
     actual = digests(tmp_path)
     assert sorted(actual) == sorted(expected)
@@ -75,6 +87,7 @@ def test_cli_transcripts_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         json.dump(digests(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
