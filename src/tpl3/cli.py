@@ -11,6 +11,15 @@ a reader that closes stdout early (``tpl3 tp-space FILE | head -1``) ends
 the process by that signal, as it ends any Unix filter, with nothing on
 stderr; it is not an internal error.
 
+Every subcommand is a ``_cmd_*`` function that computes its result once
+and returns ``(code, payload, lines)``: the exit code, the JSON payload and
+the text lines.  It prints nothing and does not read ``--format``;
+``run_command`` is the one printer.  It prints the lines joined by newlines
+for text, and for JSON the payload through ``json.dumps(payload,
+indent=2)``, or as it is when the subcommand made it JSON text already:
+``fingerprint``'s one line and ``transport``'s canonical document.
+``build_parser`` builds the seven subparsers from one table, ``_COMMANDS``.
+
 Every subcommand runs ``linalg``, which is imported here; each other tpl3
 module is imported inside the subcommands that run it, so ``check`` loads
 neither ``classify`` nor ``derivations``.
@@ -29,7 +38,7 @@ from typing import TYPE_CHECKING
 from .linalg import Singular, Vector, fmt_rat, parse_rat
 
 if TYPE_CHECKING:
-    from .algebra import CheckReport, CommProduct
+    from .algebra import CheckReport, CommProduct, TriBracket
     from .docio import AlgebraDocument
 
 FUNDAMENTAL_IDENTITY = "[[x,y,z],u,v] = [[x,u,v],y,z] + [[y,u,v],z,x] + [[z,u,v],x,y]"
@@ -52,16 +61,12 @@ def fmt_vec(v: Vector) -> str:
 
 
 def _report_payload(op: str, report: CheckReport) -> dict:
-    return {
-        "op": op,
-        "passed": report.passed,
-        "witnesses": [
-            {"witness": list(v.witness),
-             "left": str(v.left) if not isinstance(v.left, Vector) else [fmt_rat(c) for c in v.left],
-             "right": str(v.right) if not isinstance(v.right, Vector) else [fmt_rat(c) for c in v.right]}
-            for v in report.violations
-        ],
-    }
+    def side(value) -> object:
+        return [fmt_rat(c) for c in value] if isinstance(value, Vector) else str(value)
+
+    return {"op": op, "passed": report.passed,
+            "witnesses": [{"witness": list(v.witness), "left": side(v.left),
+                           "right": side(v.right)} for v in report.violations]}
 
 
 def _report_lines(title: str, identity: str, report: CheckReport) -> list[str]:
@@ -89,129 +94,97 @@ def _load_document(path: str) -> AlgebraDocument:
     return parse_document(_read_input(path))
 
 
-def _cmd_check(args) -> int:
+def _bracket_and_product(path: str) -> tuple[TriBracket, CommProduct]:
+    """The document's bracket and product, the zero product if it has none."""
+    from .algebra import CommProduct
+
+    doc = _load_document(path)
+    return doc.bracket, (doc.product if doc.product is not None
+                         else CommProduct.zero(doc.bracket.dim))
+
+
+def _cmd_check(args):
     from .algebra import (CheckReport, check_commutative_associative,
                           check_fundamental_identity, check_transposed_leibniz)
 
     doc = _load_document(args.file)
-    fi = check_fundamental_identity(doc.bracket)
-    sections = [
-        ("skew-symmetry", "structural: stored on increasing triples", CheckReport(())),
-        ("fundamental-identity", FUNDAMENTAL_IDENTITY, fi),
-    ]
-    gating = [fi]
+    gating = [check_fundamental_identity(doc.bracket)]
+    sections = [("skew-symmetry", "structural: stored on increasing triples", CheckReport(())),
+                ("fundamental-identity", FUNDAMENTAL_IDENTITY, gating[0])]
     informational: list[str] = []
     if doc.product is not None:
-        leib = check_transposed_leibniz(doc.bracket, doc.product)
-        assoc = check_commutative_associative(doc.product)
-        sections.append(("commutativity", "structural: stored on non-decreasing pairs",
-                         CheckReport(())))
-        sections.append(("transposed-leibniz", COUPLING_IDENTITY, leib))
-        sections.append(("associativity", ASSOCIATIVITY, assoc))
-        gating.append(leib)
+        gating.append(check_transposed_leibniz(doc.bracket, doc.product))
+        sections += [("commutativity", "structural: stored on non-decreasing pairs",
+                      CheckReport(())),
+                     ("transposed-leibniz", COUPLING_IDENTITY, gating[1]),
+                     ("associativity", ASSOCIATIVITY, check_commutative_associative(doc.product))]
         informational.append("associativity")
     passed = all(rep.passed for rep in gating)
-    if args.format == "json":
-        payload = {"op": "check", "passed": passed,
-                   "data": [_report_payload(name, rep) for name, _, rep in sections],
-                   "informational": informational}
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, identity, rep in sections:
-            note = " (informational)" if name in informational else ""
-            print("\n".join(_report_lines(f"{name}{note}", identity, rep)))
-        print(f"overall: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    payload = {"op": "check", "passed": passed,
+               "data": [_report_payload(name, rep) for name, _, rep in sections],
+               "informational": informational}
+    lines = [line for name, identity, rep in sections for line in _report_lines(
+        name + (" (informational)" if name in informational else ""), identity, rep)]
+    return 0 if passed else 1, payload, [*lines, f"overall: {'PASS' if passed else 'FAIL'}"]
 
 
-def _cmd_derivations(args) -> int:
+def _cmd_derivations(args):
     from .derivations import DerivationQuery, delta_derivations
     from .docio import matrix_payload
 
     doc = _load_document(args.file)
     delta = parse_rat(args.delta)
     space = delta_derivations(DerivationQuery(doc.bracket, delta))
-    if args.format == "json":
-        payload = {"op": "derivations", "result": {"delta": fmt_rat(delta),
-                                                   "dim": space.dim},
-                   "data": [matrix_payload(m) for m in space.basis]}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"delta = {fmt_rat(delta)}; derivation space dimension {space.dim}")
-        for idx, m in enumerate(space.basis):
-            rows = ["  ".join(fmt_rat(m.entry(i, j)) for j in range(m.cols))
-                    for i in range(m.rows)]
-            print(f"basis[{idx}]:")
-            for row in rows:
-                print(f"  {row}")
-    return 0
+    matrices = [matrix_payload(m) for m in space.basis]
+    payload = {"op": "derivations", "result": {"delta": fmt_rat(delta), "dim": space.dim},
+               "data": matrices}
+    lines = [f"delta = {fmt_rat(delta)}; derivation space dimension {space.dim}"]
+    for idx, rows in enumerate(matrices):
+        lines += [f"basis[{idx}]:", *("  " + "  ".join(row) for row in rows)]
+    return 0, payload, lines
 
 
-def _fmt_product_lines(p: CommProduct) -> list[str]:
-    if p.is_zero():
-        return ["  (zero product)"]
-    return [f"  e{i}*e{j} = {fmt_vec(vec)}" for (i, j), vec in p.table.items()]
-
-
-def _cmd_tp_space(args) -> int:
+def _cmd_tp_space(args):
     from .derivations import tp_product_space
+    from .docio import _value_map
 
-    doc = _load_document(args.file)
-    space = tp_product_space(doc.bracket)
-    if args.format == "json":
-        payload = {"op": "tp-space", "result": {"dim": space.dim},
-                   "data": {
-                       "free_coordinates": [
-                           {"args": list(pair), "component": comp}
-                           for (pair, comp) in space.description],
-                       "basis": [
-                           [{"args": list(key), "value": {str(ci + 1): fmt_rat(c)
-                                                          for ci, c in enumerate(vec) if c != 0}}
-                            for key, vec in prod.table.items()]
-                           for prod in space.basis],
-                   }}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"compatible-product space dimension: {space.dim}")
-        print("free coordinates (pair, component): "
-              + ", ".join(f"e{i}*e{j}[{c}]" for (i, j), c in space.description))
-        for idx, prod in enumerate(space.basis):
-            print(f"basis[{idx}]:")
-            for line in _fmt_product_lines(prod):
-                print(line)
-    return 0
+    space = tp_product_space(_load_document(args.file).bracket)
+    payload = {"op": "tp-space", "result": {"dim": space.dim}, "data": {
+        "free_coordinates": [{"args": list(pair), "component": comp}
+                             for pair, comp in space.description],
+        "basis": [[{"args": list(key), "value": _value_map(vec)}
+                   for key, vec in prod.table.items()] for prod in space.basis]}}
+    lines = [f"compatible-product space dimension: {space.dim}",
+             "free coordinates (pair, component): "
+             + ", ".join(f"e{i}*e{j}[{c}]" for (i, j), c in space.description)]
+    for idx, prod in enumerate(space.basis):
+        lines.append(f"basis[{idx}]:")
+        lines += (["  (zero product)"] if prod.is_zero() else
+                  [f"  e{i}*e{j} = {fmt_vec(vec)}" for (i, j), vec in prod.table.items()])
+    return 0, payload, lines
 
 
-def _cmd_transport(args) -> int:
+def _cmd_transport(args):
     from .morphisms import transport_bracket, transport_product
     from .docio import parse_matrix, serialize_document
 
     doc = _load_document(args.file)
     matrix = parse_matrix(_read_input(args.matrix))
     moved_bracket = transport_bracket(doc.bracket, matrix)
-    moved_product = (transport_product(doc.product, matrix)
-                     if doc.product is not None else None)
-    out = serialize_document(moved_bracket, moved_product, doc.meta)
-    if args.format == "json":
-        sys.stdout.write(out.decode("utf-8") + "\n")
-    else:
-        print("transported document:")
-        print(out.decode("utf-8"))
-    return 0
+    moved_product = None if doc.product is None else transport_product(doc.product, matrix)
+    out = serialize_document(moved_bracket, moved_product, doc.meta).decode("utf-8")
+    return 0, out, ["transported document:", out]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     """Classify the document's product; each result type maps, in one
     ``isinstance`` chain, to its exit code, its JSON payload and its text
     lines."""
-    from .algebra import CommProduct
     from .classify import (Certificate, NeedsExtension, NotTransposedPoisson,
                            Unclassified, Unsupported, classify)
     from .docio import matrix_payload
 
-    doc = _load_document(args.file)
-    product = doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
-    result = classify(doc.bracket, product)
+    result = classify(*_bracket_and_product(args.file))
     if isinstance(result, Certificate):
         witness = matrix_payload(result.witness.map)
         code, kind = 0, "certificate"
@@ -239,14 +212,10 @@ def _cmd_classify(args) -> int:
         lines = [f"unsupported: {result.reason}"]
     else:
         raise RuntimeError(f"unexpected classification result {result!r}")
-    if args.format == "json":
-        print(json.dumps({"op": "classify", "result": kind, "data": data}, indent=2))
-    else:
-        print("\n".join(lines))
-    return code
+    return code, {"op": "classify", "result": kind, "data": data}, lines
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args):
     from .families import CaseId
     from .classify import verify_all_cases, verify_paper_case
 
@@ -255,89 +224,61 @@ def _cmd_verify_paper(args) -> int:
         reports = {case: verify_paper_case(case, seed=args.seed)}
     else:
         reports = verify_all_cases(seed=args.seed)
-    all_passed = all(rep.passed for rep in reports.values())
-    if args.format == "json":
-        payload = {"op": "verify-paper", "passed": all_passed,
-                   "data": [{"case": c, **_report_payload("case-suite", rep)}
-                            for c, rep in reports.items()]}
-        print(json.dumps(payload, indent=2))
-    else:
-        for case, rep in reports.items():
-            print(f"case {case}: {'PASS' if rep.passed else 'FAIL'}")
-            for v in rep.violations:
-                print(f"  {v.witness}: left = {v.left}, right = {v.right}")
-        print(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    return 0 if all_passed else 1
+    passed = all(rep.passed for rep in reports.values())
+    payload = {"op": "verify-paper", "passed": passed,
+               "data": [{"case": c, **_report_payload("case-suite", rep)}
+                        for c, rep in reports.items()]}
+    lines = []
+    for case, rep in reports.items():
+        lines += [f"case {case}: {'PASS' if rep.passed else 'FAIL'}",
+                  *(f"  {v.witness}: left = {v.left}, right = {v.right}"
+                    for v in rep.violations)]
+    return 0 if passed else 1, payload, [*lines, f"overall: {'PASS' if passed else 'FAIL'}"]
 
 
-def _cmd_fingerprint(args) -> int:
-    from .algebra import CommProduct
+def _cmd_fingerprint(args):
     from .classify import fingerprint
 
-    doc = _load_document(args.file)
-    product = doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
-    tup = fingerprint(doc.bracket, product)
-    if args.format == "json":
-        print(json.dumps({"op": "fingerprint", "result": list(tup)}))
-    else:
-        print("fingerprint (derivation dim, sym-map rank, annihilator dim, "
-              "span(A·A) dim, left-mult rank):")
-        print("  " + str(tup))
-    return 0
+    tup = fingerprint(*_bracket_and_product(args.file))
+    return 0, json.dumps({"op": "fingerprint", "result": list(tup)}), [
+        "fingerprint (derivation dim, sym-map rank, annihilator dim, "
+        "span(A·A) dim, left-mult rank):", f"  {tup}"]
+
+
+#: each subcommand's name, help and the arguments it takes after ``--format``
+#: (flag or name -> ``add_argument`` keywords); ``build_parser`` binds each to
+#: the ``_cmd_*`` function of its name when it runs
+_COMMANDS = (
+    ("check", "verify the defining identities of a document", {"file": {}}),
+    ("derivations", "basis of the delta-derivation space of the bracket",
+     {"file": {}, "--delta": {"default": "1/3", "help": "nonzero rational (default 1/3)"}}),
+    ("tp-space", "solved space of compatible commutative products", {"file": {}}),
+    ("transport", "push the document forward along an invertible matrix",
+     {"file": {}, "--matrix": {"required": True,
+                               "help": "JSON file with an n×n array of rational strings"}}),
+    ("classify", "reduce the product onto a canonical family, with certificate "
+                 "(absent product = zero product)", {"file": {}}),
+    ("verify-paper", "re-check the built-in classification subcases",
+     {"--case": {"help": "one subcase like 2-c (default: all sixteen)"},
+      "--seed": {"type": int, "default": 0, "help": "draw seed (default 0)"}}),
+    ("fingerprint", "transport-invariant integer tuple of the document "
+                    "(absent product = zero product)", {"file": {}}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text",
-                     help="report format (default: text)")
-
     parser = argparse.ArgumentParser(
         prog="tpl3",
         description="Exact verification and classification of transposed "
                     "Poisson structures on 3-Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[fmt],
-                       help="verify the defining identities of a document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("derivations", parents=[fmt],
-                       help="basis of the delta-derivation space of the bracket")
-    p.add_argument("file")
-    p.add_argument("--delta", default="1/3", help="nonzero rational (default 1/3)")
-    p.set_defaults(func=_cmd_derivations)
-
-    p = sub.add_parser("tp-space", parents=[fmt],
-                       help="solved space of compatible commutative products")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_tp_space)
-
-    p = sub.add_parser("transport", parents=[fmt],
-                       help="push the document forward along an invertible matrix")
-    p.add_argument("file")
-    p.add_argument("--matrix", required=True,
-                   help="JSON file with an n×n array of rational strings")
-    p.set_defaults(func=_cmd_transport)
-
-    p = sub.add_parser("classify", parents=[fmt],
-                       help="reduce the product onto a canonical family, with "
-                            "certificate (absent product = zero product)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify-paper", parents=[fmt],
-                       help="re-check the built-in classification subcases")
-    p.add_argument("--case", help="one subcase like 2-c (default: all sixteen)")
-    p.add_argument("--seed", type=int, default=0, help="draw seed (default 0)")
-    p.set_defaults(func=_cmd_verify_paper)
-
-    p = sub.add_parser("fingerprint", parents=[fmt],
-                       help="transport-invariant integer tuple of the document "
-                            "(absent product = zero product)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_fingerprint)
-
+    for name, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="report format (default: text)")
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -372,7 +313,12 @@ def run_command(argv) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "text":
+            print("\n".join(lines))
+        else:
+            print(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
+        return code
     except (ValueError, Singular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

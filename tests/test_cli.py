@@ -253,6 +253,27 @@ def test_exit_codes_are_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "t1.json"], ["derivations", "a3.json"], ["tp-space", "a3.json"],
+    ["transport", "t9.json", "--matrix", "MATRIX"], ["classify", "t4.json"],
+    ["verify-paper", "--case", "2-c"], ["fingerprint", "t7.json"]])
+def test_subcommands_return_their_result_and_run_command_prints_it(capsys, tmp_path, argv):
+    # each _cmd_* returns (code, payload, lines), prints nothing and never
+    # reads --format; run_command prints the lines or the payload once
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([["1", "0", "0"], ["1", "2", "0"], ["0", "-1", "1"]]))
+    argv = [str(FIXTURES / a) if a.endswith(".json") else str(matrix) if a == "MATRIX" else a
+            for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    del args.format
+    code, payload, lines = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert code in (0, 1, 3) and lines and all(isinstance(line, str) for line in lines)
+    json_out = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    assert run(capsys, *argv, "--format", "json") == (code, json_out + "\n", "")
+    assert run(capsys, *argv) == (code, "\n".join(lines) + "\n", "")
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     # _cmd_classify maps each result to its exit code, JSON and text itself
     assert not hasattr(cli, "_classify_payload")
