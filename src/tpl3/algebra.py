@@ -436,8 +436,8 @@ class FamilyCoordinates(_Record):
                 (self.k, self.s, self.t))
 
     def as_product(self) -> CommProduct:
-        pairs = combinations_with_replacement(range(1, 4), 2)
-        return CommProduct(3, {pair: Vector(row) for pair, row in zip(pairs, self.pair_rows())})
+        return CommProduct(3, {(i + 1, j + 1): Vector(row)
+                               for (i, j), row in zip(_basis_pairs(3), self.pair_rows())})
 
 
 def _dense(row: tuple[tuple[int, int], ...]) -> list[int]:
