@@ -183,6 +183,15 @@ MUTANTS = [
            "        reports = verify_all_cases(seed=args.seed)\n",
            "    reports = verify_all_cases(seed=args.seed)\n",
            (CLI + "test_verify_paper_single_case",)),
+    Mutant("the printer prints the text lines for --format json", "cli.py",
+           'if args.format == "text":', 'if args.format in ("text", "json"):',
+           (CLI_DIGESTS,)),
+    Mutant("verify-paper's --seed defaults to 1", "cli.py",
+           '"--seed": {"type": int, "default": 0,', '"--seed": {"type": int, "default": 1,',
+           (CLI + "test_verify_paper_runs_every_case_through_verify_all_cases",)),
+    Mutant("transport's --matrix is optional", "cli.py",
+           '"--matrix": {"required": True,', '"--matrix": {"required": False,',
+           (CLI_DIGESTS,)),
 ]
 
 

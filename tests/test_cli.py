@@ -217,7 +217,9 @@ def test_verify_paper_runs_every_case_through_verify_all_cases(capsys, monkeypat
     monkeypatch.setattr(importlib.import_module("tpl3.classify"), "verify_all_cases",
                         lambda seed: seeds.append(seed) or {"4-d": CheckReport(())})
     assert run(capsys, "verify-paper", "--seed", "5") == (0, "case 4-d: PASS\noverall: PASS\n", "")
-    assert seeds == [5]
+    # a passing run prints nothing of its seed: only the call shows the default
+    assert run(capsys, "verify-paper") == (0, "case 4-d: PASS\noverall: PASS\n", "")
+    assert seeds == [5, 0]
 
 
 def test_verify_paper_bad_case(capsys):
