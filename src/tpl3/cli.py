@@ -103,21 +103,23 @@ def _bracket_and_product(path: str) -> tuple[TriBracket, CommProduct]:
                          else CommProduct.zero(doc.bracket.dim))
 
 
-def _cmd_check(args):
+def _cmd_check(args) -> tuple[int, dict | str, list[str]]:
     from .algebra import (CheckReport, check_commutative_associative,
                           check_fundamental_identity, check_transposed_leibniz)
 
     doc = _load_document(args.file)
-    gating = [check_fundamental_identity(doc.bracket)]
+    fi = check_fundamental_identity(doc.bracket)
     sections = [("skew-symmetry", "structural: stored on increasing triples", CheckReport(())),
-                ("fundamental-identity", FUNDAMENTAL_IDENTITY, gating[0])]
+                ("fundamental-identity", FUNDAMENTAL_IDENTITY, fi)]
+    gating = [fi]
     informational: list[str] = []
     if doc.product is not None:
-        gating.append(check_transposed_leibniz(doc.bracket, doc.product))
+        leib = check_transposed_leibniz(doc.bracket, doc.product)
         sections += [("commutativity", "structural: stored on non-decreasing pairs",
                       CheckReport(())),
-                     ("transposed-leibniz", COUPLING_IDENTITY, gating[1]),
+                     ("transposed-leibniz", COUPLING_IDENTITY, leib),
                      ("associativity", ASSOCIATIVITY, check_commutative_associative(doc.product))]
+        gating.append(leib)
         informational.append("associativity")
     passed = all(rep.passed for rep in gating)
     payload = {"op": "check", "passed": passed,
@@ -128,7 +130,7 @@ def _cmd_check(args):
     return 0 if passed else 1, payload, [*lines, f"overall: {'PASS' if passed else 'FAIL'}"]
 
 
-def _cmd_derivations(args):
+def _cmd_derivations(args) -> tuple[int, dict | str, list[str]]:
     from .derivations import DerivationQuery, delta_derivations
     from .docio import matrix_payload
 
@@ -144,7 +146,7 @@ def _cmd_derivations(args):
     return 0, payload, lines
 
 
-def _cmd_tp_space(args):
+def _cmd_tp_space(args) -> tuple[int, dict | str, list[str]]:
     from .derivations import tp_product_space
     from .docio import _value_map
 
@@ -164,7 +166,7 @@ def _cmd_tp_space(args):
     return 0, payload, lines
 
 
-def _cmd_transport(args):
+def _cmd_transport(args) -> tuple[int, dict | str, list[str]]:
     from .morphisms import transport_bracket, transport_product
     from .docio import parse_matrix, serialize_document
 
@@ -176,7 +178,7 @@ def _cmd_transport(args):
     return 0, out, ["transported document:", out]
 
 
-def _cmd_classify(args):
+def _cmd_classify(args) -> tuple[int, dict | str, list[str]]:
     """Classify the document's product; each result type maps, in one
     ``isinstance`` chain, to its exit code, its JSON payload and its text
     lines."""
@@ -215,7 +217,7 @@ def _cmd_classify(args):
     return code, {"op": "classify", "result": kind, "data": data}, lines
 
 
-def _cmd_verify_paper(args):
+def _cmd_verify_paper(args) -> tuple[int, dict | str, list[str]]:
     from .families import CaseId
     from .classify import verify_all_cases, verify_paper_case
 
@@ -236,7 +238,7 @@ def _cmd_verify_paper(args):
     return 0 if passed else 1, payload, [*lines, f"overall: {'PASS' if passed else 'FAIL'}"]
 
 
-def _cmd_fingerprint(args):
+def _cmd_fingerprint(args) -> tuple[int, dict | str, list[str]]:
     from .classify import fingerprint
 
     tup = fingerprint(*_bracket_and_product(args.file))
