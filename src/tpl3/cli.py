@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 from .linalg import Singular, Vector, fmt_rat, parse_rat
 
 if TYPE_CHECKING:
-    from .algebra import CheckReport, CommProduct, TriBracket
+    from .algebra import CheckReport, CommProduct
     from .docio import AlgebraDocument
 
 FUNDAMENTAL_IDENTITY = "[[x,y,z],u,v] = [[x,u,v],y,z] + [[y,u,v],z,x] + [[z,u,v],x,y]"
@@ -94,13 +94,11 @@ def _load_document(path: str) -> AlgebraDocument:
     return parse_document(_read_input(path))
 
 
-def _bracket_and_product(path: str) -> tuple[TriBracket, CommProduct]:
-    """The document's bracket and product, the zero product if it has none."""
+def _product_or_zero(doc: AlgebraDocument) -> CommProduct:
+    """The document's product, the zero product if it has none."""
     from .algebra import CommProduct
 
-    doc = _load_document(path)
-    return doc.bracket, (doc.product if doc.product is not None
-                         else CommProduct.zero(doc.bracket.dim))
+    return doc.product if doc.product is not None else CommProduct.zero(doc.bracket.dim)
 
 
 def _cmd_check(args) -> tuple[int, dict | str, list[str]]:
@@ -186,7 +184,8 @@ def _cmd_classify(args) -> tuple[int, dict | str, list[str]]:
                            Unclassified, Unsupported, classify)
     from .docio import matrix_payload
 
-    result = classify(*_bracket_and_product(args.file))
+    doc = _load_document(args.file)
+    result = classify(doc.bracket, _product_or_zero(doc))
     if isinstance(result, Certificate):
         witness = matrix_payload(result.witness.map)
         code, kind = 0, "certificate"
@@ -241,7 +240,8 @@ def _cmd_verify_paper(args) -> tuple[int, dict | str, list[str]]:
 def _cmd_fingerprint(args) -> tuple[int, dict | str, list[str]]:
     from .classify import fingerprint
 
-    tup = fingerprint(*_bracket_and_product(args.file))
+    doc = _load_document(args.file)
+    tup = fingerprint(doc.bracket, _product_or_zero(doc))
     return 0, json.dumps({"op": "fingerprint", "result": list(tup)}), [
         "fingerprint (derivation dim, sym-map rank, annihilator dim, "
         "span(A·A) dim, left-mult rank):", f"  {tup}"]
