@@ -265,8 +265,8 @@ def _product_table(p: CommProduct) -> tuple[int, list[list[tuple[tuple[int, int]
     multiplies one bracket and one product constant per term, so it divides
     by D_bracket·D; ``check_commutative_associative`` multiplies two
     product constants (D²); ``_cleared_coordinates``,
-    ``morphisms._transported`` and ``morphisms._homomorphism`` document
-    their own scales.
+    ``morphisms.transport_product`` and ``morphisms._homomorphism``
+    document their own scales.
     """
     if p._table is not None:
         return p._table

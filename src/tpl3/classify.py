@@ -15,8 +15,10 @@ Reduction scheme: witnesses have the shape
 diag(1, B)·[[u,0,0],[x,c,0],[y,0,1/c]] with B in SL2(ℚ).  ``normalize``
 tries the identity block B, then every match of the binary quotient cubic
 onto a table cubic (``_candidate_blocks``: the Hessian, then cube roots in
-ℚ(√−3)), moves the input by each block on integers (``_moved_coordinates``),
-and finishes each block in the case of the coordinates it moves:
+ℚ(√−3)), each an integer block from the matcher to the witness.  It moves
+the input's integer coordinates by each block in closed form
+(``_moved_coordinates``), so it reads the product once, and finishes each
+block in the case of the coordinates it moves:
 
 * the block scaling e2 ↦ c·e2, e3 ↦ e3/c rescales the e2/e3 structure
   constants; matching the canonical tables pins c by ``c**4 = radicand``
@@ -57,7 +59,7 @@ from .linalg import Matrix, _Record, _integer_root, rank, rational_root
 from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
                       _cleared_coordinates, a3_bracket, check_transposed_leibniz,
                       structure_table)
-from .morphisms import (AutoMatrix, _homomorphism, _transported, a3_automorphism_check,
+from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
                         eleven_equation_residuals, is_bracket_automorphism, transport_product)
 from .families import (ALL_CASES, CASE_FAMILY, FAMILY_PARAMS, CaseId, FamilyInstance,
                        _WITNESS_ROWS, _case_of, _table_form, detect_case, instantiate_family,
@@ -115,6 +117,10 @@ class Unsupported(_Record):
 
 ClassifyResult = Union[Certificate, NeedsExtension, Unclassified,
                        NotTransposedPoisson, Unsupported]
+
+#: an e2/e3 block on integers, (b11, b12, b21, b22, m): the SL2 block
+#: B = [[b11, b12], [b21, b22]]/m, with m > 0, so b11·b22 − b12·b21 = m²
+_Block = tuple[int, int, int, int, int]
 
 
 def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fraction,
@@ -184,12 +190,12 @@ def _solve_witness(co: tuple[int, ...], c: Fraction, family_id: str, primary: Fr
     return (Fraction(un, ud), Fraction(a * r2 - r * r1, out), Fraction(r * r2 - s * r1, out), z)
 
 
-def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fraction,
+def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[_Block], c: Fraction,
              family_id: str, primary: Fraction, det: int) -> Certificate:
     """The certificate for ``p`` onto ``family_id``, where ``co`` are the
-    coordinates of ``p`` moved by diag(1, block), or of ``p`` when ``block``
-    is None, and ``det`` their shift determinant.  The witness is
-    diag(1, block)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
+    coordinates of ``p`` moved by diag(1, B), or of ``p`` when ``block`` is
+    None, and ``det`` their shift determinant.  The witness is
+    diag(1, B)·[[u,0,0],[x,c,0],[y,0,1/c]], revalidated against ``p``.
     """
     solved = _solve_witness(co, c, family_id, primary, det)
     if solved is None:
@@ -198,11 +204,11 @@ def _certify(p: CommProduct, co: tuple[int, ...], block: Optional[Matrix], c: Fr
     params = dict(zip(FAMILY_PARAMS[family_id], (primary, z)))
     family = FamilyInstance.make(family_id, **params)
     # the nine entries are Fractions, built once each: the solved values,
-    # c and the block are Fractions, and so is every product and quotient
+    # c and B's entries are Fractions, and so is every product and quotient
     if block is None:
         entries = (u, _ZERO, _ZERO, x, c, _ZERO, y, _ZERO, 1 / c)
     else:
-        b11, b12, b21, b22 = block.entries
+        b11, b12, b21, b22 = (Fraction(e, block[4]) for e in block[:4])
         entries = (u, _ZERO, _ZERO,
                    b11 * x + b12 * y, b11 * c, b12 / c,
                    b21 * x + b22 * y, b21 * c, b22 / c)
@@ -283,17 +289,18 @@ def _mul(x, y):
     return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
 
-def _cubic_matches(source, target) -> list[Optional[Matrix]]:
+def _cubic_matches(source, target) -> list[Optional[_Block]]:
     """Every projective map M with f∘M ∝ g, given the Hessian frames of f
-    and g, as the SL2 block adj(M)ᵀ/√det M with a positive first nonzero
-    entry, or None when det M is not a square.  The rational maps keeping
-    X² + 3Y² up to scale are z ↦ μ·z and z ↦ μ·z̄, which take Re(κ·z³) to
-    Re(κμ³·z³) and Re(κ̄μ³·z³); so M = N_f·diag(1, ±1)·L_μ·N_g⁻¹, with L_μ
-    the matrix of z ↦ μ·z, for each μ with κ_f·μ³ or κ̄_f·μ³ in ℚ*·κ_g.
+    and g, as the SL2 block adj(M)ᵀ/√det M on integers (``_Block``), its
+    sign in the numerators so that the first nonzero one is positive, or
+    None when det M is not a square.  The rational maps keeping X² + 3Y²
+    up to scale are z ↦ μ·z and z ↦ μ·z̄, which take Re(κ·z³) to Re(κμ³·z³)
+    and Re(κ̄μ³·z³); so M = N_f·diag(1, ±1)·L_μ·N_g⁻¹, with L_μ the matrix
+    of z ↦ μ·z, for each μ with κ_f·μ³ or κ̄_f·μ³ in ℚ*·κ_g.
     """
     (n11, n12, n22), (k1, k2) = source
     (t11, t12, t22), (c1, c2) = target
-    blocks: list[Optional[Matrix]] = []
+    blocks: list[Optional[_Block]] = []
     for flip in (1, -1):  # z ↦ μ·z, then z ↦ μ·z̄
         # κ_g / κ ∝ κ_g·κ̄ for κ = k1 + flip·k2·√−3
         for m1, m2 in _cube_multipliers(c1 * k1 + 3 * flip * c2 * k2,
@@ -302,13 +309,13 @@ def _cubic_matches(source, target) -> list[Optional[Matrix]]:
                 _mul(((n11, flip * n12), (0, flip * n22)), ((m1, -3 * m2), (m2, m1))),
                 ((t22, -t12), (0, t11)))
             det = m11 * m22 - m12 * m21
-            root = math.isqrt(max(det, 0)) * (-1 if m22 < 0 or m22 == 0 and m21 > 0 else 1)
-            blocks.append(Matrix.from_rows([[Fraction(m22, root), Fraction(-m21, root)],
-                                            [Fraction(-m12, root), Fraction(m11, root)]])
+            root = math.isqrt(max(det, 0))
+            sign = -1 if m22 < 0 or m22 == 0 and m21 > 0 else 1
+            blocks.append((sign * m22, -sign * m21, -sign * m12, sign * m11, root)
                           if root * root == det else None)
     # the sparsest first: a diagonal or antidiagonal block keeps the reachable
     # case shapes, and is tried before the rest of its orbit
-    return sorted(blocks, key=lambda b: 1 if b is None else -b.entries.count(0))
+    return sorted(blocks, key=lambda b: 1 if b is None else -b.count(0))
 
 
 #: the table cubics in groups of projectively equivalent forms, with the
@@ -324,7 +331,7 @@ _TARGET_GROUPS = tuple(
          ((1, -3, 0, 3), (3, 0, -3, 1)))))
 
 
-def _candidate_blocks(co: tuple[int, ...]) -> tuple[list[Optional[Matrix]], str]:
+def _candidate_blocks(co: tuple[int, ...]) -> tuple[list[Optional[_Block]], str]:
     """The e2/e3 blocks the reduction tries after the identity, and the
     reason that stands when none certifies, also when there is none.
 
@@ -388,7 +395,7 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     for block in blocks:
         if block is None:
             continue
-        moved = _moved_coordinates(p, block)
+        moved = _moved_coordinates(co, block)
         result = _reduce_in_case(p, moved, _case_of(*moved[1:]), block)
         if isinstance(result, Certificate):
             return result
@@ -398,32 +405,31 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     return in_case
 
 
-def _moved_coordinates(p: CommProduct, block: Matrix) -> tuple[int, ...]:
-    """``_cleared_coordinates`` of ``p`` moved by diag(1, B), det B = 1, on
-    another positive scale, read off pair rows 3–5 of ``_transported``.
-    adj(B) = B⁻¹, so the integer rows of both maps come from B's entries;
-    diag(1, B) is an automorphism, so the moved product keeps the shape."""
-    ratios = [e.as_integer_ratio() for e in block.entries]
-    den = math.lcm(*[d for _, d in ratios])
-    b11, b12, b21, b22 = [num * (den // d) for num, d in ratios]
-
-    def support(x11, x12, x21, x22):
-        return den, [[(0, den)], [(j, x) for j, x in ((1, x11), (2, x12)) if x],
-                     [(j, x) for j, x in ((1, x21), (2, x22)) if x]]
-
-    scale, moved = _transported(p, support(b11, b12, b21, b22),
-                                support(b22, -b12, -b21, b11))
-    return (scale, *moved[3], *moved[4], *moved[5])
+def _moved_coordinates(co: tuple[int, ...], block: _Block) -> tuple[int, ...]:
+    """The cleared coordinates ``co`` moved by φ = diag(1, B), B = M/m, on
+    the positive scale D·m³: e_i ∗ e_j = φ(φ⁻¹e_i · φ⁻¹e_j) for the pairs
+    (2,2), (2,3), (3,3), with φ⁻¹ = diag(1, adj M/m), so φ⁻¹e2 and φ⁻¹e3
+    are (b22, −b12) and (−b21, b11) over m.  Each pair expands over D·m²,
+    and φ keeps its e1 entry and moves its e2/e3 part by M over m."""
+    den, g, a, q, h, r, w, k, s, t = co
+    b11, b12, b21, b22, m = block
+    x, y = (b22, -b12), (-b21, b11)
+    moved = [den * m ** 3]
+    for (x2, x3), (y2, y3) in ((x, x), (x, y), (y, y)):
+        c22, c23, c33 = x2 * y2, x2 * y3 + x3 * y2, x3 * y3
+        v2, v3 = c22 * a + c23 * r + c33 * s, c22 * q + c23 * w + c33 * t
+        moved += (m * (c22 * g + c23 * h + c33 * k), v2 * b11 + v3 * b21, v2 * b12 + v3 * b22)
+    return tuple(moved)
 
 
 def _reduce_in_case(p: CommProduct, co: tuple[int, ...], case: CaseId,
-                    block: Optional[Matrix]) -> Union[Certificate, NeedsExtension, None]:
+                    block: Optional[_Block]) -> Union[Certificate, NeedsExtension, None]:
     """Each case picks its ordered (family, radicand) candidates, the root
     degree pinning the block scaling c, and the radicand ``NeedsExtension``
     reports; the first candidate with a rational root is certified.  None
     when the e2/e3 block is off the shape of the case's tables.
 
-    ``co`` are the coordinates of ``p`` moved by diag(1, block)
+    ``co`` are the coordinates of ``p`` moved by diag(1, B)
     (``_moved_coordinates``), or of ``p`` when ``block`` is None; every
     test here is homogeneous in them, and the radicands are ratios."""
     den, g, a, q, h, r, _, k, s, _ = co

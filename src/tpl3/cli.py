@@ -269,11 +269,14 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one top-level usage and help on every supported Python: 3.13 wraps the
+    # {check,...} choices otherwise, and widens the help column to fit them
     parser = argparse.ArgumentParser(
         prog="tpl3",
         description="Exact verification and classification of transposed "
-                    "Poisson structures on 3-Lie algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "Poisson structures on 3-Lie algebras.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=16))
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text",

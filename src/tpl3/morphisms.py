@@ -14,9 +14,10 @@ In this row convention the push-forward satisfies
 
 (matrix product a·b transports like "apply a first").
 
-No map keeps its inverse: each transport calls ``invert`` when it runs.
-Products move on integers in one kernel, ``_transported``, which
-``transport_product`` and ``classify.normalize``'s candidate blocks share.
+No map keeps its inverse: each transport calls ``invert`` when it runs,
+and moves on integers.  ``classify.normalize`` moves its candidate e2/e3
+blocks in closed form on coordinates (``classify._moved_coordinates``),
+with no transport.
 """
 
 from __future__ import annotations
@@ -148,37 +149,6 @@ def _push(pre: list[int], image: list[list[tuple[int, int]]]) -> list[int]:
     return out
 
 
-def _transported(p: CommProduct, forward: _Support,
-                 backward: _Support) -> tuple[int, list[list[int]]]:
-    """The push-forward of ``p`` along a map on integers, given the map and
-    its inverse as ``_supports``: ``(den, moved)``, where ``moved`` holds
-    one ``int`` coordinate list per basis pair i <= j, in the order of
-    ``algebra._basis_pairs``, each den times the coordinates of
-    e_i ∗ e_j.  Nothing is inverted or divided here.
-
-    x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of Λ⁻¹ expand
-    through the product's ``_product_table`` into a coordinate list, which
-    Λ then moves.  With Λ⁻¹ over E (``backward``), the product over D_p and
-    Λ over D (``forward``), each term multiplies two entries of Λ⁻¹, one
-    product constant and one entry of Λ, so den = E²·D_p·D.
-    """
-    n = p.dim
-    den_p, prod = _product_table(p)
-    den_pre, pre = backward
-    den_map, image = forward
-    moved = []
-    for (i, j) in _basis_pairs(n):
-        value = [0] * n
-        for s, x in pre[i]:
-            row = prod[s]
-            for u, y in pre[j]:
-                xy = x * y
-                for t, d in row[u]:
-                    value[t] += xy * d
-        moved.append(_push(value, image))
-    return den_pre * den_pre * den_p * den_map, moved
-
-
 def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
                   rows: list[tuple[int, ...]]) -> bool:
     """Whether φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) for every basis pair i <= j, for
@@ -229,21 +199,38 @@ def _homomorphism(p: CommProduct, m: AutoMatrix, den: int,
 def transport_product(p: CommProduct, m: AutoMatrix) -> CommProduct:
     """Push-forward of a commutative product along an invertible map.
 
-    The map is inverted here, and ``_transported`` computes every output
-    pair over one denominator; ``algebra._unscaled_product`` divides each
-    entry by that denominator, once.
+    The map is inverted here, and every output pair is computed on integers
+    over one denominator; ``algebra._unscaled_product`` divides each entry
+    by it, once.  x ∗ y = φ(φ⁻¹(x) · φ⁻¹(y)) on basis pairs: the rows of
+    Λ⁻¹ expand through the product's ``_product_table`` into a coordinate
+    list, which Λ then moves.  With Λ⁻¹ over E, the product over D_p and Λ
+    over D (``_supports``), each term multiplies two entries of Λ⁻¹, one
+    product constant and one entry of Λ, so the denominator is E²·D_p·D.
     """
     if p.dim != m.dim:
         raise DimensionMismatch("product and map dimensions differ")
-    den, moved = _transported(p, _supports(m.map), _supports(invert(m.map)))
-    return _unscaled_product(p.dim, den, moved)
+    n = p.dim
+    den_p, prod = _product_table(p)
+    den_pre, pre = _supports(invert(m.map))
+    den_map, image = _supports(m.map)
+    moved = []
+    for (i, j) in _basis_pairs(n):
+        value = [0] * n
+        for s, x in pre[i]:
+            row = prod[s]
+            for u, y in pre[j]:
+                xy = x * y
+                for t, d in row[u]:
+                    value[t] += xy * d
+        moved.append(_push(value, image))
+    return _unscaled_product(n, den_pre * den_pre * den_p * den_map, moved)
 
 
 def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     """Push-forward of a skew ternary bracket along an invertible map.
 
     The map is inverted here, by ``invert``; the bracket moves by the same
-    integer expansion as in ``_transported``, through the bracket's
+    integer expansion as in ``transport_product``, through the bracket's
     ``structure_table`` on increasing basis triples: each term
     multiplies three entries of Λ⁻¹, one structure constant and one entry
     of Λ, so an output entry is divided by E³·D_b·D once, when its

@@ -106,12 +106,18 @@ MUTANTS = [
            "den, prod = _product_table(p)\n    den2 = den * den\n",
            "den, prod = _product_table(p)\n    den2 = den\n",
            (CLI_DIGESTS, ALGEBRA + "test_commutative_associative_matches_eval_reference")),
-    Mutant("cubic matcher without its sign rule on root", "classify.py",
-           "root = math.isqrt(max(det, 0)) * (-1 if m22 < 0 or m22 == 0 and m21 > 0 else 1)",
-           "root = math.isqrt(max(det, 0))",
+    Mutant("cubic matcher without its sign rule", "classify.py",
+           "sign = -1 if m22 < 0 or m22 == 0 and m21 > 0 else 1", "sign = 1",
            (CLASSIFY + "test_cubic_matcher_blocks_move_the_cubic",
             CLASSIFY + "test_mobius_block_matches_reference",
             CLASSIFY_DIGEST)),
+    Mutant("cubic matcher signs the root, not the numerators", "classify.py",
+           "(sign * m22, -sign * m21, -sign * m12, sign * m11, root)",
+           "(m22, -m21, -m12, m11, sign * root)",
+           (CLASSIFY + "test_block_move_matches_the_transport_oracle",)),
+    Mutant("block move by B in place of adj B", "classify.py",
+           "x, y = (b22, -b12), (-b21, b11)", "x, y = (b11, b12), (b21, b22)",
+           (CLASSIFY + "test_block_move_matches_the_transport_oracle",)),
     Mutant("one entry of the 2-c witness row changed", "families.py",
            '"2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]]',
            '"2-c": [[1, 0, 0], [-1, -2, -1], [3, 3, 1]]',
@@ -124,14 +130,24 @@ MUTANTS = [
            (CLASSIFY + "test_table_forms_give_the_canonical_pair_rows",
             "tests/test_families.py::test_instantiate_t16",
             CLASSIFY_DIGEST)),
+    # transport_bracket reads the same two supports, so each old string
+    # takes in the product-table line only transport_product has after it
     Mutant("transport along the inverse", "morphisms.py",
-           "_transported(p, _supports(m.map), _supports(invert(m.map)))",
-           "_transported(p, _supports(invert(m.map)), _supports(m.map))",
+           "den_p, prod = _product_table(p)\n"
+           "    den_pre, pre = _supports(invert(m.map))\n"
+           "    den_map, image = _supports(m.map)\n",
+           "den_p, prod = _product_table(p)\n"
+           "    den_pre, pre = _supports(m.map)\n"
+           "    den_map, image = _supports(invert(m.map))\n",
            (MORPHISMS + "test_transport_product_scaling_example",
             MORPHISMS + "test_transport_matches_evaluator_reference")),
     Mutant("transport by the transposed map", "morphisms.py",
-           "_transported(p, _supports(m.map), _supports(invert(m.map)))",
-           "_transported(p, _supports(m.map.transpose()), _supports(invert(m.map).transpose()))",
+           "den_p, prod = _product_table(p)\n"
+           "    den_pre, pre = _supports(invert(m.map))\n"
+           "    den_map, image = _supports(m.map)\n",
+           "den_p, prod = _product_table(p)\n"
+           "    den_pre, pre = _supports(invert(m.map).transpose())\n"
+           "    den_map, image = _supports(m.map.transpose())\n",
            (MORPHISMS + "test_transport_matches_evaluator_reference",)),
     Mutant("transport drops the diagonal pairs", "morphisms.py",
            "        moved.append(_push(value, image))\n",
@@ -191,6 +207,9 @@ MUTANTS = [
            (CLI + "test_verify_paper_runs_every_case_through_verify_all_cases",)),
     Mutant("transport's --matrix is optional", "cli.py",
            '"--matrix": {"required": True,', '"--matrix": {"required": False,',
+           (CLI_DIGESTS,)),
+    Mutant("the subcommand choices without their COMMAND metavar", "cli.py",
+           'required=True, metavar="COMMAND")', "required=True)",
            (CLI_DIGESTS,)),
 ]
 

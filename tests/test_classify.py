@@ -477,7 +477,7 @@ def test_certificate_witnesses_build_no_inverse(monkeypatch):
         assert witness == copy and hash(copy) == before[0]
 
 
-def candidate_block_inputs() -> list[tuple[CommProduct, Matrix]]:
+def candidate_block_inputs() -> list[tuple[CommProduct, tuple[int, ...]]]:
     """Every in-case product of the digest corpus and of seeded table-cubic
     images, with each of its candidate blocks.  An image is a split table
     cubic, h₂ or its case-4 form moved by a random GL2 map, then sheared by
@@ -502,21 +502,52 @@ def candidate_block_inputs() -> list[tuple[CommProduct, Matrix]]:
     return pairs
 
 
+def block_matrix(block) -> Matrix:
+    # the SL2 matrix of an integer block (b11, b12, b21, b22, m), entries over m
+    *entries, m = block
+    return Matrix(2, 2, [F(e, m) for e in entries])
+
+
+def assert_block_move_matches_transport(p: CommProduct, block):
+    # the transported product's cleared coordinates are the oracle, and the
+    # integer tuple is a positive multiple of them
+    (b11, b12), (b21, b22) = block_matrix(block).row_lists()
+    oracle = _cleared_coordinates(transport_product(
+        p, AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])))
+    moved = _moved_coordinates(_cleared_coordinates(p), block)
+    assert all(type(v) is int for v in moved) and moved[0] > 0
+    assert [v * oracle[0] for v in moved] == [v * moved[0] for v in oracle], (p, block)
+
+
 def test_block_move_matches_the_transport_oracle():
-    # normalize moves each candidate block on integers; the transported
-    # product's cleared coordinates are the oracle, and the integer tuple
-    # is a positive multiple of them
+    # normalize moves each candidate block on integers: each one is SL2 over
+    # a positive m, with a positive first nonzero entry
     pairs = candidate_block_inputs()
     for p, block in pairs:
-        (b11, b12), (b21, b22) = block.row_lists()
-        oracle = _cleared_coordinates(transport_product(
-            p, AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])))
-        moved = _moved_coordinates(p, block)
-        assert all(type(v) is int for v in moved) and moved[0] > 0
-        assert [v * oracle[0] for v in moved] == [v * moved[0] for v in oracle], (p, block)
+        b11, b12, b21, b22, m = block
+        assert m > 0 and b11 * b22 - b12 * b21 == m * m, block
+        assert next(e for e in (b11, b12) if e) > 0, block
+        assert_block_move_matches_transport(p, block)
     # the digest corpus alone gives 585 blocks, among them the 114 that
     # normalize's block loops see on it
     assert len(pairs) >= 620, len(pairs)
+    # the closed form holds on the whole family: seeded SL2(ℚ) blocks with
+    # fractional and negative entries, over a multiple of their common
+    # denominator, on products with a nonzero trace form and e1 row
+    rng = random.Random(3607)
+    fractional = negative = 0
+    for _ in range(200):
+        p = rand_family_product(rng)
+        co = family_coordinates(p)
+        if (co.a + co.w, co.r + co.t) == (0, 0) or (co.g, co.h, co.k) == (0, 0, 0):
+            continue
+        l22, l23, l32 = rand_rat(rng, nonzero=True), rand_rat(rng), rand_rat(rng)
+        entries = (l22, l23, l32, (1 + l23 * l32) / l22)
+        m = math.lcm(*(e.denominator for e in entries)) * rng.randint(1, 3)
+        assert_block_move_matches_transport(p, (*(int(e * m) for e in entries), m))
+        fractional += any(e.denominator > 1 for e in entries)
+        negative += any(e < 0 for e in entries)
+    assert fractional >= 150 and negative >= 150, (fractional, negative)
 
 
 def test_normalize_builds_one_automatrix_per_certificate(monkeypatch):
@@ -1096,7 +1127,7 @@ def test_case_condition_sets_have_a_nonzero_minor():
         for block in _candidate_blocks(co)[0]:
             if block is None:
                 continue
-            (b11, b12), (b21, b22) = block.row_lists()
+            (b11, b12), (b21, b22) = block_matrix(block).row_lists()
             block_map = AutoMatrix.from_rows([[1, 0, 0], [0, b11, b12], [0, b21, b22]])
             moved = _cleared_coordinates(transport_product(p, block_map))
             if _case_of(*moved[1:]) is not None:
@@ -1355,7 +1386,8 @@ def matches(f, g):
         return _hessian_frame(tuple(int(c * den) for c in cubic))
 
     source = frame(f)
-    return [] if source is None else _cubic_matches(source, frame(g))
+    return [] if source is None else [None if b is None else block_matrix(b)
+                                      for b in _cubic_matches(source, frame(g))]
 
 
 def moved_cubic(f, block):
@@ -1404,7 +1436,7 @@ def test_cubic_root_finder_matches_reference():
         expected = {first_row_positive(block) for target in SPLIT_TARGETS
                     for perm in permutations(roots)
                     if (block := reference_mobius_block(perm, target)) is not None}
-        assert {block for block in blocks if block is not None} == expected, cubic
+        assert {block_matrix(b) for b in blocks if b is not None} == expected, cubic
         seen["split c0 = 0" if cubic[0] == 0 else "split c0 != 0"] += 1
     assert min(seen.values()) >= 80, seen
 
@@ -1512,7 +1544,7 @@ def test_cubic_matcher_big_split_roots():
         expected = {first_row_positive(block) for target in SPLIT_TARGETS
                     for perm in permutations(roots)
                     if (block := reference_mobius_block(perm, target)) is not None}
-        assert {block for block in blocks if block is not None} == expected
+        assert {block_matrix(b) for b in blocks if b is not None} == expected
 
 
 def test_cubic_matcher_big_cyclic_cubics():
@@ -1530,7 +1562,7 @@ def test_cubic_matcher_big_cyclic_cubics():
         assert cubic_discriminant(*image) == 81
         blocks, reason = _candidate_blocks(cleared(cubic_coordinates(image)))
         assert reason == IRREDUCIBLE_REASON and [b is None for b in blocks] == classes
-        assert all(proportional(moved_cubic(image, b), target)
+        assert all(proportional(moved_cubic(image, block_matrix(b)), target)
                    for b, target in zip(blocks, [H2] * 3 + [H4] * 3) if b is not None)
     for _ in range(5):
         f = substitute(H2, big_sl2(rng))
