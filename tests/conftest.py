@@ -58,6 +58,17 @@ def rand_invertible(rng: random.Random, n: int) -> AutoMatrix:
             continue
 
 
+def unimodular(rng: random.Random, n: int) -> AutoMatrix:
+    """A seeded product of 8 to 16 elementary row operations, each adding
+    ±1 or ±2 times one row to another: an integer map of determinant 1."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(8, 16)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return AutoMatrix.from_rows(rows)
+
+
 def scaled_shift_witness(rng: random.Random) -> AutoMatrix:
     """Random element of the witness subgroup [[u,0,0],[x,c,0],[y,0,1/c]]."""
     u = rand_rat(rng, nonzero=True)

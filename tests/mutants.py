@@ -94,6 +94,14 @@ MUTANTS = [
     Mutant("fundamental identity ignores z's partners", "algebra.py",
            "partners[x] | partners[y] | partners[z]", "partners[x] | partners[y]",
            (SPACES_DIGEST, ALGEBRA + "test_fundamental_identity_matches_bracket_eval_reference")),
+    Mutant("fundamental identity components without the value's support", "algebra.py",
+           "for t in (j, k, *(s for s, _ in table[i][j][k])):", "for t in (j, k):",
+           (CLI + "test_check_joined_ideals_fails_with_witness",
+            ALGEBRA + "test_fundamental_identity_matches_bracket_eval_reference")),
+    Mutant("fundamental identity pair skip widened to one shared index", "algebra.py",
+           "if (u == x or u == y) and (v == y or v == z):",
+           "if u in (x, y, z) or v in (x, y, z):",
+           (SPACES_DIGEST, ALGEBRA + "test_fundamental_identity_matches_bracket_eval_reference")),
     Mutant("derivation rows ignore the live pair (i, k)", "derivations.py",
            "if (j, k) not in partners and (i, k) not in partners and (i, j) not in partners:",
            "if (j, k) not in partners and (i, j) not in partners:",

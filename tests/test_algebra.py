@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from collections import Counter
+from functools import cache
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -14,9 +15,9 @@ from tpl3 import (CheckReport, CommProduct, FamilyCoordinates, FamilyInstance,
                   ShapeMismatch, TriBracket, Vector, Violation, a3_bracket, bracket_eval,
                   check_commutative_associative, check_fundamental_identity,
                   check_transposed_leibniz, family_coordinates, instantiate_family,
-                  remark_associativity_residuals, tp_product_space)
+                  remark_associativity_residuals, tp_product_space, transport_bracket)
 from tpl3.algebra import _product_table, structure_table
-from conftest import rand_family_product, rand_rat, rand_vector
+from conftest import rand_family_product, rand_rat, rand_vector, unimodular
 from oracles import product_eval
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -133,7 +134,27 @@ def reference_fundamental_identity(b: TriBracket) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def test_fundamental_identity_matches_bracket_eval_reference():
+def joined_ideals_bracket() -> TriBracket:
+    """[e1,e2,e3] = e4 and [e4,e5,e6] = e1: the two stored triples share no
+    index, and only the values join them into one component."""
+    return TriBracket(6, {(1, 2, 3): Vector.unit(6, 4), (4, 5, 6): Vector.unit(6, 1)})
+
+
+def components(b: TriBracket) -> list[set[int]]:
+    """The 1-based index sets joined by the stored triples of ``b`` together
+    with the support of each one's value."""
+    parts = [{i} for i in range(1, b.dim + 1)]
+    for key, value in b.table.items():
+        joined = set(key) | {t + 1 for t, c in enumerate(value) if c}
+        parts = ([p for p in parts if p.isdisjoint(joined)]
+                 + [set().union(*(p for p in parts if not p.isdisjoint(joined)))])
+    return parts
+
+
+@cache
+def fundamental_identity_corpus() -> tuple[tuple[TriBracket, CheckReport], ...]:
+    """The brackets the fundamental-identity check is compared on, each with
+    its ``reference_fundamental_identity`` report."""
     rng = random.Random(13)
     simple4 = TriBracket(4, {(1, 2, 3): Vector.unit(4, 4), (1, 2, 4): -Vector.unit(4, 3),
                              (1, 3, 4): Vector.unit(4, 2), (2, 3, 4): -Vector.unit(4, 1)})
@@ -156,10 +177,19 @@ def test_fundamental_identity_matches_bracket_eval_reference():
         brackets.append(TriBracket(n, {
             tr: Vector([rand_rat(rng) if rng.random() < 0.5 else 0 for _ in range(n)])
             for tr in combinations(range(1, n + 1), 3) if rng.random() < 0.25}))
+    # two ideals joined only through a value, and A4 ⊕ A3 in a unimodular
+    # basis, where the two ideals are no longer spanned by basis vectors
+    brackets += [joined_ideals_bracket(),
+                 transport_bracket(TriBracket(7, {**shifted(simple4, 7, 0),
+                                                  **shifted(A3, 7, 4)}), unimodular(rng, 7))]
+    return tuple((b, reference_fundamental_identity(b)) for b in brackets)
+
+
+def test_fundamental_identity_matches_bracket_eval_reference():
     failing = skipped_tuples = skipped_triples = 0
-    for b in brackets:
+    for b, reference in fundamental_identity_corpus():
         report = check_fundamental_identity(b)
-        assert report == reference_fundamental_identity(b)
+        assert report == reference
         failing += not report.passed
         n = b.dim
         used = {i for key in b.table for i in key}
@@ -169,7 +199,27 @@ def test_fundamental_identity_matches_bracket_eval_reference():
                 skipped_tuples += sum(all(b.basis_bracket(a, *uv).is_zero() for a in xyz)
                                       for uv in combinations(range(1, n + 1), 2))
     # the zero bracket skips its 20 triples, simple4 + ab3 the triple (1, 2, 3)
-    assert failing >= 7 and skipped_triples > 20 and skipped_tuples > 1000
+    assert failing >= 8 and skipped_triples > 20 and skipped_tuples > 1000
+    joined, image = (b for b, _ in fundamental_identity_corpus()[-2:])
+    hits = [v for v in check_fundamental_identity(joined).violations
+            if v.witness == (1, 2, 3, 5, 6)]
+    assert [(v.left, v.right) for v in hits] == [(Vector.unit(6, 1), Vector.zero(6))]
+    # A4 ⊕ A3 is a 3-Lie algebra; in the new basis it is one component
+    assert len(components(image)) == 1 and check_fundamental_identity(image).passed
+
+
+def test_fundamental_identity_violations_stay_in_one_component():
+    # the two lemmas the check skips by, on the reference reports: no
+    # violation has {u, v} ⊂ {x, y, z}, and none leaves one component
+    violations = 0
+    for b, reference in fundamental_identity_corpus():
+        parts = components(b)
+        for v in reference.violations:
+            x, y, z, u, w = v.witness
+            assert not {u, w} <= {x, y, z}
+            assert any(set(v.witness) <= part for part in parts)
+            violations += 1
+    assert violations > 100
 
 
 def test_transposed_leibniz_examples():

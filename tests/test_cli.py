@@ -37,6 +37,15 @@ def test_check_counterexample_fails_with_witness(capsys):
     assert "left = e4, right = 0" in out
 
 
+def test_check_joined_ideals_fails_with_witness(capsys):
+    # [e1,e2,e3] = e4 and [e4,e5,e6] = e1 share no index: the check's
+    # components join them through the values, and its first violation
+    # crosses the two stored triples
+    code, out, _ = run(capsys, "check", str(DOCUMENTS / "joined_ideals.json"))
+    assert code == 1
+    assert "witness (1, 2, 3, 5, 6): left = e1, right = 0" in out
+
+
 def test_check_product_document(capsys):
     code, out, _ = run(capsys, "check", str(FIXTURES / "t1.json"))
     assert code == 0
@@ -122,6 +131,9 @@ CLASSIFIED_DOCUMENTS = [
     ("mixed", 3, "no case condition set matches"),
     ("mixed_e2", 1, "coupling identity fails"),
     ("mixed_e1", 1, "coupling identity fails"),
+    # a bracket other than [e1,e2,e3] = e1, whose check fails on the
+    # fundamental identity (test_check_joined_ideals_fails_with_witness)
+    ("joined_ideals", 3, "unsupported"),
 ]
 
 

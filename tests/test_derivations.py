@@ -6,13 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from tpl3 import (AutoMatrix, CommProduct, DerivationQuery, DimensionMismatch,
+from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch,
                   FamilyInstance, Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
                   check_fundamental_identity, check_transposed_leibniz, delta_derivations,
                   instantiate_family, invert, mat_mul, tp_product_space,
                   transport_bracket, transport_product, vec_mat)
 from tpl3.algebra import structure_table
-from conftest import A3_PRODUCT_SPACE, rand_rat
+from conftest import A3_PRODUCT_SPACE, rand_rat, unimodular
 from oracles import (build_derivation_system, build_product_system, kernel_basis,
                      left_multiplication, mat_vec, rref)
 
@@ -712,17 +712,6 @@ def test_solved_space_records_match_public_constructors():
                 assert record._table is None and _product_table(record) == _product_table(public)
             records += 1
     assert records > 300
-
-
-def unimodular(rng: random.Random, n: int) -> AutoMatrix:
-    """A seeded product of 8 to 16 elementary row operations, each adding
-    ±1 or ±2 times one row to another: an integer map of determinant 1."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(8, 16)):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return AutoMatrix.from_rows(rows)
 
 
 def test_solved_spaces_are_basis_covariant():
