@@ -294,30 +294,24 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
     linearity in the first slot over the structure-constant table, in
     integers scaled by D² (see ``structure_table``).
 
-    Only tuples where the two sides can differ are visited, by three
-    lemmas.  The skipped tuples hold, so once the violations of all
-    components are sorted the report is that of the full loop, in its order
-    (x < y < z ascending, then u < v ascending).
+    Only tuples where the two sides can differ are visited; the others
+    hold, so once the violations are sorted the report is that of the full
+    loop, in its order (x < y < z, then u < v, ascending).
 
-    * Components.  One union–find pass joins the three indices of each
-      stored triple and the support of its value.  Then [e_a,e_b,e_c] lies
-      in the span L_C of a component C when a, b, c ∈ C and is 0 when they
-      are not all in one component.  So each L_C is an ideal, L is their
-      direct sum, and [L_C, L_D, ·] = 0 for C ≠ D: a term [[a,b,c],d,e]
-      is nonzero only when all five indices lie in one component, and a
-      tuple that leaves its component has both sides zero.  Only triples
-      inside one component are visited, with pairs inside the same
-      component.
+    * Components.  One union–find pass joins the indices of each stored
+      triple and the support of its value.  A basis bracket is nonzero only
+      on three indices of one component, and then lies in its span, so each
+      component C spans an ideal L_C and [L_C, L_D, ·] = 0 for C ≠ D.  A
+      term [[a,b,c],d,e] is nonzero only when all five indices lie in one
+      component, so only triples and pairs inside one component are visited.
     * Repeated pairs.  When {u, v} ⊂ {x, y, z}, skewness makes two
-      right-hand terms zero and the third equal to the left side: for
-      (u, v) = (x, y) it is [[z,x,y],x,y] = [[x,y,z],x,y], for (x, z) it
-      is [[y,x,z],z,x] = [[x,y,z],x,z], and for (y, z) it is
-      [[x,y,z],y,z].  So the pairs (x, y), (x, z) and (y, z) are skipped,
-      and a component of at most three indices has no tuple left.
-    * Zero triples.  The left side vanishes when [e_x,e_y,e_z] = 0, and
-      the right side when [e_a,e_u,e_v] = 0 for each a ∈ {x, y, z}.  So
-      when [e_x,e_y,e_z] = 0, only the pairs (u, v) with {a, u, v} a stored
-      triple for some a ∈ {x, y, z} are visited, in ascending order.
+      right-hand terms zero and the third equal to the left side, e.g.
+      [[y,x,z],z,x] = [[x,y,z],x,z] at (u, v) = (x, z).  So the pairs
+      (x, y), (x, z) and (y, z) are skipped, and a component of at most
+      three indices is skipped whole.
+    * Zero triples.  When [e_x,e_y,e_z] = 0 the left side vanishes, and the
+      right side too unless {a, u, v} is a stored triple for some
+      a ∈ {x, y, z}; only those pairs are visited, in ascending order.
     """
     n = b.dim
     den, table = structure_table(b)
