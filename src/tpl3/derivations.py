@@ -41,7 +41,19 @@ row space, so the other rows may be shortened to satisfy the lemma.
 
 Stage 1, ``_reduced_rows``: a singleton δ-derivation row holds as
 β_uv = 0, a unit row; its column is killed and dropped from the other
-rows, and only those go to the forward pass ``_echelon``.  Stage 2, the
+rows R, and only those are eliminated.  Lemma (the modular rank bound,
+Dixon 1982): the rank of integer rows mod a prime is at most their rank
+over ℚ, since a minor that is nonzero mod p is a nonzero integer.  R
+lives on the n² − |K| columns outside the killed ones K, and at δ = 1/3
+the identity is a 1/3-derivation, whose vec(I) is zero at K and in R's
+kernel; so the rank of R over ℚ is at most t = n² − [δ = 1/3] − |K|.
+For n ≥ 2, R reaches t only if it touches every column outside K: on the
+touched columns T its rank is at most |T| − 1 when T holds a diagonal
+column (vec(I) restricted to T is in the kernel), else at most
+|T| ≤ n² − n − |K|, and at any other δ at most |T|.  So when R has
+at least t rows and touches every column outside K, a rank pass mod p
+that reaches t proves the rank over ℚ is t; a shortfall proves nothing,
+and the exact forward pass ``_echelon`` runs.  Stage 2, the
 product space: the reduced 1/3-derivation rows (at most n² − 1 rows over
 n² columns) are moved into the product columns.  Every left
 multiplication L_g of a compatible product is a 1/3-derivation with
@@ -67,7 +79,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
-                     _densify, _echelon, _eliminate, _integer_row, _kernel, rat)
+                     _densify, _echelon, _eliminate, _integer_row, _kernel, _rank_mod_p, rat)
 from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
                       structure_table)
 
@@ -203,23 +215,23 @@ def _reduced_rows(q: DerivationQuery
     must not mutate the returned rows.
 
     The singleton rows are presolved by the lemma of the module docstring:
-    their columns are killed, the other rows lose those columns and go to
-    the forward pass ``_echelon``, and the unit rows {c: 1} of the killed
-    columns are merged into the reduced rows in pivot order.  The rank is
-    the number of killed columns plus the length of the echelon form.
+    their columns are killed, and the other rows lose those columns.  When
+    they pass the gate of the module docstring and ``_rank_mod_p`` reaches
+    the target t, their rank is proven and no exact pass runs.  Else they
+    go to the forward pass ``_echelon``, and the unit rows {c: 1} of the
+    killed columns are merged into its reduced rows in pivot order.
 
-    The forward pass always runs; back-substitution is skipped when its
-    answer is known.  At δ = 1/3 the identity map is a
-    1/3-derivation (φ[x,y,z] = [x,y,z] = (1/3)·3[x,y,z]), so vec(I), with
-    a 1 at each u·n + u, is in the kernel and the rank is at most n² − 1.
-    When the killed columns and the pivots of the forward pass number
-    n² − 1 together, the kernel is the line through vec(I).  A free column
-    is the last nonzero coordinate of its kernel vector, so the one free
-    column is n² − 1, the pivots are 0..n² − 2, and the reduced row of
-    pivot c is e_c − I_c·e_{n²−1}, since it annihilates vec(I): {c: 1} for
-    each off-diagonal c and {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
+    A rank of n² at δ ≠ 1/3 leaves the zero space, whose reduced rows are
+    the unit rows.  A rank of n² − 1 at δ = 1/3, proven mod p or reached by
+    the forward pass, skips back-substitution: the kernel is the line
+    through vec(I), with a 1 at each u·n + u (φ[x,y,z] = [x,y,z] =
+    (1/3)·3[x,y,z]).  A free column is the last nonzero coordinate of its
+    kernel vector, so the one free column is n² − 1, the pivots are
+    0..n² − 2, and the reduced row of pivot c is e_c − I_c·e_{n²−1}, since
+    it annihilates vec(I): {c: 1} for each off-diagonal c and
+    {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
     rows, and a row space has one reduced row echelon form, so they are
-    what back-substitution would return.
+    what the exact passes would return.
     """
     memo = q.bracket._reduced
     if memo is None:
@@ -231,12 +243,19 @@ def _reduced_rows(q: DerivationQuery
         if killed:
             rows = [{c: e for c, e in row.items() if c not in killed}
                     for row in rows if len(row) > 1]
-        echelon = _echelon(map(_integer_row, rows))
         n = q.bracket.dim
         last = n * n - 1
-        if q.delta == ONE_THIRD and len(echelon) + len(killed) == last:
+        target = n * n - (q.delta == ONE_THIRD) - len(killed)
+        proven = (len(rows) >= target
+                  and len({c for row in rows for c in row}) + len(killed) == n * n
+                  and _rank_mod_p(rows, n * n, target) == target)
+        if not proven:
+            echelon = _echelon(map(_integer_row, rows))
+        if q.delta == ONE_THIRD and (proven or len(echelon) == target):
             memo[q.delta] = ([{c: 1, last: -1} if c % (n + 1) == 0 else {c: 1}
                               for c in range(last)], tuple(range(last)))
+        elif proven:
+            memo[q.delta] = [{c: 1} for c in range(n * n)], tuple(range(n * n))
         else:
             reduced, pivots = _back_substitute(echelon)
             by_pivot = dict(zip(pivots, reduced))

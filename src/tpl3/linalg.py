@@ -11,10 +11,11 @@ to integers in one pass, ``_cleared``, and reach it through
 ``_reduce``, whose ``_integer_row`` makes each a normal integer row; the
 product stage of ``derivations`` hands it already normal rows directly,
 and the δ-derivation stage runs the two halves itself, so that it can skip
-back-substitution when the forward pass already fixes the answer (see
-``derivations._reduced_rows``).  So every elimination runs on Python
-``int``s.  The forward pass uses fraction-free updates with the integer
-content removed after each one and the sparsest available pivot.  Each
+them when a rank fixes the answer; ``_rank_mod_p``, a rank bound mod a
+prime that never returns rows, can prove that rank before either runs
+(see ``derivations._reduced_rows``).  So every elimination runs on
+Python ``int``s.  The forward pass uses fraction-free updates with the
+integer content removed after each one and the sparsest available pivot.  Each
 reduced row comes back as a normal integer row that is zero at every other
 pivot column: the reduced row echelon form row times a positive integer,
 so dividing it by its pivot entry gives dense Gauss-Jordan over
@@ -64,6 +65,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -467,6 +469,37 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]
                 by_lead.setdefault(min(r), []).append(r)
         echelon.append((c, pivot))
     return echelon
+
+
+#: the prime of ``_rank_mod_p``: below 2**15, so every product of two
+#: residues fits in one 30-bit CPython digit
+_RANK_PRIME = 32749
+
+
+def _rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int, target: int) -> int:
+    """The rank of the integer ``rows`` mod ``_RANK_PRIME``, counted up to
+    ``target``: a rank bound, which never returns rows.  Each row is made a
+    dense list of residues and reduced against the pivot rows found so
+    far, in the order found; each is 1 at its pivot column and zero left
+    of it and at every earlier pivot column.  The pass stops at ``target``.
+    """
+    p = _RANK_PRIME
+    found: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(found) >= target:
+            break
+        v = [0] * ncols
+        for c, e in row.items():
+            v[c] = e % p
+        for c, w in found:
+            f = v[c]
+            if f:
+                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], w)]
+        lead = next(compress(range(ncols), v), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            found.append((lead, [x * inv % p for x in v[lead:]]))
+    return len(found)
 
 
 def _back_substitute(echelon: list[tuple[int, dict[int, int]]]

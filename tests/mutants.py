@@ -78,12 +78,27 @@ MUTANTS = [
             CLASSIFY + "test_solve_rows_matches_solve_affine_on_witness_systems")),
     Mutant("1/3 shortcut row with +1 at the last column", "derivations.py",
            "{c: 1, last: -1}", "{c: 1, last: +1}",
-           (DERIVATIONS + "test_reduced_rows_are_normal_integer_rows",
+           (DERIVATIONS + "test_dense_reduced_rows_match_full_elimination",
             DERIVATIONS + "test_full_rank_reduced_rows_match_full_elimination",
             SPACES_DIGEST)),
     Mutant("1/3 shortcut taken at any delta", "derivations.py",
-           "if q.delta == ONE_THIRD and len(echelon)", "if len(echelon)",
-           (DERIVATIONS + "test_reduced_rows_are_normal_integer_rows", SPACES_DIGEST)),
+           "if q.delta == ONE_THIRD and (proven or len(echelon) == target):",
+           "if proven or len(echelon) == target:",
+           (DERIVATIONS + "test_dense_reduced_rows_match_full_elimination",
+            DERIVATIONS + "test_reduced_rows_are_normal_integer_rows")),
+    Mutant("target n² at δ = 1/3", "derivations.py",
+           "target = n * n - (q.delta == ONE_THIRD) - len(killed)",
+           "target = n * n - len(killed)",
+           (DERIVATIONS + "test_product_space_eliminates_reduced_derivation_rows[dense4]",)),
+    Mutant("a mod-p shortfall taken as proof", "derivations.py",
+           "_rank_mod_p(rows, n * n, target) == target",
+           "_rank_mod_p(rows, n * n, target) >= target - 1",
+           (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
+            SPACES_DIGEST)),
+    Mutant("mod-p pass without reduction against the earlier pivot rows", "linalg.py",
+           "        for c, w in found:\n", "        for c, w in found[:0]:\n",
+           (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
+            SPACES_DIGEST)),
     Mutant("presolve without its column drop", "derivations.py",
            "rows = [{c: e for c, e in row.items() if c not in killed}\n"
            "                    for row in rows if len(row) > 1]",

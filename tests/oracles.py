@@ -12,7 +12,8 @@ objects, kept so the tests can state them independently of the fast path:
   pivot entry; the independent dense Gauss-Jordan that checks ``_reduce``
   itself is ``oracle_rref`` in ``test_linalg``;
 * ``determinant`` is a separate Bareiss elimination, the reference for
-  invertibility;
+  invertibility, and ``gf2_rank`` an XOR elimination over GF(2), the
+  reference for ``linalg._rank_mod_p`` with its prime set to 2;
 * ``mat_vec`` and ``product_eval`` evaluate a matrix and a product on
   arbitrary vectors;
 * ``build_derivation_system`` and ``build_product_system`` are the dense
@@ -106,6 +107,21 @@ def determinant(m: Matrix) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return scale * sign * a[n - 1][n - 1]
+
+
+def gf2_rank(rows: Iterable[dict[int, int]]) -> int:
+    """The rank over GF(2) of sparse integer rows: each row as a bit mask of
+    its odd entries, reduced by the kept masks with the same highest bit."""
+    by_top: dict[int, int] = {}
+    for row in rows:
+        x = sum(1 << c for c, e in row.items() if e % 2)
+        while x:
+            top = x.bit_length() - 1
+            if top not in by_top:
+                by_top[top] = x
+                break
+            x ^= by_top[top]
+    return len(by_top)
 
 
 def product_eval(p: CommProduct, x: Vector, y: Vector) -> Vector:

@@ -476,20 +476,28 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # reduced rows
     for fn in ("_echelon", "_eliminate"):
         monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
-    # a fresh bracket: the non-singleton 1/3-derivation rows once, then the
-    # surviving reduced copies, instead of n raw copies of every row
+    # the forward pass is skipped where the mod-p pass proves rank
+    # t = n² − 1 − |killed|: dense4's 16 rows touch all 16 columns and
+    # reach 15; A3 and A4+ab2 have fewer presolved rows than t
+    skipped = name == "dense4"
+    assert mod_p_gate(DerivationQuery(fresh_bracket(name)))[2] == skipped
+    forward = [] if skipped else [first]
+    full = forward + [len(kept)]
+    assert full == {"A3": [1, 3], "A4+ab2": [16, 6], "dense4": [6]}[name]
+    # a fresh bracket: the non-singleton 1/3-derivation rows once, unless
+    # the mod-p pass proves their rank, then the surviving reduced copies,
+    # instead of n raw copies of every row
     b = fresh_bracket(name)
-    full = [first, len(kept)]
     assert reduce_counts(tp_product_space, b)[0] == full
     # the same object keeps its reduced rows: no elimination at all
     assert reduce_counts(derivation, b)[0] == []
     # membership reads those reduced rows too (the identity is a 1/3-derivation)
     counts.clear()
     assert derivation(b).contains(Matrix.identity(n)) and counts == []
-    # the other order: the non-singleton derivation rows once, then only
-    # the moved copies
+    # the other order: the non-singleton derivation rows once (or not at
+    # all), then only the moved copies
     b2 = fresh_bracket(name)
-    assert reduce_counts(derivation, b2)[0] == full[:1]
+    assert reduce_counts(derivation, b2)[0] == forward
     # a moved copy that keeps all its columns is already a normal integer
     # row: only the copies that lost a column are normalised again
     normalised = []
@@ -498,7 +506,7 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     monkeypatch.setattr(linalg, "_integer_row", recording)
     monkeypatch.setattr(derivations, "_integer_row", recording)
     counts2, space2 = reduce_counts(tp_product_space, b2)
-    assert counts2 == full[1:] and len(normalised) == len(shrunk)
+    assert counts2 == [len(kept)] and len(normalised) == len(shrunk)
     monkeypatch.setattr(linalg, "_integer_row", integer_row)
     monkeypatch.setattr(derivations, "_integer_row", integer_row)
     # an equal but distinct bracket, a copy and an unpickled bracket solve again
@@ -604,38 +612,79 @@ def test_reduced_rows_are_normal_integer_rows():
     assert moved > 500
 
 
-def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
-    # at δ = 1/3 the identity is a 1/3-derivation, so n² − 1 pivots after
-    # the forward pass fix the reduced rows and back-substitution is
-    # skipped; the memo rows must equal those of the full elimination
+def mod_p_gate(q: DerivationQuery) -> tuple[list[dict[int, int]], int, bool]:
+    """The rows that ``_reduced_rows`` hands the mod-p pass for ``q``, the
+    target rank t and whether the rows pass the gate.
+
+    The singleton rows kill their columns K, and the other rows R lose
+    them; t = n² − [δ = 1/3] − |K|.  The gate asks that R have at least t
+    rows and touch every column outside K, which rank t over ℚ implies
+    when n ≥ 2; at n = 1, t = 0 at δ = 1/3 and no row touches column 0."""
+    from tpl3.derivations import _derivation_rows
+
+    n = q.bracket.dim
+    rows = list(_derivation_rows(q))
+    killed = {c for row in rows if len(row) == 1 for c in row}
+    rest = [{c: e for c, e in row.items() if c not in killed} for row in rows if len(row) > 1]
+    target = n * n - (q.delta == F(1, 3)) - len(killed)
+    touched = {c for row in rest for c in row}
+    return rest, target, len(rest) >= target and len(touched) + len(killed) == n * n
+
+
+def record_calls(monkeypatch, calls: list, *names: str) -> None:
+    """Patch each of ``names`` in ``tpl3.derivations`` to append its name to
+    ``calls`` when it returns; ``_rank_mod_p`` appends (name, rank)."""
     import tpl3.derivations as derivations
+
+    def recording(name, original):
+        def run(*args):
+            result = original(*args)
+            calls.append((name, result) if name == "_rank_mod_p" else name)
+            return result
+        return run
+
+    for name in names:
+        monkeypatch.setattr(derivations, name, recording(name, getattr(derivations, name)))
+
+
+def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
+    # at δ = 1/3 the identity is a 1/3-derivation, so n² − 1 pivots fix the
+    # reduced rows.  Full rank passes the gate, and on these brackets the
+    # prime loses no rank, so the mod-p pass proves it and neither the
+    # forward pass nor back-substitution runs; the memo rows must equal
+    # those of the full elimination
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
 
-    back = []
-    original = derivations._back_substitute
-    monkeypatch.setattr(derivations, "_back_substitute",
-                        lambda echelon: back.append(1) or original(echelon))
+    calls = []
+    record_calls(monkeypatch, calls, "_echelon", "_back_substitute")
     rng = random.Random(71)
     dense = [TriBracket(n, {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
                             for tr in combinations(range(1, n + 1), 3)})
              for n in (2, 3, 4, 5) for _ in range(4)]
     sums = [direct_sum(*SOLVED_SPACES[name][0]) for name in sorted(SOLVED_SPACES)]
-    full_rank = 0
+    full_rank = zero = 0
     for b in dense + sums + [seed3_dense_bracket()]:
         q = DerivationQuery(b)
         expected = _reduce(list(_derivation_rows(q)))
-        back.clear()
+        calls.clear()
         assert _reduced_rows(q) == expected
         shortcut = len(expected[1]) == b.dim ** 2 - 1
-        assert back == ([] if shortcut else [1])
+        assert calls == ([] if shortcut else ["_echelon", "_back_substitute"])
         full_rank += shortcut
-        # the shortcut is taken at δ = 1/3 only
-        back.clear()
-        _reduced_rows(DerivationQuery(b, F(1)))
-        assert back == [1]
-    # every dense bracket with n = 4 or 5 (dense4 included), no direct sum
-    assert full_rank == 9
+        # the 1/3 shortcut is taken at δ = 1/3 only: at δ = 1 the pass
+        # proves full column rank, whose reduced rows are the unit rows, or
+        # both halves run
+        q = DerivationQuery(b, F(1))
+        expected = _reduce(list(_derivation_rows(q)))
+        calls.clear()
+        assert _reduced_rows(q) == expected
+        full = len(expected[1]) == b.dim ** 2
+        assert calls == ([] if full else ["_echelon", "_back_substitute"])
+        zero += full
+    # every dense bracket with n = 4 or 5 (dense4 included), no direct sum;
+    # four have only the zero 1-derivation
+    assert full_rank == 9 and zero == 4
     monkeypatch.undo()
 
 
@@ -644,36 +693,147 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
     # as killed columns and only the other rows, without those columns, are
     # eliminated; the memo must equal the elimination of every row, whether
     # columns are killed or not, and also when a row is left with a single
-    # column only after the drop
+    # column only after the drop.  The mod-p pass gets those rows when they
+    # pass its gate, and the forward pass unless the mod-p pass proves
+    # their rank
     import tpl3.derivations as derivations
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
 
-    eliminated = []
-    original = derivations._echelon
-    monkeypatch.setattr(derivations, "_echelon",
-                        lambda rows: original(eliminated.append(list(rows)) or eliminated[-1]))
+    handed = {}
+
+    def handing(fn, original):
+        def run(rows, *args):
+            handed[fn] = rows = list(rows)
+            return original(rows, *args)
+        return run
+
+    for fn in ("_echelon", "_rank_mod_p"):
+        monkeypatch.setattr(derivations, fn, handing(fn, getattr(derivations, fn)))
     rng = random.Random(89)
     brackets = oracle_brackets()[:40]
     brackets += [rational_bracket(rng, n, keep, density) for n in (3, 4, 5, 6)
                  for keep, density in ((1, 1), (1, 0.4), (0.5, 0.7), (0.25, 0.5))]
-    kills = none = later = 0
+    kills = none = later = proven = fallback = 0
     for b in brackets:
         for delta in (F(1, 3), F(1), F(-2, 5), F(2)):
             q = DerivationQuery(TriBracket(b.dim, b.table), delta)
             rows = list(_derivation_rows(q))
             assert all(all(row.values()) for row in rows)
             killed = {c for row in rows if len(row) == 1 for c in row}
-            eliminated.clear()
-            assert _reduced_rows(q) == _reduce(rows)
-            # one forward pass, on the other rows, without a killed column
-            [given] = eliminated
-            assert len(given) == sum(len(row) > 1 for row in rows)
-            assert all(killed.isdisjoint(row) for row in given)
+            expected = _reduce(rows)
+            handed.clear()
+            assert _reduced_rows(q) == expected
+            # rank t over ℚ passes the gate from n = 2 on, and the prime
+            # loses no rank here: exactly then the forward pass is skipped
+            full = len(expected[1]) == b.dim ** 2 - (delta == F(1, 3))
+            gate = mod_p_gate(q)[2]
+            assert set(handed) == ({"_rank_mod_p"} if full and gate else
+                                   {"_rank_mod_p", "_echelon"} if gate else {"_echelon"})
+            # each pass gets the other rows, without a killed column
+            for given in handed.values():
+                assert len(given) == sum(len(row) > 1 for row in rows)
+                assert all(killed.isdisjoint(row) for row in given)
             kills += bool(killed)
             none += not killed
             later += any(len(row.keys() - killed) == 1 for row in rows if len(row) > 1)
+            proven += full and gate
+            fallback += gate and not full
     assert kills > 100 and none > 40 and later > 20
+    assert proven > 30 and fallback >= 2
+    monkeypatch.undo()
+
+
+def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
+    # with the prime set to 2 the rank mod p falls short of t on rows whose
+    # rank over ℚ is t: a shortfall proves nothing, so the exact path runs,
+    # its own 1/3 shortcut included, and the memo still equals the full
+    # elimination.  The pass counts the rank of an independent GF(2)
+    # elimination, capped at t
+    import tpl3.linalg as linalg
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+    from oracles import gf2_rank
+
+    monkeypatch.setattr(linalg, "_RANK_PRIME", 2)
+    calls = []
+    record_calls(monkeypatch, calls, "_rank_mod_p", "_echelon", "_back_substitute")
+    rng = random.Random(29)
+    brackets = [TriBracket(n, {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
+                               for tr in combinations(range(1, n + 1), 3)})
+                for n in (4, 5) for _ in range(4)]
+    deltas = (F(1, 3), F(1), F(-2, 5), F(2))
+    short = {}
+    for b in brackets + [seed3_dense_bracket()]:
+        for delta in deltas:
+            q = DerivationQuery(TriBracket(b.dim, b.table), delta)
+            rows, target, gate = mod_p_gate(q)
+            expected = _reduce(list(_derivation_rows(q)))
+            calls.clear()
+            assert _reduced_rows(q) == expected
+            full = len(expected[1]) == b.dim ** 2 - (delta == F(1, 3))
+            exact = ["_echelon"] if full and delta == F(1, 3) else ["_echelon", "_back_substitute"]
+            if not gate:
+                assert not full and calls == exact
+                continue
+            rank = min(gf2_rank(rows), target)
+            assert calls[0] == ("_rank_mod_p", rank)
+            assert calls[1:] == ([] if rank == target else exact)
+            if rank < target:
+                short[delta, full] = short.get((delta, full), 0) + 1
+    # shortfalls on rows of rank t over ℚ, at every δ
+    assert all(short.get((delta, True), 0) >= 3 for delta in deltas)
+    monkeypatch.undo()
+
+
+#: the dense4 draw of round 3 of the seed-53 spaces bench stream: its 16
+#: rows touch every column, so it passes the gate, but its rank over ℚ is 14
+RANK_14_DENSE4 = {(1, 2, 3): (1, 0, 1, -1), (1, 2, 4): (1, 0, -1, -1),
+                  (1, 3, 4): (1, -1, -1, -2), (2, 3, 4): (0, -1, -2, -1)}
+
+
+def test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass(monkeypatch):
+    # a rank mod p is at most the rank over ℚ, so the pass stops short of
+    # t = 15 and both exact halves run; the 1/3-derivations are the
+    # identity and one more map
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+
+    calls = []
+    record_calls(monkeypatch, calls, "_rank_mod_p", "_echelon", "_back_substitute")
+    b = TriBracket(4, {tr: Vector(v) for tr, v in RANK_14_DENSE4.items()})
+    q = DerivationQuery(b)
+    rows, target, gate = mod_p_gate(q)
+    assert gate and len(rows) == 16 and target == 15
+    reduced, pivots = _reduced_rows(q)
+    assert (reduced, pivots) == _reduce(list(_derivation_rows(q))) and len(pivots) == 14
+    assert calls == [("_rank_mod_p", 14), "_echelon", "_back_substitute"]
+    space = delta_derivations(q)
+    assert space.dim == 2 and space.contains(Matrix.identity(4))
+    system = build_derivation_system(q)
+    assert all(mat_vec(system, Vector(m.entries)).is_zero() for m in space.basis)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_dense_reduced_rows_match_full_elimination(n, monkeypatch):
+    # dense brackets with integer coefficients in [-2, 2] on every triple:
+    # the mod-p pass proves rank n² − 1 at δ = 1/3 and n² at the other δ,
+    # and the closed-form rows equal those of the full elimination
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+
+    rng = random.Random(n)
+    table = {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
+             for tr in combinations(range(1, n + 1), 3)}
+    calls = []
+    record_calls(monkeypatch, calls, "_echelon", "_back_substitute")
+    for delta in (F(1, 3), F(1), F(-2, 5), F(2)):
+        q = DerivationQuery(TriBracket(n, table), delta)
+        expected = _reduce(list(_derivation_rows(q)))
+        assert _reduced_rows(q) == expected
+        assert len(expected[1]) == n * n - (delta == F(1, 3))
+    assert calls == []
     monkeypatch.undo()
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector, invert,
                   mat_mul, parse_rat, rank, rational_root, solve_affine, vec_mat)
-from tpl3.linalg import _cleared, _densify, _integer_root, _kernel, _reduce
-from oracles import determinant, kernel_basis, mat_vec
+from tpl3.linalg import _cleared, _densify, _integer_root, _kernel, _rank_mod_p, _reduce
+from oracles import determinant, gf2_rank, kernel_basis, mat_vec
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -416,3 +416,22 @@ def test_elimination_matches_dense_oracle():
                 assert invert(m) == expected
     # the seeded draw reaches every branch compared above
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_rank_mod_p_counts_up_to_its_target(monkeypatch):
+    # a rank mod p is at most the rank over ℚ, and equal on these seeded
+    # matrices at the module's prime; the pass stops at its target.  With
+    # the prime set to 2 it counts the rank of an independent GF(2)
+    # elimination
+    import tpl3.linalg as linalg
+
+    lost = 0
+    for p in (linalg._RANK_PRIME, 2):
+        monkeypatch.setattr(linalg, "_RANK_PRIME", p)
+        for m in random_matrices(random.Random(113)):
+            rows = [_cleared(row) for row in m.row_lists()]
+            r = gf2_rank(rows) if p == 2 else rank(m)
+            assert [_rank_mod_p(rows, m.cols, t) for t in range(m.rows + 1)] == [
+                min(r, t) for t in range(m.rows + 1)]
+            lost += r < rank(m)
+    assert lost > 5
