@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import DimensionMismatch, Vector, _Record
+from .linalg import _ZERO, DimensionMismatch, Vector, _Record
 
 
 class ShapeMismatch(ValueError):
@@ -220,15 +220,13 @@ def structure_table(b: TriBracket) -> tuple[int, list[list[list[tuple[tuple[int,
     return den, table
 
 
-_ZERO = Fraction(0)
-
-
-def _unscaled(values: list[int], den: int) -> Vector:
+def _unscaled(values: list[int], den: int, made: dict[int, Fraction]) -> Vector:
     """The ``Vector`` of an ``int`` coordinate list that is ``den`` times the
-    value.  Each entry is built once, as ``Fraction(v, den)``, and every zero
-    is one shared ``Fraction(0)``; the tuple goes to ``Vector`` through
-    ``Vector._from_fields``, with no second pass through ``rat``."""
-    return Vector._from_fields(tuple([Fraction(v, den) if v else _ZERO for v in values]))
+    value.  Each nonzero v is built once per dict ``made``, as
+    ``Fraction(v, den)``, and every zero is one shared ``Fraction(0)``; the
+    tuple goes to ``Vector`` through ``Vector._from_fields``."""
+    return Vector._from_fields(tuple([made.get(v) or made.setdefault(v, Fraction(v, den))
+                                      if v else _ZERO for v in values]))
 
 
 @cache
@@ -245,7 +243,8 @@ def _unscaled_product(n: int, den: int, rows: Iterable[Sequence[int]]) -> CommPr
     row is left out and every other row goes through ``_unscaled``; the
     pairs are ascending and every vector is nonzero, so the table goes to
     ``CommProduct._from_fields`` as it is."""
-    return CommProduct._from_fields(n, {(i + 1, j + 1): _unscaled(row, den)
+    made: dict[int, Fraction] = {}
+    return CommProduct._from_fields(n, {(i + 1, j + 1): _unscaled(row, den, made)
                                         for (i, j), row in zip(_basis_pairs(n), rows)
                                         if any(row)})
 
@@ -338,6 +337,7 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
     for i in range(n):
         components.setdefault(find(i), []).append(i)
     violations = []
+    made: dict[int, Fraction] = {}
     for comp in components.values():
         if len(comp) < 4:
             continue
@@ -362,7 +362,8 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
                             right[t] += c * d
                 if left != right:
                     violations.append(Violation((x + 1, y + 1, z + 1, u + 1, v + 1),
-                                                _unscaled(left, den2), _unscaled(right, den2)))
+                                                _unscaled(left, den2, made),
+                                                _unscaled(right, den2, made)))
     violations.sort(key=lambda w: w.witness)
     return CheckReport(tuple(violations))
 
@@ -384,6 +385,7 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     den_p, prod = _product_table(p)
     den = den_b * den_p
     violations = []
+    made: dict[int, Fraction] = {}
     for u in range(n):
         for (x, y, z) in combinations(range(n), 3):
             left = [0] * n
@@ -402,7 +404,8 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
                     right[t] += c * d
             if left != right:
                 violations.append(Violation((u + 1, x + 1, y + 1, z + 1),
-                                            _unscaled(left, den), _unscaled(right, den)))
+                                            _unscaled(left, den, made),
+                                            _unscaled(right, den, made)))
     return CheckReport(tuple(violations))
 
 
@@ -418,6 +421,7 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
     den, prod = _product_table(p)
     den2 = den * den
     violations = []
+    made: dict[int, Fraction] = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -431,8 +435,8 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
                         right[t] += c * d
                 if left != right:
                     violations.append(Violation((i + 1, j + 1, k + 1),
-                                                _unscaled(left, den2),
-                                                _unscaled(right, den2)))
+                                                _unscaled(left, den2, made),
+                                                _unscaled(right, den2, made)))
     return CheckReport(tuple(violations))
 
 

@@ -19,7 +19,8 @@ rows, and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
 built on the solve path.  The basis matrices and products are built from
 those rationals as they are, through ``_Record._from_fields``, with no
-second pass through ``rat``.
+second pass through ``rat``; a product pair that holds a single 1 is the
+shared unit vector of ``_unit_vectors``.
 ``_reduced_rows`` is the one place that eliminates a bracket's
 δ-derivation rows, once per bracket object and δ, so ``delta_derivations``,
 ``DerivationSpace.contains`` and ``tp_product_space`` on one bracket share
@@ -78,13 +79,13 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DimensionMismatch, Matrix, Vector, _Record, _back_substitute,
-                     _densify, _echelon, _eliminate, _integer_row, _kernel, _rank_mod_p, rat)
+from .linalg import (_ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record,
+                     _back_substitute, _densify, _echelon, _eliminate, _integer_row, _kernel,
+                     _rank_mod_p, rat)
 from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
                       structure_table)
 
 ONE_THIRD = Fraction(1, 3)
-ZERO = Fraction(0)
 
 
 class DerivationQuery(_Record):
@@ -286,6 +287,13 @@ def _sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
+def _unit_vectors(n: int) -> tuple[Vector, ...]:
+    """The unit vectors e_1..e_n of dimension n, built once per n."""
+    return tuple(Vector._from_fields(tuple(_ONE if s == t else _ZERO for s in range(n)))
+                 for t in range(n))
+
+
+@cache
 def _column_moves(n: int) -> tuple[tuple[int, ...], ...]:
     """For each left multiplication L_g, g = 1..n, the product column that
     each derivation column u·n + v moves to: β_uv of L_g is component v of
@@ -346,14 +354,31 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     keep = [c for c in range(len(pairs) * n) if c not in killed]
     reduced, pivots = _eliminate(_moved_rows([r for r in rows if len(r) > 1], n, keep))
     where = [divmod(c, n) for c in keep]
+    units = _unit_vectors(n)
     basis = []
     for vec in _kernel(reduced, pivots, len(keep)):
-        table: dict[int, list[Fraction]] = {}
+        if len(vec) == 1:  # the 1 at its free column alone
+            [(idx, t)] = [where[j] for j in vec]
+            basis.append(CommProduct._from_fields(n, {pairs[idx]: units[t]}))
+            continue
+        table: dict[int, list[tuple[int, Fraction]]] = {}
         for j, e in vec.items():
             idx, t = where[j]
-            table.setdefault(idx, [ZERO] * n)[t] = e
-        basis.append(CommProduct._from_fields(
-            n, {pairs[idx]: Vector._from_fields(tuple(table[idx])) for idx in sorted(table)}))
+            if idx in table:
+                table[idx].append((t, e))
+            else:
+                table[idx] = [(t, e)]
+        products = {}
+        for idx in sorted(table):
+            terms = table[idx]
+            if len(terms) == 1 and terms[0][1] == 1:
+                products[pairs[idx]] = units[terms[0][0]]
+            else:
+                entries = [_ZERO] * n
+                for t, e in terms:
+                    entries[t] = e
+                products[pairs[idx]] = Vector._from_fields(tuple(entries))
+        basis.append(CommProduct._from_fields(n, products))
     pivot_set = set(pivots)
     description = tuple((pairs[idx], t + 1)
                         for i, (idx, t) in enumerate(where) if i not in pivot_set)

@@ -24,14 +24,15 @@ adding a multiple of one row to another, dropping a zero row or a row
 proportional to another) keeps the row space, and a row space has exactly
 one reduced row echelon form.
 
-Rationals are formed only where they are reported: in ``_kernel`` (each
-kernel entry −v/a), in the particular solution that ``solve_affine`` reads
-off [m | b] and in the entries of the inverse that ``invert`` reads off
-[m | I], each an integer divided by its row's pivot entry.  The other
-integer readers of the package follow the same convention: the structure
-constants and product tables of ``algebra`` and the maps that
-``morphisms`` transports by are cleared to integers over one denominator,
-and each reported entry is divided once.  Such an entry is already a
+Rationals are formed only where they are reported, each distinct value
+once per result: in ``_kernel`` (each kernel entry −v/a), in the
+particular solution that ``solve_affine`` reads off [m | b] and in the
+entries of the inverse that ``invert`` reads off [m | I], each an integer
+divided by its row's pivot entry.  The other integer readers of the
+package follow the same convention: the structure constants and product
+tables of ``algebra`` and the maps that ``morphisms`` transports by are
+cleared to integers over one denominator, and each distinct reported entry
+is divided once per result.  Such an entry is already a
 ``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the products
 of ``algebra._unscaled_product`` (which ``transport_product`` and
 ``instantiate_family`` return), the certificate witnesses of ``classify``
@@ -64,10 +65,15 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+
+#: the shared 0 and 1 of reported rationals
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -475,30 +481,45 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]
 #: residues fits in one 30-bit CPython digit
 _RANK_PRIME = 32749
 
+_FIELD = (1 << 64) - 1
 
-def _rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int, target: int) -> int:
-    """The rank of the integer ``rows`` mod ``_RANK_PRIME``, counted up to
-    ``target``: a rank bound, which never returns rows.  Each row is made a
-    dense list of residues and reduced against the pivot rows found so
-    far, in the order found; each is 1 at its pivot column and zero left
-    of it and at every earlier pivot column.  The pass stops at ``target``.
+
+def _rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int, target: int) -> int:
+    """``target`` if the rank of the integer ``rows`` mod ``_RANK_PRIME``
+    reaches it, else less: a rank bound, which never returns rows.  The
+    pass stops once the pivots found plus the rows left cannot reach
+    ``target``.  A row is one ``int`` of 64-bit fields (``struct``,
+    little-endian), field c for column c.  Against each pivot row found so
+    far (1 at its lead, zero left of it and at every earlier lead) it gains
+    (p − f)·pivot for f its field at the lead mod p.  A step adds less than
+    p², so after t steps a field is below p + t·p² < 2**64 for t < 2**33:
+    no carry crosses a field.  Reduction mod p waits until the row is
+    unpacked once; a row nonzero mod p is scaled to 1 at its lead and
+    repacked as a pivot row.
     """
     p = _RANK_PRIME
-    found: list[tuple[int, list[int]]] = []
+    fields = struct.Struct(f"<{ncols}Q")
+    found: list[tuple[int, int]] = []
+    spare = len(rows) - target  # the rows that may still turn out dependent
     for row in rows:
-        if len(found) >= target:
+        if len(found) >= target or spare < 0:
             break
         v = [0] * ncols
         for c, e in row.items():
             v[c] = e % p
-        for c, w in found:
-            f = v[c]
+        x = int.from_bytes(fields.pack(*v), "little")
+        for shift, w in found:
+            f = (x >> shift & _FIELD) % p
             if f:
-                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], w)]
+                x += (p - f) * w
+        v = [e % p for e in fields.unpack(x.to_bytes(8 * ncols, "little"))]
         lead = next(compress(range(ncols), v), None)
-        if lead is not None:
+        if lead is None:
+            spare -= 1
+        else:
             inv = pow(v[lead], -1, p)
-            found.append((lead, [x * inv % p for x in v[lead:]]))
+            found.append((64 * lead, int.from_bytes(fields.pack(*[e * inv % p for e in v]),
+                                                    "little")))
     return len(found)
 
 
@@ -532,7 +553,8 @@ def _kernel(reduced: list[dict[int, int]], pivots: tuple[int, ...],
 
     One row per free column f, ascending: 1 at f and, for each reduced row
     with an entry v at f and pivot entry a, the rational −v/a at the row's
-    pivot column.  Every stored entry is nonzero.  One pass over the reduced
+    pivot column.  Every stored entry is nonzero; each −v/a is built once
+    per distinct (−v, a) in a call.  One pass over the reduced
     rows groups their entries by column, so no dense ``ncols`` vector is
     built; callers that need one densify with ``_densify``.  Every pivot
     coordinate a row touches lies left of its free column, so that column is
@@ -540,15 +562,17 @@ def _kernel(reduced: list[dict[int, int]], pivots: tuple[int, ...],
     """
     pivot_set = set(pivots)
     by_column: dict[int, dict[int, Fraction]] = {}
+    made: dict[tuple[int, int], Fraction] = {}
     for row, pc in zip(reduced, pivots):
         a = row[pc]
         for j, v in row.items():
             if j != pc:
-                by_column.setdefault(j, {})[pc] = Fraction(-v, a)
+                e = made.get((-v, a)) or made.setdefault((-v, a), Fraction(-v, a))
+                by_column.setdefault(j, {})[pc] = e
     basis = []
     for f in range(ncols):
         if f not in pivot_set:
-            v = {f: Fraction(1)}
+            v = {f: _ONE}
             v.update(by_column.get(f, {}))
             basis.append(v)
     return basis
@@ -556,7 +580,7 @@ def _kernel(reduced: list[dict[int, int]], pivots: tuple[int, ...],
 
 def _densify(row: Mapping[int, Fraction], ncols: int) -> list[Fraction]:
     """A sparse row as a dense list of length ``ncols``."""
-    v = [Fraction(0)] * ncols
+    v = [_ZERO] * ncols
     for j, e in row.items():
         v[j] = e
     return v

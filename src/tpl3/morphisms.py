@@ -243,7 +243,7 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
     den_pre, pre = _supports(invert(m.map))
     den_map, image = _supports(m.map)
     den = den_pre ** 3 * den_b * den_map
-    table = {}
+    table, made = {}, {}
     for (i, j, k) in combinations(range(n), 3):
         value = [0] * n
         for s, x in pre[i]:
@@ -256,7 +256,7 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
                         value[t] += xyz * d
         moved = _push(value, image)
         if any(moved):
-            table[(i + 1, j + 1, k + 1)] = _unscaled(moved, den)
+            table[(i + 1, j + 1, k + 1)] = _unscaled(moved, den, made)
     return TriBracket(n, table)
 
 

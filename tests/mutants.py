@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 ALGEBRA = "tests/test_algebra.py::"
 CLASSIFY = "tests/test_classify.py::"
 DERIVATIONS = "tests/test_derivations.py::"
+LINALG = "tests/test_linalg.py::"
 MORPHISMS = "tests/test_morphisms.py::"
 CLI = "tests/test_cli.py::"
 CLASSIFY_DIGEST = "tests/test_classify_digest.py::test_classify_results_match_golden_digest"
@@ -96,8 +97,20 @@ MUTANTS = [
            (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
             SPACES_DIGEST)),
     Mutant("mod-p pass without reduction against the earlier pivot rows", "linalg.py",
-           "        for c, w in found:\n", "        for c, w in found[:0]:\n",
+           "        for shift, w in found:\n", "        for shift, w in found[:0]:\n",
            (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
+            SPACES_DIGEST)),
+    Mutant("mod-p multiplier read without % p", "linalg.py",
+           "f = (x >> shift & _FIELD) % p", "f = x >> shift & _FIELD",
+           (LINALG + "test_packed_rank_mod_p_matches_the_dense_pass",
+            SPACES_DIGEST)),
+    Mutant("kernel-entry dict keyed by the numerator alone", "linalg.py",
+           "made.get((-v, a)) or made.setdefault((-v, a), Fraction(-v, a))",
+           "made.get(-v) or made.setdefault(-v, Fraction(-v, a))",
+           (LINALG + "test_kernel_annihilates_and_rank_nullity", SPACES_DIGEST)),
+    Mutant("shared unit vector for a single entry other than 1", "derivations.py",
+           "if len(terms) == 1 and terms[0][1] == 1:", "if len(terms) == 1:",
+           (DERIVATIONS + "test_solved_space_records_match_public_constructors",
             SPACES_DIGEST)),
     Mutant("presolve without its column drop", "derivations.py",
            "rows = [{c: e for c, e in row.items() if c not in killed}\n"
@@ -202,7 +215,7 @@ MUTANTS = [
            "            by_pivot.update((c, {c: 1}) for c in killed)\n", "",
            (DERIVATIONS + "test_presolved_reduced_rows_match_full_elimination",)),
     Mutant("product-space pairs left unsorted", "derivations.py",
-           "for idx in sorted(table)}", "for idx in table}",
+           "for idx in sorted(table):", "for idx in table:",
            (DERIVATIONS + "test_solved_space_records_match_public_constructors",)),
     Mutant("row generator with the wrong slot sign", "derivations.py",
            "(j * n, -p, (i, k))", "(j * n, p, (i, k))",

@@ -12,8 +12,11 @@ objects, kept so the tests can state them independently of the fast path:
   pivot entry; the independent dense Gauss-Jordan that checks ``_reduce``
   itself is ``oracle_rref`` in ``test_linalg``;
 * ``determinant`` is a separate Bareiss elimination, the reference for
-  invertibility, and ``gf2_rank`` an XOR elimination over GF(2), the
-  reference for ``linalg._rank_mod_p`` with its prime set to 2;
+  invertibility; ``dense_rank_mod_p`` is the rank pass mod
+  ``linalg._RANK_PRIME`` on dense lists of residues, the reference for the
+  packed rows of ``linalg._rank_mod_p``, and ``gf2_rank`` an XOR
+  elimination over GF(2), the reference with the prime set to 2;
+  ``stopped_rank`` is the count that pass returns when it stops early;
 * ``mat_vec`` and ``product_eval`` evaluate a matrix and a product on
   arbitrary vectors;
 * ``build_derivation_system`` and ``build_product_system`` are the dense
@@ -29,12 +32,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 from tpl3.algebra import CommProduct, FamilyCoordinates, ShapeMismatch, TriBracket
 from tpl3.families import CaseId
 from tpl3.derivations import (DerivationQuery, _derivation_rows, _moved_rows,
                               _sym_pairs)
+from tpl3 import linalg
 from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _cleared, _densify, _kernel,
                          _reduce)
 
@@ -107,6 +112,44 @@ def determinant(m: Matrix) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return scale * sign * a[n - 1][n - 1]
+
+
+def dense_rank_mod_p(rows: Iterable[dict[int, int]], ncols: int, target: int) -> int:
+    """The rank of the integer ``rows`` mod ``linalg._RANK_PRIME``, counted
+    up to ``target``.  Each row is made a dense list of residues and reduced
+    against the pivot rows found so far, in the order found; each is 1 at
+    its pivot column and zero left of it and at every earlier pivot column.
+    The pass stops at ``target`` and reads every row until then."""
+    p = linalg._RANK_PRIME
+    found: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(found) >= target:
+            break
+        v = [0] * ncols
+        for c, e in row.items():
+            v[c] = e % p
+        for c, w in found:
+            f = v[c]
+            if f:
+                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], w)]
+        lead = next(compress(range(ncols), v), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            found.append((lead, [x * inv % p for x in v[lead:]]))
+    return len(found)
+
+
+def stopped_rank(prefix_ranks: Sequence[int], target: int) -> int:
+    """What a rank pass returns that stops as soon as the pivots found plus
+    the rows left cannot reach ``target``: ``prefix_ranks[k]`` is the rank
+    of the first k rows, for k = 0 up to the number of rows.  It reads rows
+    while it has found fewer than ``target`` pivots and at most
+    rows − ``target`` rows fell dependent, and returns the rank of what it
+    read, capped at ``target``."""
+    nrows = len(prefix_ranks) - 1
+    for k, r in enumerate(prefix_ranks):
+        if r >= target or k - r > nrows - target or k == nrows:
+            return min(r, target)
 
 
 def gf2_rank(rows: Iterable[dict[int, int]]) -> int:

@@ -222,6 +222,25 @@ def test_fundamental_identity_violations_stay_in_one_component():
     assert violations > 100
 
 
+def test_report_entries_are_built_once_per_report():
+    # equal entries inside one report are one object: each distinct value
+    # of a fundamental-identity or coupling report is divided out once
+    repeated = 0
+    rng = random.Random(19)
+    for b, _ in fundamental_identity_corpus():
+        reports = [check_fundamental_identity(b), check_transposed_leibniz(
+            b, CommProduct(b.dim, {(1, 1): rand_vector(rng, b.dim)}))]
+        for report in reports:
+            made: dict[F, list[F]] = {}
+            for v in report.violations:
+                for e in v.left.entries + v.right.entries:
+                    made.setdefault(e, []).append(e)
+            for same in made.values():
+                assert all(e is same[0] for e in same)
+                repeated += len(same) > 1 and same[0] != 0
+    assert repeated > 50
+
+
 def test_transposed_leibniz_examples():
     t1 = instantiate_family(FamilyInstance.make("T1", alpha=5))
     assert check_transposed_leibniz(A3, t1).passed

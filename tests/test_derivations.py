@@ -749,11 +749,12 @@ def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
     # rank over ℚ is t: a shortfall proves nothing, so the exact path runs,
     # its own 1/3 shortcut included, and the memo still equals the full
     # elimination.  The pass counts the rank of an independent GF(2)
-    # elimination, capped at t
+    # elimination, capped at t, on the rows it read before t went out of
+    # reach
     import tpl3.linalg as linalg
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
-    from oracles import gf2_rank
+    from oracles import gf2_rank, stopped_rank
 
     monkeypatch.setattr(linalg, "_RANK_PRIME", 2)
     calls = []
@@ -776,7 +777,7 @@ def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
             if not gate:
                 assert not full and calls == exact
                 continue
-            rank = min(gf2_rank(rows), target)
+            rank = stopped_rank([gf2_rank(rows[:k]) for k in range(len(rows) + 1)], target)
             assert calls[0] == ("_rank_mod_p", rank)
             assert calls[1:] == ([] if rank == target else exact)
             if rank < target:
@@ -813,6 +814,40 @@ def test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass(monkeypatch):
     system = build_derivation_system(q)
     assert all(mat_vec(system, Vector(m.entries)).is_zero() for m in space.basis)
     monkeypatch.undo()
+
+
+def test_failed_mod_p_pass_stops_reading_rows():
+    # the pass stops as soon as the pivots found plus the rows left cannot
+    # reach t, so it reads rows up to the second that falls dependent (16
+    # rows, t = 15) and no further.  Any 14 of the rank-14 dense4 rows are
+    # independent, so on them it reads all 16; with their last two rows
+    # replaced by combinations of earlier ones, shuffled, the dependent rows
+    # come earlier and the rows after them are never read
+    from tpl3.linalg import _rank_mod_p
+    from oracles import dense_rank_mod_p
+
+    read = []
+
+    class Counted(dict):
+        def items(self):
+            read.append(self)
+            return super().items()
+
+    b = TriBracket(4, {tr: Vector(v) for tr, v in RANK_14_DENSE4.items()})
+    rows, target, _ = mod_p_gate(DerivationQuery(b))
+    mixed = rows[:14] + [{c: rows[0].get(c, 0) + rows[1].get(c, 0)
+                          for c in rows[0].keys() | rows[1].keys()},
+                         {c: 3 * e for c, e in rows[2].items()}]
+    rng = random.Random(41)
+    unread = []
+    for order in [rows] + [rng.sample(mixed, len(mixed)) for _ in range(12)]:
+        prefix = [dense_rank_mod_p(order[:k], 16, k) for k in range(len(order) + 1)]
+        stop = next(k for k, r in enumerate(prefix) if k - r == 2)
+        read.clear()
+        assert _rank_mod_p([Counted(row) for row in order], 16, target) == prefix[stop]
+        assert len(read) == stop
+        unread.append(len(order) - stop)
+    assert unread[0] == 0 and sum(unread) > 20
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -872,6 +907,26 @@ def test_solved_space_records_match_public_constructors():
                 assert record._table is None and _product_table(record) == _product_table(public)
             records += 1
     assert records > 300
+
+
+def test_unit_pair_vectors_are_shared():
+    # a pair of a basis product that holds a single 1 is the one unit vector
+    # of its position, shared by every product of every space of that
+    # dimension: 25 of the 29 basis products of A3+ab2 are one such pair,
+    # the other four hold one too, and A4+ab1's one product is e5·e5 = e5
+    unit = [0, 0, 0, 0, 1]
+    by_position: dict[int, list[Vector]] = {}
+    unit_products = 0
+    for name in ("A3+ab2", "A4+ab1"):
+        for p in tp_product_space(direct_sum(*SOLVED_SPACES[name][0])).basis:
+            units = [vec for vec in p.table.values() if sorted(vec.entries) == unit]
+            for vec in units:
+                by_position.setdefault(vec.entries.index(1), []).append(vec)
+            unit_products += len(p.table) == len(units) == 1
+    assert unit_products == 26 and sorted(by_position) == [0, 1, 2, 3, 4]
+    assert sum(map(len, by_position.values())) == 30
+    for t, vecs in by_position.items():
+        assert all(vec is vecs[0] for vec in vecs) and vecs[0] == Vector.unit(5, t + 1)
 
 
 def test_solved_spaces_are_basis_covariant():

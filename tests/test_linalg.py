@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from tpl3 import (DimensionMismatch, Infeasible, Matrix, Singular, Vector, invert,
                   mat_mul, parse_rat, rank, rational_root, solve_affine, vec_mat)
 from tpl3.linalg import _cleared, _densify, _integer_root, _kernel, _rank_mod_p, _reduce
-from oracles import determinant, gf2_rank, kernel_basis, mat_vec
+from oracles import (dense_rank_mod_p, determinant, gf2_rank, kernel_basis, mat_vec,
+                     stopped_rank)
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -420,18 +421,78 @@ def test_elimination_matches_dense_oracle():
 
 def test_rank_mod_p_counts_up_to_its_target(monkeypatch):
     # a rank mod p is at most the rank over ℚ, and equal on these seeded
-    # matrices at the module's prime; the pass stops at its target.  With
-    # the prime set to 2 it counts the rank of an independent GF(2)
-    # elimination
+    # matrices at the module's prime; the pass returns its target exactly
+    # when the rank reaches it, and else the rank of the rows it read
+    # before the target went out of reach.  With the prime set to 2 it
+    # counts the rank of an independent GF(2) elimination
     import tpl3.linalg as linalg
 
-    lost = 0
+    lost = stopped = 0
     for p in (linalg._RANK_PRIME, 2):
         monkeypatch.setattr(linalg, "_RANK_PRIME", p)
         for m in random_matrices(random.Random(113)):
             rows = [_cleared(row) for row in m.row_lists()]
-            r = gf2_rank(rows) if p == 2 else rank(m)
-            assert [_rank_mod_p(rows, m.cols, t) for t in range(m.rows + 1)] == [
-                min(r, t) for t in range(m.rows + 1)]
+            prefix = [gf2_rank(rows[:k]) if p == 2 else len(_reduce(rows[:k])[1])
+                      for k in range(m.rows + 1)]
+            r = prefix[-1]
+            counts = [_rank_mod_p(rows, m.cols, t) for t in range(m.rows + 2)]
+            assert counts[:r + 1] == list(range(r + 1))
+            assert counts == [stopped_rank(prefix, t) for t in range(m.rows + 2)]
             lost += r < rank(m)
-    assert lost > 5
+            stopped += counts[r + 1] < r
+    assert lost > 5 and stopped > 5
+
+
+def seeded_integer_rows(rng, ncols: int, prime: int) -> list[dict[int, int]]:
+    """Sparse integer rows on ``ncols`` columns: short and dense rows with
+    small entries, entries at or above the prime (multiples of it
+    included) and ±10³⁰, zero rows, repeated rows and sums of two earlier
+    rows."""
+    def entry():
+        return rng.choice((rng.choice((-3, -2, -1, 1, 2, 3)),
+                           prime * rng.randint(1, 3) + rng.randint(0, 2),
+                           rng.choice((-1, 1)) * 10 ** 30 + rng.randint(-5, 5)))
+
+    rows: list[dict[int, int]] = []
+    for _ in range(rng.randint(1, min(14, ncols + 4))):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append({c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()})
+        else:
+            width = ncols if kind > 0.9 else rng.randint(1, min(ncols, 6))
+            rows.append({c: entry() for c in rng.sample(range(ncols), width)})
+    return rows
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_packed_rank_mod_p_matches_the_dense_pass(prime, monkeypatch):
+    # the packed pass against the dense-list pass of the oracles, on rows
+    # of 1 to 1024 columns, at the module's prime and at 2 and 3, for every
+    # target from 0 to past the number of rows: equal up to the rank, and
+    # past it the rank of the prefix read before the target went out of
+    # reach
+    import tpl3.linalg as linalg
+
+    if prime is not None:
+        monkeypatch.setattr(linalg, "_RANK_PRIME", prime)
+    p = linalg._RANK_PRIME
+    rng = random.Random(127)
+    short = stopped = 0
+    for ncols in (1, 2, 3, 5, 8, 15, 16, 17, 64, 100, 257, 1024):
+        for _ in range(4):
+            rows = seeded_integer_rows(rng, ncols, p)
+            prefix = [dense_rank_mod_p(rows[:k], ncols, k) for k in range(len(rows) + 1)]
+            r = prefix[-1]
+            for t in range(len(rows) + 2):
+                count = _rank_mod_p(rows, ncols, t)
+                assert count == stopped_rank(prefix, t)
+                if t <= r:
+                    assert count == dense_rank_mod_p(rows, ncols, t) == t
+                short += t > r
+                stopped += count < min(r, t)
+    assert short > 50 and stopped > 20
