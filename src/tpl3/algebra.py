@@ -243,7 +243,7 @@ def _unscaled_product(n: int, den: int, rows: Iterable[Sequence[int]]) -> CommPr
     row is left out and every other row goes through ``_unscaled``; the
     pairs are ascending and every vector is nonzero, so the table goes to
     ``CommProduct._from_fields`` as it is."""
-    made: dict[int, Fraction] = {}
+    made = {}
     return CommProduct._from_fields(n, {(i + 1, j + 1): _unscaled(row, den, made)
                                         for (i, j), row in zip(_basis_pairs(n), rows)
                                         if any(row)})
@@ -337,7 +337,7 @@ def check_fundamental_identity(b: TriBracket) -> CheckReport:
     for i in range(n):
         components.setdefault(find(i), []).append(i)
     violations = []
-    made: dict[int, Fraction] = {}
+    made = {}
     for comp in components.values():
         if len(comp) < 4:
             continue
@@ -385,7 +385,7 @@ def check_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     den_p, prod = _product_table(p)
     den = den_b * den_p
     violations = []
-    made: dict[int, Fraction] = {}
+    made = {}
     for u in range(n):
         for (x, y, z) in combinations(range(n), 3):
             left = [0] * n
@@ -421,7 +421,7 @@ def check_commutative_associative(p: CommProduct) -> CheckReport:
     den, prod = _product_table(p)
     den2 = den * den
     violations = []
-    made: dict[int, Fraction] = {}
+    made = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):

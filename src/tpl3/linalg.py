@@ -242,14 +242,14 @@ class Vector(_Record):
 
     @classmethod
     def zero(cls, n: int) -> "Vector":
-        return cls([Fraction(0)] * n)
+        return cls([_ZERO] * n)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Vector":
         """Basis vector e_i (1-based)."""
         if not 1 <= i <= n:
             raise DimensionMismatch(f"unit index {i} out of range 1..{n}")
-        return cls([Fraction(1) if j == i - 1 else Fraction(0) for j in range(n)])
+        return cls([_ONE if j == i - 1 else _ZERO for j in range(n)])
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
@@ -313,12 +313,12 @@ class Matrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(1) if i == j else Fraction(0)
+        return cls(n, n, [_ONE if i == j else _ZERO
                           for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls(rows, cols, [_ZERO] * (rows * cols))
 
     def entry(self, i: int, j: int) -> Fraction:
         """0-based entry access."""
@@ -352,7 +352,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for i in range(a.rows):
         for j in range(b.cols):
             out.append(sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
-                           Fraction(0)))
+                           _ZERO))
     return Matrix(a.rows, b.cols, out)
 
 
@@ -360,7 +360,7 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
     """Row action v·m (the convention for coordinate images of linear maps)."""
     if m.rows != v.dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
-    return Vector(sum((v[i] * m.entry(i, j) for i in range(m.rows)), Fraction(0))
+    return Vector(sum((v[i] * m.entry(i, j) for i in range(m.rows)), _ZERO)
                   for j in range(m.cols))
 
 
@@ -481,8 +481,6 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]
 #: residues fits in one 30-bit CPython digit
 _RANK_PRIME = 32749
 
-_FIELD = (1 << 64) - 1
-
 
 def _rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int, target: int) -> int:
     """``target`` if the rank of the integer ``rows`` mod ``_RANK_PRIME``
@@ -499,7 +497,7 @@ def _rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int, target: int) -> i
     """
     p = _RANK_PRIME
     fields = struct.Struct(f"<{ncols}Q")
-    found: list[tuple[int, int]] = []
+    found = []  # (64 · lead, packed row)
     spare = len(rows) - target  # the rows that may still turn out dependent
     for row in rows:
         if len(found) >= target or spare < 0:
@@ -509,17 +507,16 @@ def _rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int, target: int) -> i
             v[c] = e % p
         x = int.from_bytes(fields.pack(*v), "little")
         for shift, w in found:
-            f = (x >> shift & _FIELD) % p
+            f = (x >> shift & 0xFFFF_FFFF_FFFF_FFFF) % p
             if f:
                 x += (p - f) * w
         v = [e % p for e in fields.unpack(x.to_bytes(8 * ncols, "little"))]
         lead = next(compress(range(ncols), v), None)
         if lead is None:
             spare -= 1
-        else:
-            inv = pow(v[lead], -1, p)
-            found.append((64 * lead, int.from_bytes(fields.pack(*[e * inv % p for e in v]),
-                                                    "little")))
+            continue
+        inv = pow(v[lead], -1, p)
+        found.append((64 * lead, int.from_bytes(fields.pack(*[e * inv % p for e in v]), "little")))
     return len(found)
 
 
@@ -562,13 +559,14 @@ def _kernel(reduced: list[dict[int, int]], pivots: tuple[int, ...],
     """
     pivot_set = set(pivots)
     by_column: dict[int, dict[int, Fraction]] = {}
-    made: dict[tuple[int, int], Fraction] = {}
+    made = {}  # one Fraction per distinct (−v, a) in this call
     for row, pc in zip(reduced, pivots):
         a = row[pc]
         for j, v in row.items():
             if j != pc:
-                e = made.get((-v, a)) or made.setdefault((-v, a), Fraction(-v, a))
-                by_column.setdefault(j, {})[pc] = e
+                key = -v, a
+                by_column.setdefault(j, {})[pc] = made.get(key) or made.setdefault(
+                    key, Fraction(-v, a))
     basis = []
     for f in range(ncols):
         if f not in pivot_set:
@@ -626,7 +624,7 @@ def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
                               for row, e in zip(m.row_lists(), b.entries))
     if ncols in pivots:
         raise Infeasible("inconsistent system")
-    x = [Fraction(0)] * ncols
+    x = [_ZERO] * ncols
     for row, pc in zip(reduced, pivots):
         x[pc] = Fraction(row.get(ncols, 0), row[pc])
     return Vector(x), [Vector(_densify(v, ncols)) for v in _kernel(reduced, pivots, ncols)]
@@ -665,7 +663,7 @@ def rational_root(q: Fraction | int, degree: int) -> Fraction | None:
     if degree != 2 and degree != 4:
         raise ValueError(f"rational_root takes degree 2 or 4, not {degree}")
     if q <= 0:
-        return Fraction(0) if q == 0 else None
+        return _ZERO if q == 0 else None
     num, den = q.as_integer_ratio()
     z_num, z_den = math.isqrt(num), math.isqrt(den)
     if degree == 4:
