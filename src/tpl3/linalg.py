@@ -24,21 +24,22 @@ adding a multiple of one row to another, dropping a zero row or a row
 proportional to another) keeps the row space, and a row space has exactly
 one reduced row echelon form.
 
-Rationals are formed only where they are reported, each distinct value
-once per result: in ``_kernel`` (each kernel entry −v/a), in the
-particular solution that ``solve_affine`` reads off [m | b] and in the
-entries of the inverse that ``invert`` reads off [m | I], each an integer
-divided by its row's pivot entry.  The other integer readers of the
-package follow the same convention: the structure constants and product
-tables of ``algebra`` and the maps that ``morphisms`` transports by are
-cleared to integers over one denominator, and each distinct reported entry
-is divided once per result.  Such an entry is already a
-``Fraction``, so the ``Vector``s of ``algebra._unscaled``, the products
-of ``algebra._unscaled_product`` (which ``transport_product`` and
-``instantiate_family`` return), the certificate witnesses of ``classify``
-and the basis records of the solved spaces in ``derivations`` are built by
-``_Record._from_fields``, which stores its fields as they are, with no
-second pass through ``rat``; its docstring states the contract.  The
+Rationals are formed only where they are reported: in ``_kernel`` (each
+distinct kernel entry −v/a once per call), in the particular solution
+that ``solve_affine`` reads off [m | b] and in the entries of the inverse
+that ``invert`` reads off [m | I], each an integer divided by its row's
+pivot entry.  The other integer readers of the package follow the same
+convention: the structure constants and product tables of ``algebra``
+and the maps that ``morphisms`` transports by are cleared to integers
+over one denominator, and each reported entry is divided once, by
+``algebra._unscaled`` once per distinct value in a result.  Such an entry
+is already a ``Fraction``, so the ``Vector``s of ``algebra._unscaled``,
+the products of ``algebra._unscaled_product`` (which
+``transport_product`` and ``instantiate_family`` return), the
+certificate witnesses of ``classify`` and the basis records of the
+solved spaces in ``derivations`` are built by ``_Record._from_fields``,
+which stores its fields as they are, with no second pass through
+``rat``; its docstring states the contract.  The
 public constructors still coerce every entry.
 
 ``rational_root`` takes square roots by ``math.isqrt``, and fourth roots
