@@ -18,9 +18,8 @@ from types import ModuleType as _ModuleType
 
 #: each submodule and the public names the package takes from it
 _EXPORTS = {
-    "linalg": ("DimensionMismatch", "Infeasible", "Matrix", "Singular", "Vector",
-               "fmt_rat", "invert", "mat_mul", "parse_rat", "rank", "rational_root",
-               "solve_affine", "vec_mat"),
+    "linalg": ("DimensionMismatch", "Matrix", "Singular", "Vector", "fmt_rat", "invert",
+               "parse_rat", "rank", "rational_root", "vec_mat"),
     "algebra": ("CheckReport", "CommProduct", "FamilyCoordinates", "ShapeMismatch",
                 "TriBracket", "Violation", "a3_bracket", "bracket_eval",
                 "check_commutative_associative", "check_fundamental_identity",

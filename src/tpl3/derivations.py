@@ -13,9 +13,9 @@ solve for all compatible commutative products at once.
 ``_derivation_rows`` is the one row generator: it reads the bracket's
 ``structure_table`` and yields the nonzero sparse integer rows,
 ``{column: value}``, each a nonzero multiple of the rational row (see its
-docstring).  The solvers eliminate them with the forward pass and
-back-substitution of ``linalg._eliminate``, which return normal integer
-rows, and read their bases from the sparse kernel rows of
+docstring).  The solvers eliminate them with ``linalg._reduce`` and the
+moved rows of the product stage with ``linalg._eliminate``, which return
+normal integer rows, and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
 built on the solve path.  The basis matrices and products are built from
 those rationals as they are, through ``_Record._from_fields``, with no
@@ -53,8 +53,9 @@ touched columns T its rank is at most |T| − 1 when T holds a diagonal
 column (vec(I) restricted to T is in the kernel), else at most
 |T| ≤ n² − n − |K|, and at any other δ at most |T|.  So when R has
 at least t rows and touches every column outside K, a rank pass mod p
-that reaches t proves the rank over ℚ is t; a shortfall proves nothing,
-and the exact forward pass ``_echelon`` runs.  Stage 2, the
+that reaches t proves the rank over ℚ is t, and the reduced rows have a
+closed form; a shortfall proves nothing, and the exact elimination
+``_reduce`` runs.  Stage 2, the
 product space: the reduced 1/3-derivation rows (at most n² − 1 rows over
 n² columns) are moved into the product columns.  Every left
 multiplication L_g of a compatible product is a 1/3-derivation with
@@ -79,9 +80,8 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (_ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record,
-                     _back_substitute, _densify, _echelon, _eliminate, _integer_row, _kernel,
-                     _rank_mod_p, rat)
+from .linalg import (_ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record, _densify,
+                     _eliminate, _integer_row, _kernel, _rank_mod_p, _reduce, rat)
 from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
                       structure_table)
 
@@ -216,23 +216,25 @@ def _reduced_rows(q: DerivationQuery
     must not mutate the returned rows.
 
     The singleton rows are presolved by the lemma of the module docstring:
-    their columns are killed, and the other rows lose those columns.  When
-    they pass the gate of the module docstring and ``_rank_mod_p`` reaches
-    the target t, their rank is proven and no exact pass runs.  Else they
-    go to the forward pass ``_echelon``, and the unit rows {c: 1} of the
-    killed columns are merged into its reduced rows in pivot order.
+    their columns are killed, and the other rows lose those columns.  There
+    are two exits.  When the rows pass the gate of the module docstring
+    and ``_rank_mod_p`` reaches the target t, the whole system has rank
+    r = t + |K| = n² − [δ = 1/3], and its reduced rows are written in
+    closed form with no exact pass.  Else ``_reduce`` eliminates the rows,
+    and the unit rows {c: 1} of the killed columns are merged into its
+    reduced rows in pivot order.
 
-    A rank of n² at δ ≠ 1/3 leaves the zero space, whose reduced rows are
-    the unit rows.  A rank of n² − 1 at δ = 1/3, proven mod p or reached by
-    the forward pass, skips back-substitution: the kernel is the line
-    through vec(I), with a 1 at each u·n + u (φ[x,y,z] = [x,y,z] =
-    (1/3)·3[x,y,z]).  A free column is the last nonzero coordinate of its
-    kernel vector, so the one free column is n² − 1, the pivots are
+    The closed form: a rank of n² at δ ≠ 1/3 leaves the zero space, whose
+    reduced rows are the unit rows.  A rank of n² − 1 at δ = 1/3 leaves
+    the line through vec(I), with a 1 at each u·n + u (φ[x,y,z] = [x,y,z]
+    = (1/3)·3[x,y,z]).  A free column is the last nonzero coordinate of
+    its kernel vector, so the one free column is n² − 1, the pivots are
     0..n² − 2, and the reduced row of pivot c is e_c − I_c·e_{n²−1}, since
     it annihilates vec(I): {c: 1} for each off-diagonal c and
-    {u·n + u: 1, n² − 1: −1} for each u < n − 1.  Those are normal integer
-    rows, and a row space has one reduced row echelon form, so they are
-    what the exact passes would return.
+    {u·n + u: 1, n² − 1: −1} for each u < n − 1.  So the rows are {c: 1}
+    for c < r, with −1 at n² − 1 on the diagonal columns when r = n² − 1.
+    Those are normal integer rows, and a row space has one reduced row
+    echelon form, so they are what ``_reduce`` would return.
     """
     memo = q.bracket._reduced
     if memo is None:
@@ -247,18 +249,14 @@ def _reduced_rows(q: DerivationQuery
         n = q.bracket.dim
         last = n * n - 1
         target = n * n - (q.delta == ONE_THIRD) - len(killed)
-        proven = (len(rows) >= target
-                  and len({c for row in rows for c in row}) + len(killed) == n * n
-                  and _rank_mod_p(rows, n * n, target) == target)
-        if not proven:
-            echelon = _echelon(map(_integer_row, rows))
-        if q.delta == ONE_THIRD and (proven or len(echelon) == target):
-            memo[q.delta] = ([{c: 1, last: -1} if c % (n + 1) == 0 else {c: 1}
-                              for c in range(last)], tuple(range(last)))
-        elif proven:
-            memo[q.delta] = [{c: 1} for c in range(n * n)], tuple(range(n * n))
+        if (len(rows) >= target
+                and len({c for row in rows for c in row}) + len(killed) == n * n
+                and _rank_mod_p(rows, n * n, target) == target):
+            rank = target + len(killed)
+            memo[q.delta] = ([{c: 1, last: -1} if rank == last and c % (n + 1) == 0 else {c: 1}
+                              for c in range(rank)], tuple(range(rank)))
         else:
-            reduced, pivots = _back_substitute(echelon)
+            reduced, pivots = _reduce(rows)
             by_pivot = dict(zip(pivots, reduced))
             by_pivot.update((c, {c: 1}) for c in killed)
             order = sorted(by_pivot)

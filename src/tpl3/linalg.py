@@ -5,30 +5,29 @@ denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
 All row reduction goes through one elimination loop, ``_eliminate``: the
-forward pass ``_echelon`` followed by ``_back_substitute``.  The dense
-solvers (``rank``, ``solve_affine``, ``invert``) clear each rational row
-to integers in one pass, ``_cleared``, and reach it through
-``_reduce``, whose ``_integer_row`` makes each a normal integer row; the
-product stage of ``derivations`` hands it already normal rows directly,
-and the δ-derivation stage runs the two halves itself, so that it can skip
-them when a rank fixes the answer; ``_rank_mod_p``, a rank bound mod a
-prime that never returns rows, can prove that rank before either runs
-(see ``derivations._reduced_rows``).  So every elimination runs on
-Python ``int``s.  The forward pass uses fraction-free updates with the
-integer content removed after each one and the sparsest available pivot.  Each
-reduced row comes back as a normal integer row that is zero at every other
-pivot column: the reduced row echelon form row times a positive integer,
-so dividing it by its pivot entry gives dense Gauss-Jordan over
-``Fraction`` exactly.  Every step (scaling a row by a nonzero rational,
-adding a multiple of one row to another, dropping a zero row or a row
-proportional to another) keeps the row space, and a row space has exactly
-one reduced row echelon form.
+forward pass ``_echelon`` followed by ``_back_substitute``.  Raw rows
+reach it one way, through ``_reduce``, whose ``_integer_row`` makes each a
+normal integer row: the dense solvers (``rank``, ``invert``) clear each
+rational row to integers in one pass, ``_cleared``, first, and the
+δ-derivation stage of ``derivations`` hands it its sparse integer rows;
+only the product stage, whose rows are already normal, calls
+``_eliminate`` directly.  ``_rank_mod_p``, a rank bound mod a prime that
+never returns rows, can prove a rank that fixes the reduced rows before
+any exact pass (see ``derivations._reduced_rows``).  So every elimination
+runs on Python ``int``s.  The forward pass uses fraction-free updates with
+the integer content removed after each one and the sparsest available
+pivot.  Each reduced row comes back as a normal integer row that is zero
+at every other pivot column: the reduced row echelon form row times a
+positive integer, so dividing it by its pivot entry gives dense
+Gauss-Jordan over ``Fraction`` exactly.  Every step (scaling a row by a
+nonzero rational, adding a multiple of one row to another, dropping a
+zero row or a row proportional to another) keeps the row space, and a row
+space has exactly one reduced row echelon form.
 
 Rationals are formed only where they are reported: in ``_kernel`` (each
-distinct kernel entry −v/a once per call), in the particular solution
-that ``solve_affine`` reads off [m | b] and in the entries of the inverse
-that ``invert`` reads off [m | I], each an integer divided by its row's
-pivot entry.  The other integer readers of the package follow the same
+distinct kernel entry −v/a once per call) and in the entries of the
+inverse that ``invert`` reads off [m | I], each an integer divided by its
+row's pivot entry.  The other integer readers of the package follow the same
 convention: the structure constants and product tables of ``algebra``
 and the maps that ``morphisms`` transports by are cleared to integers
 over one denominator, and each reported entry is divided once, by
@@ -50,16 +49,12 @@ degree.  ``_integer_root`` bisects for the cubic matcher of ``classify``.
 only their nonzero entries, and ``_kernel`` returns the kernel basis as
 sparse rows too.  The solved spaces in ``derivations`` pass their rows in
 that form and read their bases from the sparse kernel rows, with no dense
-``Matrix``; the dense solvers here clear their rows with ``_cleared``,
-and ``solve_affine`` densifies the kernel rows with ``_densify``.
+``Matrix``; the dense solvers here clear their rows with ``_cleared``.
 
-Conventions fixed by this module and relied on elsewhere:
-
-* ``_kernel`` returns the reduced-echelon kernel basis: each free column,
-  in ascending order, contributes one vector with a 1 in that coordinate.
-  This makes every downstream solved space byte-stable.
-* ``solve_affine`` returns the particular solution with all free
-  coordinates set to 0, plus that kernel basis.
+The one convention fixed by this module and relied on elsewhere:
+``_kernel`` returns the reduced-echelon kernel basis, in which each free
+column, in ascending order, contributes one vector with a 1 in that
+coordinate.  This makes every downstream solved space byte-stable.
 """
 
 from __future__ import annotations
@@ -83,10 +78,6 @@ class DimensionMismatch(ValueError):
 
 class Singular(ArithmeticError):
     """Matrix inversion was requested for a singular matrix."""
-
-
-class Infeasible(ArithmeticError):
-    """An affine system has no solution."""
 
 
 def rat(x) -> Fraction:
@@ -317,10 +308,6 @@ class Matrix(_Record):
         return cls(n, n, [_ONE if i == j else _ZERO
                           for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
-
     def entry(self, i: int, j: int) -> Fraction:
         """0-based entry access."""
         return self.entries[i * self.cols + j]
@@ -343,18 +330,6 @@ class Matrix(_Record):
         return "[" + "; ".join(
             ", ".join(fmt_rat(self.entry(i, j)) for j in range(self.cols))
             for i in range(self.rows)) + "]"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            out.append(sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
-                           _ZERO))
-    return Matrix(a.rows, b.cols, out)
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
@@ -604,31 +579,6 @@ def rank(m: Matrix) -> int:
     """The number of pivots of m, its rows cleared to integers by
     ``_cleared``."""
     return len(_reduce(map(_cleared, m.row_lists()))[1])
-
-
-def solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
-    """Exact general solution of m·x = b.
-
-    Returns ``(particular, kernel)``: the particular solution has all free
-    coordinates equal to 0, and the kernel basis is that of ``_kernel``.
-    Raises ``Infeasible`` if inconsistent.
-
-    One reduction of [m | b], each row cleared to integers by ``_cleared``,
-    gives both: its left block is the reduced form of m, and each pivot
-    coordinate of the particular solution is the last entry of its row
-    divided by the pivot entry.
-    """
-    if m.rows != b.dim:
-        raise DimensionMismatch("right-hand side length differs from row count")
-    ncols = m.cols
-    reduced, pivots = _reduce(_cleared(row + [e])
-                              for row, e in zip(m.row_lists(), b.entries))
-    if ncols in pivots:
-        raise Infeasible("inconsistent system")
-    x = [_ZERO] * ncols
-    for row, pc in zip(reduced, pivots):
-        x[pc] = Fraction(row.get(ncols, 0), row[pc])
-    return Vector(x), [Vector(_densify(v, ncols)) for v in _kernel(reduced, pivots, ncols)]
 
 
 def _integer_root(f, lo: int, hi: int) -> int | None:

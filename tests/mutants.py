@@ -76,15 +76,17 @@ MUTANTS = [
            "                         \"as every case condition set has\")\n",
            "",
            (CLASSIFY + "test_solve_witness_matches_two_attempt_oracle",
-            CLASSIFY + "test_solve_rows_matches_solve_affine_on_witness_systems")),
+            CLASSIFY + "test_solve_witness_matches_the_dense_oracle_on_witness_systems")),
     Mutant("1/3 shortcut row with +1 at the last column", "derivations.py",
            "{c: 1, last: -1}", "{c: 1, last: +1}",
            (DERIVATIONS + "test_dense_reduced_rows_match_full_elimination",
             DERIVATIONS + "test_full_rank_reduced_rows_match_full_elimination",
             SPACES_DIGEST)),
     Mutant("1/3 shortcut taken at any delta", "derivations.py",
-           "if q.delta == ONE_THIRD and (proven or len(echelon) == target):",
-           "if proven or len(echelon) == target:",
+           "if rank == last and c % (n + 1) == 0 else {c: 1}\n"
+           "                              for c in range(rank)], tuple(range(rank)))",
+           "if c % (n + 1) == 0 else {c: 1}\n"
+           "                              for c in range(last)], tuple(range(last)))",
            (DERIVATIONS + "test_dense_reduced_rows_match_full_elimination",
             DERIVATIONS + "test_reduced_rows_are_normal_integer_rows")),
     Mutant("target n² at δ = 1/3", "derivations.py",

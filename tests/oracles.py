@@ -9,8 +9,14 @@ objects, kept so the tests can state them independently of the fast path:
 
 * ``rref`` and ``kernel_basis`` are thin dense wrappers over ``_reduce`` and
   ``_kernel``, and ``rref`` divides each integer row of ``_reduce`` by its
-  pivot entry; the independent dense Gauss-Jordan that checks ``_reduce``
-  itself is ``oracle_rref`` in ``test_linalg``;
+  pivot entry;
+* ``oracle_rref`` and ``oracle_kernel`` are an independent dense
+  Gauss-Jordan over ``Fraction``, the reference for ``_reduce`` and
+  ``_kernel`` themselves, and ``oracle_solve_affine`` the general solution
+  of m·x = b read off the same elimination of [m | b], raising the local
+  ``Infeasible`` when there is none: the reference for the witness solve
+  of ``classify``;
+* ``mat_mul`` and ``zeros`` are the matrix product and the zero matrix;
 * ``determinant`` is a separate Bareiss elimination, the reference for
   invertibility; ``dense_rank_mod_p`` is the rank pass mod
   ``linalg._RANK_PRIME`` on dense lists of residues, the reference for the
@@ -66,6 +72,83 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     """
     reduced, pivots = _reduce(map(_cleared, m.row_lists()))
     return [Vector(_densify(v, m.cols)) for v in _kernel(reduced, pivots, m.cols)]
+
+
+class Infeasible(ArithmeticError):
+    """An affine system has no solution."""
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    """The zero matrix of the given shape."""
+    return Matrix(rows, cols, [ZERO] * (rows * cols))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return Matrix(a.rows, b.cols, [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
+                                       ZERO)
+                                   for i in range(a.rows) for j in range(b.cols)])
+
+
+def oracle_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns by dense Gauss-Jordan
+    over ``Fraction``: the first nonzero entry of each column at or below
+    the current row is the pivot, scaled to 1 and cleared from every other
+    row.  Zero rows stay at the bottom."""
+    work = m.row_lists()
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [e * inv for e in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [e - f * p for e, p in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix.from_rows(work), tuple(pivots)
+
+
+def oracle_kernel(m: Matrix) -> list[Vector]:
+    """The reduced-echelon kernel basis of ``oracle_rref``: one vector per
+    free column, ascending, with a 1 there and the negated column of the
+    reduced form at the pivot coordinates."""
+    reduced, pivots = oracle_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.entry(r, f)
+        basis.append(Vector(v))
+    return basis
+
+
+def oracle_solve_affine(m: Matrix, b: Vector) -> tuple[Vector, list[Vector]]:
+    """The general solution of m·x = b: the particular solution with every
+    free coordinate 0, read off the reduced form of [m | b], and the kernel
+    basis of ``oracle_kernel``.  Raises ``Infeasible`` when [m | b] has a
+    pivot in its last column."""
+    if m.rows != b.dim:
+        raise DimensionMismatch("right-hand side length differs from row count")
+    aug = Matrix.from_rows([row + [e] for row, e in zip(m.row_lists(), b)])
+    reduced, pivots = oracle_rref(aug)
+    if m.cols in pivots:
+        raise Infeasible("inconsistent system")
+    x = [ZERO] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.entry(r, m.cols)
+    return Vector(x), oracle_kernel(m)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -186,7 +269,7 @@ def product_eval(p: CommProduct, x: Vector, y: Vector) -> Vector:
 def _dense(rows: Iterable[dict[int, Fraction]], ncols: int) -> Matrix:
     """The sparse rows as a ``Matrix``; one zero row when there are none."""
     dense = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
-    return Matrix.from_rows(dense) if dense else Matrix.zeros(1, ncols)
+    return Matrix.from_rows(dense) if dense else zeros(1, ncols)
 
 
 def build_derivation_system(q: DerivationQuery) -> Matrix:

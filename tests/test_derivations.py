@@ -9,12 +9,12 @@ import pytest
 from tpl3 import (CommProduct, DerivationQuery, DimensionMismatch,
                   FamilyInstance, Matrix, TriBracket, Vector, a3_bracket, bracket_eval,
                   check_fundamental_identity, check_transposed_leibniz, delta_derivations,
-                  instantiate_family, invert, mat_mul, tp_product_space,
-                  transport_bracket, transport_product, vec_mat)
+                  instantiate_family, invert, tp_product_space, transport_bracket,
+                  transport_product, vec_mat)
 from tpl3.algebra import structure_table
 from conftest import A3_PRODUCT_SPACE, rand_rat, unimodular
 from oracles import (build_derivation_system, build_product_system, kernel_basis,
-                     left_multiplication, mat_vec, rref)
+                     left_multiplication, mat_mul, mat_vec, rref, zeros)
 
 A3 = a3_bracket()
 
@@ -109,7 +109,7 @@ def test_derivation_defining_identity_on_basis():
 
 
 def test_left_multiplication_examples():
-    assert left_multiplication(CommProduct.zero(3), 2) == Matrix.zeros(3, 3)
+    assert left_multiplication(CommProduct.zero(3), 2) == zeros(3, 3)
     t1 = instantiate_family(FamilyInstance.make("T1", alpha=1))
     assert left_multiplication(t1, 2) == Matrix.from_rows(
         [[0, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -471,12 +471,12 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
         return counts[:], result
 
     derivation = lambda b: delta_derivations(DerivationQuery(b))
-    # both eliminations tp_product_space calls: the forward pass _echelon
-    # on the non-singleton raw rows, _eliminate on the moved copies of the
-    # reduced rows
-    for fn in ("_echelon", "_eliminate"):
+    # both eliminations tp_product_space calls: _reduce on the
+    # non-singleton raw rows, _eliminate on the moved copies of the reduced
+    # rows
+    for fn in ("_reduce", "_eliminate"):
         monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
-    # the forward pass is skipped where the mod-p pass proves rank
+    # the first is skipped where the mod-p pass proves rank
     # t = n² − 1 − |killed|: dense4's 16 rows touch all 16 columns and
     # reach 15; A3 and A4+ab2 have fewer presolved rows than t
     skipped = name == "dense4"
@@ -575,7 +575,8 @@ def test_reduced_rows_are_normal_integer_rows():
     # positive first entry), so a _moved_rows copy of a memo row that keeps
     # all its columns goes into the second elimination without being
     # normalised again, and one that lost a column is normalised again
-    from test_linalg import oracle_rref, random_matrices
+    from oracles import oracle_rref
+    from test_linalg import random_matrices
     from tpl3.derivations import _moved_rows, _reduced_rows, _sym_pairs
     from tpl3.linalg import _cleared, _integer_row, _reduce
 
@@ -650,14 +651,14 @@ def record_calls(monkeypatch, calls: list, *names: str) -> None:
 def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
     # at δ = 1/3 the identity is a 1/3-derivation, so n² − 1 pivots fix the
     # reduced rows.  Full rank passes the gate, and on these brackets the
-    # prime loses no rank, so the mod-p pass proves it and neither the
-    # forward pass nor back-substitution runs; the memo rows must equal
-    # those of the full elimination
+    # prime loses no rank, so the mod-p pass proves it and the exact
+    # elimination does not run; the memo rows must equal those of the full
+    # elimination
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
 
     calls = []
-    record_calls(monkeypatch, calls, "_echelon", "_back_substitute")
+    record_calls(monkeypatch, calls, "_reduce")
     rng = random.Random(71)
     dense = [TriBracket(n, {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
                             for tr in combinations(range(1, n + 1), 3)})
@@ -670,17 +671,17 @@ def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
         calls.clear()
         assert _reduced_rows(q) == expected
         shortcut = len(expected[1]) == b.dim ** 2 - 1
-        assert calls == ([] if shortcut else ["_echelon", "_back_substitute"])
+        assert calls == ([] if shortcut else ["_reduce"])
         full_rank += shortcut
-        # the 1/3 shortcut is taken at δ = 1/3 only: at δ = 1 the pass
+        # the vec(I) rows are written at δ = 1/3 only: at δ = 1 the pass
         # proves full column rank, whose reduced rows are the unit rows, or
-        # both halves run
+        # the exact elimination runs
         q = DerivationQuery(b, F(1))
         expected = _reduce(list(_derivation_rows(q)))
         calls.clear()
         assert _reduced_rows(q) == expected
         full = len(expected[1]) == b.dim ** 2
-        assert calls == ([] if full else ["_echelon", "_back_substitute"])
+        assert calls == ([] if full else ["_reduce"])
         zero += full
     # every dense bracket with n = 4 or 5 (dense4 included), no direct sum;
     # four have only the zero 1-derivation
@@ -694,8 +695,8 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
     # eliminated; the memo must equal the elimination of every row, whether
     # columns are killed or not, and also when a row is left with a single
     # column only after the drop.  The mod-p pass gets those rows when they
-    # pass its gate, and the forward pass unless the mod-p pass proves
-    # their rank
+    # pass its gate, and the exact elimination _reduce unless the mod-p
+    # pass proves their rank
     import tpl3.derivations as derivations
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
@@ -708,7 +709,7 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
             return original(rows, *args)
         return run
 
-    for fn in ("_echelon", "_rank_mod_p"):
+    for fn in ("_reduce", "_rank_mod_p"):
         monkeypatch.setattr(derivations, fn, handing(fn, getattr(derivations, fn)))
     rng = random.Random(89)
     brackets = oracle_brackets()[:40]
@@ -725,11 +726,12 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
             handed.clear()
             assert _reduced_rows(q) == expected
             # rank t over ℚ passes the gate from n = 2 on, and the prime
-            # loses no rank here: exactly then the forward pass is skipped
+            # loses no rank here: exactly then the exact elimination is
+            # skipped
             full = len(expected[1]) == b.dim ** 2 - (delta == F(1, 3))
             gate = mod_p_gate(q)[2]
             assert set(handed) == ({"_rank_mod_p"} if full and gate else
-                                   {"_rank_mod_p", "_echelon"} if gate else {"_echelon"})
+                                   {"_rank_mod_p", "_reduce"} if gate else {"_reduce"})
             # each pass gets the other rows, without a killed column
             for given in handed.values():
                 assert len(given) == sum(len(row) > 1 for row in rows)
@@ -746,11 +748,10 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
 
 def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
     # with the prime set to 2 the rank mod p falls short of t on rows whose
-    # rank over ℚ is t: a shortfall proves nothing, so the exact path runs,
-    # its own 1/3 shortcut included, and the memo still equals the full
-    # elimination.  The pass counts the rank of an independent GF(2)
-    # elimination, capped at t, on the rows it read before t went out of
-    # reach
+    # rank over ℚ is t: a shortfall proves nothing, so the exact elimination
+    # runs, and the memo still equals the full elimination.  The pass
+    # counts the rank of an independent GF(2) elimination, capped at t, on
+    # the rows it read before t went out of reach
     import tpl3.linalg as linalg
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
@@ -758,7 +759,7 @@ def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
 
     monkeypatch.setattr(linalg, "_RANK_PRIME", 2)
     calls = []
-    record_calls(monkeypatch, calls, "_rank_mod_p", "_echelon", "_back_substitute")
+    record_calls(monkeypatch, calls, "_rank_mod_p", "_reduce")
     rng = random.Random(29)
     brackets = [TriBracket(n, {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
                                for tr in combinations(range(1, n + 1), 3)})
@@ -773,13 +774,12 @@ def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
             calls.clear()
             assert _reduced_rows(q) == expected
             full = len(expected[1]) == b.dim ** 2 - (delta == F(1, 3))
-            exact = ["_echelon"] if full and delta == F(1, 3) else ["_echelon", "_back_substitute"]
             if not gate:
-                assert not full and calls == exact
+                assert not full and calls == ["_reduce"]
                 continue
             rank = stopped_rank([gf2_rank(rows[:k]) for k in range(len(rows) + 1)], target)
             assert calls[0] == ("_rank_mod_p", rank)
-            assert calls[1:] == ([] if rank == target else exact)
+            assert calls[1:] == ([] if rank == target else ["_reduce"])
             if rank < target:
                 short[delta, full] = short.get((delta, full), 0) + 1
     # shortfalls on rows of rank t over ℚ, at every δ
@@ -795,20 +795,20 @@ RANK_14_DENSE4 = {(1, 2, 3): (1, 0, 1, -1), (1, 2, 4): (1, 0, -1, -1),
 
 def test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass(monkeypatch):
     # a rank mod p is at most the rank over ℚ, so the pass stops short of
-    # t = 15 and both exact halves run; the 1/3-derivations are the
+    # t = 15 and the exact elimination runs; the 1/3-derivations are the
     # identity and one more map
     from tpl3.derivations import _derivation_rows, _reduced_rows
     from tpl3.linalg import _reduce
 
     calls = []
-    record_calls(monkeypatch, calls, "_rank_mod_p", "_echelon", "_back_substitute")
+    record_calls(monkeypatch, calls, "_rank_mod_p", "_reduce")
     b = TriBracket(4, {tr: Vector(v) for tr, v in RANK_14_DENSE4.items()})
     q = DerivationQuery(b)
     rows, target, gate = mod_p_gate(q)
     assert gate and len(rows) == 16 and target == 15
     reduced, pivots = _reduced_rows(q)
     assert (reduced, pivots) == _reduce(list(_derivation_rows(q))) and len(pivots) == 14
-    assert calls == [("_rank_mod_p", 14), "_echelon", "_back_substitute"]
+    assert calls == [("_rank_mod_p", 14), "_reduce"]
     space = delta_derivations(q)
     assert space.dim == 2 and space.contains(Matrix.identity(4))
     system = build_derivation_system(q)
@@ -862,7 +862,7 @@ def test_dense_reduced_rows_match_full_elimination(n, monkeypatch):
     table = {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
              for tr in combinations(range(1, n + 1), 3)}
     calls = []
-    record_calls(monkeypatch, calls, "_echelon", "_back_substitute")
+    record_calls(monkeypatch, calls, "_reduce")
     for delta in (F(1, 3), F(1), F(-2, 5), F(2)):
         q = DerivationQuery(TriBracket(n, table), delta)
         expected = _reduce(list(_derivation_rows(q)))
@@ -870,6 +870,74 @@ def test_dense_reduced_rows_match_full_elimination(n, monkeypatch):
         assert len(expected[1]) == n * n - (delta == F(1, 3))
     assert calls == []
     monkeypatch.undo()
+
+
+def dense_plus_abelian(k: int, m: int) -> TriBracket:
+    """dense_k ⊕ ab_m as CI writes it: a seed-7 draw of integer values in
+    [-2, 2] on every triple of 1..k, each on the indices 1..k, in dimension
+    k + m, so e_{k+1}..e_{k+m} span an abelian ideal."""
+    rng = random.Random(7)
+    return TriBracket(k + m, {tr: Vector([rng.randint(-2, 2) for _ in range(k)] + [0] * m)
+                              for tr in combinations(range(1, k + 1), 3)})
+
+
+@pytest.mark.parametrize("k, m", [(4, 1), (6, 1), (6, 2)])
+def test_dense_plus_abelian_spaces_follow_the_block_lemma(k, m):
+    """Lemma: let b = D ⊕ A, where D = span(e_1..e_k) holds every stored
+    triple and value and A = span(e_{k+1}..e_{k+m}) is abelian.  Let D be
+    perfect ([D,D,D] = D) with zero centre (no d ≠ 0 with [d,D,D] = 0).
+    Then φ is a δ-derivation of b exactly when its D→D block is a
+    δ-derivation of D, its D→A and A→D blocks are zero and its A→A block
+    is any map.  Proof: a bracket with an argument in A is zero.  On
+    x, y, z ∈ D the A-part of the identity reads φ_DA[x,y,z] = 0, so
+    φ_DA = 0 on [D,D,D] = D, and the D-part states that φ_DD is a
+    δ-derivation of D.  On x ∈ A, y, z ∈ D it reads 0 = δ[φ_AD x, y, z],
+    so φ_AD x is central, hence 0.  With two arguments in A both sides
+    are zero.  Conversely these blocks satisfy every case.
+
+    So when Der_{1/3}(D) is the line through I and Der_{−2/5}(D) = 0, the
+    two spaces of b have dimensions m² + 1 and m².  A compatible product
+    makes every L_g a 1/3-derivation, so L_g = c_g·I on D and L_g maps
+    A into A.  For g ≠ u in D, e_g·e_u = c_g e_u = c_u e_g gives c_g = 0
+    (k ≥ 2); for g ∈ D and u ∈ A, e_g·e_u lies in A and e_u·e_g = c_u e_g
+    in D, so both are zero.  What is left is any symmetric bilinear map
+    A × A → A, and every one is compatible: the product space has
+    dimension m·m(m + 1)/2, and its free coordinates are the (e_i·e_j)_t
+    with k < i ≤ j and k < t.
+    """
+    from tpl3 import rank
+    from tpl3.derivations import _derivation_rows, _reduced_rows
+    from tpl3.linalg import _reduce
+
+    b = dense_plus_abelian(k, m)
+    n = k + m
+    dense = TriBracket(k, {tr: Vector(v.entries[:k]) for tr, v in b.table.items()})
+    # the hypotheses on D: perfect, zero centre, and its two spaces, whose
+    # rows the mod-p pass proves
+    assert rank(Matrix.from_rows([list(v) for v in dense.table.values()])) == k
+    assert rank(Matrix.from_rows([[dense.basis_bracket(i, y, z)[t]
+                                   for y, z in combinations(range(1, k + 1), 2)
+                                   for t in range(k)] for i in range(1, k + 1)])) == k
+    third = delta_derivations(DerivationQuery(dense))
+    assert third.basis == (Matrix.identity(k),)
+    assert delta_derivations(DerivationQuery(dense, F(-2, 5))).dim == 0
+    # the spaces of b, which the mod-p pass cannot prove (their rank is
+    # below n² − [δ = 1/3]), so their rows come from the exact exit
+    for delta, dim, scalar in ((F(1, 3), m * m + 1, True), (F(-2, 5), m * m, False)):
+        q = DerivationQuery(b, delta)
+        assert _reduced_rows(q) == _reduce(list(_derivation_rows(q)))
+        space = delta_derivations(q)
+        assert space.dim == dim
+        for beta in space.basis:
+            corner = beta.entry(0, 0)
+            assert scalar or corner == 0
+            assert all(beta.entry(i, j) == (corner if i == j else 0)
+                       for i in range(n) for j in range(n) if i < k or j < k)
+    products = tp_product_space(b)
+    assert products.dim == m * m * (m + 1) // 2
+    assert set(products.description) == {((i, j), t) for i in range(k + 1, n + 1)
+                                         for j in range(i, n + 1) for t in range(k + 1, n + 1)}
+    assert (products.dim, products.basis, products.description) == dense_product_space(b)
 
 
 def test_solved_space_records_match_public_constructors():

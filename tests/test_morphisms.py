@@ -9,12 +9,12 @@ from tpl3 import (ALL_CASES, CANONICAL_AUTOMORPHISM, CASE_FAMILY, AutoMatrix,
                   ShapeMismatch, Singular, TriBracket, Vector, a3_bracket,
                   a3_automorphism_check, bracket_eval, check_transposed_leibniz,
                   draw_family_params, eleven_equation_residuals, instantiate_family,
-                  is_bracket_automorphism, mat_mul, transport_bracket,
-                  transport_product, vec_mat)
+                  is_bracket_automorphism, transport_bracket, transport_product,
+                  vec_mat)
 from conftest import (A3_PRODUCT_SPACE, rand_a3_automorphism, rand_family_product,
                       rand_invertible, rand_rat)
-from oracles import kernel_basis, product_eval
-from test_linalg import oracle_invert, oracle_rref
+from oracles import kernel_basis, mat_mul, oracle_rref, product_eval
+from test_linalg import oracle_invert
 
 A3 = a3_bracket()
 PHI_1A = CANONICAL_AUTOMORPHISM["1-a"]

@@ -1,6 +1,7 @@
 """The lazy package: what ``import tpl3`` and each subcommand load, and the
 public names, which are those the package re-exported when it imported
-every submodule eagerly less the dense references now in ``oracles``."""
+every submodule eagerly less the dense references now in ``oracles``, and
+less the dense affine solve and matrix product that no module called."""
 
 import copy
 import inspect
@@ -23,8 +24,8 @@ SRC = Path(tpl3.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     # linalg
-    "DimensionMismatch", "Infeasible", "Matrix", "Singular", "Vector", "fmt_rat",
-    "invert", "mat_mul", "parse_rat", "rank", "rational_root", "solve_affine", "vec_mat",
+    "DimensionMismatch", "Matrix", "Singular", "Vector", "fmt_rat", "invert",
+    "parse_rat", "rank", "rational_root", "vec_mat",
     # algebra
     "CheckReport", "CommProduct", "FamilyCoordinates", "ShapeMismatch", "TriBracket",
     "Violation", "a3_bracket", "bracket_eval", "check_commutative_associative",
