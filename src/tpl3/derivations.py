@@ -13,9 +13,9 @@ solve for all compatible commutative products at once.
 ``_derivation_rows`` is the one row generator: it reads the bracket's
 ``structure_table`` and yields the nonzero sparse integer rows,
 ``{column: value}``, each a nonzero multiple of the rational row (see its
-docstring).  The solvers eliminate them with ``linalg._reduce`` and the
-moved rows of the product stage with ``linalg._eliminate``, which return
-normal integer rows, and read their bases from the sparse kernel rows of
+docstring).  The solvers eliminate them, and the moved rows of the
+product stage, with ``linalg._reduce``, which returns normal integer rows,
+and read their bases from the sparse kernel rows of
 ``linalg._kernel``, the one place a rational is formed; no dense system is
 built on the solve path.  The basis matrices and products are built from
 those rationals as they are, through ``_Record._from_fields``, with no
@@ -66,7 +66,7 @@ singleton reduced row β_uv = 0 holds for every 1/3-derivation, so
 copies are the unit rows of the killed columns
 c = pair(min(g, u), max(g, u))·n + v.  ``_moved_rows`` moves only the
 other rows, drops the killed columns from each copy and renumbers the
-surviving columns in order, and ``linalg._eliminate`` reduces those
+surviving columns in order, and ``linalg._reduce`` reduces those
 copies.  Reduction keeps a row space and moving columns is linear, so
 the moved reduced rows span the rows of the dense product system of the
 tests, which moves every raw row and presolves nothing; by the lemma both
@@ -81,7 +81,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (_ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record, _densify,
-                     _eliminate, _integer_row, _kernel, _rank_mod_p, _reduce, rat)
+                     _kernel, _rank_mod_p, _reduce, rat)
 from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
                       structure_table)
 
@@ -313,21 +313,17 @@ def _moved_rows(rows: Sequence[dict[int, int]], n: int,
     0, 1, ... in order.  A copy that loses all its columns is dropped.
 
     ``tp_product_space`` keeps every column but those that the singleton
-    rows β_uv = 0 kill, as the module docstring's second stage states.
-    Moving and renumbering are strictly increasing and leave the values
-    alone, so a copy of a normal integer row that keeps all its columns is
-    a normal integer row; only a copy that lost a column is normalised
-    again, by ``_integer_row``.  With every column kept, each row is moved
-    whole, as the dense reference in the tests moves the raw rows.
+    rows β_uv = 0 kill, as the module docstring's second stage states, and
+    hands the copies to ``_reduce`` as they are.  With every column kept,
+    each row is moved whole, as the dense reference in the tests moves the
+    raw rows.
     """
     label = dict(zip(keep, range(len(keep))))
     for move in _column_moves(n):
         for row in rows:
             copy = {label[move[c]]: e for c, e in row.items() if move[c] in label}
-            if len(copy) == len(row):
+            if copy:
                 yield copy
-            elif copy:
-                yield _integer_row(copy)
 
 
 def tp_product_space(b: TriBracket) -> ProductSpace:
@@ -337,7 +333,7 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     reduced 1/3-derivation rows of ``b`` kill the columns (e_g·e_u)_v,
     g = 1..n, which are zero in every compatible product.  The other rows,
     moved by ``_moved_rows`` onto the surviving columns, are eliminated
-    again by ``_eliminate``, and ``_kernel`` reads the kernel on those
+    again by ``_reduce``, and ``_kernel`` reads the kernel on those
     columns.  The free coordinates are the surviving non-pivot columns,
     ascending.  Each basis product is read from its sparse kernel row,
     each kept column mapped back to its (pair, component) slot, and is
@@ -350,7 +346,7 @@ def tp_product_space(b: TriBracket) -> ProductSpace:
     singletons = [c for row in rows if len(row) == 1 for c in row]
     killed = {move[c] for move in _column_moves(n) for c in singletons}
     keep = [c for c in range(len(pairs) * n) if c not in killed]
-    reduced, pivots = _eliminate(_moved_rows([r for r in rows if len(r) > 1], n, keep))
+    reduced, pivots = _reduce(_moved_rows([r for r in rows if len(r) > 1], n, keep))
     where = [divmod(c, n) for c in keep]
     units = _unit_vectors(n)
     basis = []

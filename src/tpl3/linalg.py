@@ -4,17 +4,16 @@ Scalars are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, zero is ``0/1``.  Nothing here is numerical; every result is
 exact, so equality tests in the rest of the package are literal ``==``.
 
-All row reduction goes through one elimination loop, ``_eliminate``: the
-forward pass ``_echelon`` followed by ``_back_substitute``.  Raw rows
-reach it one way, through ``_reduce``, whose ``_integer_row`` makes each a
-normal integer row: the dense solvers (``rank``, ``invert``) clear each
-rational row to integers in one pass, ``_cleared``, first, and the
-δ-derivation stage of ``derivations`` hands it its sparse integer rows;
-only the product stage, whose rows are already normal, calls
-``_eliminate`` directly.  ``_rank_mod_p``, a rank bound mod a prime that
-never returns rows, can prove a rank that fixes the reduced rows before
-any exact pass (see ``derivations._reduced_rows``).  So every elimination
-runs on Python ``int``s.  The forward pass uses fraction-free updates with
+All row reduction goes through one entry, ``_reduce``: ``_integer_row``
+makes each input row a normal integer row, then the forward pass
+``_echelon`` and ``_back_substitute`` eliminate them.  The dense solvers
+(``rank``, ``invert``) clear each rational row to integers in one pass,
+``_cleared``, first, and both stages of ``derivations`` hand it sparse
+integer rows, so the normal-row format stays inside this module.
+``_rank_mod_p``, a rank bound mod a prime that never returns rows, can
+prove a rank that fixes the reduced rows before any exact pass (see
+``derivations._reduced_rows``).  So every elimination runs on Python
+``int``s.  The forward pass uses fraction-free updates with
 the integer content removed after each one and the sparsest available
 pivot.  Each reduced row comes back as a normal integer row that is zero
 at every other pivot column: the reduced row echelon form row times a
@@ -385,35 +384,24 @@ def _reduce(rows: Iterable[Mapping[int, int]]
     """The nonzero rows of the reduced row echelon form, as normal integer
     rows, and its pivot columns.
 
-    This is the package's one elimination routine for raw rows.  Its input
-    rows are sparse integer rows, ``{column: value}`` in any column order,
-    and only their nonzero entries are read: the dense solvers clear each
-    of their rational rows with ``_cleared`` first.  Each row is
-    made a normal integer row by ``_integer_row`` (content removed, sign
-    fixed) and the rows are eliminated by ``_eliminate``, whose docstring
-    gives the output format.
+    This is the package's one elimination routine.  Its input rows are
+    sparse integer rows, ``{column: value}`` in any column order, and only
+    their nonzero entries are read: the dense solvers clear each of their
+    rational rows with ``_cleared`` first.  Each row is made a normal
+    integer row by ``_integer_row`` (ascending columns, content removed, a
+    positive first entry), then the forward pass ``_echelon`` and
+    ``_back_substitute``, whose docstrings give the two halves, eliminate
+    them.  The result is one row per pivot, in pivot order, each a normal
+    integer row that is zero at every other pivot column, with its pivot
+    as its first column: the unique reduced row echelon form row times a
+    positive integer.  Dividing a row by its pivot entry gives the
+    rational row.
     """
-    return _eliminate(map(_integer_row, rows))
-
-
-def _eliminate(rows: Iterable[dict[int, int]]
-               ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
-    """``_reduce`` on rows that are already normal integer rows, as
-    ``_integer_row`` returns them: ascending columns, coprime entries, a
-    positive first entry.
-
-    The forward pass ``_echelon`` followed by ``_back_substitute``, whose
-    docstrings give the two halves.  The result is one row per pivot, in
-    pivot order, each a normal integer row that is zero at every other
-    pivot column, with its pivot as its first column: the unique reduced
-    row echelon form row times a positive integer.  Dividing a row by its
-    pivot entry gives the rational row.
-    """
-    return _back_substitute(_echelon(rows))
+    return _back_substitute(_echelon(map(_integer_row, rows)))
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """The forward pass of ``_eliminate``: an echelon form of the normal
+    """The forward pass of ``_reduce``: an echelon form of the normal
     integer ``rows`` as ``(pivot column, row)`` pairs, in pivot order.
 
     Zero rows and repeated rows are dropped before any work.  The pass
@@ -498,7 +486,7 @@ def _rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int, target: int) -> i
 
 def _back_substitute(echelon: list[tuple[int, dict[int, int]]]
                      ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
-    """The reduced rows and pivots of ``_eliminate`` from the echelon form
+    """The reduced rows and pivots of ``_reduce`` from the echelon form
     of ``_echelon``: clears the entries above each pivot, bottom up."""
     # bottom up: every pivot row below r is already free of the other pivot
     # columns, so clearing one entry of r introduces no other

@@ -109,6 +109,11 @@ MUTANTS = [
     Mutant("kernel-entry dict keyed by the numerator alone", "linalg.py",
            "key = -v, a\n", "key = -v\n",
            (LINALG + "test_kernel_annihilates_and_rank_nullity", SPACES_DIGEST)),
+    Mutant("_reduce without _integer_row", "linalg.py",
+           "_back_substitute(_echelon(map(_integer_row, rows)))",
+           "_back_substitute(_echelon(rows))",
+           (DERIVATIONS + "test_presolved_reduced_rows_match_full_elimination",
+            SPACES_DIGEST)),
     Mutant("shared unit vector for a single entry other than 1", "derivations.py",
            "if len(terms) == 1 and terms[0][1] == 1:", "if len(terms) == 1:",
            (DERIVATIONS + "test_solved_space_records_match_public_constructors",

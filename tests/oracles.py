@@ -1,8 +1,8 @@
 """Dense reference definitions that only the tests use.
 
 The package solves and multiplies one way each: every elimination is the
-one loop ``linalg._eliminate`` (its forward pass and back-substitution),
-reached through ``linalg._reduce`` from raw rows, each δ-derivation system is stated once by
+one entry ``linalg._reduce`` (its forward pass and back-substitution),
+each δ-derivation system is stated once by
 ``derivations._derivation_rows``, and products are multiplied through their
 coefficient tables.  The functions here are the dense forms of the same
 objects, kept so the tests can state them independently of the fast path:

@@ -99,7 +99,8 @@ def test_classify_unclassified(capsys):
 
 #: each document of ``DOCUMENTS``, the exit code of its classification (0 a
 #: certificate, 1 the coupling identity fails, 3 a diagnostic) and a text its
-#: output must contain, or None; CI classifies the same files by this table
+#: output must contain, or None; CI generates its classify rows for these
+#: files from this table
 CLASSIFIED_DOCUMENTS = [
     # a quotient cubic with 7-digit rational roots
     ("big_cubic", 3, None),

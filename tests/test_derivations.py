@@ -455,7 +455,6 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     assert (len(supports), first) == {"A3": (3, 1), "A4+ab2": (48, 16), "dense4": (16, 16)}[name]
     killed, copies = moved_copies(fresh_bracket(name))
     kept = [cols for cols in copies if not killed.issuperset(cols)]
-    shrunk = [cols for cols in kept if not killed.isdisjoint(cols)]
     counts = []
 
     def counting(original):
@@ -471,11 +470,9 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
         return counts[:], result
 
     derivation = lambda b: delta_derivations(DerivationQuery(b))
-    # both eliminations tp_product_space calls: _reduce on the
-    # non-singleton raw rows, _eliminate on the moved copies of the reduced
-    # rows
-    for fn in ("_reduce", "_eliminate"):
-        monkeypatch.setattr(derivations, fn, counting(getattr(derivations, fn)))
+    # both eliminations tp_product_space calls go through _reduce: the
+    # non-singleton raw rows, then the moved copies of the reduced rows
+    monkeypatch.setattr(derivations, "_reduce", counting(derivations._reduce))
     # the first is skipped where the mod-p pass proves rank
     # t = n² − 1 − |killed|: dense4's 16 rows touch all 16 columns and
     # reach 15; A3 and A4+ab2 have fewer presolved rows than t
@@ -498,17 +495,14 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     # all), then only the moved copies
     b2 = fresh_bracket(name)
     assert reduce_counts(derivation, b2)[0] == forward
-    # a moved copy that keeps all its columns is already a normal integer
-    # row: only the copies that lost a column are normalised again
+    # _reduce makes every moved copy a normal integer row, once
     normalised = []
     integer_row = linalg._integer_row
     recording = lambda row: normalised.append(row) or integer_row(row)
     monkeypatch.setattr(linalg, "_integer_row", recording)
-    monkeypatch.setattr(derivations, "_integer_row", recording)
     counts2, space2 = reduce_counts(tp_product_space, b2)
-    assert counts2 == [len(kept)] and len(normalised) == len(shrunk)
+    assert counts2 == [len(kept)] and len(normalised) == len(kept)
     monkeypatch.setattr(linalg, "_integer_row", integer_row)
-    monkeypatch.setattr(derivations, "_integer_row", integer_row)
     # an equal but distinct bracket, a copy and an unpickled bracket solve again
     for other in (fresh_bracket(name), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and other is not b
@@ -572,12 +566,10 @@ def test_killed_product_columns_are_zero():
 def test_reduced_rows_are_normal_integer_rows():
     # every row _reduce returns is its reduced-echelon row times a positive
     # integer, in _integer_row's normal form (ascending columns, content 1,
-    # positive first entry), so a _moved_rows copy of a memo row that keeps
-    # all its columns goes into the second elimination without being
-    # normalised again, and one that lost a column is normalised again
+    # positive first entry)
     from oracles import oracle_rref
     from test_linalg import random_matrices
-    from tpl3.derivations import _moved_rows, _reduced_rows, _sym_pairs
+    from tpl3.derivations import _reduced_rows
     from tpl3.linalg import _cleared, _integer_row, _reduce
 
     def is_normal(row):
@@ -599,18 +591,10 @@ def test_reduced_rows_are_normal_integer_rows():
     brackets = [A3, seed3_dense_bracket()]
     brackets += [rational_bracket(rng, n, keep, density) for n in (1, 2, 3, 4, 5)
                  for keep, density in ((1, 1), (0.7, 0.6), (0.5, 0.4))]
-    moved = 0
     for b in brackets:
         for delta in (F(2), F(-2, 5), F(1, 3)):
             q = DerivationQuery(b, delta)
             check(*_reduced_rows(q), build_derivation_system(q))
-        ncols = len(_sym_pairs(b.dim)) * b.dim
-        killed = moved_copies(b)[0]
-        for keep in (range(ncols), [c for c in range(ncols) if c not in killed]):
-            for row in _moved_rows(_reduced_rows(q)[0], b.dim, keep):
-                assert is_normal(row)
-                moved += 1
-    assert moved > 500
 
 
 def mod_p_gate(q: DerivationQuery) -> tuple[list[dict[int, int]], int, bool]:
