@@ -38,7 +38,9 @@ block in the case of the coordinates it moves:
 So each case yields ordered (family, radicand) candidates, and one
 finisher certifies the first whose radicand has a rational root.  The
 first block that certifies wins; otherwise the identity block's
-``NeedsExtension`` stands, or off its shape the matcher's reason.  Every
+``NeedsExtension`` stands, or off its shape the matcher's reason.  A
+``NeedsExtension(ρ, 2)`` skips the matcher unless −ρ is a rational square,
+as no block exists then (see ``normalize``).  Every
 certificate is revalidated exactly once before it is returned, by
 ``Certificate.validate``: the witness passes the automorphism check, which
 also proves it invertible, and then φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) holds
@@ -349,6 +351,9 @@ def _candidate_blocks(co: tuple[int, ...]) -> tuple[list[Optional[_Block]], str]
     so a case-2 or case-4 input certifies exactly when its matches onto h₂
     or the case-4 form have a square determinant; otherwise the identity
     block's ``NeedsExtension`` proves that no table is isomorphic to it.
+    On the shape the identity block reaches that class is that of ±ρ, so
+    ``normalize`` decides those inputs from ρ and calls this only when −ρ
+    is a square.
 
     ``co`` holds the coordinates on integers (``algebra._cleared_coordinates``)
     on a positive scale, which leaves the matches unchanged.
@@ -383,6 +388,18 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
     ``Unclassified`` one names the class of the cubic.
     Inputs outside the sets are ``Unclassified`` even when a rational
     witness exists.
+
+    A degree-2 ``NeedsExtension(ρ, 2)`` of the identity block is decided
+    from ρ alone, with no matching, unless −ρ is a rational square.  Only
+    cases 2 and 4 give degree 2, and only on the shape where the quotient
+    cubic f is ∝ h₂∘diag(ρ, 1) (case 2, ρ = q/a) or ∝ g₄∘diag(ρ, 1) (case
+    4, ρ = −r/s), with h₂ = X³ − 3X²Y + 3Y³ and g₄ = 3X³ − 3XY² + Y³.  As
+    g₄ = −h₂∘S with S = [[0, −1], [−1, 0]], of determinant −1, and the
+    stabiliser of h₂ in PGL2(ℚ) has square determinants (324², 648²), every
+    match of f onto h₂ or g₄ has its determinant in ρ·ℚ*² or −ρ·ℚ*², and
+    f, irreducible as h₂ is, matches no split table cubic.  ρ is not a
+    square, or the identity block would have certified, so a block exists
+    only if −ρ is a square; only then does the matcher run.
     """
     co = _cleared_coordinates(p)
     case = _case_of(*co[1:])
@@ -390,6 +407,8 @@ def normalize(p: CommProduct) -> Union[Certificate, NeedsExtension, Unclassified
         return Unclassified("no case condition set matches the structure constants")
     in_case = _reduce_in_case(p, co, case, None)
     if isinstance(in_case, Certificate):
+        return in_case
+    if in_case is not None and in_case.degree == 2 and rational_root(-in_case.radicand, 2) is None:
         return in_case
     blocks, reason = _candidate_blocks(co)
     for block in blocks:

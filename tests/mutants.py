@@ -77,6 +77,14 @@ MUTANTS = [
            "",
            (CLASSIFY + "test_solve_witness_matches_two_attempt_oracle",
             CLASSIFY + "test_solve_witness_matches_the_dense_oracle_on_witness_systems")),
+    Mutant("case-2/4 early exit without the -rho square test", "classify.py",
+           "in_case.degree == 2 and rational_root(-in_case.radicand, 2) is None:",
+           "in_case.degree == 2:",
+           (CLASSIFY + "test_minus_square_radicands_certify_across_cases_2_and_4",)),
+    Mutant("early exit on degree-4 results too", "classify.py",
+           "in_case is not None and in_case.degree == 2 and",
+           "in_case is not None and",
+           (CLASSIFY + "test_split_route_rescues_cross_case_isomorphisms",)),
     Mutant("1/3 shortcut row with +1 at the last column", "derivations.py",
            "{c: 1, last: -1}", "{c: 1, last: +1}",
            (DERIVATIONS + "test_dense_reduced_rows_match_full_elimination",

@@ -291,15 +291,22 @@ def reference_transposed_leibniz(b: TriBracket, p: CommProduct) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def classify_mix_products(seed: int, rounds: int) -> list[CommProduct]:
-    """The first ``rounds`` rounds of the benchmark's classify-mix inputs."""
+def classify_mix_inputs(seed: int, rounds: int) -> list[tuple[str, CommProduct]]:
+    """The first ``rounds`` rounds of the benchmark's classify-mix inputs,
+    each with the name of its input class."""
     bench = str(Path(__file__).resolve().parent.parent / "perfbench")
     if bench not in sys.path:
         sys.path.append(bench)
     import inputs
     rng = inputs.make_rng(seed, "classify-mix")
-    return [CommProduct(3, {key: Vector(vec) for key, vec in item.product.items()})
+    return [(item.label.kind,
+             CommProduct(3, {key: Vector(vec) for key, vec in item.product.items()}))
             for _ in range(rounds) for item in inputs.classify_mix_round(rng)]
+
+
+def classify_mix_products(seed: int, rounds: int) -> list[CommProduct]:
+    """The first ``rounds`` rounds of the benchmark's classify-mix inputs."""
+    return [p for _, p in classify_mix_inputs(seed, rounds)]
 
 
 def random_bracket(rng: random.Random, n: int, density: float = 0.7,

@@ -21,7 +21,7 @@ from conftest import (dispatch_key, rand_a3_automorphism, rand_family_product, r
                       scaled_shift_witness)
 from oracles import (Infeasible, determinant, kernel_basis, left_multiplication,
                      oracle_solve_affine)
-from test_algebra import classify_mix_products
+from test_algebra import classify_mix_inputs, classify_mix_products
 from test_classify_digest import corpus
 from test_morphisms import reference_inverse
 from tpl3.algebra import _cleared_coordinates
@@ -601,6 +601,60 @@ def test_minus_square_radicands_certify_across_cases_2_and_4():
     out = classify(A3, p)
     assert out.family == FamilyInstance.make("T13", gamma=-1)
     assert out.witness == AutoMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+
+
+def test_square_class_of_the_radicand_decides_cases_2_and_4(monkeypatch):
+    # on the reachable shape the matches of the quotient cubic onto h₂ and
+    # the case-4 form have their determinants in ρ·ℚ*² and −ρ·ℚ*², so the
+    # matcher gives a block exactly when ρ or −ρ is a square; when neither
+    # is, normalize decides the input from ρ without matching
+    module = importlib.import_module("tpl3.classify")
+    original = module._candidate_blocks
+    calls = []
+    monkeypatch.setattr(module, "_candidate_blocks",
+                        lambda co: calls.append(co) or original(co))
+    rng = random.Random(26)
+    drawn = Counter()
+    for trial in range(600):
+        kind = ("square", "minus square", "neither")[trial % 3]
+        case = rng.choice((2, 4))
+        root = F(rng.randint(1, 7), rng.randint(1, 4))
+        radicand = {"square": root ** 2, "minus square": -root ** 2}.get(kind)
+        while radicand is None:
+            radicand = rng.choice((1, -1)) * F(rng.randint(1, 24), rng.randint(1, 6))
+            if rational_root(radicand, 2) or rational_root(-radicand, 2):
+                radicand = None
+        p = reachable_product(rng, case, radicand)
+        co = _cleared_coordinates(p)
+        blocks, _ = original(co)
+        assert any(b is not None for b in blocks) == (kind != "neither"), (case, radicand)
+        calls.clear()
+        out = normalize(p)
+        if kind == "neither":
+            assert out == NeedsExtension(radicand, 2) and calls == [], (case, radicand, out)
+        else:
+            assert isinstance(out, Certificate) and out.validate(), (case, radicand, out)
+            # only the −ρ class leaves the identity block to the matcher
+            assert len(calls) == (kind == "minus square"), (case, radicand)
+        drawn[case, kind] += 1
+    assert min(drawn.values()) >= 80 and len(drawn) == 6, drawn
+
+
+def test_witnessed_classify_mix_inputs_in_a_case_certify():
+    # the bench's verdict passes a NeedsExtension on a witnessed input, so a
+    # wrong early exit would not show there: every witness and orbit input
+    # of classify-mix that lies in a case condition set certifies here
+    seen = Counter()
+    for seed in (1, 7, 11):
+        for kind, p in classify_mix_inputs(seed, 300):
+            case = detect_case(p) if kind in ("witness", "orbit") else None
+            if case is None:
+                continue
+            out = classify(A3, p)
+            assert isinstance(out, Certificate) and out.validate(), (seed, kind, p, out)
+            seen[kind, case.case in (2, 4)] += 1
+    assert seen["witness", False] + seen["witness", True] >= 900, seen
+    assert seen["orbit", False] + seen["orbit", True] >= 10 and seen["orbit", True] >= 8, seen
 
 
 def test_quarter_turn_keeps_the_discriminant_reason():

@@ -107,6 +107,9 @@ CLASSIFIED_DOCUMENTS = [
     # a case-2 product with radicand -1: the quarter-turn carries it onto
     # T13(gamma=-1)
     ("minus_one", 0, "T13"),
+    # a case-4 product with radicand 2: neither 2 nor −2 is a square, so it
+    # is decided from the radicand, a degree-2 needs-extension
+    ("quadratic_extension", 3, "x**2 = 2"),
     # a case-2 product off the shape the identity block reaches (q²s ≠ −3a³)
     # whose quotient cubic is an image of h₂ of square determinant class: a
     # match onto h₂ certifies it
