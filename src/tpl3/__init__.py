@@ -23,19 +23,17 @@ _EXPORTS = {
     "algebra": ("CheckReport", "CommProduct", "FamilyCoordinates", "ShapeMismatch",
                 "TriBracket", "Violation", "a3_bracket", "bracket_eval",
                 "check_commutative_associative", "check_fundamental_identity",
-                "check_transposed_leibniz", "family_coordinates",
-                "remark_associativity_residuals"),
+                "check_transposed_leibniz", "family_coordinates"),
     "derivations": ("DerivationQuery", "DerivationSpace", "ProductSpace",
-                    "delta_derivations", "tp_product_space"),
+                    "delta_derivations", "fingerprint", "tp_product_space"),
     "morphisms": ("AutoMatrix", "NotAutomorphism", "a3_automorphism_check",
-                  "eleven_equation_residuals", "is_bracket_automorphism",
-                  "transport_bracket", "transport_product"),
+                  "is_bracket_automorphism", "transport_bracket", "transport_product"),
     "families": ("ALL_CASES", "CASE_FAMILY", "FAMILY_IDS", "FAMILY_PARAMS", "CaseId",
                  "FamilyInstance", "detect_case", "instantiate_family"),
-    "classify": ("CANONICAL_AUTOMORPHISM", "Certificate", "NeedsExtension",
-                 "NotTransposedPoisson", "Unclassified", "Unsupported", "classify",
-                 "draw_family_params", "fingerprint", "normalize", "verify_all_cases",
-                 "verify_paper_case"),
+    "classify": ("Certificate", "NeedsExtension", "NotTransposedPoisson", "Unclassified",
+                 "Unsupported", "classify", "normalize"),
+    "paper": ("CANONICAL_AUTOMORPHISM", "draw_family_params", "eleven_equation_residuals",
+              "remark_associativity_residuals", "verify_all_cases", "verify_paper_case"),
     "docio": ("AlgebraDocument", "DocumentError", "matrix_payload", "parse_document",
               "parse_matrix", "serialize_document"),
 }

@@ -49,8 +49,8 @@ class TriBracket(_Record):
 
     Two memos sit beside ``table``.  ``_reduced`` is the reduction memo of
     ``tpl3.derivations._reduced_rows``, which documents its format: the
-    normal integer rows and pivots that ``linalg._reduce`` returns.  It is
-    None until the first solve creates it.  ``_structure`` is the result
+    normal integer rows and pivots that ``elimination._reduce`` returns.
+    It is None until the first solve creates it.  ``_structure`` is the result
     of ``structure_table``, None until its first call.  Both rely on
     ``table`` never being mutated after construction, and what they store
     is read-only.  Neither is part of ``==``, ``hash``, ``repr`` or the
@@ -520,24 +520,3 @@ def family_coordinates(p: CommProduct) -> FamilyCoordinates:
     ``Fraction`` form of ``_cleared_coordinates``, which states the test."""
     den, *values = _cleared_coordinates(p)
     return FamilyCoordinates(*(Fraction(v, den) for v in values))
-
-
-def remark_associativity_residuals(p: CommProduct) -> list[Fraction]:
-    """Left-minus-right of the eight polynomial relations that the solved
-    family's constants satisfy whenever the product is associative.
-
-    Requires ``p`` in the solved family (ShapeMismatch otherwise).  The
-    relations are necessary for associativity, not claimed sufficient.
-    """
-    c = family_coordinates(p)
-    g, a, q, h, r, w, k, s, t = c.g, c.a, c.q, c.h, c.r, c.w, c.k, c.s, c.t
-    return [
-        a * a + 2 * q * r + 2 * q * t - w * w,
-        a * r + 3 * r * w + w * t - a * t,
-        2 * a * s + 2 * w * s + t * t - r * r,
-        g * t + a * h + 2 * q * k - g * r - 3 * h * w,
-        r * w - q * s,
-        q * r + w * w - a * w - q * t,
-        k * a + 2 * g * s + h * t - k * w - 3 * h * r,
-        r * r + w * s - a * s - r * t,
-    ]

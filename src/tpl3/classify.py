@@ -47,25 +47,24 @@ also proves it invertible, and then φ(e_i·e_j) = φ(e_i) ∗ φ(e_j) holds
 exactly on the six basis pairs, with ∗ the canonical table, on integers.
 For a bijection that is the same as transporting the input onto the
 table, so no certificate inverts its witness, nor keeps an inverse.
+
+This module holds the classify route alone: nothing on it ranks or
+inverts, so it never loads ``elimination``.  ``fingerprint`` lives in
+``derivations``, and the canonical automorphisms and the per-subcase
+verification harness in ``paper``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Optional, Union
 
-from .linalg import Matrix, _Record, _integer_root, rank, rational_root
-from .algebra import (CheckReport, CommProduct, ShapeMismatch, TriBracket, Violation, _ZERO,
-                      _cleared_coordinates, a3_bracket, check_transposed_leibniz,
-                      structure_table)
-from .morphisms import (AutoMatrix, _homomorphism, a3_automorphism_check,
-                        eleven_equation_residuals, is_bracket_automorphism, transport_product)
-from .families import (ALL_CASES, CASE_FAMILY, FAMILY_PARAMS, CaseId, FamilyInstance,
-                       _WITNESS_ROWS, _case_of, _table_form, detect_case, instantiate_family,
-                       table_rows)
+from .linalg import Matrix, _Record, _integer_root, rational_root
+from .algebra import (CommProduct, ShapeMismatch, TriBracket, _ZERO, _cleared_coordinates,
+                      a3_bracket, check_transposed_leibniz, structure_table)
+from .morphisms import AutoMatrix, _homomorphism, a3_automorphism_check
+from .families import FAMILY_PARAMS, CaseId, FamilyInstance, _case_of, _table_form, table_rows
 
 
 class Certificate(_Record):
@@ -528,108 +527,3 @@ def classify(b: TriBracket, p: CommProduct) -> ClassifyResult:
         return normalize(p)
     except ShapeMismatch:
         return NotTransposedPoisson(check_transposed_leibniz(b, p))
-
-
-def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]:
-    """Transport-invariant integer tuple (a partial non-isomorphism separator).
-
-    Components: dimension of the 1/3-derivation space of the bracket, rank
-    of the product as a map Sym²A → A, dimension of the annihilator
-    {x : x·A = 0}, dimension of span(A·A), and the dimension of the span of
-    all left-multiplication operators.  Each is a rank, hence independent
-    of the basis; equal fingerprints do not imply isomorphism.
-
-    Two ranks give the last four: span(A·A) is the image of Sym²A → A, and
-    the annihilator is the left kernel of the stacked left multiplications
-    (row i lists e_i·e_j for all j), of dimension n minus their rank.
-    """
-    from .derivations import DerivationQuery, delta_derivations
-
-    if b.dim != p.dim:
-        raise ValueError("bracket and product dimensions differ")
-    deriv_dim = delta_derivations(DerivationQuery(b)).dim
-    idx = range(1, p.dim + 1)
-    sym_rank = rank(Matrix.from_rows(
-        [list(p.basis_product(i, j)) for i in idx for j in idx if i <= j]))
-    lmul_rank = rank(Matrix.from_rows(
-        [[c for j in idx for c in p.basis_product(i, j)] for i in idx]))
-    return (deriv_dim, sym_rank, p.dim - lmul_rank, sym_rank, lmul_rank)
-
-
-def _draw_rat(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
-        value = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        if value != 0 or not nonzero:
-            return value
-
-
-def draw_family_params(family_id: str, rng: random.Random) -> dict[str, Fraction]:
-    """Random parameters under which the instance satisfies its case's
-    conditions and subcase zero pattern, and its reduction data selects its
-    own family (used by the verification harness and the round-trip tests).
-
-    The excluded sets are thin: for T4, 3θ+2α = 0 breaks the subcase zero
-    pattern and 3θ+α = 0 collapses the instance into the T1 orbit.
-    """
-    names = FAMILY_PARAMS[family_id]
-    while True:
-        params = {name: _draw_rat(rng, nonzero=True) for name in names}
-        if family_id == "T4" and (3 * params["theta"] + 2 * params["alpha"] == 0
-                                  or 3 * params["theta"] + params["alpha"] == 0):
-            continue
-        return params
-
-
-#: the canonical automorphism of each subcase, built once from its rows in
-#: ``families``; each one fixes every instance of its family (a tested property)
-CANONICAL_AUTOMORPHISM = MappingProxyType(
-    {case: AutoMatrix.from_rows(rows) for case, rows in _WITNESS_ROWS.items()})
-
-
-def verify_paper_case(case: Union[CaseId, str], seed: int = 0,
-                      draws: int = 4) -> CheckReport:
-    """Re-derive one classification subcase with random rational parameters.
-
-    For the subcase's canonical automorphism Φ and family T: Φ passes both
-    automorphism checks; T instances satisfy the coupling identity; Φ fixes
-    every T instance under transport; the eleven fixed-product residuals
-    vanish on (T, Φ); and case detection maps T back to the subcase.
-    """
-    case_id = CaseId.parse(case) if isinstance(case, str) else case
-    family_id = CASE_FAMILY[str(case_id)]
-    phi = CANONICAL_AUTOMORPHISM[str(case_id)]
-    bracket = a3_bracket()
-    violations: list[Violation] = []
-
-    def record(label: str, trial, left, right):
-        violations.append(Violation((str(case_id), label, trial), left, right))
-
-    if not a3_automorphism_check(phi):
-        record("closed-form-automorphism-check", None, "False", "True")
-    auto_report = is_bracket_automorphism(bracket, phi)
-    for v in auto_report.violations:
-        record("bracket-automorphism", v.witness, v.left, v.right)
-
-    rng = random.Random(f"{seed}:{case_id}")
-    for trial in range(draws):
-        params = draw_family_params(family_id, rng)
-        instance = instantiate_family(FamilyInstance.make(family_id, **params))
-        leib = check_transposed_leibniz(bracket, instance)
-        for v in leib.violations:
-            record("transposed-leibniz", (trial,) + v.witness, v.left, v.right)
-        moved = transport_product(instance, phi)
-        if moved != instance:
-            record("transport-fixed-point", trial, repr(moved), repr(instance))
-        residuals = eleven_equation_residuals(instance, phi)
-        if any(residuals):
-            record("fixed-product-residuals", trial,
-                   "[" + ", ".join(str(x) for x in residuals) + "]",
-                   "all zero")
-        detected = detect_case(instance)
-        if detected != case_id:
-            record("case-detection", trial, str(detected), str(case_id))
-    return CheckReport(tuple(violations))
-
-
-def verify_all_cases(seed: int = 0, draws: int = 4) -> dict[str, CheckReport]:
-    return {str(c): verify_paper_case(c, seed=seed, draws=draws) for c in ALL_CASES}

@@ -22,7 +22,9 @@ indent=2)``, or as it is when the subcommand made it JSON text already:
 
 Every subcommand runs ``linalg``, which is imported here; each other tpl3
 module is imported inside the subcommands that run it, so ``check`` loads
-neither ``classify`` nor ``derivations``.
+neither ``classify`` nor ``derivations``, ``fingerprint`` loads no
+``classify`` (it is in ``derivations``), and only ``verify-paper`` loads
+``paper``.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _cmd_classify(args) -> tuple[int, dict | str, list[str]]:
 
 def _cmd_verify_paper(args) -> tuple[int, dict | str, list[str]]:
     from .families import CaseId
-    from .classify import verify_all_cases, verify_paper_case
+    from .paper import verify_all_cases, verify_paper_case
 
     if args.case:
         case = str(CaseId.parse(args.case))
@@ -238,7 +240,7 @@ def _cmd_verify_paper(args) -> tuple[int, dict | str, list[str]]:
 
 
 def _cmd_fingerprint(args) -> tuple[int, dict | str, list[str]]:
-    from .classify import fingerprint
+    from .derivations import fingerprint
 
     doc = _load_document(args.file)
     tup = fingerprint(doc.bracket, _product_or_zero(doc))

@@ -14,10 +14,10 @@ solve for all compatible commutative products at once.
 ``structure_table`` and yields the nonzero sparse integer rows,
 ``{column: value}``, each a nonzero multiple of the rational row (see its
 docstring).  The solvers eliminate them, and the moved rows of the
-product stage, with ``linalg._reduce``, which returns normal integer rows,
-and read their bases from the sparse kernel rows of
-``linalg._kernel``, the one place a rational is formed; no dense system is
-built on the solve path.  The basis matrices and products are built from
+product stage, with ``elimination._reduce``, which returns normal integer
+rows, and read their bases from the sparse kernel rows of
+``elimination._kernel``, the one place a rational is formed; no dense
+system is built on the solve path.  The basis matrices and products are built from
 those rationals as they are, through ``_Record._from_fields``, with no
 second pass through ``rat``; a product pair that holds a single 1 is the
 shared unit vector of ``_unit_vectors``.
@@ -28,6 +28,11 @@ one elimination.  ``ProductSpace.contains`` checks the coupling identity,
 which is what the product rows state.  The dense definitions of both
 systems, and of a left multiplication, are test oracles in
 ``tests/oracles.py``.
+
+``fingerprint`` is the dimension of the 1/3-derivation space and two
+ranks of the product (``linalg.rank``), so it lives here, beside
+``delta_derivations``: ``tpl3 fingerprint`` loads none of ``classify``,
+``morphisms`` or ``families``.
 
 Both eliminations presolve their singleton rows by one lemma.  Lemma: let
 a row space be spanned by the unit rows e_c of a set K of killed columns
@@ -66,7 +71,7 @@ singleton reduced row β_uv = 0 holds for every 1/3-derivation, so
 copies are the unit rows of the killed columns
 c = pair(min(g, u), max(g, u))·n + v.  ``_moved_rows`` moves only the
 other rows, drops the killed columns from each copy and renumbers the
-surviving columns in order, and ``linalg._reduce`` reduces those
+surviving columns in order, and ``elimination._reduce`` reduces those
 copies.  Reduction keeps a row space and moving columns is linear, so
 the moved reduced rows span the rows of the dense product system of the
 tests, which moves every raw row and presolves nothing; by the lemma both
@@ -80,8 +85,8 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (_ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record, _densify,
-                     _kernel, _rank_mod_p, _reduce, rat)
+from .linalg import _ONE, _ZERO, DimensionMismatch, Matrix, Vector, _Record, rank, rat
+from .elimination import _densify, _kernel, _rank_mod_p, _reduce
 from .algebra import (CommProduct, TriBracket, _basis_pairs, check_transposed_leibniz,
                       structure_table)
 
@@ -275,6 +280,30 @@ def delta_derivations(q: DerivationQuery) -> DerivationSpace:
     basis = tuple(Matrix._from_fields(n, n, tuple(_densify(vec, n * n)))
                   for vec in _kernel(*_reduced_rows(q), n * n))
     return DerivationSpace(dim=len(basis), basis=basis, query=q)
+
+
+def fingerprint(b: TriBracket, p: CommProduct) -> tuple[int, int, int, int, int]:
+    """Transport-invariant integer tuple (a partial non-isomorphism separator).
+
+    Components: dimension of the 1/3-derivation space of the bracket, rank
+    of the product as a map Sym²A → A, dimension of the annihilator
+    {x : x·A = 0}, dimension of span(A·A), and the dimension of the span of
+    all left-multiplication operators.  Each is a rank, hence independent
+    of the basis; equal fingerprints do not imply isomorphism.
+
+    Two ranks give the last four: span(A·A) is the image of Sym²A → A, and
+    the annihilator is the left kernel of the stacked left multiplications
+    (row i lists e_i·e_j for all j), of dimension n minus their rank.
+    """
+    if b.dim != p.dim:
+        raise ValueError("bracket and product dimensions differ")
+    deriv_dim = delta_derivations(DerivationQuery(b)).dim
+    idx = range(1, p.dim + 1)
+    sym_rank = rank(Matrix.from_rows(
+        [list(p.basis_product(i, j)) for i in idx for j in idx if i <= j]))
+    lmul_rank = rank(Matrix.from_rows(
+        [[c for j in idx for c in p.basis_product(i, j)] for i in idx]))
+    return (deriv_dim, sym_rank, p.dim - lmul_rank, sym_rank, lmul_rank)
 
 
 @cache

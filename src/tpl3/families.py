@@ -1,5 +1,4 @@
-"""The sixteen canonical compatible products T1..T16, case detection, and
-the rows of each subcase's canonical automorphism.
+"""The sixteen canonical compatible products T1..T16 and case detection.
 
 Every family lives on the standard bracket [e1,e2,e3] = e1.  Families
 T1..T8 take parameters (alpha, theta), T9..T12 (gamma, eta), T13..T16
@@ -14,6 +13,11 @@ The four case condition sets (on the solved-family coordinates) are:
 
 and the subcase letter comes from the zero pattern of (g, h, k):
 a when g = 0; b when g ≠ 0, h = 0; c when g, h ≠ 0, k = 0; d otherwise.
+
+The rows of each subcase's canonical automorphism are data of the paper
+harness alone, so they live in ``paper``: the classify bench builds its
+tables from this module, and neither it nor the classify route compiles
+them.
 """
 
 from __future__ import annotations
@@ -126,31 +130,6 @@ _CANONICAL_ROWS = {
     "T14": lambda ga, xi: (2 * ga, _Z, -3 * ga, _Z, -ga, _Z, -ga, ga, ga),
     "T15": lambda ga, xi: (-3 * ga, _Z, -3 * ga, ga, -ga, _Z, _Z, ga, ga),
     "T16": lambda ga, xi: (-2 * xi, _Z, -3 * ga, xi, -ga, _Z, Fraction(-2, 3) * xi, ga, ga),
-}
-
-_H = Fraction(1, 2)
-_Q3 = Fraction(3, 4)
-_T = Fraction(3, 2)
-
-#: subcase -> rows of its canonical automorphism witness, which
-#: ``classify.CANONICAL_AUTOMORPHISM`` builds
-_WITNESS_ROWS = {
-    "1-a": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
-    "1-b": [[1, 0, 0], [0, -_H, _H], [0, -_T, -_H]],
-    "1-c": [[1, 0, 0], [3, -_H, -_Q3], [2, 1, -_H]],
-    "1-d": [[1, 0, 0], [0, -_H, _H], [2, -_T, -_H]],
-    "2-a": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
-    "2-b": [[1, 0, 0], [-3, -2, -1], [3, 3, 1]],
-    "2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]],
-    "2-d": [[1, 0, 0], [0, -2, -1], [0, 3, 1]],
-    "3-a": [[1, 0, 0], [0, -_H, _T], [0, -_H, -_H]],
-    "3-b": [[1, 0, 0], [0, -_H, -_T], [0, _H, -_H]],
-    "3-c": [[1, 0, 0], [2, -_H, _T], [2, -_H, -_H]],
-    "3-d": [[1, 0, 0], [3, -_H, -_T], [-1, _H, -_H]],
-    "4-a": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
-    "4-b": [[1, 0, 0], [1, -2, -3], [1, 1, 1]],
-    "4-c": [[1, 0, 0], [0, -2, -3], [-1, 1, 1]],
-    "4-d": [[1, 0, 0], [0, -2, -3], [0, 1, 1]],
 }
 
 

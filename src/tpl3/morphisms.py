@@ -23,13 +23,12 @@ with no transport.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from .linalg import DimensionMismatch, Matrix, Singular, _Record, invert, vec_mat
 from .algebra import (CheckReport, CommProduct, TriBracket, Violation, _basis_pairs,
                       _product_table, _unscaled, _unscaled_product, bracket_eval,
-                      family_coordinates, structure_table)
+                      structure_table)
 
 
 class NotAutomorphism(ValueError):
@@ -258,48 +257,3 @@ def transport_bracket(b: TriBracket, m: AutoMatrix) -> TriBracket:
         if any(moved):
             table[(i + 1, j + 1, k + 1)] = _unscaled(moved, den, made)
     return TriBracket(n, table)
-
-
-def eleven_equation_residuals(p: CommProduct, m: AutoMatrix) -> list[Fraction]:
-    """Left-minus-right of the eleven structure-constant equations stating
-    that the map fixes a solved-family product.
-
-    All residuals vanish exactly when ``transport_product(p, m) == p``; the
-    two formulations are kept independent and their agreement is a tested
-    property.  Requires ``p`` in the solved family and ``m`` an automorphism
-    of the standard bracket.
-    """
-    c = family_coordinates(p)
-    if not a3_automorphism_check(m):
-        raise NotAutomorphism("map fails the standard-bracket automorphism conditions")
-    g, a, q, h, r, w, k, s, t = c.g, c.a, c.q, c.h, c.r, c.w, c.k, c.s, c.t
-    e = m.map.entry
-    l11 = e(0, 0)
-    l21, l22, l23 = e(1, 0), e(1, 1), e(1, 2)
-    l31, l32, l33 = e(2, 0), e(2, 1), e(2, 2)
-    dbl = 2 * l22 * l33 - 1
-    return [
-        # e1-row couplings of the fixed-product condition
-        (a + w) - (l33 * (a + w) - l23 * (r + t)),
-        (r + t) - (-l32 * (a + w) + l22 * (r + t)),
-        # e2,e3 components of e2·e2, e2·e3, e3·e3
-        a - (l22 * l22 * l33 * a - l22 * l22 * l32 * q + 2 * l22 * l23 * l33 * r
-             - 2 * l22 * l23 * l32 * w + l23 * l23 * l33 * s - l23 * l23 * l32 * t),
-        q - (-l22 * l22 * l23 * a + l22 * l22 * l22 * q - 2 * l22 * l23 * l23 * r
-             + 2 * l22 * l22 * l23 * w - l23 * l23 * l23 * s + l22 * l23 * l23 * t),
-        r - (l22 * l32 * l33 * a - l22 * l32 * l32 * q + l33 * dbl * r
-             - l32 * dbl * w + l23 * l33 * l33 * s - l23 * l32 * l33 * t),
-        w - (-l22 * l23 * l32 * a + l22 * l22 * l32 * q - l23 * dbl * r
-             + l22 * dbl * w - l23 * l23 * l33 * s + l22 * l23 * l33 * t),
-        s - (l32 * l32 * l33 * a - l32 * l32 * l32 * q + 2 * l32 * l33 * l33 * r
-             - 2 * l32 * l32 * l33 * w + l33 * l33 * l33 * s - l32 * l33 * l33 * t),
-        t - (-l23 * l32 * l32 * a + l22 * l32 * l32 * q - 2 * l23 * l32 * l33 * r
-             + 2 * l22 * l32 * l33 * w - l23 * l33 * l33 * s + l22 * l33 * l33 * t),
-        # e1 components of e2·e2, e2·e3, e3·e3
-        g - (l22 * l22 * g - l31 * q + l21 * w + 2 * l22 * l23 * h
-             + l23 * l23 * k) / l11,
-        h - ((l31 * (a - w) + l21 * (t - r)) / 2 + l22 * l32 * g
-             + (l22 * l33 + l23 * l32) * h + l23 * l33 * k) / l11,
-        k - (l32 * l32 * g + 2 * l32 * l33 * h + l31 * r + l33 * l33 * k
-             - l21 * s) / l11,
-    ]

@@ -106,18 +106,18 @@ MUTANTS = [
            "_rank_mod_p(rows, n * n, target) >= target - 1",
            (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
             SPACES_DIGEST)),
-    Mutant("mod-p pass without reduction against the earlier pivot rows", "linalg.py",
+    Mutant("mod-p pass without reduction against the earlier pivot rows", "elimination.py",
            "        for shift, w in found:\n", "        for shift, w in found[:0]:\n",
            (DERIVATIONS + "test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass",
             SPACES_DIGEST)),
-    Mutant("mod-p multiplier read without % p", "linalg.py",
+    Mutant("mod-p multiplier read without % p", "elimination.py",
            "f = (x >> shift & 0xFFFF_FFFF_FFFF_FFFF) % p", "f = x >> shift & 0xFFFF_FFFF_FFFF_FFFF",
            (LINALG + "test_packed_rank_mod_p_matches_the_dense_pass",
             SPACES_DIGEST)),
-    Mutant("kernel-entry dict keyed by the numerator alone", "linalg.py",
+    Mutant("kernel-entry dict keyed by the numerator alone", "elimination.py",
            "key = -v, a\n", "key = -v\n",
            (LINALG + "test_kernel_annihilates_and_rank_nullity", SPACES_DIGEST)),
-    Mutant("_reduce without _integer_row", "linalg.py",
+    Mutant("_reduce without _integer_row", "elimination.py",
            "_back_substitute(_echelon(map(_integer_row, rows)))",
            "_back_substitute(_echelon(rows))",
            (DERIVATIONS + "test_presolved_reduced_rows_match_full_elimination",
@@ -168,7 +168,7 @@ MUTANTS = [
     Mutant("block move by B in place of adj B", "classify.py",
            "x, y = (b22, -b12), (-b21, b11)", "x, y = (b11, b12), (b21, b22)",
            (CLASSIFY + "test_block_move_matches_the_transport_oracle",)),
-    Mutant("one entry of the 2-c witness row changed", "families.py",
+    Mutant("one entry of the 2-c witness row changed", "paper.py",
            '"2-c": [[1, 0, 0], [-2, -2, -1], [3, 3, 1]]',
            '"2-c": [[1, 0, 0], [-1, -2, -1], [3, 3, 1]]',
            (CLASSIFY + "test_verify_paper_case_single_and_seeded",

@@ -1,7 +1,7 @@
 """Dense reference definitions that only the tests use.
 
 The package solves and multiplies one way each: every elimination is the
-one entry ``linalg._reduce`` (its forward pass and back-substitution),
+one entry ``elimination._reduce`` (its forward pass and back-substitution),
 each δ-derivation system is stated once by
 ``derivations._derivation_rows``, and products are multiplied through their
 coefficient tables.  The functions here are the dense forms of the same
@@ -19,8 +19,8 @@ objects, kept so the tests can state them independently of the fast path:
 * ``mat_mul`` and ``zeros`` are the matrix product and the zero matrix;
 * ``determinant`` is a separate Bareiss elimination, the reference for
   invertibility; ``dense_rank_mod_p`` is the rank pass mod
-  ``linalg._RANK_PRIME`` on dense lists of residues, the reference for the
-  packed rows of ``linalg._rank_mod_p``, and ``gf2_rank`` an XOR
+  ``elimination._RANK_PRIME`` on dense lists of residues, the reference for
+  the packed rows of ``elimination._rank_mod_p``, and ``gf2_rank`` an XOR
   elimination over GF(2), the reference with the prime set to 2;
   ``stopped_rank`` is the count that pass returns when it stops early;
 * ``mat_vec`` and ``product_eval`` evaluate a matrix and a product on
@@ -45,9 +45,9 @@ from tpl3.algebra import CommProduct, FamilyCoordinates, ShapeMismatch, TriBrack
 from tpl3.families import CaseId
 from tpl3.derivations import (DerivationQuery, _derivation_rows, _moved_rows,
                               _sym_pairs)
-from tpl3 import linalg
-from tpl3.linalg import (DimensionMismatch, Matrix, Vector, _cleared, _densify, _kernel,
-                         _reduce)
+from tpl3 import elimination
+from tpl3.linalg import DimensionMismatch, Matrix, Vector
+from tpl3.elimination import _cleared, _densify, _kernel, _reduce
 
 ZERO = Fraction(0)
 
@@ -198,12 +198,12 @@ def determinant(m: Matrix) -> Fraction:
 
 
 def dense_rank_mod_p(rows: Iterable[dict[int, int]], ncols: int, target: int) -> int:
-    """The rank of the integer ``rows`` mod ``linalg._RANK_PRIME``, counted
+    """The rank of the integer ``rows`` mod ``elimination._RANK_PRIME``, counted
     up to ``target``.  Each row is made a dense list of residues and reduced
     against the pivot rows found so far, in the order found; each is 1 at
     its pivot column and zero left of it and at every earlier pivot column.
     The pass stops at ``target`` and reads every row until then."""
-    p = linalg._RANK_PRIME
+    p = elimination._RANK_PRIME
     found: list[tuple[int, list[int]]] = []
     for row in rows:
         if len(found) >= target:

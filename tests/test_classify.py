@@ -459,10 +459,10 @@ def test_certificate_witnesses_build_no_inverse(monkeypatch):
     # classify neither eliminates nor inverts for a certificate, and a
     # witness keeps no inverse: inverting it changes no field, hash, repr or
     # pickle
-    linalg = importlib.import_module("tpl3.linalg")
+    elimination = importlib.import_module("tpl3.elimination")
     eliminations = []
-    echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon",
+    echelon = elimination._echelon
+    monkeypatch.setattr(elimination, "_echelon",
                         lambda rows: eliminations.append(rows) or echelon(rows))
     witnesses = [out.witness for p in classify_mix_products(1, 300)
                  if isinstance(out := classify(A3, p), Certificate)]
@@ -1112,8 +1112,8 @@ def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
     # every witness system of the seed-1 classify-mix inputs, regular or
     # singular, so no witness solve runs the elimination's forward pass
     module = importlib.import_module("tpl3.classify")
-    linalg = importlib.import_module("tpl3.linalg")
-    echelon, solve_witness = linalg._echelon, module._solve_witness
+    elimination = importlib.import_module("tpl3.elimination")
+    echelon, solve_witness = elimination._echelon, module._solve_witness
     eliminations, calls = [], []
 
     def counting_rows(rows):
@@ -1129,7 +1129,7 @@ def test_only_singular_shift_systems_reach_the_elimination(monkeypatch):
         calls.append((determinant(shifts) != 0, len(eliminations) - before))
         return out
 
-    monkeypatch.setattr(linalg, "_echelon", counting_rows)
+    monkeypatch.setattr(elimination, "_echelon", counting_rows)
     monkeypatch.setattr(module, "_solve_witness", recording)
     for p in classify_mix_products(1, 300):
         classify(A3, p)

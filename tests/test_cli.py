@@ -230,7 +230,7 @@ def test_verify_paper_runs_every_case_through_verify_all_cases(capsys, monkeypat
     from tpl3 import CheckReport
 
     seeds = []
-    monkeypatch.setattr(importlib.import_module("tpl3.classify"), "verify_all_cases",
+    monkeypatch.setattr(importlib.import_module("tpl3.paper"), "verify_all_cases",
                         lambda seed: seeds.append(seed) or {"4-d": CheckReport(())})
     assert run(capsys, "verify-paper", "--seed", "5") == (0, "case 4-d: PASS\noverall: PASS\n", "")
     # a passing run prints nothing of its seed: only the call shows the default

@@ -442,7 +442,7 @@ def derivation_row_supports(b: TriBracket) -> list[set[int]]:
 @pytest.mark.parametrize("name", ["A3", "A4+ab2", "dense4"])
 def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     import tpl3.derivations as derivations
-    import tpl3.linalg as linalg
+    import tpl3.elimination as elimination
 
     n = fresh_bracket(name).dim
     # the nonzero 1/3-derivation rows all lie in triples that share two
@@ -497,12 +497,12 @@ def test_product_space_eliminates_reduced_derivation_rows(name, monkeypatch):
     assert reduce_counts(derivation, b2)[0] == forward
     # _reduce makes every moved copy a normal integer row, once
     normalised = []
-    integer_row = linalg._integer_row
+    integer_row = elimination._integer_row
     recording = lambda row: normalised.append(row) or integer_row(row)
-    monkeypatch.setattr(linalg, "_integer_row", recording)
+    monkeypatch.setattr(elimination, "_integer_row", recording)
     counts2, space2 = reduce_counts(tp_product_space, b2)
     assert counts2 == [len(kept)] and len(normalised) == len(kept)
-    monkeypatch.setattr(linalg, "_integer_row", integer_row)
+    monkeypatch.setattr(elimination, "_integer_row", integer_row)
     # an equal but distinct bracket, a copy and an unpickled bracket solve again
     for other in (fresh_bracket(name), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and other is not b
@@ -570,7 +570,7 @@ def test_reduced_rows_are_normal_integer_rows():
     from oracles import oracle_rref
     from test_linalg import random_matrices
     from tpl3.derivations import _reduced_rows
-    from tpl3.linalg import _cleared, _integer_row, _reduce
+    from tpl3.elimination import _cleared, _integer_row, _reduce
 
     def is_normal(row):
         return (all(type(v) is int for v in row.values())
@@ -639,7 +639,7 @@ def test_full_rank_reduced_rows_match_full_elimination(monkeypatch):
     # elimination does not run; the memo rows must equal those of the full
     # elimination
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
 
     calls = []
     record_calls(monkeypatch, calls, "_reduce")
@@ -683,7 +683,7 @@ def test_presolved_reduced_rows_match_full_elimination(monkeypatch):
     # pass proves their rank
     import tpl3.derivations as derivations
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
 
     handed = {}
 
@@ -736,12 +736,12 @@ def test_mod_p_shortfall_falls_back_to_the_exact_pass(monkeypatch):
     # runs, and the memo still equals the full elimination.  The pass
     # counts the rank of an independent GF(2) elimination, capped at t, on
     # the rows it read before t went out of reach
-    import tpl3.linalg as linalg
+    import tpl3.elimination as elimination
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
     from oracles import gf2_rank, stopped_rank
 
-    monkeypatch.setattr(linalg, "_RANK_PRIME", 2)
+    monkeypatch.setattr(elimination, "_RANK_PRIME", 2)
     calls = []
     record_calls(monkeypatch, calls, "_rank_mod_p", "_reduce")
     rng = random.Random(29)
@@ -782,7 +782,7 @@ def test_rank_deficient_bracket_in_the_gate_runs_the_exact_pass(monkeypatch):
     # t = 15 and the exact elimination runs; the 1/3-derivations are the
     # identity and one more map
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
 
     calls = []
     record_calls(monkeypatch, calls, "_rank_mod_p", "_reduce")
@@ -807,7 +807,7 @@ def test_failed_mod_p_pass_stops_reading_rows():
     # independent, so on them it reads all 16; with their last two rows
     # replaced by combinations of earlier ones, shuffled, the dependent rows
     # come earlier and the rows after them are never read
-    from tpl3.linalg import _rank_mod_p
+    from tpl3.elimination import _rank_mod_p
     from oracles import dense_rank_mod_p
 
     read = []
@@ -840,7 +840,7 @@ def test_dense_reduced_rows_match_full_elimination(n, monkeypatch):
     # the mod-p pass proves rank n² − 1 at δ = 1/3 and n² at the other δ,
     # and the closed-form rows equal those of the full elimination
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
 
     rng = random.Random(n)
     table = {tr: Vector([rng.randint(-2, 2) for _ in range(n)])
@@ -891,7 +891,7 @@ def test_dense_plus_abelian_spaces_follow_the_block_lemma(k, m):
     """
     from tpl3 import rank
     from tpl3.derivations import _derivation_rows, _reduced_rows
-    from tpl3.linalg import _reduce
+    from tpl3.elimination import _reduce
 
     b = dense_plus_abelian(k, m)
     n = k + m

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tpl3 import (DimensionMismatch, Matrix, Singular, Vector, invert, parse_rat, rank,
                   rational_root, vec_mat)
-from tpl3.linalg import _cleared, _densify, _integer_root, _kernel, _rank_mod_p, _reduce
+from tpl3.elimination import _cleared, _densify, _kernel, _rank_mod_p, _reduce
+from tpl3.linalg import _integer_root
 from oracles import (Infeasible, dense_rank_mod_p, determinant, gf2_rank, kernel_basis,
                      mat_mul, mat_vec, oracle_kernel, oracle_rref, oracle_solve_affine,
                      stopped_rank, zeros)
@@ -372,11 +373,11 @@ def test_rank_mod_p_counts_up_to_its_target(monkeypatch):
     # when the rank reaches it, and else the rank of the rows it read
     # before the target went out of reach.  With the prime set to 2 it
     # counts the rank of an independent GF(2) elimination
-    import tpl3.linalg as linalg
+    import tpl3.elimination as elimination
 
     lost = stopped = 0
-    for p in (linalg._RANK_PRIME, 2):
-        monkeypatch.setattr(linalg, "_RANK_PRIME", p)
+    for p in (elimination._RANK_PRIME, 2):
+        monkeypatch.setattr(elimination, "_RANK_PRIME", p)
         for m in random_matrices(random.Random(113)):
             rows = [_cleared(row) for row in m.row_lists()]
             prefix = [gf2_rank(rows[:k]) if p == 2 else len(_reduce(rows[:k])[1])
@@ -423,11 +424,11 @@ def test_packed_rank_mod_p_matches_the_dense_pass(prime, monkeypatch):
     # target from 0 to past the number of rows: equal up to the rank, and
     # past it the rank of the prefix read before the target went out of
     # reach
-    import tpl3.linalg as linalg
+    import tpl3.elimination as elimination
 
     if prime is not None:
-        monkeypatch.setattr(linalg, "_RANK_PRIME", prime)
-    p = linalg._RANK_PRIME
+        monkeypatch.setattr(elimination, "_RANK_PRIME", prime)
+    p = elimination._RANK_PRIME
     rng = random.Random(127)
     short = stopped = 0
     for ncols in (1, 2, 3, 5, 8, 15, 16, 17, 64, 100, 257, 1024):

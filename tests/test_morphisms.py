@@ -27,17 +27,17 @@ def test_automatrix_requires_invertible():
 
 
 def test_automatrix_eliminates_its_witness_once(monkeypatch):
-    import tpl3.linalg as linalg
+    import tpl3.elimination as elimination
 
     counts = []
-    original = linalg._reduce
+    original = elimination._reduce
 
     def counting(rows):
         rows = list(rows)
         counts.append(len(rows))
         return original(rows)
 
-    monkeypatch.setattr(linalg, "_reduce", counting)
+    monkeypatch.setattr(elimination, "_reduce", counting)
     # det B = 2: outside the automorphism shape, so construction eliminates
     m = AutoMatrix.from_rows([[2, 0, 0], [1, 1, 3], [-1, 0, 2]])
     assert counts == [3]

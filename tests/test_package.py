@@ -85,12 +85,53 @@ def test_subcommands_load_only_what_they_run(tmp_path):
     code, loaded = loaded_after("check", str(FIXTURES / "a3.json"))
     assert code == 0 and "algebra" in loaded
     assert not loaded & {"classify", "families", "derivations"}
+    # the elimination kernels load only where a command eliminates, and the
+    # paper harness only for verify-paper
+    assert not loaded & {"elimination", "paper"}
     matrix = tmp_path / "m.json"
     matrix.write_text('[["1","0","0"],["1","2","0"],["0","-1","1"]]')
     code, loaded = loaded_after("transport", str(FIXTURES / "t9.json"),
                                 "--matrix", str(matrix))
     assert code == 0 and "morphisms" in loaded
     assert not loaded & {"classify", "derivations"}
+    code, loaded = loaded_after("classify", str(FIXTURES / "t4.json"))
+    assert code == 0 and "classify" in loaded
+    assert not loaded & {"elimination", "paper"}
+    # fingerprint is two ranks and the 1/3-derivation dimension
+    code, loaded = loaded_after("fingerprint", str(FIXTURES / "t7.json"))
+    assert code == 0 and {"derivations", "elimination"} <= loaded
+    assert not loaded & {"classify", "morphisms", "families"}
+    code, loaded = loaded_after("verify-paper", "--case", "2-c")
+    assert code == 0 and "paper" in loaded
+
+
+#: classifies the products of the documents named in argv, then the product
+#: e1·e1 = e1, which is outside the solved family, through ``tpl3.classify``
+#: alone, as the classify bench does; prints the result types and the
+#: modules loaded
+CLASSIFY_ROUTE = """
+import json, sys
+from tpl3 import CommProduct, Vector, a3_bracket, classify
+
+def product(entries):
+    return CommProduct(3, {tuple(e["args"]): Vector([e["value"].get(str(s), "0")
+                                                     for s in (1, 2, 3)])
+                           for e in entries})
+
+inputs = [json.load(open(path))["product"] for path in sys.argv[1:]]
+inputs.append([{"args": [1, 1], "value": {"1": "1"}}])
+print(json.dumps([type(classify(a3_bracket(), product(e))).__name__ for e in inputs]))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("tpl3."))))
+"""
+
+
+def test_classify_route_loads_neither_elimination_nor_paper():
+    out = fresh_python(CLASSIFY_ROUTE, *(str(FIXTURES / f"{name}.json") for name in
+                                         ("t4", "needs_extension", "unclassified")))
+    results, modules = map(json.loads, out.splitlines())
+    assert results == ["Certificate", "NeedsExtension", "Unclassified", "NotTransposedPoisson"]
+    assert modules == ["tpl3.algebra", "tpl3.classify", "tpl3.families", "tpl3.linalg",
+                       "tpl3.morphisms"]
 
 
 def test_family_tables_load_neither_morphisms_nor_classify():
@@ -108,7 +149,7 @@ def test_family_tables_load_neither_morphisms_nor_classify():
 
 
 def test_canonical_automorphisms_are_built_from_the_family_rows():
-    from tpl3.families import _WITNESS_ROWS
+    from tpl3.paper import _WITNESS_ROWS
 
     witnesses = tpl3.CANONICAL_AUTOMORPHISM
     assert list(witnesses) == [str(case) for case in tpl3.ALL_CASES]
