@@ -17,10 +17,10 @@ docstring).  The solvers eliminate them, and the moved rows of the
 product stage, with ``elimination._reduce``, which returns normal integer
 rows, and read their bases from the sparse kernel rows of
 ``elimination._kernel``, the one place a rational is formed; no dense
-system is built on the solve path.  The basis matrices and products are built from
-those rationals as they are, through ``_Record._from_fields``, with no
-second pass through ``rat``; a product pair that holds a single 1 is the
-shared unit vector of ``_unit_vectors``.
+system is built on the solve path.  The basis matrices and products are
+built from those rationals as they are, through ``_Record._from_fields``,
+with no second pass through ``rat``; a product pair that holds a single 1
+is the shared unit vector of ``_unit_vectors``.
 ``_reduced_rows`` is the one place that eliminates a bracket's
 δ-derivation rows, once per bracket object and δ, so ``delta_derivations``,
 ``DerivationSpace.contains`` and ``tp_product_space`` on one bracket share

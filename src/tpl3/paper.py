@@ -7,8 +7,9 @@ relations of the solved family (``remark_associativity_residuals``), and
 the seeded re-derivation of each subcase (``draw_family_params``,
 ``verify_paper_case``, ``verify_all_cases``).
 
-Only ``tpl3 verify-paper`` and the tests import this module; no other
-module of the package imports it, so the classify route never compiles it.
+Only ``tpl3 verify-paper`` and the tests import this module, or the
+package on a first read of one of its names; no other module imports it,
+so the classify route never compiles it.
 """
 
 from __future__ import annotations
